@@ -171,15 +171,39 @@ BENCHMARK(BM_SuiteSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
+/** Profiling is one functional execute() per dynamic instruction, so
+ * items/s here is the shared datapath's throughput in instructions/s. */
 void
 BM_Profile(benchmark::State &state)
 {
+    uint64_t instructions = 0;
     for (auto _ : state) {
         ProfileInfo info = profileProgram(crcProgram());
+        instructions += info.totalDynamic;
         benchmark::DoNotOptimize(info.totalDynamic);
     }
+    state.SetItemsProcessed(static_cast<int64_t>(instructions));
 }
 BENCHMARK(BM_Profile)->Unit(benchmark::kMillisecond);
+
+/** BM_Profile over all 21 kernels: the first stage of every prepare. */
+void
+BM_ProfileSuite(benchmark::State &state)
+{
+    static const std::vector<Program> progs = [] {
+        std::vector<Program> out;
+        for (const mibench::BenchInfo &bench : mibench::suite())
+            out.push_back(bench.build().program);
+        return out;
+    }();
+    uint64_t instructions = 0;
+    for (auto _ : state) {
+        for (const Program &prog : progs)
+            instructions += profileProgram(prog).totalDynamic;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(instructions));
+}
+BENCHMARK(BM_ProfileSuite)->Unit(benchmark::kMillisecond);
 
 void
 BM_Synthesize(benchmark::State &state)

@@ -103,59 +103,6 @@ opName(Op op)
 }
 
 bool
-isLoad(Op op)
-{
-    switch (op) {
-      case Op::LDR: case Op::LDRB: case Op::LDRH:
-      case Op::LDRSB: case Op::LDRSH: case Op::LDM:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isStore(Op op)
-{
-    switch (op) {
-      case Op::STR: case Op::STRB: case Op::STRH: case Op::STM:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isMemOp(Op op)
-{
-    return isLoad(op) || isStore(op);
-}
-
-bool
-isBranchOp(Op op)
-{
-    return op == Op::B || op == Op::BL || op == Op::RET;
-}
-
-bool
-isAluLikeOp(Op op)
-{
-    return static_cast<uint8_t>(op) <= static_cast<uint8_t>(Op::MVN);
-}
-
-bool
-isMulDivOp(Op op)
-{
-    switch (op) {
-      case Op::MUL: case Op::MLA: case Op::UMULL: case Op::SMULL:
-      case Op::SDIV: case Op::UDIV:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 MicroOp::writesReg(uint8_t reg) const
 {
     switch (op) {
@@ -347,28 +294,10 @@ MicroOp::writeRegMask() const
     return mask;
 }
 
-bool
-condPasses(Cond cond, const Flags &f)
+void
+detail::badCondition(Cond cond)
 {
-    switch (cond) {
-      case Cond::EQ: return f.z;
-      case Cond::NE: return !f.z;
-      case Cond::CS: return f.c;
-      case Cond::CC: return !f.c;
-      case Cond::MI: return f.n;
-      case Cond::PL: return !f.n;
-      case Cond::VS: return f.v;
-      case Cond::VC: return !f.v;
-      case Cond::HI: return f.c && !f.z;
-      case Cond::LS: return !f.c || f.z;
-      case Cond::GE: return f.n == f.v;
-      case Cond::LT: return f.n != f.v;
-      case Cond::GT: return !f.z && f.n == f.v;
-      case Cond::LE: return f.z || f.n != f.v;
-      case Cond::AL: return true;
-      default:
-        panic("invalid condition code %u", static_cast<unsigned>(cond));
-    }
+    panic("invalid condition code %u", static_cast<unsigned>(cond));
 }
 
 // --- decoding -------------------------------------------------------------

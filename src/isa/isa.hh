@@ -116,13 +116,70 @@ enum class Op : uint8_t
 /** @return the mnemonic of a micro-op kind. */
 const char *opName(Op op);
 
+/** Class bits of a micro-op kind; opClass() returns an OR of these. */
+enum OpClassBit : uint8_t
+{
+    kOpLoad = 1u << 0,    //!< LDR/LDRB/LDRH/LDRSB/LDRSH/LDM
+    kOpStore = 1u << 1,   //!< STR/STRB/STRH/STM
+    kOpBranch = 1u << 2,  //!< B/BL/RET
+    kOpMulDiv = 1u << 3,  //!< MUL/MLA/UMULL/SMULL/SDIV/UDIV
+    kOpAluLike = 1u << 4, //!< data-processing incl. compares and moves
+};
+
+namespace detail
+{
+
+constexpr uint8_t
+opClassOf(Op op)
+{
+    switch (op) {
+      case Op::LDR: case Op::LDRB: case Op::LDRH:
+      case Op::LDRSB: case Op::LDRSH: case Op::LDM:
+        return kOpLoad;
+      case Op::STR: case Op::STRB: case Op::STRH: case Op::STM:
+        return kOpStore;
+      case Op::B: case Op::BL: case Op::RET:
+        return kOpBranch;
+      case Op::MUL: case Op::MLA: case Op::UMULL: case Op::SMULL:
+      case Op::SDIV: case Op::UDIV:
+        return kOpMulDiv;
+      default:
+        return static_cast<uint8_t>(op) <= static_cast<uint8_t>(Op::MVN)
+                   ? kOpAluLike
+                   : 0;
+    }
+}
+
+/** One entry per byte value, so a corrupt Op classifies as nothing. */
+struct OpClassTable
+{
+    uint8_t bits[256] = {};
+
+    constexpr OpClassTable()
+    {
+        for (unsigned op = 0; op < static_cast<unsigned>(Op::NUM); ++op)
+            bits[op] = opClassOf(static_cast<Op>(op));
+    }
+};
+
+inline constexpr OpClassTable kOpClassTable{};
+
+} // namespace detail
+
+/** @return the OpClassBit set of @p op (0 for SWI/NOP/MOVW/...). */
+constexpr uint8_t
+opClass(Op op)
+{
+    return detail::kOpClassTable.bits[static_cast<uint8_t>(op)];
+}
+
 /** Classification helpers used by the timing model and the profiler. */
-bool isLoad(Op op);
-bool isStore(Op op);
-bool isMemOp(Op op);
-bool isBranchOp(Op op);   //!< B/BL/RET
-bool isAluLikeOp(Op op);  //!< data-processing incl. compares and moves
-bool isMulDivOp(Op op);
+constexpr bool isLoad(Op op) { return opClass(op) & kOpLoad; }
+constexpr bool isStore(Op op) { return opClass(op) & kOpStore; }
+constexpr bool isMemOp(Op op) { return opClass(op) & (kOpLoad | kOpStore); }
+constexpr bool isBranchOp(Op op) { return opClass(op) & kOpBranch; }
+constexpr bool isAluLikeOp(Op op) { return opClass(op) & kOpAluLike; }
+constexpr bool isMulDivOp(Op op) { return opClass(op) & kOpMulDiv; }
 
 /** How the second operand of a data-processing micro-op is formed. */
 enum class Operand2Kind : uint8_t
@@ -221,8 +278,68 @@ struct Flags
     bool v = false;
 };
 
+namespace detail
+{
+
+/** The ARM condition tests, for the compile-time truth table below. */
+constexpr bool
+condHolds(Cond cond, bool n, bool z, bool c, bool v)
+{
+    switch (cond) {
+      case Cond::EQ: return z;
+      case Cond::NE: return !z;
+      case Cond::CS: return c;
+      case Cond::CC: return !c;
+      case Cond::MI: return n;
+      case Cond::PL: return !n;
+      case Cond::VS: return v;
+      case Cond::VC: return !v;
+      case Cond::HI: return c && !z;
+      case Cond::LS: return !c || z;
+      case Cond::GE: return n == v;
+      case Cond::LT: return n != v;
+      case Cond::GT: return !z && n == v;
+      case Cond::LE: return z || n != v;
+      default: return true; // AL
+    }
+}
+
+/** Bit (n<<3 | z<<2 | c<<1 | v) of pass[cond] is the test's outcome. */
+struct CondTable
+{
+    uint16_t pass[static_cast<unsigned>(Cond::NUM)] = {};
+
+    constexpr CondTable()
+    {
+        for (unsigned cond = 0; cond < static_cast<unsigned>(Cond::NUM);
+             ++cond)
+            for (unsigned nzcv = 0; nzcv < 16; ++nzcv)
+                if (condHolds(static_cast<Cond>(cond), nzcv & 8u,
+                              nzcv & 4u, nzcv & 2u, nzcv & 1u))
+                    pass[cond] |= static_cast<uint16_t>(1u << nzcv);
+    }
+};
+
+inline constexpr CondTable kCondTable{};
+
+/** panic()s on a condition code outside Cond::NUM. */
+[[noreturn]] void badCondition(Cond cond);
+
+} // namespace detail
+
 /** @return true when @p cond passes under @p flags. */
-bool condPasses(Cond cond, const Flags &flags);
+inline bool
+condPasses(Cond cond, const Flags &flags)
+{
+    if (cond == Cond::AL)
+        return true;
+    const unsigned c = static_cast<unsigned>(cond);
+    if (c >= static_cast<unsigned>(Cond::NUM)) [[unlikely]]
+        detail::badCondition(cond);
+    const unsigned nzcv = (flags.n << 3) | (flags.z << 2) |
+                          (flags.c << 1) | unsigned(flags.v);
+    return (detail::kCondTable.pass[c] >> nzcv) & 1u;
+}
 
 // --- 32-bit uARM encoding ------------------------------------------------
 

@@ -97,19 +97,26 @@ void
 execute(const MicroOp &uop, uint64_t index, const AddrCodec &codec,
         CpuState &state, Memory &mem, IoSinks &io, ExecInfo &info)
 {
-    info = ExecInfo{};
+    // Rewrite the scalar fields only: readers stop at mem[numMem], and
+    // clearing all of mem[] (136 bytes) per op dominated the profiler.
+    const uint8_t cls = opClass(uop.op);
+    info.branch = (cls & kOpBranch) != 0;
+    info.branchTaken = false;
+    info.baseWriteback = false;
+    info.destReg = 0xff;
+    info.extraLatency = 0;
+    info.numMem = 0;
     info.nextIndex = index + 1;
-    info.branch = isBranchOp(uop.op);
-    info.isLoad = isLoad(uop.op);
-    info.isStore = isStore(uop.op);
-    info.isMulDiv = isMulDivOp(uop.op);
 
     if (!condPasses(uop.cond, state.flags)) {
         // Annulled: consumes a slot, changes nothing.
-        info.isLoad = info.isStore = info.isMulDiv = false;
+        info.executed = info.isLoad = info.isStore = info.isMulDiv = false;
         return;
     }
     info.executed = true;
+    info.isLoad = (cls & kOpLoad) != 0;
+    info.isStore = (cls & kOpStore) != 0;
+    info.isMulDiv = (cls & kOpMulDiv) != 0;
 
     auto writeRd = [&](uint32_t value) {
         state.regs[uop.rd] = value;
@@ -280,8 +287,7 @@ execute(const MicroOp &uop, uint64_t index, const AddrCodec &codec,
             offset = uop.memAdd ? rm_val : 0u - rm_val;
         }
         uint32_t addr = state.regs[uop.rn] + offset;
-        info.mem[info.numMem++] =
-            ExecInfo::MemAccess{addr, isStore(uop.op)};
+        info.mem[info.numMem++] = ExecInfo::MemAccess{addr, info.isStore};
         switch (uop.op) {
           case Op::LDR: writeRd(mem.read32(addr)); break;
           case Op::LDRB: writeRd(mem.read8(addr)); break;

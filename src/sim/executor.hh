@@ -56,12 +56,26 @@ struct AddrCodec
     }
 };
 
-/** Everything the timing/power layers need to know about one exec. */
+/**
+ * Everything the timing/power layers need to know about one exec.
+ *
+ * execute() rewrites every scalar field on each call but only the
+ * first numMem entries of mem[]; readers must stop at numMem.
+ */
 struct ExecInfo
 {
     bool executed = false;     //!< condition passed
     bool branch = false;       //!< is a control instruction
     bool branchTaken = false;  //!< redirected the front-end
+    bool isLoad = false;
+    bool isStore = false;
+    bool isMulDiv = false;
+    //! LDM/STM wrote the base register back (false when rn is in the
+    //! register list — base-in-list forms suppress writeback).
+    bool baseWriteback = false;
+    uint8_t destReg = 0xff;    //!< 0xff when no register result
+    uint32_t extraLatency = 0; //!< functional-unit latency beyond 1 cycle
+    unsigned numMem = 0;
     uint64_t nextIndex = 0;    //!< instruction index to run next
 
     //! Data-memory accesses performed (LDM/STM make several).
@@ -72,16 +86,6 @@ struct ExecInfo
     };
     static constexpr unsigned kMaxMem = 17;
     MemAccess mem[kMaxMem];
-    unsigned numMem = 0;
-
-    bool isLoad = false;
-    bool isStore = false;
-    bool isMulDiv = false;
-    //! LDM/STM wrote the base register back (false when rn is in the
-    //! register list — base-in-list forms suppress writeback).
-    bool baseWriteback = false;
-    uint8_t destReg = 0xff;    //!< 0xff when no register result
-    uint32_t extraLatency = 0; //!< functional-unit latency beyond 1 cycle
 };
 
 /** Console/result sinks filled in by SWI instructions. */

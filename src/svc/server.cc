@@ -198,10 +198,11 @@ SvcServer::stop()
         for (auto &kv : inflight_)
             kv.second->cv.notify_all();
     }
-    for (std::thread &t : connThreads_)
-        if (t.joinable())
-            t.join();
+    for (auto &kv : connThreads_)
+        if (kv.second.joinable())
+            kv.second.join();
     connThreads_.clear();
+    connDone_.clear();
 
     {
         std::lock_guard<std::mutex> lock(workMu_);
@@ -221,6 +222,7 @@ void
 SvcServer::acceptLoop()
 {
     while (!stop_) {
+        reapConnections(); // on every accept and every idle poll tick
         struct pollfd pfd;
         pfd.fd = listenFd_;
         pfd.events = POLLIN;
@@ -237,13 +239,40 @@ SvcServer::acceptLoop()
             break;
         }
         connFds_.insert(fd);
-        connThreads_.emplace_back(
-            [this, fd] { connectionLoop(fd); });
+        const uint64_t serial = connSerial_++;
+        connThreads_.emplace(serial, std::thread([this, fd, serial] {
+                                 connectionLoop(fd, serial);
+                             }));
     }
 }
 
 void
-SvcServer::connectionLoop(int fd)
+SvcServer::reapConnections()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(connMu_);
+        for (uint64_t serial : connDone_) {
+            auto it = connThreads_.find(serial);
+            done.push_back(std::move(it->second));
+            connThreads_.erase(it);
+        }
+        connDone_.clear();
+    }
+    // Each of these has left connectionLoop; join outside the lock.
+    for (std::thread &t : done)
+        t.join();
+}
+
+size_t
+SvcServer::connectionThreads()
+{
+    std::lock_guard<std::mutex> lock(connMu_);
+    return connThreads_.size();
+}
+
+void
+SvcServer::connectionLoop(int fd, uint64_t serial)
 {
     if (TraceRecorder *trace = TraceRecorder::current())
         trace->nameThisThread("svc-conn");
@@ -266,6 +295,7 @@ SvcServer::connectionLoop(int fd)
     {
         std::lock_guard<std::mutex> lock(connMu_);
         connFds_.erase(fd);
+        connDone_.push_back(serial);
     }
     ::close(fd);
 }

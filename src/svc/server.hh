@@ -93,6 +93,9 @@ class SvcServer
     /** The store (valid between start() and stop()); test access. */
     ResultStore &store() { return *store_; }
 
+    /** Connection threads not yet joined; test access. */
+    size_t connectionThreads();
+
   private:
     /** One single-flight slot: a key being computed or leased out. */
     struct Inflight
@@ -113,7 +116,9 @@ class SvcServer
     };
 
     void acceptLoop();
-    void connectionLoop(int fd);
+    void connectionLoop(int fd, uint64_t serial);
+    /** Join the connection threads that have finished. */
+    void reapConnections();
     void workerLoop();
 
     std::string handleRequest(const std::string &payload);
@@ -155,7 +160,12 @@ class SvcServer
 
     std::thread acceptThread_;
     std::mutex connMu_;
-    std::vector<std::thread> connThreads_;
+    //! Live connection threads by serial. A finished thread parks its
+    //! serial in connDone_ and the accept loop joins it, so clients that
+    //! open a connection per request do not pile up dead stacks.
+    std::map<uint64_t, std::thread> connThreads_;
+    std::vector<uint64_t> connDone_;
+    uint64_t connSerial_ = 0;
     std::set<int> connFds_; //!< open sockets, shutdown() on stop
 
     std::mutex workMu_;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/logging.hh"
+#include "mibench/mibench.hh"
 #include "sim/executor.hh"
+#include "verify/randprog.hh"
 
 namespace pfits
 {
@@ -465,6 +470,76 @@ TEST_F(ExecFixture, RetBelowCodeBaseTraps)
     uop.cond = Cond::AL;
     state.regs[LR] = codec.base - 4;
     EXPECT_THROW(run(uop), TrapError);
+}
+
+/**
+ * Run @p prog for up to @p max_instrs instructions twice in lockstep:
+ * once filling the ExecInfo with 0xA5 bytes before every execute(),
+ * once handing it a freshly value-initialized one. execute() resets
+ * only the scalar header, so any field it forgets to rewrite shows up
+ * as a difference here.
+ */
+void
+expectExecInfoFullyRewritten(const Program &prog, uint64_t max_instrs)
+{
+    struct Side
+    {
+        CpuState state;
+        Memory mem;
+        IoSinks io;
+    };
+    Side stale, fresh;
+    for (Side *side : {&stale, &fresh}) {
+        for (const DataSegment &seg : prog.data)
+            side->mem.writeBytes(seg.base, seg.bytes);
+        side->state.regs[SP] = prog.stackTop;
+    }
+    const std::vector<MicroOp> uops = prog.decodeAll();
+    const AddrCodec codec{prog.codeBase, 2};
+    uint64_t index = 0;
+    for (uint64_t n = 0; n < max_instrs && !fresh.state.halted; ++n) {
+        ASSERT_LT(index, uops.size()) << prog.name;
+        const MicroOp &uop = uops[static_cast<size_t>(index)];
+        ExecInfo a;
+        std::memset(static_cast<void *>(&a), 0xA5, sizeof(a));
+        ExecInfo b{};
+        execute(uop, index, codec, stale.state, stale.mem, stale.io, a);
+        execute(uop, index, codec, fresh.state, fresh.mem, fresh.io, b);
+
+        SCOPED_TRACE(prog.name + " @" + std::to_string(index) + " " +
+                     disassemble(uop));
+        ASSERT_EQ(a.executed, b.executed);
+        ASSERT_EQ(a.branch, b.branch);
+        ASSERT_EQ(a.branchTaken, b.branchTaken);
+        ASSERT_EQ(a.isLoad, b.isLoad);
+        ASSERT_EQ(a.isStore, b.isStore);
+        ASSERT_EQ(a.isMulDiv, b.isMulDiv);
+        ASSERT_EQ(a.baseWriteback, b.baseWriteback);
+        ASSERT_EQ(a.destReg, b.destReg);
+        ASSERT_EQ(a.extraLatency, b.extraLatency);
+        ASSERT_EQ(a.nextIndex, b.nextIndex);
+        ASSERT_EQ(a.numMem, b.numMem);
+        ASSERT_LE(b.numMem, ExecInfo::kMaxMem);
+        for (unsigned m = 0; m < b.numMem; ++m) {
+            ASSERT_EQ(a.mem[m].addr, b.mem[m].addr) << m;
+            ASSERT_EQ(a.mem[m].write, b.mem[m].write) << m;
+        }
+        index = b.nextIndex;
+    }
+    for (unsigned r = 0; r < NUM_REGS; ++r)
+        EXPECT_EQ(stale.state.regs[r], fresh.state.regs[r]) << r;
+}
+
+TEST(ExecInfoReset, StaleInfoNeverLeaksIntoMiBenchKernels)
+{
+    for (const mibench::BenchInfo &bench : mibench::suite())
+        expectExecInfoFullyRewritten(bench.build().program, 100'000);
+}
+
+TEST(ExecInfoReset, StaleInfoNeverLeaksIntoRandomPrograms)
+{
+    for (uint64_t seed = 1; seed <= 64; ++seed)
+        expectExecInfoFullyRewritten(randomVerifyProgram(seed), 100'000);
 }
 
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+
 #include "common/rng.hh"
 #include "common/logging.hh"
 #include "isa/isa.hh"
@@ -57,6 +60,59 @@ TEST(Isa, CondPassesTruthTable)
     EXPECT_FALSE(condPasses(Cond::HI, f));
     EXPECT_TRUE(condPasses(Cond::LS, f));
     EXPECT_TRUE(condPasses(Cond::AL, Flags{}));
+
+    // Exhaustively: bit (n<<3 | z<<2 | c<<1 | v) of each mask is the
+    // ARM ARM outcome of the condition under those flags; AL passes
+    // under all 16.
+    const uint16_t reference[] = {
+        0xf0f0, 0x0f0f, 0xcccc, 0x3333, // EQ NE CS CC
+        0xff00, 0x00ff, 0xaaaa, 0x5555, // MI PL VS VC
+        0x0c0c, 0xf3f3, 0xaa55, 0x55aa, // HI LS GE LT
+        0x0a05, 0xf5fa, 0xffff,         // GT LE AL
+    };
+    static_assert(std::size(reference) ==
+                  static_cast<size_t>(Cond::NUM));
+    for (unsigned cond = 0; cond < std::size(reference); ++cond) {
+        for (unsigned nzcv = 0; nzcv < 16; ++nzcv) {
+            f = Flags{};
+            f.n = (nzcv & 8u) != 0;
+            f.z = (nzcv & 4u) != 0;
+            f.c = (nzcv & 2u) != 0;
+            f.v = (nzcv & 1u) != 0;
+            EXPECT_EQ(condPasses(static_cast<Cond>(cond), f),
+                      ((reference[cond] >> nzcv) & 1u) != 0)
+                << condName(static_cast<Cond>(cond)) << " nzcv=" << nzcv;
+        }
+    }
+    EXPECT_THROW(condPasses(Cond::NUM, Flags{}), PanicError);
+}
+
+TEST(Isa, OpClassesMatchDocumentedSets)
+{
+    const std::set<Op> loads = {Op::LDR, Op::LDRB, Op::LDRH,
+                                Op::LDRSB, Op::LDRSH, Op::LDM};
+    const std::set<Op> stores = {Op::STR, Op::STRB, Op::STRH, Op::STM};
+    const std::set<Op> branches = {Op::B, Op::BL, Op::RET};
+    const std::set<Op> muldiv = {Op::MUL, Op::MLA, Op::UMULL,
+                                 Op::SMULL, Op::SDIV, Op::UDIV};
+    const std::set<Op> alu = {
+        Op::AND, Op::EOR, Op::SUB, Op::RSB, Op::ADD, Op::ADC,
+        Op::SBC, Op::RSC, Op::TST, Op::TEQ, Op::CMP, Op::CMN,
+        Op::ORR, Op::MOV, Op::BIC, Op::MVN,
+    };
+    for (unsigned i = 0; i < static_cast<unsigned>(Op::NUM); ++i) {
+        const Op op = static_cast<Op>(i);
+        SCOPED_TRACE(opName(op));
+        EXPECT_EQ(isLoad(op), loads.count(op) == 1);
+        EXPECT_EQ(isStore(op), stores.count(op) == 1);
+        EXPECT_EQ(isMemOp(op), loads.count(op) + stores.count(op) == 1);
+        EXPECT_EQ(isBranchOp(op), branches.count(op) == 1);
+        EXPECT_EQ(isMulDivOp(op), muldiv.count(op) == 1);
+        EXPECT_EQ(isAluLikeOp(op), alu.count(op) == 1);
+    }
+    // Bytes past Op::NUM (a corrupt micro-op) belong to no class.
+    for (unsigned i = static_cast<unsigned>(Op::NUM); i < 256; ++i)
+        EXPECT_EQ(opClass(static_cast<Op>(i)), 0u) << i;
 }
 
 TEST(Isa, DataProcRegRoundTrip)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -776,6 +777,47 @@ TEST(SvcService, FailedAttemptsDoNotLeakDescriptors)
     for (int i = 0; i < 32; ++i)
         EXPECT_FALSE(client.ping());
     EXPECT_EQ(countFds(), before);
+}
+
+TEST(SvcService, SequentialRequestsDoNotAccumulateConnectionThreads)
+{
+    // SvcClient opens one connection per request, so every request
+    // spawns a server-side connection thread; finished ones must be
+    // joined as the server goes, not only at stop().
+    const auto countThreads = [] {
+        size_t n = 0;
+        DIR *d = ::opendir("/proc/self/task");
+        if (d == nullptr)
+            return n;
+        while (const struct dirent *e = ::readdir(d))
+            if (e->d_name[0] != '.')
+                ++n;
+        ::closedir(d);
+        return n;
+    };
+    const size_t baseline = countThreads();
+    TestServer ts;
+    SvcClient client(clientConfigFor(ts));
+    // Workers + the accept thread + a few connection threads that have
+    // answered but not yet been joined (they are reaped on the next
+    // accept, so only scheduling lag keeps more than one around).
+    const size_t kSlack = 8;
+    const size_t bound = baseline + ts.config.computeThreads + 1 + kSlack;
+    // An exited but unjoined thread drops out of /proc/self/task while
+    // its stack stays mapped, so the server's own tally of unjoined
+    // threads is what catches a missing join.
+    size_t peak_tasks = 0, peak_unjoined = 0;
+    for (int i = 0; i < 500; ++i) {
+        ASSERT_TRUE(client.ping()) << i;
+        peak_tasks = std::max(peak_tasks, countThreads());
+        peak_unjoined =
+            std::max(peak_unjoined, ts.server->connectionThreads());
+    }
+    EXPECT_GT(baseline, 0u);
+    EXPECT_LE(peak_tasks, bound);
+    EXPECT_LE(peak_unjoined, kSlack);
+    ts.server->stop();
+    EXPECT_EQ(ts.server->connectionThreads(), 0u);
 }
 
 TEST(SvcService, AbsentDaemonFallsBackCleanly)
