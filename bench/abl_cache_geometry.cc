@@ -8,17 +8,13 @@
  */
 
 #include <cstdio>
-#include <exception>
-#include <iostream>
 #include <string>
-#include <vector>
 
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "power/cache_power.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -27,89 +23,64 @@ const char *kBenches[] = {"sha", "jpeg.encode", "crc32", "fft"};
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+ablCacheGeometry(const ExperimentParams &base)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Ablation A3: cache geometry sweep (suite subset)");
-        table.setHeader({"assoc/line", "ARM16 int pJ/acc",
-                         "FITS8 total saving %", "ARM8 mpmi",
-                         "FITS8 mpmi"});
-        std::vector<std::string> skipped;
-        // The sweep includes deliberately impossible points (a 4096-way
-        // cache that cannot fit one set, a non-power-of-two line):
-        // CacheConfig::validateError() skips them as rows instead of
-        // the first bad geometry aborting the whole sweep.
-        for (uint32_t assoc : {2u, 8u, 32u, 4096u}) {
-            for (uint32_t line : {16u, 32u, 48u, 64u}) {
-                ExperimentParams params;
-                params.core.icache.assoc = assoc;
-                params.core.icache.lineBytes = line;
-                harness.applyTo(params);
+    Table table("Ablation A3: cache geometry sweep (suite subset)");
+    table.setHeader({"assoc/line", "ARM16 int pJ/acc",
+                     "FITS8 total saving %", "ARM8 mpmi", "FITS8 mpmi"});
+    std::string skipped;
+    // The sweep includes deliberately impossible points (a 4096-way
+    // cache that cannot fit one set, a non-power-of-two line):
+    // CacheConfig::validateError() skips them as rows instead of the
+    // first bad geometry aborting the whole sweep.
+    for (uint32_t assoc : {2u, 8u, 32u, 4096u}) {
+        for (uint32_t line : {16u, 32u, 48u, 64u}) {
+            ExperimentParams params = base;
+            params.core.icache.assoc = assoc;
+            params.core.icache.lineBytes = line;
 
-                char label[32];
-                std::snprintf(label, sizeof(label), "%uw/%uB", assoc,
-                              line);
-                // The 8 KiB ARM8/FITS8 caches are the tightest
-                // geometry a sweep point must satisfy.
-                CacheConfig small = params.core.icache;
-                small.sizeBytes = params.smallCacheBytes;
-                std::string err = params.core.icache.validateError();
-                if (err.empty())
-                    err = small.validateError();
-                if (!err.empty()) {
-                    table.addRow(
-                        {label, "skipped", "-", "-", "-"});
-                    skipped.push_back(std::string(label) + ": " + err);
-                    continue;
-                }
-                Runner runner(params);
-
-                CacheConfig arm16 =
-                    runner.coreConfig(ConfigId::ARM16).icache;
-                CachePowerModel model(arm16, params.tech);
-
-                double saving = 0, arm8_mpmi = 0, fits8_mpmi = 0;
-                for (const char *name : kBenches) {
-                    const BenchResult &b = runner.get(name);
-                    saving += b.saving(
-                        ConfigId::FITS8,
-                        CachePowerBreakdown::Component::TOTAL);
-                    arm8_mpmi += b.of(ConfigId::ARM8)
-                                     .run.icache.missesPerMillion();
-                    fits8_mpmi += b.of(ConfigId::FITS8)
-                                      .run.icache.missesPerMillion();
-                }
-                double n = static_cast<double>(std::size(kBenches));
-                table.addRow(label,
-                             {model.internalEnergyPerAccess() * 1e12,
-                              100 * saving / n, arm8_mpmi / n,
-                              fits8_mpmi / n},
-                             1);
+            char label[32];
+            std::snprintf(label, sizeof(label), "%uw/%uB", assoc, line);
+            // The 8 KiB ARM8/FITS8 caches are the tightest geometry a
+            // sweep point must satisfy.
+            CacheConfig small = params.core.icache;
+            small.sizeBytes = params.smallCacheBytes;
+            std::string err = params.core.icache.validateError();
+            if (err.empty())
+                err = small.validateError();
+            if (!err.empty()) {
+                table.addRow({label, "skipped", "-", "-", "-"});
+                skipped += "  " + std::string(label) + ": " + err + "\n";
+                continue;
             }
-        }
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            if (!skipped.empty()) {
-                std::cout << "\nskipped design points:\n";
-                for (const std::string &s : skipped)
-                    std::cout << "  " << s << "\n";
+            Runner runner(params);
+
+            CacheConfig arm16 = runner.coreConfig(ConfigId::ARM16).icache;
+            CachePowerModel model(arm16, params.tech);
+
+            double saving = 0, arm8_mpmi = 0, fits8_mpmi = 0;
+            for (const char *name : kBenches) {
+                const BenchResult &b = runner.get(name);
+                saving += b.saving(ConfigId::FITS8,
+                                   CachePowerBreakdown::Component::TOTAL);
+                arm8_mpmi +=
+                    b.of(ConfigId::ARM8).run.icache.missesPerMillion();
+                fits8_mpmi +=
+                    b.of(ConfigId::FITS8).run.icache.missesPerMillion();
             }
-            std::cout << "\nexpected shape: FITS8's total-power "
-                         "advantage holds across geometries; internal "
-                         "energy grows with associativity x line "
-                         "(column count)\n";
+            double n = static_cast<double>(std::size(kBenches));
+            table.addRow(label,
+                         {model.internalEnergyPerAccess() * 1e12,
+                          100 * saving / n, arm8_mpmi / n,
+                          fits8_mpmi / n},
+                         1);
         }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
     }
+    ExperimentOutput out{.tables = {table}};
+    if (!skipped.empty())
+        out.remarks = "skipped design points:\n" + skipped;
+    return out;
 }
+
+} // namespace pfits

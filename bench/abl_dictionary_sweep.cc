@@ -6,21 +6,16 @@
  * utilization-based immediate synthesis trade-off of Section 3.3.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
+#include "experiments.hh"
 
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
-
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
 
 // A representative subset keeps the sweep quick; the full suite is
-// exercised by the figure binaries.
+// exercised by the figure experiments.
 const char *kBenches[] = {
     "crc32", "sha", "jpeg.encode", "blowfish.encode", "bitcount",
     "adpcm.decode",
@@ -28,49 +23,32 @@ const char *kBenches[] = {
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+ablDictionarySweep(const ExperimentParams &base)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Ablation A1: operate-dictionary capacity sweep "
-                    "(suite subset)");
-        table.setHeader({"capacity", "static map %", "dyn map %",
-                         "code vs ARM %", "avg slots"});
-        for (unsigned capacity : {1u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-            ExperimentParams params;
-            params.synth.opDictCapacity = capacity;
-            harness.applyTo(params);
-            Runner runner(params);
-            double smap = 0, dmap = 0, code = 0, slots = 0;
-            for (const char *name : kBenches) {
-                const BenchResult &b = runner.get(name);
-                smap += b.mapping.staticRate();
-                dmap += b.mapping.dynRate();
-                code += static_cast<double>(b.fitsBytes) / b.armBytes;
-                slots += static_cast<double>(b.isaSlots);
-            }
-            double n = static_cast<double>(std::size(kBenches));
-            table.addRow(std::to_string(capacity),
-                         {100 * smap / n, 100 * dmap / n,
-                          100 * code / n, slots / n},
-                         1);
+    Table table("Ablation A1: operate-dictionary capacity sweep "
+                "(suite subset)");
+    table.setHeader({"capacity", "static map %", "dyn map %",
+                     "code vs ARM %", "avg slots"});
+    for (unsigned capacity : {1u, 4u, 8u, 16u, 32u, 64u, 128u}) {
+        ExperimentParams params = base;
+        params.synth.opDictCapacity = capacity;
+        Runner runner(params);
+        double smap = 0, dmap = 0, code = 0, slots = 0;
+        for (const char *name : kBenches) {
+            const BenchResult &b = runner.get(name);
+            smap += b.mapping.staticRate();
+            dmap += b.mapping.dynRate();
+            code += static_cast<double>(b.fitsBytes) / b.armBytes;
+            slots += static_cast<double>(b.isaSlots);
         }
-        if (opts.csv)
-            table.printCsv(std::cout);
-        else {
-            table.print(std::cout);
-            std::cout << "\nexpected shape: mapping and code size "
-                         "saturate once the dictionary holds the hot "
-                         "constants\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        double n = static_cast<double>(std::size(kBenches));
+        table.addRow(std::to_string(capacity),
+                     {100 * smap / n, 100 * dmap / n, 100 * code / n,
+                      slots / n},
+                     1);
     }
+    return {.tables = {table}};
 }
+
+} // namespace pfits

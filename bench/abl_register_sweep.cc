@@ -6,15 +6,10 @@
  * the decoder slot budget.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
+#include "experiments.hh"
 
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
-
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -24,17 +19,14 @@ const char *kBenches[] = {
 };
 
 Table
-sweepRegFields(benchutil::BenchHarness &harness)
+sweepRegFields(const ExperimentParams &base)
 {
     Table table("Ablation A2a: register-field width");
     table.setHeader({"benchmark", "natural bits", "nat map %",
                      "forced-4 map %", "nat code %", "forced-4 code %"});
-    ExperimentParams natural;
-    ExperimentParams forced;
+    ExperimentParams forced = base;
     forced.synth.forceWideRegFields = true;
-    harness.applyTo(natural);
-    harness.applyTo(forced);
-    Runner nat_runner(natural), wide_runner(forced);
+    Runner nat_runner(base), wide_runner(forced);
     for (const char *name : kBenches) {
         const BenchResult &n = nat_runner.get(name);
         const BenchResult &w = wide_runner.get(name);
@@ -50,15 +42,14 @@ sweepRegFields(benchutil::BenchHarness &harness)
 }
 
 Table
-sweepSlotBudget(benchutil::BenchHarness &harness)
+sweepSlotBudget(const ExperimentParams &base)
 {
     Table table("Ablation A2b: decoder slot budget (suite subset)");
     table.setHeader({"max slots", "static map %", "dyn map %",
                      "code vs ARM %"});
     for (unsigned slots : {4u, 8u, 16u, 32u, 64u, 128u}) {
-        ExperimentParams params;
+        ExperimentParams params = base;
         params.synth.maxSlots = slots;
-        harness.applyTo(params);
         Runner runner(params);
         double smap = 0, dmap = 0, code = 0;
         for (const char *name : kBenches) {
@@ -77,34 +68,10 @@ sweepSlotBudget(benchutil::BenchHarness &harness)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+ablRegisterSweep(const ExperimentParams &params)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table reg_fields = sweepRegFields(harness);
-        Table slot_budget = sweepSlotBudget(harness);
-        if (opts.csv) {
-            reg_fields.printCsv(std::cout);
-            std::cout << "\n";
-            slot_budget.printCsv(std::cout);
-        } else {
-            reg_fields.print(std::cout);
-            std::cout << "\n";
-            slot_budget.print(std::cout);
-            std::cout << "\nexpected shape: forcing 4-bit fields on "
-                         "small register sets wastes opcode space and "
-                         "lowers the mapping rate; coverage saturates "
-                         "with the slot budget\n";
-        }
-        harness.addTable(reg_fields);
-        harness.addTable(slot_budget);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    return {.tables = {sweepRegFields(params), sweepSlotBudget(params)}};
 }
+
+} // namespace pfits

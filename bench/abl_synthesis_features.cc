@@ -5,15 +5,10 @@
  * — and measure what each buys in mapping coverage and code size.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
+#include "experiments.hh"
 
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
-
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -23,12 +18,11 @@ const char *kBenches[] = {
 };
 
 void
-row(benchutil::BenchHarness &harness, Table &table, const char *label,
+row(const ExperimentParams &base, Table &table, const char *label,
     const SynthParams &sp)
 {
-    ExperimentParams params;
+    ExperimentParams params = base;
     params.synth = sp;
-    harness.applyTo(params);
     Runner runner(params);
     double smap = 0, dmap = 0, code = 0;
     for (const char *name : kBenches) {
@@ -44,51 +38,35 @@ row(benchutil::BenchHarness &harness, Table &table, const char *label,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+ablSynthesisFeatures(const ExperimentParams &params)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Ablation A5: synthesis feature knockout "
-                    "(suite subset)");
-        table.setHeader({"configuration", "static map %", "dyn map %",
-                         "code vs ARM %"});
+    Table table("Ablation A5: synthesis feature knockout "
+                "(suite subset)");
+    table.setHeader({"configuration", "static map %", "dyn map %",
+                     "code vs ARM %"});
 
-        SynthParams full;
-        row(harness, table, "full synthesis", full);
+    SynthParams full;
+    row(params, table, "full synthesis", full);
 
-        SynthParams no_fuse = full;
-        no_fuse.enableFusedShifts = false;
-        row(harness, table, "- fused shifts", no_fuse);
+    SynthParams no_fuse = full;
+    no_fuse.enableFusedShifts = false;
+    row(params, table, "- fused shifts", no_fuse);
 
-        SynthParams no_twoop = full;
-        no_twoop.enableTwoOperand = false;
-        row(harness, table, "- two-operand forms", no_twoop);
+    SynthParams no_twoop = full;
+    no_twoop.enableTwoOperand = false;
+    row(params, table, "- two-operand forms", no_twoop);
 
-        SynthParams bare = full;
-        bare.enableFusedShifts = false;
-        bare.enableTwoOperand = false;
-        row(harness, table, "- both", bare);
+    SynthParams bare = full;
+    bare.enableFusedShifts = false;
+    bare.enableTwoOperand = false;
+    row(params, table, "- both", bare);
 
-        SynthParams wide = full;
-        wide.forceWideRegFields = true;
-        row(harness, table, "forced 4-bit registers", wide);
+    SynthParams wide = full;
+    wide.forceWideRegFields = true;
+    row(params, table, "forced 4-bit registers", wide);
 
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nexpected shape: each heuristic contributes "
-                         "coverage; removing both visibly expands the "
-                         "translated code.\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    return {.tables = {table}};
 }
+
+} // namespace pfits

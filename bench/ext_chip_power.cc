@@ -11,18 +11,14 @@
  * by N and taxed by the uncore?
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "power/chip_power.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -119,59 +115,38 @@ sweepPoint(Runner &runner, ConfigId id)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extChipPower(const ExperimentParams &base)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
+    Table table("Extension E8: aggregate chip power and per-tile IPC vs "
+                "tile count (6-kernel mean)");
+    table.setHeader({"tiles", "ARM16 mW", "FITS16 mW", "saving %",
+                     "ARM16 IPC/tile", "FITS16 IPC/tile",
+                     "FITS16 L2 MPKI", "FITS16 inval/Mi"});
 
-        Table table("Extension E8: aggregate chip power and per-tile "
-                    "IPC vs tile count (6-kernel mean)");
-        table.setHeader({"tiles", "ARM16 mW", "FITS16 mW", "saving %",
-                         "ARM16 IPC/tile", "FITS16 IPC/tile",
-                         "FITS16 L2 MPKI", "FITS16 inval/Mi"});
-
-        for (unsigned tiles : kTileCounts) {
-            // One Runner per tile count: the chip shape joins the
-            // SimCache memo key, so nothing here re-simulates a
-            // single-core entry (or vice versa).
-            ExperimentParams params = harness.makeParams();
-            if (tiles != 1) {
-                params.chipSim.tiles = tiles;
-                params.chipSim.sharedL2 = true;
-            } else {
-                params.chipSim = ChipConfig{};
-            }
-            Runner runner(params);
-            Point arm = sweepPoint(runner, ConfigId::ARM16);
-            Point fits = sweepPoint(runner, ConfigId::FITS16);
-            double saving =
-                arm.chipW != 0 ? 100.0 * (1.0 - fits.chipW / arm.chipW)
-                               : 0.0;
-            table.addRow(std::to_string(tiles),
-                         {arm.chipW * 1e3, fits.chipW * 1e3, saving,
-                          arm.ipcPerTile, fits.ipcPerTile, fits.l2Mpki,
-                          fits.invalPerMi},
-                         2);
-        }
-
-        if (opts.csv) {
-            table.printCsv(std::cout);
+    for (unsigned tiles : kTileCounts) {
+        // One Runner per tile count: the chip shape joins the SimCache
+        // memo key, so nothing here re-simulates a single-core entry
+        // (or vice versa).
+        ExperimentParams params = base;
+        if (tiles != 1) {
+            params.chipSim.tiles = tiles;
+            params.chipSim.sharedL2 = true;
         } else {
-            table.print(std::cout);
-            std::cout
-                << "\nreading: per-core FITS savings multiply across "
-                   "tiles while the shared-L2 uncore grows only with "
-                   "miss traffic, so the chip-level saving holds near "
-                   "the single-core figure at every tile count.\n";
+            params.chipSim = ChipConfig{};
         }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        Runner runner(params);
+        Point arm = sweepPoint(runner, ConfigId::ARM16);
+        Point fits = sweepPoint(runner, ConfigId::FITS16);
+        double saving =
+            arm.chipW != 0 ? 100.0 * (1.0 - fits.chipW / arm.chipW) : 0.0;
+        table.addRow(std::to_string(tiles),
+                     {arm.chipW * 1e3, fits.chipW * 1e3, saving,
+                      arm.ipcPerTile, fits.ipcPerTile, fits.l2Mpki,
+                      fits.invalPerMi},
+                     2);
     }
+    return {.tables = {table}};
 }
+
+} // namespace pfits

@@ -9,67 +9,41 @@
  * compression.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
-
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "mibench/mibench.hh"
 #include "thumb/codepack.hh"
 
-using namespace pfits;
-
-int
-main(int argc, char **argv)
+namespace pfits
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Runner runner(harness.makeParams());
-        Table table("Extension E1: code size vs a CodePack-like "
-                    "compressor (% of ARM)");
-        table.setHeader({"benchmark", "THUMB", "FITS", "CodePack",
-                         "CodePack+dict"});
-        double t = 0, f = 0, c = 0, cd = 0;
-        size_t n = 0;
-        for (const auto &info : mibench::suite()) {
-            const BenchResult &bench = runner.get(info.name);
-            CodepackStats pack =
-                codepackEstimate(info.build().program);
-            double arm = bench.armBytes;
-            double thumb = 100.0 * bench.thumbBytes / arm;
-            double fits = 100.0 * bench.fitsBytes / arm;
-            double packed = 100.0 * pack.codeBytes() / arm;
-            double packed_dict =
-                100.0 *
-                (pack.codeBytes() + pack.dictionaryBits / 8.0) / arm;
-            table.addRow(info.name, {thumb, fits, packed, packed_dict},
-                         1);
-            t += thumb;
-            f += fits;
-            c += packed;
-            cd += packed_dict;
-            ++n;
-        }
-        table.addRow("average",
-                     {t / n, f / n, c / n, cd / n}, 1);
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nnote: compressed code is decompressed on "
-                         "the fetch path, so unlike FITS it does not "
-                         "halve I-cache output switching (paper "
-                         "Section 2).\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+
+ExperimentOutput
+extCodeCompression(const ExperimentParams &params)
+{
+    Runner runner(params);
+    Table table("Extension E1: code size vs a CodePack-like compressor "
+                "(% of ARM)");
+    table.setHeader({"benchmark", "THUMB", "FITS", "CodePack",
+                     "CodePack+dict"});
+    double t = 0, f = 0, c = 0, cd = 0;
+    size_t n = 0;
+    for (const auto &info : mibench::suite()) {
+        const BenchResult &bench = runner.get(info.name);
+        CodepackStats pack = codepackEstimate(info.build().program);
+        double arm = bench.armBytes;
+        double thumb = 100.0 * bench.thumbBytes / arm;
+        double fits = 100.0 * bench.fitsBytes / arm;
+        double packed = 100.0 * pack.codeBytes() / arm;
+        double packed_dict =
+            100.0 * (pack.codeBytes() + pack.dictionaryBits / 8.0) / arm;
+        table.addRow(info.name, {thumb, fits, packed, packed_dict}, 1);
+        t += thumb;
+        f += fits;
+        c += packed;
+        cd += packed_dict;
+        ++n;
     }
+    table.addRow("average", {t / n, f / n, c / n, cd / n}, 1);
+    return {.tables = {table}};
 }
+
+} // namespace pfits

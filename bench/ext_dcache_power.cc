@@ -8,16 +8,11 @@
  * fetch-path effect, not an artefact of the power model.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
-
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "power/cache_power.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -41,48 +36,27 @@ dcacheEnergy(const RunResult &run, const CacheConfig &dcache)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extDcachePower(const ExperimentParams &params)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Runner runner(harness.makeParams());
-        CacheConfig dcache = runner.coreConfig(ConfigId::ARM16).dcache;
+    Runner runner(params);
+    CacheConfig dcache = runner.coreConfig(ConfigId::ARM16).dcache;
 
-        Table table("Extension E4: D-cache energy (negative control)");
-        table.setHeader({"benchmark", "ARM16 uJ", "FITS16 uJ",
-                         "delta %"});
-        double sum = 0;
-        size_t n = 0;
-        for (const BenchResult *bench : runner.all()) {
-            double arm =
-                dcacheEnergy(bench->of(ConfigId::ARM16).run, dcache);
-            double fits =
-                dcacheEnergy(bench->of(ConfigId::FITS16).run, dcache);
-            double delta = 100.0 * (fits / arm - 1.0);
-            table.addRow(bench->name,
-                         {arm * 1e6, fits * 1e6, delta}, 2);
-            sum += delta;
-            ++n;
-        }
-        table.addRow("average", {0, 0, sum / static_cast<double>(n)},
-                     2);
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nreading: FITS changes D-cache energy by "
-                         "only a few percent (expansion spills), so "
-                         "the I-cache savings are a real fetch-path "
-                         "effect.\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+    Table table("Extension E4: D-cache energy (negative control)");
+    table.setHeader({"benchmark", "ARM16 uJ", "FITS16 uJ", "delta %"});
+    double sum = 0;
+    size_t n = 0;
+    for (const BenchResult *bench : runner.all()) {
+        double arm = dcacheEnergy(bench->of(ConfigId::ARM16).run, dcache);
+        double fits =
+            dcacheEnergy(bench->of(ConfigId::FITS16).run, dcache);
+        double delta = 100.0 * (fits / arm - 1.0);
+        table.addRow(bench->name, {arm * 1e6, fits * 1e6, delta}, 2);
+        sum += delta;
+        ++n;
     }
+    table.addRow("average", {0, 0, sum / static_cast<double>(n)}, 2);
+    return {.tables = {table}};
 }
+
+} // namespace pfits

@@ -20,22 +20,17 @@
  * Everything is seeded; two invocations print byte-identical reports.
  * "--trace-on-trap" arms a bounded flight recorder on every simulated
  * run: each parity machine-check appends its last 64 events as JSONL
- * to <kernel>_<ARM16|FITS8>.trace.jsonl in the working directory (the
- * report itself is unchanged — observers never alter results).
+ * to <kernel>_<ARM16|FITS8>.trace.jsonl in the --trace-dir directory
+ * (the report itself is unchanged — observers never alter results).
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/serialize.hh"
@@ -46,13 +41,11 @@
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
-
-bool g_trace_on_trap = false;
-std::string g_trace_dir = ".";
 
 /** Base mean instructions between upsets for the 16 KiB cache. */
 constexpr uint64_t kBaseInterval = 5000;
@@ -105,8 +98,9 @@ struct FaultyRunStats
  * constant flux the injection interval scales with cache size.
  */
 FaultyRunStats
-faultyRun(const BenchSetup &setup, bool is_fits, bool parity,
-          uint64_t base_interval, uint64_t seed)
+faultyRun(const ObserverSpec &observe, const BenchSetup &setup,
+          bool is_fits, bool parity, uint64_t base_interval,
+          uint64_t seed)
 {
     const FrontEnd &fe =
         is_fits ? static_cast<const FrontEnd &>(*setup.fits)
@@ -132,9 +126,9 @@ faultyRun(const BenchSetup &setup, bool is_fits, bool parity,
     // leaves one trace per attempt that died.
     std::unique_ptr<TraceObserver> tracer;
     ObserverList observers;
-    if (g_trace_on_trap) {
-        tracer = std::make_unique<TraceObserver>(64);
-        tracer->setPath(g_trace_dir + "/" + setup.name + "_" +
+    if (observe.traceArmed()) {
+        tracer = std::make_unique<TraceObserver>(observe.traceDepth);
+        tracer->setPath(observe.traceDir + "/" + setup.name + "_" +
                         (is_fits ? "FITS8" : "ARM16") +
                         ".trace.jsonl");
         observers.add(tracer.get());
@@ -176,155 +170,120 @@ upsetsPerGibCycle(const FaultyRunStats &s, uint32_t cache_bytes)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extFaultResilience(const ExperimentParams &params)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    const bool csv = opts.csv;
-    g_trace_on_trap = opts.traceOnTrap;
-    g_trace_dir = opts.traceDir;
+    const ObserverSpec &observe = params.observers;
     setQuiet(true);
+    std::vector<BenchSetup> setups;
+    for (const auto &info : mibench::suite())
+        setups.push_back(buildBench(info));
 
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        std::vector<BenchSetup> setups;
-        for (const auto &info : mibench::suite())
-            setups.push_back(buildBench(info));
-
-        // --- 1. Golden gate at fault rate zero -----------------------
-        for (const BenchSetup &s : setups) {
-            for (bool is_fits : {false, true}) {
-                FaultyRunStats clean =
-                    faultyRun(s, is_fits, false, 0, 0);
-                if (!clean.goldenOk)
-                    fatal("%s/%s failed its golden checksum with "
-                          "faults disabled",
-                          s.name.c_str(), is_fits ? "FITS8" : "ARM16");
-            }
+    // --- 1. Golden gate at fault rate zero ---------------------------
+    for (const BenchSetup &s : setups) {
+        for (bool is_fits : {false, true}) {
+            FaultyRunStats clean =
+                faultyRun(observe, s, is_fits, false, 0, 0);
+            if (!clean.goldenOk)
+                fatal("%s/%s failed its golden checksum with faults "
+                      "disabled",
+                      s.name.c_str(), is_fits ? "FITS8" : "ARM16");
         }
-
-        // --- 2+3. Upset sweep at constant flux -----------------------
-        Table sweep("Extension E6: soft-error sweep "
-                    "(constant flux, parity off)");
-        sweep.setHeader({"benchmark", "ARM16 inj", "FITS8 inj",
-                         "inj ratio", "ARM16 upsets/GiBcyc",
-                         "FITS8 upsets/GiBcyc", "SDC"});
-        double ratio_sum = 0;
-        uint64_t sdc_total = 0;
-        for (const BenchSetup &s : setups) {
-            FaultyRunStats arm =
-                faultyRun(s, false, false, kBaseInterval, 0xe6);
-            FaultyRunStats fits =
-                faultyRun(s, true, false, kBaseInterval, 0xe6);
-            double ratio =
-                arm.injected
-                    ? static_cast<double>(fits.injected) / arm.injected
-                    : 0.0;
-            ratio_sum += ratio;
-            sdc_total += (arm.sdc ? 1 : 0) + (fits.sdc ? 1 : 0);
-            sweep.addRow(s.name,
-                         {static_cast<double>(arm.injected),
-                          static_cast<double>(fits.injected), ratio,
-                          upsetsPerGibCycle(arm, kLargeCacheBytes),
-                          upsetsPerGibCycle(fits, kSmallCacheBytes),
-                          static_cast<double>((arm.sdc ? 1 : 0) +
-                                              (fits.sdc ? 1 : 0))},
-                         3);
-        }
-        sweep.addRow("average",
-                     {0, 0, ratio_sum / setups.size(), 0, 0,
-                      static_cast<double>(sdc_total)},
-                     3);
-
-        Table coverage("Extension E6: parity coverage and retry cost");
-        coverage.setHeader({"benchmark", "config", "injected",
-                            "detected", "escaped", "coverage %",
-                            "retries", "outcome"});
-        for (const BenchSetup &s : setups) {
-            for (bool is_fits : {false, true}) {
-                for (bool parity : {false, true}) {
-                    FaultyRunStats r = faultyRun(
-                        s, is_fits, parity, kBaseInterval, 0xe6);
-                    uint64_t consumed = r.detected + r.escaped;
-                    double cover =
-                        consumed ? 100.0 *
-                                       static_cast<double>(r.detected) /
-                                       static_cast<double>(consumed)
-                                 : 100.0;
-                    std::string cfg =
-                        std::string(is_fits ? "FITS8" : "ARM16") +
-                        (parity ? "+par" : "");
-                    coverage.addRow(
-                        {s.name, cfg, std::to_string(r.injected),
-                         std::to_string(r.detected),
-                         std::to_string(r.escaped),
-                         formatDouble(cover, 1),
-                         std::to_string(r.retries),
-                         runOutcomeName(r.outcome)});
-                }
-            }
-        }
-
-        // --- 4. Decoder-config corruption ----------------------------
-        Table config("Extension E6: decoder-config corruption "
-                     "(single-bit flips)");
-        config.setHeader({"benchmark", "config bytes", "flips",
-                          "detected", "coverage %"});
-        for (const BenchSetup &s : setups) {
-            FaultParams fp;
-            fp.seed = 0xc0f1 ^ configChecksum(s.name);
-            FaultPlan plan(fp);
-            int caught = 0;
-            for (int i = 0; i < kConfigFlips; ++i) {
-                std::string mutated = s.configText;
-                plan.corruptTextBit(mutated);
-                try {
-                    loadFitsIsa(mutated);
-                } catch (const ConfigError &) {
-                    ++caught;
-                }
-            }
-            if (caught != kConfigFlips)
-                fatal("%s: %d/%d config corruptions escaped the "
-                      "checksum", s.name.c_str(), kConfigFlips - caught,
-                      kConfigFlips);
-            config.addRow(s.name,
-                          {static_cast<double>(s.configText.size()),
-                           static_cast<double>(kConfigFlips),
-                           static_cast<double>(caught), 100.0},
-                          1);
-        }
-
-        if (csv) {
-            sweep.printCsv(std::cout);
-            coverage.printCsv(std::cout);
-            config.printCsv(std::cout);
-        } else {
-            std::cout << "golden gate: all " << setups.size()
-                      << " kernels match their reference checksums on "
-                         "ARM16 and FITS8 with faults disabled\n\n";
-            sweep.print(std::cout);
-            std::cout << "\n";
-            coverage.print(std::cout);
-            std::cout << "\n";
-            config.print(std::cout);
-            std::cout
-                << "\nreading: at constant flux the 8 KiB FITS cache "
-                   "absorbs about half the upsets of the 16 KiB ARM "
-                   "cache for the same work; per-line parity converts "
-                   "every consumed upset into a detected machine-check "
-                   "(100% coverage) at the cost of reload retries, and "
-                   "the config checksum catches every single-bit flip "
-                   "of the stored decoder state.\n";
-        }
-        harness.addTable(sweep);
-        harness.addTable(coverage);
-        harness.addTable(config);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
     }
+
+    // --- 2+3. Upset sweep at constant flux ---------------------------
+    Table sweep("Extension E6: soft-error sweep "
+                "(constant flux, parity off)");
+    sweep.setHeader({"benchmark", "ARM16 inj", "FITS8 inj", "inj ratio",
+                     "ARM16 upsets/GiBcyc", "FITS8 upsets/GiBcyc",
+                     "SDC"});
+    double ratio_sum = 0;
+    uint64_t sdc_total = 0;
+    for (const BenchSetup &s : setups) {
+        FaultyRunStats arm =
+            faultyRun(observe, s, false, false, kBaseInterval, 0xe6);
+        FaultyRunStats fits =
+            faultyRun(observe, s, true, false, kBaseInterval, 0xe6);
+        double ratio =
+            arm.injected
+                ? static_cast<double>(fits.injected) / arm.injected
+                : 0.0;
+        ratio_sum += ratio;
+        sdc_total += (arm.sdc ? 1 : 0) + (fits.sdc ? 1 : 0);
+        sweep.addRow(s.name,
+                     {static_cast<double>(arm.injected),
+                      static_cast<double>(fits.injected), ratio,
+                      upsetsPerGibCycle(arm, kLargeCacheBytes),
+                      upsetsPerGibCycle(fits, kSmallCacheBytes),
+                      static_cast<double>((arm.sdc ? 1 : 0) +
+                                          (fits.sdc ? 1 : 0))},
+                     3);
+    }
+    sweep.addRow("average",
+                 {0, 0, ratio_sum / setups.size(), 0, 0,
+                  static_cast<double>(sdc_total)},
+                 3);
+
+    Table coverage("Extension E6: parity coverage and retry cost");
+    coverage.setHeader({"benchmark", "config", "injected", "detected",
+                        "escaped", "coverage %", "retries", "outcome"});
+    for (const BenchSetup &s : setups) {
+        for (bool is_fits : {false, true}) {
+            for (bool parity : {false, true}) {
+                FaultyRunStats r = faultyRun(observe, s, is_fits,
+                                             parity, kBaseInterval, 0xe6);
+                uint64_t consumed = r.detected + r.escaped;
+                double cover =
+                    consumed ? 100.0 * static_cast<double>(r.detected) /
+                                   static_cast<double>(consumed)
+                             : 100.0;
+                std::string cfg =
+                    std::string(is_fits ? "FITS8" : "ARM16") +
+                    (parity ? "+par" : "");
+                coverage.addRow({s.name, cfg, std::to_string(r.injected),
+                                 std::to_string(r.detected),
+                                 std::to_string(r.escaped),
+                                 formatDouble(cover, 1),
+                                 std::to_string(r.retries),
+                                 runOutcomeName(r.outcome)});
+            }
+        }
+    }
+
+    // --- 4. Decoder-config corruption --------------------------------
+    Table config("Extension E6: decoder-config corruption "
+                 "(single-bit flips)");
+    config.setHeader({"benchmark", "config bytes", "flips", "detected",
+                      "coverage %"});
+    for (const BenchSetup &s : setups) {
+        FaultParams fp;
+        fp.seed = 0xc0f1 ^ configChecksum(s.name);
+        FaultPlan plan(fp);
+        int caught = 0;
+        for (int i = 0; i < kConfigFlips; ++i) {
+            std::string mutated = s.configText;
+            plan.corruptTextBit(mutated);
+            try {
+                loadFitsIsa(mutated);
+            } catch (const ConfigError &) {
+                ++caught;
+            }
+        }
+        if (caught != kConfigFlips)
+            fatal("%s: %d/%d config corruptions escaped the checksum",
+                  s.name.c_str(), kConfigFlips - caught, kConfigFlips);
+        config.addRow(s.name,
+                      {static_cast<double>(s.configText.size()),
+                       static_cast<double>(kConfigFlips),
+                       static_cast<double>(caught), 100.0},
+                      1);
+    }
+
+    return {.preface = "golden gate: all " +
+                       std::to_string(setups.size()) +
+                       " kernels match their reference checksums on "
+                       "ARM16 and FITS8 with faults disabled\n",
+            .tables = {sweep, coverage, config}};
 }
+
+} // namespace pfits

@@ -9,80 +9,49 @@
  * cache size. This bench quantifies that headroom.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
-
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "exp/parallel.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "power/cache_power.hh"
 
-using namespace pfits;
-
-int
-main(int argc, char **argv)
+namespace pfits
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        ExperimentParams plain_params;
-        ExperimentParams packed_params;
-        packed_params.core.packedFetch = true;
-        harness.applyTo(plain_params);
-        harness.applyTo(packed_params);
-        Runner plain(plain_params);
-        Runner packed(packed_params);
 
-        Table table("Extension E2: fetch packing (FITS16 vs ARM16)");
-        table.setHeader({"benchmark", "accesses/instr",
-                         "internal saving %", "packed acc/instr",
-                         "packed internal saving %"});
-        double s1 = 0, s2 = 0;
-        size_t n = 0;
-        for (const auto *bench : plain.all()) {
-            const BenchResult &p = packed.get(bench->name);
-            const RunResult &plain_run =
-                bench->of(ConfigId::FITS16).run;
-            const RunResult &packed_run = p.of(ConfigId::FITS16).run;
-            double plain_saving =
-                100.0 * bench->saving(
-                            ConfigId::FITS16,
-                            CachePowerBreakdown::Component::INTERNAL);
-            double packed_saving =
-                100.0 * p.saving(
-                            ConfigId::FITS16,
-                            CachePowerBreakdown::Component::INTERNAL);
-            table.addRow(
-                bench->name,
-                {static_cast<double>(plain_run.icache.accesses()) /
-                     plain_run.instructions,
-                 plain_saving,
-                 static_cast<double>(packed_run.icache.accesses()) /
-                     packed_run.instructions,
-                 packed_saving},
-                2);
-            s1 += plain_saving;
-            s2 += packed_saving;
-            ++n;
-        }
-        table.addRow("average", {1.0, s1 / n, 0.5, s2 / n}, 2);
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nreading: with a fetch buffer, the 16-bit "
-                         "stream's internal power saving jumps from "
-                         "~0% to ~50% at equal cache size — headroom "
-                         "beyond the paper's model.\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+ExperimentOutput
+extFetchPacking(const ExperimentParams &params)
+{
+    ExperimentParams packed_params = params;
+    packed_params.core.packedFetch = true;
+    Runner plain(params);
+    Runner packed(packed_params);
+
+    Table table("Extension E2: fetch packing (FITS16 vs ARM16)");
+    table.setHeader({"benchmark", "accesses/instr", "internal saving %",
+                     "packed acc/instr", "packed internal saving %"});
+    double s1 = 0, s2 = 0;
+    size_t n = 0;
+    for (const auto *bench : plain.all()) {
+        const BenchResult &p = packed.get(bench->name);
+        const RunResult &plain_run = bench->of(ConfigId::FITS16).run;
+        const RunResult &packed_run = p.of(ConfigId::FITS16).run;
+        double plain_saving =
+            100.0 * bench->saving(ConfigId::FITS16,
+                                  CachePowerBreakdown::Component::INTERNAL);
+        double packed_saving =
+            100.0 * p.saving(ConfigId::FITS16,
+                             CachePowerBreakdown::Component::INTERNAL);
+        table.addRow(bench->name,
+                     {static_cast<double>(plain_run.icache.accesses()) /
+                          plain_run.instructions,
+                      plain_saving,
+                      static_cast<double>(packed_run.icache.accesses()) /
+                          packed_run.instructions,
+                      packed_saving},
+                     2);
+        s1 += plain_saving;
+        s2 += packed_saving;
+        ++n;
     }
+    table.addRow("average", {1.0, s1 / n, 0.5, s2 / n}, 2);
+    return {.tables = {table}};
 }
+
+} // namespace pfits

@@ -7,63 +7,39 @@
  * the miss-rate advantage hold at issue widths 1, 2 and 4.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
-
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "exp/parallel.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "power/cache_power.hh"
 
-using namespace pfits;
-
-int
-main(int argc, char **argv)
+namespace pfits
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Extension E3: issue-width sweep (suite averages)");
-        table.setHeader({"issue width", "ARM16 IPC", "FITS8 IPC",
-                         "FITS8 total saving %", "ARM8 total saving %"});
-        for (unsigned width : {1u, 2u, 4u}) {
-            ExperimentParams params;
-            params.core.issueWidth = width;
-            harness.applyTo(params);
-            Runner runner(params);
-            double a16 = 0, f8 = 0, fs = 0, as = 0;
-            size_t n = 0;
-            for (const BenchResult *b : runner.all()) {
-                a16 += b->of(ConfigId::ARM16).run.ipc();
-                f8 += b->of(ConfigId::FITS8).run.ipc();
-                fs += b->saving(ConfigId::FITS8,
-                                CachePowerBreakdown::Component::TOTAL);
-                as += b->saving(ConfigId::ARM8,
-                                CachePowerBreakdown::Component::TOTAL);
-                ++n;
-            }
-            double dn = static_cast<double>(n);
-            table.addRow(std::to_string(width),
-                         {a16 / dn, f8 / dn, 100 * fs / dn,
-                          100 * as / dn},
-                         2);
+
+ExperimentOutput
+extIssueWidth(const ExperimentParams &base)
+{
+    Table table("Extension E3: issue-width sweep (suite averages)");
+    table.setHeader({"issue width", "ARM16 IPC", "FITS8 IPC",
+                     "FITS8 total saving %", "ARM8 total saving %"});
+    for (unsigned width : {1u, 2u, 4u}) {
+        ExperimentParams params = base;
+        params.core.issueWidth = width;
+        Runner runner(params);
+        double a16 = 0, f8 = 0, fs = 0, as = 0;
+        size_t n = 0;
+        for (const BenchResult *b : runner.all()) {
+            a16 += b->of(ConfigId::ARM16).run.ipc();
+            f8 += b->of(ConfigId::FITS8).run.ipc();
+            fs += b->saving(ConfigId::FITS8,
+                            CachePowerBreakdown::Component::TOTAL);
+            as += b->saving(ConfigId::ARM8,
+                            CachePowerBreakdown::Component::TOTAL);
+            ++n;
         }
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nexpected shape: FITS8's saving and its "
-                         "ARM16-class IPC persist across issue "
-                         "widths.\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        double dn = static_cast<double>(n);
+        table.addRow(std::to_string(width),
+                     {a16 / dn, f8 / dn, 100 * fs / dn, 100 * as / dn},
+                     2);
     }
+    return {.tables = {table}};
 }
+
+} // namespace pfits

@@ -17,15 +17,10 @@
  * reports.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "common/table.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/synth.hh"
@@ -38,7 +33,8 @@
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -92,87 +88,59 @@ priceUj(const CoreConfig &core, LeakagePolicy policy,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extLeakagePolicy(const ExperimentParams &)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
+    Table table("Extension E10: I-cache leakage energy per power-down "
+                "policy (16 KiB I-cache)");
+    table.setHeader({"kernel/ISA", "off uJ", "drowsy uJ", "drowsy sv%",
+                     "gated uJ", "gated sv%", "wakes", "stall d",
+                     "stall g"});
 
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Extension E10: I-cache leakage energy per "
-                    "power-down policy (16 KiB I-cache)");
-        table.setHeader({"kernel/ISA", "off uJ", "drowsy uJ",
-                         "drowsy sv%", "gated uJ", "gated sv%",
-                         "wakes", "stall d", "stall g"});
+    for (const char *name : kKernels) {
+        BenchSetup setup = buildBench(mibench::findBench(name));
+        struct Side
+        {
+            const char *label;
+            const FrontEnd *fe;
+        } sides[2] = {{"ARM16", setup.arm.get()},
+                      {"FITS16", setup.fits.get()}};
+        for (const Side &side : sides) {
+            // One run, three observers: the policies differ only in
+            // how the same idle intervals are priced.
+            CoreConfig core;
+            LeakageObserver off(core.icache,
+                                policyParams(LeakagePolicy::Off));
+            LeakageObserver drowsy(core.icache,
+                                   policyParams(LeakagePolicy::Drowsy));
+            LeakageObserver gated(core.icache,
+                                  policyParams(LeakagePolicy::Gated));
+            ObserverList list;
+            list.add(&off);
+            list.add(&drowsy);
+            list.add(&gated);
+            Machine(*side.fe, core).run(nullptr, &list);
 
-        for (const char *name : kKernels) {
-            BenchSetup setup = buildBench(mibench::findBench(name));
-            struct Side
-            {
-                const char *label;
-                const FrontEnd *fe;
-            } sides[2] = {{"ARM16", setup.arm.get()},
-                          {"FITS16", setup.fits.get()}};
-            for (const Side &side : sides) {
-                // One run, three observers: the policies differ only
-                // in how the same idle intervals are priced.
-                CoreConfig core;
-                LeakageObserver off(core.icache,
-                                    policyParams(LeakagePolicy::Off));
-                LeakageObserver drowsy(
-                    core.icache, policyParams(LeakagePolicy::Drowsy));
-                LeakageObserver gated(
-                    core.icache, policyParams(LeakagePolicy::Gated));
-                ObserverList list;
-                list.add(&off);
-                list.add(&drowsy);
-                list.add(&gated);
-                Machine(*side.fe, core).run(nullptr, &list);
-
-                double off_uj = priceUj(core, LeakagePolicy::Off,
-                                        off.activity());
-                double drowsy_uj = priceUj(core, LeakagePolicy::Drowsy,
-                                           drowsy.activity());
-                double gated_uj = priceUj(core, LeakagePolicy::Gated,
-                                          gated.activity());
-                auto sv = [off_uj](double j) {
-                    return off_uj ? 100.0 * (1.0 - j / off_uj) : 0.0;
-                };
-                table.addRow(
-                    setup.name + " " + side.label,
-                    {off_uj, drowsy_uj, sv(drowsy_uj), gated_uj,
-                     sv(gated_uj),
-                     static_cast<double>(drowsy.activity().wakes),
-                     static_cast<double>(
-                         drowsy.activity().wakePenaltyCycles),
-                     static_cast<double>(
-                         gated.activity().wakePenaltyCycles)},
-                    1);
-            }
+            double off_uj =
+                priceUj(core, LeakagePolicy::Off, off.activity());
+            double drowsy_uj =
+                priceUj(core, LeakagePolicy::Drowsy, drowsy.activity());
+            double gated_uj =
+                priceUj(core, LeakagePolicy::Gated, gated.activity());
+            auto sv = [off_uj](double j) {
+                return off_uj ? 100.0 * (1.0 - j / off_uj) : 0.0;
+            };
+            table.addRow(
+                setup.name + " " + side.label,
+                {off_uj, drowsy_uj, sv(drowsy_uj), gated_uj,
+                 sv(gated_uj),
+                 static_cast<double>(drowsy.activity().wakes),
+                 static_cast<double>(drowsy.activity().wakePenaltyCycles),
+                 static_cast<double>(gated.activity().wakePenaltyCycles)},
+                1);
         }
-
-        if (opts.csv)
-            table.printCsv(std::cout);
-        else
-            table.print(std::cout);
-        if (!opts.csv) {
-            std::cout
-                << "\nreading: both policies cut only the cell-array "
-                   "term — the shared column periphery leaks for the "
-                   "whole run under any policy — so savings cluster "
-                   "well below the ~30% cell share. Loop-resident "
-                   "kernels (fft, dijkstra) sleep most lines and "
-                   "reward gated's deeper cut; wake-heavy jpeg loses "
-                   "outright, its penalty cycles stretching the "
-                   "operational period faster than sleep pays it "
-                   "back.\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
     }
+    return {.tables = {table}};
 }
+
+} // namespace pfits

@@ -17,16 +17,12 @@
  * reports.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
+#include <algorithm>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/table.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/synth.hh"
@@ -38,7 +34,8 @@
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -101,97 +98,59 @@ measure(const FrontEnd &fe)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extPhaseBehavior(const ExperimentParams &)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    const bool csv = opts.csv;
+    ExperimentOutput out;
+    for (const char *name : kKernels) {
+        BenchSetup setup = buildBench(mibench::findBench(name));
+        PhaseSeries arm = measure(*setup.arm);
+        PhaseSeries fits = measure(*setup.fits);
 
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        std::vector<Table> tables;
-        for (const char *name : kKernels) {
-            BenchSetup setup = buildBench(mibench::findBench(name));
-            PhaseSeries arm = measure(*setup.arm);
-            PhaseSeries fits = measure(*setup.fits);
+        TechParams tech;
+        tech.clockHz = arm.core.clockHz;
+        CachePowerModel arm_model(arm.core.icache, tech);
+        CachePowerModel fits_model(fits.core.icache, tech);
 
-            TechParams tech;
-            tech.clockHz = arm.core.clockHz;
-            CachePowerModel arm_model(arm.core.icache, tech);
-            CachePowerModel fits_model(fits.core.icache, tech);
-
-            Table t("Extension E7: phase behaviour of " +
-                    setup.name + " (per-phase, ARM16 vs FITS16)");
-            t.setHeader({"phase", "ARM ipc", "FITS ipc", "ARM mpmi",
-                         "FITS mpmi", "ARM tog%", "FITS tog%",
-                         "ARM uJ", "FITS uJ"});
-            size_t rows =
-                std::max(arm.samples.size(), fits.samples.size());
-            for (size_t p = 0; p < rows; ++p) {
-                auto cell = [&](const PhaseSeries &s,
-                                const CachePowerModel &model,
-                                auto metric) {
-                    return p < s.samples.size()
-                               ? formatDouble(metric(s.samples[p],
-                                                     model), 3)
-                               : std::string("-");
-                };
-                auto ipc = [](const IntervalSample &s,
-                              const CachePowerModel &) {
-                    return s.ipc();
-                };
-                auto mpmi = [](const IntervalSample &s,
-                               const CachePowerModel &) {
-                    return s.missesPerMillion();
-                };
-                auto tog = [](const IntervalSample &s,
-                              const CachePowerModel &) {
-                    return 100.0 * s.toggleRate();
-                };
-                auto uj = [](const IntervalSample &s,
-                             const CachePowerModel &m) {
-                    return m.intervalEnergyJ(s) * 1e6;
-                };
-                t.addRow({std::to_string(p),
-                          cell(arm, arm_model, ipc),
-                          cell(fits, fits_model, ipc),
-                          cell(arm, arm_model, mpmi),
-                          cell(fits, fits_model, mpmi),
-                          cell(arm, arm_model, tog),
-                          cell(fits, fits_model, tog),
-                          cell(arm, arm_model, uj),
-                          cell(fits, fits_model, uj)});
-            }
-            tables.push_back(std::move(t));
+        Table t("Extension E7: phase behaviour of " + setup.name +
+                " (per-phase, ARM16 vs FITS16)");
+        t.setHeader({"phase", "ARM ipc", "FITS ipc", "ARM mpmi",
+                     "FITS mpmi", "ARM tog%", "FITS tog%", "ARM uJ",
+                     "FITS uJ"});
+        size_t rows = std::max(arm.samples.size(), fits.samples.size());
+        for (size_t p = 0; p < rows; ++p) {
+            auto cell = [&](const PhaseSeries &s,
+                            const CachePowerModel &model, auto metric) {
+                return p < s.samples.size()
+                           ? formatDouble(metric(s.samples[p], model), 3)
+                           : std::string("-");
+            };
+            auto ipc = [](const IntervalSample &s,
+                          const CachePowerModel &) { return s.ipc(); };
+            auto mpmi = [](const IntervalSample &s,
+                           const CachePowerModel &) {
+                return s.missesPerMillion();
+            };
+            auto tog = [](const IntervalSample &s,
+                          const CachePowerModel &) {
+                return 100.0 * s.toggleRate();
+            };
+            auto uj = [](const IntervalSample &s,
+                         const CachePowerModel &m) {
+                return m.intervalEnergyJ(s) * 1e6;
+            };
+            t.addRow({std::to_string(p), cell(arm, arm_model, ipc),
+                      cell(fits, fits_model, ipc),
+                      cell(arm, arm_model, mpmi),
+                      cell(fits, fits_model, mpmi),
+                      cell(arm, arm_model, tog),
+                      cell(fits, fits_model, tog),
+                      cell(arm, arm_model, uj),
+                      cell(fits, fits_model, uj)});
         }
-
-        bool first = true;
-        for (Table &t : tables) {
-            if (!first)
-                std::cout << "\n";
-            first = false;
-            if (csv)
-                t.printCsv(std::cout);
-            else
-                t.print(std::cout);
-        }
-        if (!csv) {
-            std::cout
-                << "\nreading: the FITS energy advantage holds in "
-                   "every phase, not just on average — the 16-bit "
-                   "stream delivers half the bits even where its "
-                   "denser encodings toggle at a higher per-bit rate "
-                   "— and miss activity concentrates in the first "
-                   "(setup) and last (result-check) phases, where "
-                   "each kernel's working set is installed.\n";
-        }
-        for (const Table &t : tables)
-            harness.addTable(t);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        out.tables.push_back(std::move(t));
     }
+    return out;
 }
+
+} // namespace pfits

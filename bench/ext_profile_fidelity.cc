@@ -8,13 +8,7 @@
  * mapping rate and the FITS8 total I-cache saving.
  */
 
-#include <cstdio>
-#include <exception>
-#include <iostream>
-
-#include "common/table.hh"
-#include "exp/experiment.hh"
-#include "fig_util.hh"
+#include "experiments.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/synth.hh"
@@ -23,7 +17,8 @@
 #include "power/cache_power.hh"
 #include "sim/machine.hh"
 
-using namespace pfits;
+namespace pfits
+{
 
 namespace
 {
@@ -62,53 +57,35 @@ evaluate(const mibench::Workload &w, const char *name, bool dynamic)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ExperimentOutput
+extProfileFidelity(const ExperimentParams &)
 {
-    const std::string tool = benchutil::toolName(argv[0]);
-    benchutil::BenchOptions opts =
-        benchutil::parseArgs(argc, argv, tool.c_str());
-    try {
-        benchutil::BenchHarness harness(tool, opts);
-        Table table("Extension E5: static-only vs dynamic profiling");
-        table.setHeader({"benchmark", "dyn map (static prof) %",
-                         "dyn map (dyn prof) %",
-                         "FITS8 saving (static) %",
-                         "FITS8 saving (dyn) %"});
-        double s1 = 0, s2 = 0, p1 = 0, p2 = 0;
-        size_t n = 0;
-        for (const auto &info : mibench::suite()) {
-            mibench::Workload w = info.build();
-            Outcome stat = evaluate(w, info.name, false);
-            Outcome dyn = evaluate(w, info.name, true);
-            table.addRow(info.name,
-                         {100 * stat.dynMap, 100 * dyn.dynMap,
-                          100 * stat.saving, 100 * dyn.saving},
-                         1);
-            s1 += stat.dynMap;
-            s2 += dyn.dynMap;
-            p1 += stat.saving;
-            p2 += dyn.saving;
-            ++n;
-        }
-        double dn = static_cast<double>(n);
-        table.addRow("average", {100 * s1 / dn, 100 * s2 / dn,
-                                 100 * p1 / dn, 100 * p2 / dn},
+    Table table("Extension E5: static-only vs dynamic profiling");
+    table.setHeader({"benchmark", "dyn map (static prof) %",
+                     "dyn map (dyn prof) %", "FITS8 saving (static) %",
+                     "FITS8 saving (dyn) %"});
+    double s1 = 0, s2 = 0, p1 = 0, p2 = 0;
+    size_t n = 0;
+    for (const auto &info : mibench::suite()) {
+        mibench::Workload w = info.build();
+        Outcome stat = evaluate(w, info.name, false);
+        Outcome dyn = evaluate(w, info.name, true);
+        table.addRow(info.name,
+                     {100 * stat.dynMap, 100 * dyn.dynMap,
+                      100 * stat.saving, 100 * dyn.saving},
                      1);
-        if (opts.csv) {
-            table.printCsv(std::cout);
-        } else {
-            table.print(std::cout);
-            std::cout << "\nreading: execution profiles buy a few "
-                         "points of dynamic coverage where static "
-                         "weights mis-rank hot slots; the power "
-                         "conclusion is robust to profile fidelity "
-                         "(the paper's future-work question).\n";
-        }
-        harness.addTable(table);
-        return harness.finish();
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        s1 += stat.dynMap;
+        s2 += dyn.dynMap;
+        p1 += stat.saving;
+        p2 += dyn.saving;
+        ++n;
     }
+    double dn = static_cast<double>(n);
+    table.addRow("average",
+                 {100 * s1 / dn, 100 * s2 / dn, 100 * p1 / dn,
+                  100 * p2 / dn},
+                 1);
+    return {.tables = {table}};
 }
+
+} // namespace pfits

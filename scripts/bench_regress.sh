@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Suite-level regression gate over run manifests: run every bench with
-# --json, aggregate the manifests into one BENCH_suite.json via
+# Suite-level regression gate over run manifests: run every experiment
+# with --json, aggregate the manifests into one BENCH_suite.json via
 # pfits_report, and diff it against the checked-in baseline
 # (tests/baseline/BENCH_baseline.json).
 #
@@ -12,7 +12,7 @@
 #
 # Usage: bench_regress.sh <build-dir> [--update]
 #   --update  regenerate tests/baseline/BENCH_baseline.json from the
-#             current binaries (review the diff before committing).
+#             current build (review the diff before committing).
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -31,73 +31,35 @@ if [[ ! -x "$report" ]]; then
     exit 2
 fi
 
-benches=(
-    fig03_static_mapping
-    fig04_dynamic_mapping
-    fig05_code_size
-    fig06_power_breakdown
-    fig07_switching_power
-    fig08_internal_power
-    fig09_leakage_power
-    fig10_peak_power
-    fig11_total_cache_power
-    fig12_chip_power
-    fig13_miss_rate
-    fig14_ipc
-    abl_dictionary_sweep
-    abl_register_sweep
-    abl_cache_geometry
-    abl_synthesis_features
-    ext_chip_power
-    ext_code_compression
-    ext_fetch_packing
-    ext_issue_width
-    ext_dcache_power
-    ext_profile_fidelity
-    ext_fault_resilience
-    ext_phase_behavior
-    ext_way_memo
-    ext_leakage_policy
-    fig11_total_cache_power+dvs
-)
+run="$build/bench/pfits_run"
+if [[ ! -x "$run" ]]; then
+    echo "bench_regress: missing $run (build first)" >&2
+    exit 2
+fi
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-# Each bench runs once per backend; the fast run writes a manifest
-# under the distinct tool identity "<bench>+fast", so the suite file
+# The suite runs once per backend; the fast run writes each manifest
+# under the distinct tool identity "<name>+fast", so the suite file
 # tracks the interp and fast series separately (and a table divergence
 # between them trips the same gate as any other drift).
 status=0
-for bench in "${benches[@]}"; do
-    # "<bench>+dvs" entries run the base binary with --dvs; the bench
-    # stamps the manifest identity with the matching "+dvs" suffix.
-    extra_flags=()
-    bin_name="$bench"
-    if [[ "$bench" == *"+dvs" ]]; then
-        bin_name="${bench%+dvs}"
-        extra_flags=(--dvs)
-    fi
-    bin="$build/bench/$bin_name"
-    if [[ ! -x "$bin" ]]; then
-        echo "bench_regress: MISSING BINARY $bench" >&2
+for backend in interp fast; do
+    if ! "$run" --all --backend="$backend" --json "$workdir" > /dev/null
+    then
+        echo "bench_regress: pfits_run --all ($backend) FAILED" >&2
         status=1
-        continue
     fi
-    for backend in interp fast; do
-        out="$workdir/$bench.json"
-        flags=("${extra_flags[@]}")
-        if [[ "$backend" == "fast" ]]; then
-            out="$workdir/$bench+fast.json"
-            flags+=(--backend=fast)
-        fi
-        if ! "$bin" "${flags[@]}" --json "$out" > /dev/null 2>&1; then
-            echo "bench_regress: $bench ($backend) FAILED" >&2
+done
+names="$("$run" --list)" # a separate step, so set -e sees a failure
+for name in $names; do
+    for tool in "$name" "$name+fast"; do
+        if [[ ! -f "$workdir/$tool.json" ]]; then
+            echo "bench_regress: $tool wrote no manifest" >&2
             status=1
-            continue
-        fi
-        if ! "$report" validate "$out" > /dev/null; then
-            echo "bench_regress: $bench ($backend) wrote an invalid manifest" >&2
+        elif ! "$report" validate "$workdir/$tool.json" > /dev/null; then
+            echo "bench_regress: $tool wrote an invalid manifest" >&2
             status=1
         fi
     done

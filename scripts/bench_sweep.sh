@@ -3,8 +3,9 @@
 # once serial (--jobs 1) and once at the host's default job count.
 # Both runs print byte-identical tables; the wall-clock delta is the
 # engine's speedup on this host (docs/PERFORMANCE.md records the
-# trajectory). Each figure binary is a fresh process, so the SimCache
-# is cold per figure — this measures the honest end-to-end cost.
+# trajectory). pfits_run starts each figure from an empty SimCache, so
+# the cache is cold per figure — this measures the honest end-to-end
+# cost.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -18,10 +19,8 @@ figures=(fig03_static_mapping fig04_dynamic_mapping fig05_code_size
          fig09_leakage_power fig10_peak_power fig11_total_cache_power
          fig12_chip_power fig13_miss_rate fig14_ipc)
 
-sweep() { # $@: extra flags for every figure binary
-    for fig in "${figures[@]}"; do
-        "$build/bench/$fig" --csv "$@"
-    done
+sweep() { # $@: extra flags for the one pfits_run call
+    "$build/bench/pfits_run" --csv "$@" "${figures[@]}"
 }
 
 now_ms() { date +%s%3N; }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build and run the full test suite three times —
 # plain, AddressSanitizer + UBSan, and UBSan alone (non-recovering) —
-# then diff every figure binary against its committed golden snapshot
+# then diff every experiment against its committed golden snapshot
 # on both simulator backends, with fast-backend differential shards
 # under every build flavour. The ctest suites include the trace_smoke
-# gate (scripts/trace_smoke.sh): --trace-out timelines from a bench
+# gate (scripts/trace_smoke.sh): --trace-out timelines from pfits_run
 # and from pfitsd must validate via `pfits_report validate-trace`, so
 # the tracing layer gets a sanitized pass too.
 set -euo pipefail
@@ -50,20 +50,20 @@ echo "=== differential verification (fast backend shard) ==="
 "$repo/build/src/verify/pfits_verify" --count 200 --jobs "$jobs" \
     --backend fast
 
-# The figure binaries must print byte-identical tables to their
-# committed snapshots (tests/golden/): measurements are observers now,
-# and this gate catches any instrumentation change leaking into
-# results. Regenerate deliberately with golden_check.sh --update.
-# The second sweep reruns every binary with --backend=fast against the
-# SAME snapshots — the fast loop must reproduce the interpreter's
+# Every experiment must print byte-identical tables to its committed
+# snapshot (tests/golden/): measurements are observers now, and this
+# gate catches any instrumentation change leaking into results.
+# Regenerate deliberately with golden_check.sh --update. The second
+# sweep reruns every experiment with --backend=fast against the SAME
+# snapshots — the fast loop must reproduce the interpreter's
 # tables byte for byte.
 echo "=== golden snapshots ==="
 "$repo/scripts/golden_check.sh" "$repo/build"
 echo "=== golden snapshots (fast backend) ==="
 "$repo/scripts/golden_check.sh" "$repo/build" --backend=fast
 
-# Manifest-based regression tracking: every bench re-runs with --json,
-# the manifests aggregate into BENCH_suite.json, and table values are
+# Manifest-based regression tracking: every experiment re-runs with
+# --json, the manifests aggregate into BENCH_suite.json, and table values are
 # diffed against tests/baseline/BENCH_baseline.json (value drift gates;
 # wall times are machine-specific and ignored here — see
 # docs/OBSERVABILITY.md "Regression tracking"). Regenerate deliberately

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Golden-snapshot gate: every figure/ablation/extension binary must
-# print byte-identical output to its committed snapshot in
-# tests/golden/. This guards the probe refactor's promise that
-# instrumentation seams never change measured results.
+# Golden-snapshot gate: every experiment in `pfits_run --list` must
+# print byte-identical output to its committed snapshot
+# tests/golden/<name>.txt. This guards the probe refactor's promise
+# that instrumentation seams never change measured results.
 #
 # Usage: golden_check.sh <build-dir> [--update] [--backend=fast]
-#   --update        regenerate the snapshots from the current binaries
+#   --update        regenerate the snapshots from the current build
 #                   (review the diff before committing).
-#   --backend=fast  run every binary on the fast simulator backend but
+#   --backend=fast  run every experiment on the fast simulator backend but
 #                   diff against the SAME snapshots: the backends are
 #                   result-equivalent by contract, so the committed
 #                   interp tables are the fast backend's golden too.
@@ -44,71 +44,34 @@ fi
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 golden="$repo/tests/golden"
 
-benches=(
-    fig03_static_mapping
-    fig04_dynamic_mapping
-    fig05_code_size
-    fig06_power_breakdown
-    fig07_switching_power
-    fig08_internal_power
-    fig09_leakage_power
-    fig10_peak_power
-    fig11_total_cache_power
-    fig12_chip_power
-    fig13_miss_rate
-    fig14_ipc
-    abl_dictionary_sweep
-    abl_register_sweep
-    abl_cache_geometry
-    abl_synthesis_features
-    ext_chip_power
-    ext_code_compression
-    ext_fetch_packing
-    ext_issue_width
-    ext_dcache_power
-    ext_profile_fidelity
-    ext_fault_resilience
-    ext_phase_behavior
-    ext_way_memo
-    ext_leakage_policy
-    fig11_total_cache_power+dvs
-)
+run="$build/bench/pfits_run"
+if [[ ! -x "$run" ]]; then
+    echo "golden: MISSING BINARY $run (build first)" >&2
+    exit 2
+fi
 
+names="$("$run" --list)" # a separate step, so set -e sees a failure
 mkdir -p "$golden"
 status=0
-for bench in "${benches[@]}"; do
-    # "<bench>+dvs" entries run the base binary with --dvs and keep
-    # their own snapshot; the base entry's snapshot is untouched.
-    extra_flags=()
-    bin_name="$bench"
-    if [[ "$bench" == *"+dvs" ]]; then
-        bin_name="${bench%+dvs}"
-        extra_flags=(--dvs)
-    fi
-    bin="$build/bench/$bin_name"
-    if [[ ! -x "$bin" ]]; then
-        echo "golden: MISSING BINARY $bench" >&2
-        status=1
-        continue
-    fi
-    snapshot="$golden/$bench.txt"
+for name in $names; do
+    snapshot="$golden/$name.txt"
     if [[ "$update" == "--update" ]]; then
-        "$bin" "${extra_flags[@]}" 2>/dev/null > "$snapshot"
-        echo "golden: updated $bench"
+        "$run" "$name" 2>/dev/null > "$snapshot"
+        echo "golden: updated $name"
         continue
     fi
     if [[ ! -f "$snapshot" ]]; then
-        echo "golden: MISSING SNAPSHOT $bench (run with --update)" >&2
+        echo "golden: MISSING SNAPSHOT $name (run with --update)" >&2
         status=1
         continue
     fi
-    if ! "$bin" "${extra_flags[@]}" "${backend_flags[@]}" 2>/dev/null |
+    if ! "$run" "$name" "${backend_flags[@]}" 2>/dev/null |
             diff -u "$snapshot" - > /tmp/golden_diff_$$; then
-        echo "golden: MISMATCH $bench$tag" >&2
+        echo "golden: MISMATCH $name$tag" >&2
         head -40 /tmp/golden_diff_$$ >&2
         status=1
     else
-        echo "golden: ok $bench$tag"
+        echo "golden: ok $name$tag"
     fi
     rm -f /tmp/golden_diff_$$
 done

@@ -1,27 +1,28 @@
 #!/usr/bin/env bash
-# ctest smoke test: one bench binary's --json manifest must validate
+# ctest smoke test: one experiment's --json manifest must validate
 # against the documented schema, aggregate into a suite document, and
 # self-diff clean (exit 0); an injected drift must make the diff exit
 # nonzero. Registered in tests/CMakeLists.txt as "manifest_smoke".
 #
-# Usage: manifest_smoke.sh <bench-binary> <pfits_report-binary>
+# Usage: manifest_smoke.sh <pfits_run> <experiment> <pfits_report>
 set -euo pipefail
 
-if [[ $# -ne 2 ]]; then
-    echo "usage: $0 <bench-binary> <pfits_report-binary>" >&2
+if [[ $# -ne 3 ]]; then
+    echo "usage: $0 <pfits_run> <experiment> <pfits_report>" >&2
     exit 2
 fi
 
-bench="$1"
-report="$2"
+run="$1"
+experiment="$2"
+report="$3"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-echo "smoke: running $(basename "$bench") --json"
-"$bench" --json "$workdir/run.json" > /dev/null
+echo "smoke: running $experiment --json"
+"$run" "$experiment" --json "$workdir" > /dev/null
 
 echo "smoke: validate manifest"
-"$report" validate "$workdir/run.json"
+"$report" validate "$workdir/$experiment.json"
 
 echo "smoke: aggregate into suite"
 "$report" aggregate "$workdir" -o "$workdir/suite.json"
@@ -55,8 +56,8 @@ if "$report" diff "$workdir/suite.json" "$workdir/drifted.json"; then
     exit 1
 fi
 
-echo "smoke: unknown bench flag must be rejected"
-if "$bench" --cvs > /dev/null 2>&1; then
+echo "smoke: unknown flag must be rejected"
+if "$run" "$experiment" --cvs > /dev/null 2>&1; then
     echo "smoke: FAILED — unknown flag was accepted" >&2
     exit 1
 fi

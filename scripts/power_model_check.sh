@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Power-model sanity gate: every power-reporting bench must emit tables
-# free of NaN/Inf across the full default sweep. Guards the breakdown
-# share and *W() accessors (a zero-energy or zero-second run must
-# report 0, not NaN) and every new model axis — way memoization, the
-# leakage policies, the DVS ladder — whose divisions are easy to get
-# wrong on degenerate sweep points.
+# Power-model sanity gate: every power-reporting experiment must emit
+# tables free of NaN/Inf across the full default sweep. Guards the
+# breakdown share and *W() accessors (a zero-energy or zero-second run
+# must report 0, not NaN) and every new model axis — way memoization,
+# the leakage policies, the DVS ladder — whose divisions are easy to
+# get wrong on degenerate sweep points.
 #
 # Usage: power_model_check.sh <build-dir>
 set -euo pipefail
@@ -15,55 +15,41 @@ if [[ $# -ne 1 ]]; then
 fi
 build="$1"
 
-# Bench list: every binary whose tables carry power-model outputs,
-# including the skip-heavy geometry ablation (degenerate points) and
-# the fig11 DVS ladder variant.
-benches=(
-    "fig06_power_breakdown"
-    "fig07_switching_power"
-    "fig08_internal_power"
-    "fig09_leakage_power"
-    "fig10_peak_power"
-    "fig11_total_cache_power"
-    "fig11_total_cache_power --dvs"
-    "fig12_chip_power"
-    "abl_cache_geometry"
-    "ext_chip_power"
-    "ext_dcache_power"
-    "ext_way_memo"
-    "ext_leakage_policy"
+# Every experiment whose tables carry power-model outputs, including
+# the skip-heavy geometry ablation (degenerate points) and the fig11
+# DVS ladder variant.
+experiments=(
+    fig06_power_breakdown
+    fig07_switching_power
+    fig08_internal_power
+    fig09_leakage_power
+    fig10_peak_power
+    fig11_total_cache_power
+    fig11_total_cache_power+dvs
+    fig12_chip_power
+    abl_cache_geometry
+    ext_chip_power
+    ext_dcache_power
+    ext_way_memo
+    ext_leakage_policy
 )
 
-status=0
-for entry in "${benches[@]}"; do
-    # shellcheck disable=SC2086 — the entry deliberately splits into
-    # binary name + flags.
-    set -- $entry
-    bench="$1"
-    shift
-    bin="$build/bench/$bench"
-    if [[ ! -x "$bin" ]]; then
-        echo "power_model_check: MISSING BINARY $bench" >&2
-        status=1
-        continue
-    fi
-    out="$("$bin" "$@" --csv 2>/dev/null)" || {
-        echo "power_model_check: $entry FAILED to run" >&2
-        status=1
-        continue
-    }
-    # CSV only (notes suppressed): any standalone nan/inf token in a
-    # cell is a model bug. -w keeps words like "internal" clean.
-    if bad="$(grep -Eiw -- 'nan|-nan|inf|-inf' <<< "$out")"; then
-        echo "power_model_check: NaN/Inf in $entry:" >&2
-        head -10 <<< "$bad" >&2
-        status=1
-    else
-        echo "power_model_check: ok $entry"
-    fi
-done
-
-if [[ $status -ne 0 ]]; then
-    echo "power_model_check: FAILED" >&2
+run="$build/bench/pfits_run"
+if [[ ! -x "$run" ]]; then
+    echo "power_model_check: MISSING BINARY $run" >&2
+    exit 1
 fi
-exit $status
+# stderr stays visible: pfits_run names any experiment that fails.
+out="$("$run" --csv "${experiments[@]}")" || {
+    echo "power_model_check: pfits_run FAILED to run" >&2
+    exit 1
+}
+# CSV only (notes suppressed): any standalone nan/inf token in a cell
+# is a model bug. -w keeps words like "internal" clean.
+if bad="$(grep -Eiw -- 'nan|-nan|inf|-inf' <<< "$out")"; then
+    echo "power_model_check: NaN/Inf in the tables:" >&2
+    head -10 <<< "$bad" >&2
+    echo "power_model_check: FAILED" >&2
+    exit 1
+fi
+echo "power_model_check: ok (${#experiments[@]} experiments)"

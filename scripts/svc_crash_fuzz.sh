@@ -8,7 +8,8 @@
 #    files, mis-named entries): a restarted daemon must quarantine
 #    every damaged entry, serve the rest, and never serve rot,
 #  - after every abuse, a sweep through the daemon must produce tables
-#    identical to a daemon-less run (pfits_report diff --ignore-time).
+#    identical to a daemon-less run (pfits_report diff --ignore-time
+#    --ignore-metrics).
 #
 # Run standalone against any build dir, or via scripts/check.sh (which
 # also runs one pass against the ASan build).
@@ -23,9 +24,10 @@ fi
 
 build="$(cd "$1" && pwd)"
 pfitsd="$build/src/svc/pfitsd"
-bench="$build/bench/fig13_miss_rate"
+run="$build/bench/pfits_run"
+experiment=fig13_miss_rate
 report="$build/src/obs/pfits_report"
-for bin in "$pfitsd" "$bench" "$report"; do
+for bin in "$pfitsd" "$run" "$report"; do
     [[ -x "$bin" ]] || { echo "fuzz: missing $bin" >&2; exit 2; }
 done
 
@@ -65,20 +67,21 @@ stop_daemon() {
 check_tables() { # <run-dir>: daemon results must equal daemon-less ones
     "$report" aggregate "$workdir/$1" -o "$workdir/$1-suite.json" \
         > /dev/null 2>&1
-    "$report" diff --ignore-time \
+    # --ignore-metrics: the two runs legitimately touch different
+    # instruments (simcache.* only locally, svc.* only through the
+    # daemon); what must match is the result tables.
+    "$report" diff --ignore-time --ignore-metrics \
         "$workdir/local-suite.json" "$workdir/$1-suite.json"
 }
 
 echo "fuzz: daemon-less reference sweep"
-mkdir -p "$workdir/local"
-"$bench" --json "$workdir/local/run.json" > /dev/null
+"$run" "$experiment" --json "$workdir/local" > /dev/null
 "$report" aggregate "$workdir/local" -o "$workdir/local-suite.json" \
     > /dev/null 2>&1
 
 echo "fuzz: warm the store"
 start_daemon
-mkdir -p "$workdir/warm"
-"$bench" --daemon="$sock" --json "$workdir/warm/run.json" > /dev/null
+"$run" "$experiment" --daemon="$sock" --json "$workdir/warm" > /dev/null
 check_tables warm
 entries=$(ls "$store"/*.json 2>/dev/null | wc -l)
 echo "fuzz: store holds $entries entries"
@@ -91,19 +94,18 @@ echo "fuzz: SIGKILL the daemon mid-sweep"
 stop_daemon
 rm -f "$store"/*.json
 start_daemon --test-compute-delay-ms 50
-mkdir -p "$workdir/killed"
 PFITS_DAEMON_TIMEOUT_MS=5000 PFITS_DAEMON_RETRIES=1 \
-    "$bench" --daemon="$sock" --json "$workdir/killed/run.json" \
+    "$run" "$experiment" --daemon="$sock" --json "$workdir/killed" \
     > /dev/null &
-bench_pid=$!
+sweep_pid=$!
 sleep 0.7
 kill -9 "$daemon_pid"
 daemon_pid=""
-if ! wait "$bench_pid"; then
+if ! wait "$sweep_pid"; then
     echo "fuzz: FAILED — sweep died with the daemon" >&2
     exit 1
 fi
-python3 - "$workdir/killed/run.json" <<'EOF'
+python3 - "$workdir/killed/$experiment.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 print(f"fuzz: killed daemon: fallbacks={m.get('svc.fallbacks', 0)} "
@@ -118,8 +120,7 @@ echo "fuzz: corrupt the store on disk"
 # vandalize: truncate one entry, flip a byte in another, drop a stale
 # temp file and a mis-named copy.
 start_daemon
-mkdir -p "$workdir/rewarm"
-"$bench" --daemon="$sock" --json "$workdir/rewarm/run.json" > /dev/null
+"$run" "$experiment" --daemon="$sock" --json "$workdir/rewarm" > /dev/null
 stop_daemon
 mapfile -t victims < <(ls "$store"/*.json | head -3)
 [[ ${#victims[@]} -ge 2 ]] || { echo "fuzz: too few entries" >&2; exit 1; }
@@ -134,10 +135,9 @@ fi
 
 echo "fuzz: restart; recovery must quarantine the damage"
 start_daemon
-mkdir -p "$workdir/recovered"
-"$bench" --daemon="$sock" --json "$workdir/recovered/run.json" \
+"$run" "$experiment" --daemon="$sock" --json "$workdir/recovered" \
     > /dev/null
-python3 - "$workdir/recovered/run.json" <<'EOF'
+python3 - "$workdir/recovered/$experiment.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 q = m.get("svc.store.quarantined", {}).get("value", 0)

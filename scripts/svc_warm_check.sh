@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # ctest gate for the pfitsd warm-store contract (docs/SERVICE.md):
-#  1. a bench sweep through a fresh daemon produces the same tables as
+#  1. an experiment's sweep through a fresh daemon produces the same tables as
 #     a daemon-less run (pfits_report diff --ignore-time),
 #  2. a second identical sweep performs ZERO fresh simulations — every
 #     request is answered from the daemon's store (svc.store.hits ==
@@ -9,17 +9,18 @@
 #     their degradation (svc.fallbacks > 0).
 # Registered in tests/CMakeLists.txt as "svc_warm_check".
 #
-# Usage: svc_warm_check.sh <pfitsd> <bench-binary> <pfits_report>
+# Usage: svc_warm_check.sh <pfitsd> <pfits_run> <experiment> <pfits_report>
 set -euo pipefail
 
-if [[ $# -ne 3 ]]; then
-    echo "usage: $0 <pfitsd> <bench-binary> <pfits_report>" >&2
+if [[ $# -ne 4 ]]; then
+    echo "usage: $0 <pfitsd> <pfits_run> <experiment> <pfits_report>" >&2
     exit 2
 fi
 
 pfitsd="$1"
-bench="$2"
-report="$3"
+run="$2"
+experiment="$3"
+report="$4"
 workdir="$(mktemp -d)"
 daemon_pid=""
 cleanup() {
@@ -32,12 +33,11 @@ trap cleanup EXIT
 sock="$workdir/pfitsd.sock"
 store="$workdir/store"
 
-# A bench process must not pick up an ambient daemon configuration.
+# A pfits_run process must not pick up an ambient daemon configuration.
 unset PFITS_DAEMON PFITS_DAEMON_TIMEOUT_MS PFITS_DAEMON_RETRIES
 
 echo "warm: daemon-less reference run"
-mkdir -p "$workdir/local"
-"$bench" --json "$workdir/local/run.json" > /dev/null
+"$run" "$experiment" --json "$workdir/local" > /dev/null
 
 echo "warm: starting pfitsd"
 "$pfitsd" --socket "$sock" --store "$store" > "$workdir/pfitsd.log" &
@@ -54,14 +54,12 @@ done
 [[ -S "$sock" ]] || { echo "warm: FAILED — no socket" >&2; exit 1; }
 
 echo "warm: first sweep (populates the store)"
-mkdir -p "$workdir/first"
-"$bench" --daemon="$sock" --json "$workdir/first/run.json" > /dev/null
+"$run" "$experiment" --daemon="$sock" --json "$workdir/first" > /dev/null
 
 echo "warm: second sweep (must be served entirely from the store)"
-mkdir -p "$workdir/second"
-"$bench" --daemon="$sock" --json "$workdir/second/run.json" > /dev/null
+"$run" "$experiment" --daemon="$sock" --json "$workdir/second" > /dev/null
 
-python3 - "$workdir/second/run.json" <<'EOF'
+python3 - "$workdir/second/$experiment.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 requests = m.get("svc.requests", 0)
@@ -91,12 +89,11 @@ echo "warm: stopping pfitsd; --daemon must degrade, not fail"
 kill "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
-mkdir -p "$workdir/down"
 PFITS_DAEMON_TIMEOUT_MS=2000 PFITS_DAEMON_RETRIES=1 \
-    "$bench" --daemon="$sock" --json "$workdir/down/run.json" \
+    "$run" "$experiment" --daemon="$sock" --json "$workdir/down" \
     > /dev/null
 
-python3 - "$workdir/down/run.json" <<'EOF'
+python3 - "$workdir/down/$experiment.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 fallbacks = m.get("svc.fallbacks", 0)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ctest smoke test: a bench binary's --trace-out timeline must be
+# ctest smoke test: an experiment's --trace-out timeline must be
 # structurally valid Chrome trace-event JSON (checked by `pfits_report
 # validate-trace`: balanced B/E spans, sorted timestamps, named
 # tracks), and a pfitsd run with --trace-out must answer the `stats`
@@ -7,22 +7,23 @@
 # in tests/CMakeLists.txt as "trace_smoke", so it runs in the plain,
 # ASan and UBSan ctest suites alike (scripts/check.sh).
 #
-# Usage: trace_smoke.sh <bench-binary> <pfitsd-binary> <pfits_report-binary>
+# Usage: trace_smoke.sh <pfits_run> <experiment> <pfitsd> <pfits_report>
 set -euo pipefail
 
-if [[ $# -ne 3 ]]; then
-    echo "usage: $0 <bench-binary> <pfitsd-binary> <pfits_report-binary>" >&2
+if [[ $# -ne 4 ]]; then
+    echo "usage: $0 <pfits_run> <experiment> <pfitsd> <pfits_report>" >&2
     exit 2
 fi
 
-bench="$1"
-daemon="$2"
-report="$3"
+run="$1"
+experiment="$2"
+daemon="$3"
+report="$4"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-echo "trace: running $(basename "$bench") --trace-out"
-"$bench" --trace-out "$workdir/bench.trace.json" > /dev/null
+echo "trace: running $experiment --trace-out"
+"$run" "$experiment" --trace-out "$workdir/bench.trace.json" > /dev/null
 
 echo "trace: validate bench timeline"
 "$report" validate-trace "$workdir/bench.trace.json"

@@ -381,7 +381,7 @@ class JsonParser
     JsonValue
     parseDocument()
     {
-        JsonValue v = parseValue();
+        JsonValue v = parseValue(0);
         skipWs();
         if (pos_ != text_.size())
             fail("trailing garbage after the document");
@@ -507,12 +507,15 @@ class JsonParser
         }
     }
 
+    /** Parse one value nested inside @p depth containers. */
     JsonValue
-    parseValue()
+    parseValue(size_t depth)
     {
         skipWs();
         char c = peek();
         JsonValue v;
+        if ((c == '{' || c == '[') && depth == kJsonMaxDepth)
+            fail("containers nested too deeply");
         if (c == '{') {
             ++pos_;
             v.type_ = JsonValue::Type::Object;
@@ -526,7 +529,8 @@ class JsonParser
                 std::string key = parseString();
                 skipWs();
                 expect(':');
-                v.object_.emplace_back(std::move(key), parseValue());
+                v.object_.emplace_back(std::move(key),
+                                       parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;
@@ -545,7 +549,7 @@ class JsonParser
                 return v;
             }
             for (;;) {
-                v.array_.push_back(parseValue());
+                v.array_.push_back(parseValue(depth + 1));
                 skipWs();
                 if (peek() == ',') {
                     ++pos_;

@@ -24,6 +24,14 @@
 namespace pfits
 {
 
+/**
+ * Deepest container nesting JsonValue::parse accepts. The parser
+ * recurses once per level, and pfitsd parses untrusted frames, so an
+ * unbounded "[[[[..." would overflow the stack; documents this repo
+ * writes nest fewer than ten levels.
+ */
+constexpr size_t kJsonMaxDepth = 256;
+
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscapeString(const std::string &s);
 
@@ -149,7 +157,8 @@ class JsonValue
 
     /**
      * Parse one JSON document (must consume all non-whitespace input).
-     * Throws FatalError with a line/column diagnostic on bad input.
+     * Throws FatalError with a line/column diagnostic on bad input,
+     * including containers nested deeper than kJsonMaxDepth.
      */
     static JsonValue parse(const std::string &text);
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include <poll.h>
@@ -145,6 +147,33 @@ recvFrame(int fd, std::string *payload, int deadline_ms,
 
 // --- key and config serialization ----------------------------------------
 
+namespace
+{
+
+/**
+ * Read @p v into an unsigned integer. JSON numbers are doubles, and
+ * casting a negative, fractional, non-finite or out-of-range double to
+ * an unsigned type is undefined behaviour, so anything but a finite,
+ * non-negative integer that fits in T fails the decode.
+ */
+template <typename T>
+bool
+getUnsigned(const JsonValue &v, T *out)
+{
+    if (!v.isNumber())
+        return false;
+    const double d = v.asNumber();
+    // max()+1 is a power of two, so the double holds it exactly.
+    const double limit =
+        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+    if (!(d >= 0 && d < limit) || d != std::floor(d))
+        return false;
+    *out = static_cast<T>(d);
+    return true;
+}
+
+} // namespace
+
 std::string
 hexString(uint64_t v)
 {
@@ -260,16 +289,13 @@ parseCacheConfigJson(const JsonValue &v, CacheConfig *c)
     if (!v.isObject())
         return false;
     if (!v.get("name").isString() ||
-        !v.get("size_bytes").isNumber() ||
-        !v.get("assoc").isNumber() ||
-        !v.get("line_bytes").isNumber() ||
+        !getUnsigned(v.get("size_bytes"), &c->sizeBytes) ||
+        !getUnsigned(v.get("assoc"), &c->assoc) ||
+        !getUnsigned(v.get("line_bytes"), &c->lineBytes) ||
         !v.get("policy").isString() ||
         !v.get("write_back").isBool() || !v.get("parity").isBool())
         return false;
     c->name = v.get("name").asString();
-    c->sizeBytes = static_cast<uint32_t>(v.get("size_bytes").asNumber());
-    c->assoc = static_cast<uint32_t>(v.get("assoc").asNumber());
-    c->lineBytes = static_cast<uint32_t>(v.get("line_bytes").asNumber());
     c->writeBack = v.get("write_back").asBool();
     c->parity = v.get("parity").asBool();
     return parseReplPolicy(v.get("policy").asString(), &c->policy);
@@ -309,25 +335,18 @@ parseCoreConfigJson(const JsonValue &v, CoreConfig *core)
     if (!v.isObject())
         return false;
     if (!v.get("name").isString() ||
-        !v.get("issue_width").isNumber() ||
-        !v.get("branch_penalty").isNumber() ||
-        !v.get("icache_miss_penalty").isNumber() ||
-        !v.get("dcache_miss_penalty").isNumber() ||
-        !v.get("max_instructions").isNumber() ||
+        !getUnsigned(v.get("issue_width"), &core->issueWidth) ||
+        !getUnsigned(v.get("branch_penalty"), &core->branchPenalty) ||
+        !getUnsigned(v.get("icache_miss_penalty"),
+                     &core->icacheMissPenalty) ||
+        !getUnsigned(v.get("dcache_miss_penalty"),
+                     &core->dcacheMissPenalty) ||
+        !getUnsigned(v.get("max_instructions"),
+                     &core->maxInstructions) ||
         !v.get("clock_hz").isNumber() ||
         !v.get("packed_fetch").isBool())
         return false;
     core->name = v.get("name").asString();
-    core->issueWidth =
-        static_cast<unsigned>(v.get("issue_width").asNumber());
-    core->branchPenalty =
-        static_cast<unsigned>(v.get("branch_penalty").asNumber());
-    core->icacheMissPenalty =
-        static_cast<unsigned>(v.get("icache_miss_penalty").asNumber());
-    core->dcacheMissPenalty =
-        static_cast<unsigned>(v.get("dcache_miss_penalty").asNumber());
-    core->maxInstructions =
-        static_cast<uint64_t>(v.get("max_instructions").asNumber());
     core->clockHz = v.get("clock_hz").asNumber();
     core->packedFetch = v.get("packed_fetch").asBool();
     core->backend = SimBackend::Interp;
@@ -353,13 +372,11 @@ bool
 parseFaultParamsJson(const JsonValue &v, FaultParams *faults)
 {
     if (!v.isObject() || !v.get("seed").isString() ||
-        !v.get("icache_mean_interval").isNumber() ||
-        !v.get("memory_mean_interval").isNumber())
+        !getUnsigned(v.get("icache_mean_interval"),
+                     &faults->icacheMeanInterval) ||
+        !getUnsigned(v.get("memory_mean_interval"),
+                     &faults->memoryMeanInterval))
         return false;
-    faults->icacheMeanInterval =
-        static_cast<uint64_t>(v.get("icache_mean_interval").asNumber());
-    faults->memoryMeanInterval =
-        static_cast<uint64_t>(v.get("memory_mean_interval").asNumber());
     return parseHexU64(v.get("seed").asString(), &faults->seed);
 }
 
@@ -402,18 +419,14 @@ parseCacheStatsJson(const JsonValue &v, CacheStats *s)
                        &s->faultsInjected,
                        &s->parityDetections,
                        &s->corruptDeliveries};
-    for (size_t i = 0; i < 8; ++i) {
-        const JsonValue &f = v.get(kFields[i]);
-        if (!f.isNumber())
+    for (size_t i = 0; i < 8; ++i)
+        if (!getUnsigned(v.get(kFields[i]), dst[i]))
             return false;
-        *dst[i] = static_cast<uint64_t>(f.asNumber());
-    }
     // Optional: stores written before the way-memo counter existed
     // stay loadable (schema string is unchanged).
     const JsonValue &memo = v.get("way_memo_hits");
-    s->wayMemoHits =
-        memo.isNumber() ? static_cast<uint64_t>(memo.asNumber()) : 0;
-    return true;
+    s->wayMemoHits = 0;
+    return memo.isNull() || getUnsigned(memo, &s->wayMemoHits);
 }
 
 bool
@@ -517,38 +530,25 @@ parseSimResultJson(const JsonValue &v, SimResult *result)
     RunResult &r = result->run;
     if (!rv.get("benchmark").isString() ||
         !rv.get("config").isString() ||
-        !rv.get("instructions").isNumber() ||
-        !rv.get("annulled").isNumber() ||
-        !rv.get("cycles").isNumber() ||
+        !getUnsigned(rv.get("instructions"), &r.instructions) ||
+        !getUnsigned(rv.get("annulled"), &r.annulled) ||
+        !getUnsigned(rv.get("cycles"), &r.cycles) ||
         !rv.get("clock_hz").isNumber() ||
-        !rv.get("fetch_toggle_bits").isNumber() ||
-        !rv.get("fetch_bits_total").isNumber() ||
-        !rv.get("icache_refill_words").isNumber() ||
-        !rv.get("dmem_accesses").isNumber() ||
-        !rv.get("taken_branches").isNumber() ||
+        !getUnsigned(rv.get("fetch_toggle_bits"), &r.fetchToggleBits) ||
+        !getUnsigned(rv.get("fetch_bits_total"), &r.fetchBitsTotal) ||
+        !getUnsigned(rv.get("icache_refill_words"),
+                     &r.icacheRefillWords) ||
+        !getUnsigned(rv.get("dmem_accesses"), &r.dmemAccesses) ||
+        !getUnsigned(rv.get("taken_branches"), &r.takenBranches) ||
         !rv.get("outcome").isString() ||
         !rv.get("trap_reason").isString())
         return false;
     r.benchmark = rv.get("benchmark").asString();
     r.config = rv.get("config").asString();
-    r.instructions =
-        static_cast<uint64_t>(rv.get("instructions").asNumber());
-    r.annulled = static_cast<uint64_t>(rv.get("annulled").asNumber());
-    r.cycles = static_cast<uint64_t>(rv.get("cycles").asNumber());
     r.clockHz = rv.get("clock_hz").asNumber();
     if (!parseCacheStatsJson(rv.get("icache"), &r.icache) ||
         !parseCacheStatsJson(rv.get("dcache"), &r.dcache))
         return false;
-    r.fetchToggleBits =
-        static_cast<uint64_t>(rv.get("fetch_toggle_bits").asNumber());
-    r.fetchBitsTotal =
-        static_cast<uint64_t>(rv.get("fetch_bits_total").asNumber());
-    r.icacheRefillWords =
-        static_cast<uint64_t>(rv.get("icache_refill_words").asNumber());
-    r.dmemAccesses =
-        static_cast<uint64_t>(rv.get("dmem_accesses").asNumber());
-    r.takenBranches =
-        static_cast<uint64_t>(rv.get("taken_branches").asNumber());
 
     const JsonValue &io = rv.get("io");
     if (!io.isObject() || !io.get("console").isString() ||
@@ -556,11 +556,9 @@ parseSimResultJson(const JsonValue &v, SimResult *result)
         return false;
     r.io.console = io.get("console").asString();
     r.io.emitted.clear();
-    for (const JsonValue &e : io.get("emitted").asArray()) {
-        if (!e.isNumber())
+    for (const JsonValue &e : io.get("emitted").asArray())
+        if (!getUnsigned(e, &r.io.emitted.emplace_back()))
             return false;
-        r.io.emitted.push_back(static_cast<uint32_t>(e.asNumber()));
-    }
 
     const JsonValue &fs = rv.get("final_state");
     if (!fs.isObject() || !fs.get("regs").isArray() ||
@@ -570,12 +568,9 @@ parseSimResultJson(const JsonValue &v, SimResult *result)
     if (regs.size() != sizeof(r.finalState.regs) /
                            sizeof(r.finalState.regs[0]))
         return false;
-    for (size_t i = 0; i < regs.size(); ++i) {
-        if (!regs[i].isNumber())
+    for (size_t i = 0; i < regs.size(); ++i)
+        if (!getUnsigned(regs[i], &r.finalState.regs[i]))
             return false;
-        r.finalState.regs[i] =
-            static_cast<uint32_t>(regs[i].asNumber());
-    }
     const JsonValue &flags = fs.get("flags");
     if (!flags.get("n").isBool() || !flags.get("z").isBool() ||
         !flags.get("c").isBool() || !flags.get("v").isBool())
@@ -589,8 +584,8 @@ parseSimResultJson(const JsonValue &v, SimResult *result)
         return false;
     r.trapReason = rv.get("trap_reason").asString();
 
-    result->faultRetries =
-        static_cast<unsigned>(v.get("fault_retries").asNumber());
+    if (!getUnsigned(v.get("fault_retries"), &result->faultRetries))
+        return false;
     result->intervals.clear();
     for (const JsonValue &iv : v.get("intervals").asArray()) {
         if (!iv.isObject())
@@ -604,12 +599,9 @@ parseSimResultJson(const JsonValue &v, SimResult *result)
                            &s.cycles,           &s.icacheAccesses,
                            &s.icacheMisses,     &s.toggleBits,
                            &s.fetchBits};
-        for (size_t i = 0; i < 7; ++i) {
-            const JsonValue &f = iv.get(kFields[i]);
-            if (!f.isNumber())
+        for (size_t i = 0; i < 7; ++i)
+            if (!getUnsigned(iv.get(kFields[i]), dst[i]))
                 return false;
-            *dst[i] = static_cast<uint64_t>(f.asNumber());
-        }
         result->intervals.push_back(s);
     }
     result->tracePath = v.get("trace_path").asString();

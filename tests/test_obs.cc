@@ -66,6 +66,21 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_THROW(JsonValue::parse("nope"), FatalError);
 }
 
+TEST(Json, ParserBoundsNestingDepth)
+{
+    auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    // The cap itself parses; one more level is a parse error, not a
+    // deeper recursion.
+    EXPECT_TRUE(JsonValue::parse(nested(kJsonMaxDepth)).isArray());
+    EXPECT_THROW(JsonValue::parse(nested(kJsonMaxDepth + 1)), FatalError);
+    EXPECT_THROW(JsonValue::parse("{\"a\":" + nested(kJsonMaxDepth) + "}"),
+                 FatalError);
+    // ~200 KB of '[' used to recurse until the stack overflowed.
+    EXPECT_THROW(JsonValue::parse(std::string(100'000, '[')), FatalError);
+}
+
 TEST(Json, ParserHandlesEscapesAndUnicode)
 {
     JsonValue doc = JsonValue::parse(

@@ -468,6 +468,48 @@ TEST(SvcStore, ByteBudgetEvictsLeastRecentlyUsed)
     EXPECT_TRUE(store.contains(k3));
 }
 
+/** @p text with its first @p from replaced by @p to (which must exist). */
+std::string
+replaceFirst(std::string text, const std::string &from,
+             const std::string &to)
+{
+    size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+TEST(SvcProto, DecodeRejectsNumbersOutsideTheFieldRange)
+{
+    std::ostringstream core_os;
+    JsonWriter core_w(core_os, 0);
+    writeCoreConfigJson(core_w, CoreConfig{});
+    const std::string core_text = core_os.str();
+    CoreConfig core;
+    ASSERT_TRUE(parseCoreConfigJson(JsonValue::parse(core_text), &core));
+    EXPECT_FALSE(parseCoreConfigJson(
+        JsonValue::parse(replaceFirst(core_text, "\"assoc\":32",
+                                      "\"assoc\":-1")),
+        &core));
+    EXPECT_FALSE(parseCoreConfigJson(
+        JsonValue::parse(replaceFirst(core_text, "\"size_bytes\":16384",
+                                      "\"size_bytes\":1e300")),
+        &core));
+
+    std::ostringstream result_os;
+    JsonWriter result_w(result_os, 0);
+    writeSimResultJson(result_w, sampleResult());
+    const std::string result_text = result_os.str();
+    SimResult result;
+    ASSERT_TRUE(
+        parseSimResultJson(JsonValue::parse(result_text), &result));
+    EXPECT_FALSE(parseSimResultJson(
+        JsonValue::parse(replaceFirst(result_text, "\"reads\":100",
+                                      "\"reads\":100.5")),
+        &result));
+}
+
 // --- server + client end to end ------------------------------------------
 
 /** Spin up an embedded server in a fresh dir. */
@@ -956,6 +998,31 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
         EXPECT_TRUE(resp.get("error").isString()) << bad;
     }
     // The server is still healthy afterwards.
+    SvcClientConfig ccfg;
+    ccfg.socketPath = ts.config.socketPath;
+    SvcClient client(ccfg);
+    EXPECT_TRUE(client.ping());
+}
+
+TEST(SvcService, DeeplyNestedFrameIsRejectedAndServerStaysUp)
+{
+    TestServer ts;
+    // ~200 KB, far under kMaxFrameBytes: small enough to be accepted
+    // as a frame, deep enough to overflow an unbounded recursive parse.
+    int fd = connectTo(ts.config.socketPath);
+    std::string response, err;
+    ASSERT_TRUE(
+        sendFrame(fd, std::string(100'000, '['), 10'000, &err))
+        << err;
+    // Either a structured error or a dropped connection is fine; a
+    // crash takes the whole test binary down.
+    if (recvFrame(fd, &response, 10'000, &err)) {
+        JsonValue resp = JsonValue::parse(response);
+        ASSERT_TRUE(resp.isObject());
+        EXPECT_FALSE(resp.get("ok").asBool());
+    }
+    ::close(fd);
+
     SvcClientConfig ccfg;
     ccfg.socketPath = ts.config.socketPath;
     SvcClient client(ccfg);
