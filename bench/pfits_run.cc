@@ -418,9 +418,7 @@ class ExperimentScope
         if (client_)
             client_->recordServerStats();
         detach();
-        for (const SimCacheKey &k : SimCache::instance().keys())
-            manifest.sims.push_back(
-                {k.program, k.config, k.faults, k.observers});
+        manifest.sims = SimCache::instance().keys();
         manifest.metrics = &registry_;
         manifest.wallMs =
             static_cast<double>(monotonicNs() - startNs_) / 1e6;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -29,6 +30,13 @@ enum class ReplPolicy : uint8_t { LRU, FIFO, RANDOM, ROUND_ROBIN };
 
 /** @return the textual name of a replacement policy. */
 const char *replPolicyName(ReplPolicy policy);
+
+template <>
+struct FieldEnum<ReplPolicy>
+{
+    static constexpr unsigned kCount = 4;
+    static const char *name(ReplPolicy p) { return replPolicyName(p); }
+};
 
 /** Static configuration of one cache. */
 struct CacheConfig
@@ -68,6 +76,23 @@ struct CacheConfig
 
     /** fatal() unless validateError() returns "". */
     void validate() const;
+
+    /**
+     * The field list (common/fields.hh). The adjacent bools write_back
+     * and parity hash as one word, write_back | parity << 1.
+     */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("name", &CacheConfig::name, kKey);
+        v("size_bytes", &CacheConfig::sizeBytes, kKey);
+        v("assoc", &CacheConfig::assoc, kKey);
+        v("line_bytes", &CacheConfig::lineBytes, kKey);
+        v("policy", &CacheConfig::policy, kKey);
+        v("write_back", &CacheConfig::writeBack, kKey);
+        v("parity", &CacheConfig::parity, kKey);
+    }
 };
 
 /** Outcome of one cache access, consumed by timing and power models. */
@@ -122,6 +147,22 @@ struct CacheStats
      * the hint, so the next same-line fetch does.
      */
     uint64_t wayMemoHits = 0;
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("reads", &CacheStats::reads);
+        v("writes", &CacheStats::writes);
+        v("read_misses", &CacheStats::readMisses);
+        v("write_misses", &CacheStats::writeMisses);
+        v("writebacks", &CacheStats::writebacks);
+        v("faults_injected", &CacheStats::faultsInjected);
+        v("parity_detections", &CacheStats::parityDetections);
+        v("corrupt_deliveries", &CacheStats::corruptDeliveries);
+        v("way_memo_hits", &CacheStats::wayMemoHits, kLate);
+    }
 
     uint64_t accesses() const { return reads + writes; }
     uint64_t misses() const { return readMisses + writeMisses; }

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -62,6 +63,19 @@ struct FaultParams
     enabled() const
     {
         return icacheMeanInterval != 0 || memoryMeanInterval != 0;
+    }
+
+    /**
+     * The field list (common/fields.hh). A disabled plan hashes to 0
+     * and an armed one appends the retry bound (hashFaultParams).
+     */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("seed", &FaultParams::seed, kKey | kHex);
+        v("icache_mean_interval", &FaultParams::icacheMeanInterval, kKey);
+        v("memory_mean_interval", &FaultParams::memoryMeanInterval, kKey);
     }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -45,7 +46,97 @@ struct Hasher
         u64(s.size());
         bytes(reinterpret_cast<const uint8_t *>(s.data()), s.size());
     }
+
+    /** Queue one bool; adjacent bools share a word, first in bit 0. */
+    void
+    bit(bool b)
+    {
+        bits |= static_cast<uint64_t>(b) << nbits++;
+    }
+
+    void
+    flushBits()
+    {
+        if (nbits != 0)
+            u64(bits);
+        bits = 0;
+        nbits = 0;
+    }
+
+    uint64_t bits = 0;
+    unsigned nbits = 0;
 };
+
+template <class M>
+void hashValue(Hasher &h, const M &value);
+
+/**
+ * The memo-key consumer of the field lists (common/fields.hh): hashes
+ * every kKey row in list order. Adjacent bool rows share one word (bit
+ * i is the i-th bool), a double hashes as whole thousandths, a string
+ * as its length and bytes, an enum as its value, a nested listed
+ * struct inline, and a late row only when non-zero, as 1 + value.
+ * These rules reproduce the hand-written hashes the lists replaced, so
+ * every existing key keeps its value.
+ */
+template <class T>
+struct KeyRow
+{
+    Hasher &h;
+    const T &obj;
+
+    template <class M>
+    void
+    operator()(const char *, M T::*member, unsigned flags = 0)
+    {
+        if (!(flags & kKey))
+            return;
+        const M &value = obj.*member;
+        if constexpr (std::is_same_v<M, bool>) {
+            if (!(flags & kLate)) {
+                h.bit(value);
+                return;
+            }
+        }
+        h.flushBits();
+        if constexpr (std::is_scalar_v<M>) {
+            if (flags & kLate) {
+                if (!lateRowIsZero(value))
+                    h.u64(static_cast<uint64_t>(value) + 1);
+                return;
+            }
+        }
+        hashValue(h, value);
+    }
+};
+
+template <class M>
+void
+hashValue(Hasher &h, const M &value)
+{
+    if constexpr (HasFields<M>) {
+        KeyRow<M> row{h, value};
+        M::fields(row);
+        h.flushBits();
+    } else if constexpr (std::is_same_v<M, std::string>) {
+        h.str(value);
+    } else if constexpr (std::is_floating_point_v<M>) {
+        h.u64(static_cast<uint64_t>(value * 1e3));
+    } else {
+        static_assert(std::is_integral_v<M> || std::is_enum_v<M>,
+                      "no key encoding for M");
+        h.u64(static_cast<uint64_t>(value));
+    }
+}
+
+template <class T>
+uint64_t
+hashFields(const T &obj)
+{
+    Hasher h;
+    hashValue(h, obj);
+    return h.h;
+}
 
 void
 hashUop(Hasher &h, const MicroOp &uop)
@@ -70,17 +161,6 @@ hashUop(Hasher &h, const MicroOp &uop)
     h.u64(static_cast<uint64_t>(static_cast<uint32_t>(uop.memDisp)));
     h.u64(static_cast<uint64_t>(
         static_cast<uint32_t>(uop.branchOffset)));
-}
-
-void
-hashCache(Hasher &h, const CacheConfig &cfg)
-{
-    h.str(cfg.name);
-    h.u64(cfg.sizeBytes);
-    h.u64(cfg.assoc);
-    h.u64(cfg.lineBytes);
-    h.u64(static_cast<uint64_t>(cfg.policy));
-    h.u64((cfg.writeBack ? 1u : 0u) | (cfg.parity ? 2u : 0u));
 }
 
 } // namespace
@@ -116,43 +196,16 @@ hashFrontEnd(const FrontEnd &fe)
 uint64_t
 hashCoreConfig(const CoreConfig &core)
 {
-    Hasher h;
-    h.str(core.name);
-    h.u64(core.issueWidth);
-    h.u64(core.branchPenalty);
-    h.u64(core.icacheMissPenalty);
-    h.u64(core.dcacheMissPenalty);
-    hashCache(h, core.icache);
-    hashCache(h, core.dcache);
-    h.u64(core.maxInstructions);
-    h.u64(static_cast<uint64_t>(core.clockHz * 1e3));
-    h.u64(core.packedFetch ? 1 : 0);
-    // Hashed only when non-default: the backends are result-equivalent,
-    // but cached artifacts must say which loop actually produced them —
-    // and every pre-existing interp memo key must keep its value.
-    if (core.backend != SimBackend::Interp)
-        h.u64(static_cast<uint64_t>(core.backend) + 1);
-    return h.h;
+    return hashFields(core);
 }
 
 uint64_t
 hashChipConfig(const ChipConfig &chip)
 {
     // The default chip (one tile, no shared L2) is a Machine, so it
-    // hashes to 0 and the fold below leaves the core hash untouched —
+    // hashes to 0 and hashConfigKey leaves the core hash untouched —
     // every pre-chip memo key keeps its exact value.
-    if (chip.isDefault())
-        return 0;
-    Hasher h;
-    h.u64(chip.tiles);
-    h.u64(chip.quantum);
-    h.u64(chip.sharedL2 ? 1 : 0);
-    hashCache(h, chip.l2);
-    h.u64(chip.l2HitPenalty);
-    h.u64(chip.l2MissPenalty);
-    h.u64(chip.upgradePenalty);
-    h.u64(chip.tileShift);
-    return h.h;
+    return chip.isDefault() ? 0 : hashFields(chip);
 }
 
 uint64_t
@@ -174,9 +227,7 @@ hashFaultParams(const FaultParams &faults, unsigned max_retries)
     if (!faults.enabled())
         return 0;
     Hasher h;
-    h.u64(faults.seed);
-    h.u64(faults.icacheMeanInterval);
-    h.u64(faults.memoryMeanInterval);
+    hashValue(h, faults);
     h.u64(max_retries);
     return h.h;
 }
@@ -194,17 +245,6 @@ hashObserverSpec(const ObserverSpec &spec)
     if (spec.traceArmed())
         h.str(spec.traceDir);
     return h.h;
-}
-
-size_t
-SimCache::KeyHash::operator()(const SimCacheKey &k) const
-{
-    Hasher h;
-    h.u64(k.program);
-    h.u64(k.config);
-    h.u64(k.faults);
-    h.u64(k.observers);
-    return static_cast<size_t>(h.h);
 }
 
 SimCache::SimCache()
@@ -245,26 +285,17 @@ SimCache::entries() const
     return map_.size();
 }
 
-std::vector<SimCacheKey>
+std::vector<SimKey>
 SimCache::keys() const
 {
-    std::vector<SimCacheKey> out;
+    std::vector<SimKey> out;
     {
         std::lock_guard<std::mutex> lock(mu_);
         out.reserve(map_.size());
         for (const auto &[key, entry] : map_)
             out.push_back(key);
     }
-    std::sort(out.begin(), out.end(),
-              [](const SimCacheKey &a, const SimCacheKey &b) {
-                  if (a.program != b.program)
-                      return a.program < b.program;
-                  if (a.config != b.config)
-                      return a.config < b.config;
-                  if (a.faults != b.faults)
-                      return a.faults < b.faults;
-                  return a.observers < b.observers;
-              });
+    std::sort(out.begin(), out.end());
     return out;
 }
 
@@ -307,7 +338,7 @@ SimCache::enforceBudgetLocked()
 }
 
 std::shared_ptr<SimCache::Slot>
-SimCache::acquireSlot(const SimCacheKey &key)
+SimCache::acquireSlot(const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
@@ -324,7 +355,7 @@ SimCache::acquireSlot(const SimCacheKey &key)
 }
 
 std::optional<SimResult>
-SimCache::tryGet(const SimCacheKey &key)
+SimCache::tryGet(const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
@@ -336,7 +367,7 @@ SimCache::tryGet(const SimCacheKey &key)
 }
 
 bool
-SimCache::seed(const SimCacheKey &key, SimResult result)
+SimCache::seed(const SimKey &key, SimResult result)
 {
     std::shared_ptr<Slot> slot = acquireSlot(key);
     bool inserted = false;
@@ -530,7 +561,7 @@ SimCache::simulate(const FrontEnd &fe, const CoreConfig &core,
                    const FaultParams &faults, unsigned max_retries,
                    const ObserverSpec &spec, const ChipConfig &chip)
 {
-    SimCacheKey key{hashFrontEnd(fe), hashConfigKey(core, chip),
+    SimKey key{hashFrontEnd(fe), hashConfigKey(core, chip),
                     hashFaultParams(faults, max_retries),
                     hashObserverSpec(spec)};
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/fault.hh"
+#include "obs/manifest.hh"
 #include "sim/chip.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
@@ -99,21 +100,19 @@ struct SimResult
 
     //! Chip-run extras; run is tile 0's result in that case.
     ChipRunStats chip;
-};
 
-/** One memo entry's content hashes, for run-manifest provenance. */
-struct SimCacheKey
-{
-    uint64_t program;   //!< hashFrontEnd of the simulated program
-    uint64_t config;    //!< hashCoreConfig of the core it ran on
-    uint64_t faults;    //!< hashFaultParams (0 = no faults)
-    uint64_t observers; //!< hashObserverSpec (0 = no instruments)
-
-    bool
-    operator==(const SimCacheKey &o) const
+    /**
+     * The field list (common/fields.hh): the store entry's "result".
+     * chip has no row, because pfitsd serves single-core runs only.
+     */
+    template <class V>
+    static void
+    fields(V &v)
     {
-        return program == o.program && config == o.config &&
-               faults == o.faults && observers == o.observers;
+        v("run", &SimResult::run);
+        v("fault_retries", &SimResult::faultRetries);
+        v("intervals", &SimResult::intervals);
+        v("trace_path", &SimResult::tracePath);
     }
 };
 
@@ -153,7 +152,7 @@ class SimCache
      * count as a hit or a miss — this is the probe the daemon client
      * uses to decide whether a socket round trip is needed at all.
      */
-    std::optional<SimResult> tryGet(const SimCacheKey &key);
+    std::optional<SimResult> tryGet(const SimKey &key);
 
     /**
      * Insert a result computed elsewhere (a pfitsd store hit) under
@@ -162,7 +161,7 @@ class SimCache
      * simulated here. A no-op when the key is already resident or
      * being computed. @return true when the entry was inserted.
      */
-    bool seed(const SimCacheKey &key, SimResult result);
+    bool seed(const SimKey &key, SimResult result);
 
     /**
      * Bound the cache to @p max_entries completed entries (0 — the
@@ -184,17 +183,12 @@ class SimCache
      * manifest's "sims" provenance section. Benches that drive
      * Machine::run directly (bypassing the cache) do not appear.
      */
-    std::vector<SimCacheKey> keys() const;
+    std::vector<SimKey> keys() const;
 
     /** Drop all entries and zero the hit/miss counters. */
     void clear();
 
   private:
-    struct KeyHash
-    {
-        size_t operator()(const SimCacheKey &k) const;
-    };
-
     struct Slot
     {
         std::once_flag once;
@@ -205,7 +199,7 @@ class SimCache
     struct Entry
     {
         std::shared_ptr<Slot> slot;
-        std::list<SimCacheKey>::iterator lruPos;
+        std::list<SimKey>::iterator lruPos;
     };
 
     SimCache();
@@ -218,14 +212,14 @@ class SimCache
                             const ChipConfig &chip);
 
     /** Find-or-create the slot for @p key and touch its recency. */
-    std::shared_ptr<Slot> acquireSlot(const SimCacheKey &key);
+    std::shared_ptr<Slot> acquireSlot(const SimKey &key);
 
     /** Drop LRU completed entries until within budget. Caller holds mu_. */
     void enforceBudgetLocked();
 
     mutable std::mutex mu_;
-    std::unordered_map<SimCacheKey, Entry, KeyHash> map_;
-    std::list<SimCacheKey> lru_; //!< front = most recently used
+    std::unordered_map<SimKey, Entry, SimKeyHash> map_;
+    std::list<SimKey> lru_; //!< front = most recently used
     std::atomic<size_t> maxEntries_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};

@@ -59,7 +59,7 @@ struct SimRequest
     bool isFits = false; //!< bench's FITS translation vs its ARM form
 
     /** The content-addressed identity of this request. */
-    SimCacheKey
+    SimKey
     key() const
     {
         return {hashFrontEnd(*fe), hashConfigKey(*core, chip),

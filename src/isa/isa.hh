@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
+
 namespace pfits
 {
 
@@ -276,6 +278,17 @@ struct Flags
     bool z = false;
     bool c = false;
     bool v = false;
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &visit)
+    {
+        visit("n", &Flags::n);
+        visit("z", &Flags::z);
+        visit("c", &Flags::c);
+        visit("v", &Flags::v);
+    }
 };
 
 namespace detail

@@ -52,6 +52,39 @@ jsonFormatDouble(double value)
     return buf;
 }
 
+std::string
+hexString(uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+bool
+parseHexU64(const std::string &s, uint64_t *out)
+{
+    if (s.size() < 3 || s.size() > 18 || s[0] != '0' ||
+        (s[1] != 'x' && s[1] != 'X'))
+        return false;
+    uint64_t v = 0;
+    for (size_t i = 2; i < s.size(); ++i) {
+        char c = s[i];
+        unsigned digit;
+        if (c >= '0' && c <= '9')
+            digit = c - '0';
+        else if (c >= 'a' && c <= 'f')
+            digit = c - 'a' + 10;
+        else if (c >= 'A' && c <= 'F')
+            digit = c - 'A' + 10;
+        else
+            return false;
+        v = (v << 4) | digit;
+    }
+    *out = v;
+    return true;
+}
+
 // --- JsonWriter ----------------------------------------------------------
 
 void
@@ -214,10 +247,7 @@ JsonWriter::nullValue()
 void
 JsonWriter::hexValue(uint64_t v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%016llx",
-                  static_cast<unsigned long long>(v));
-    value(std::string(buf));
+    value(hexString(v));
 }
 
 // --- JsonValue accessors -------------------------------------------------

@@ -14,7 +14,9 @@
 #ifndef POWERFITS_OBS_JSON_HH
 #define POWERFITS_OBS_JSON_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -175,6 +177,36 @@ class JsonValue
     std::vector<JsonValue> array_;
     std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/** "0x<16 hex digits>" for a 64-bit hash (JSON numbers stop being
+ *  exact at 2^53). */
+std::string hexString(uint64_t v);
+
+/** Parse a "0x<hex>" string. @return false on malformed input. */
+bool parseHexU64(const std::string &s, uint64_t *out);
+
+/**
+ * Read @p v into an integer type T. JSON numbers are doubles, and
+ * casting a negative, fractional, non-finite or out-of-range double to
+ * an integer type is undefined behaviour, so anything but a finite,
+ * non-negative integer that fits in T fails the read. Every integer
+ * that crosses a trust boundary is read through this.
+ */
+template <typename T>
+bool
+getUnsigned(const JsonValue &v, T *out)
+{
+    if (!v.isNumber())
+        return false;
+    const double d = v.asNumber();
+    // max()+1 is a power of two, so the double holds it exactly.
+    const double limit =
+        static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+    if (!(d >= 0 && d < limit) || d != std::floor(d))
+        return false;
+    *out = static_cast<T>(d);
+    return true;
+}
 
 } // namespace pfits
 

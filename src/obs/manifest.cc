@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ctime>
 
-#include "obs/json.hh"
+#include "obs/json_fields.hh"
 #include "obs/metrics.hh"
 
 // Build provenance is injected at configure time (src/obs/CMakeLists).
@@ -57,6 +57,19 @@ processCpuMs()
     return static_cast<double>(std::clock()) * 1000.0 / CLOCKS_PER_SEC;
 }
 
+size_t
+SimKeyHash::operator()(const SimKey &k) const
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t v : {k.program, k.config, k.faults, k.observers}) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return static_cast<size_t>(h);
+}
+
 namespace
 {
 
@@ -88,16 +101,7 @@ void
 RunManifest::write(std::ostream &os) const
 {
     std::vector<SimKey> sorted = sims;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const SimKey &a, const SimKey &b) {
-                  if (a.program != b.program)
-                      return a.program < b.program;
-                  if (a.config != b.config)
-                      return a.config < b.config;
-                  if (a.faults != b.faults)
-                      return a.faults < b.faults;
-                  return a.observers < b.observers;
-              });
+    std::sort(sorted.begin(), sorted.end());
 
     JsonWriter w(os);
     w.beginObject();
@@ -142,18 +146,8 @@ RunManifest::write(std::ostream &os) const
 
     w.key("sims");
     w.beginArray();
-    for (const SimKey &k : sorted) {
-        w.beginObject();
-        w.key("program");
-        w.hexValue(k.program);
-        w.key("config");
-        w.hexValue(k.config);
-        w.key("faults");
-        w.hexValue(k.faults);
-        w.key("observers");
-        w.hexValue(k.observers);
-        w.endObject();
-    }
+    for (const SimKey &k : sorted)
+        writeJsonFields(w, k);
     w.endArray();
 
     w.key("tables");

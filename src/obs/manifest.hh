@@ -15,11 +15,14 @@
 #ifndef POWERFITS_OBS_MANIFEST_HH
 #define POWERFITS_OBS_MANIFEST_HH
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/table.hh"
 
 namespace pfits
@@ -43,13 +46,39 @@ const char *buildType();
 /** Sanitizer flavour: "none", "asan+ubsan" or "ubsan". */
 const char *buildSanitizers();
 
-/** The SimCache memo key of one simulation the run performed. */
+/**
+ * The memo key of one simulation: the content hashes the SimCache, the
+ * pfitsd store and a manifest's "sims" section all index results by
+ * (exp/simcache.hh computes them).
+ */
 struct SimKey
 {
-    uint64_t program = 0;   //!< content hash of the instruction stream
-    uint64_t config = 0;    //!< hash of the timing-relevant CoreConfig
-    uint64_t faults = 0;    //!< fault-schedule hash (0 = no faults)
-    uint64_t observers = 0; //!< instrumentation hash (0 = none)
+    uint64_t program = 0;   //!< hashFrontEnd of the simulated program
+    uint64_t config = 0;    //!< hashConfigKey of its core (and chip)
+    uint64_t faults = 0;    //!< hashFaultParams (0 = no faults)
+    uint64_t observers = 0; //!< hashObserverSpec (0 = no instruments)
+
+    bool operator==(const SimKey &) const = default;
+
+    /** Lexicographic in row order: the manifest's "sims" order. */
+    auto operator<=>(const SimKey &) const = default;
+
+    /** The field list (common/fields.hh): the key's JSON form. */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("program", &SimKey::program, kHex);
+        v("config", &SimKey::config, kHex);
+        v("faults", &SimKey::faults, kHex);
+        v("observers", &SimKey::observers, kHex);
+    }
+};
+
+/** FNV-1a over a SimKey's four hashes, for unordered containers. */
+struct SimKeyHash
+{
+    size_t operator()(const SimKey &k) const;
 };
 
 /**

@@ -91,6 +91,25 @@ struct ChipConfig
 
     /** fatal() unless validateError() returns "". */
     void validate() const;
+
+    /**
+     * The field list (common/fields.hh). The default chip hashes to 0
+     * (hashChipConfig), so every single-core key stays the bare core
+     * hash; chips are single-process only and have no wire form.
+     */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("tiles", &ChipConfig::tiles, kKey);
+        v("quantum", &ChipConfig::quantum, kKey);
+        v("shared_l2", &ChipConfig::sharedL2, kKey);
+        v("l2", &ChipConfig::l2, kKey);
+        v("l2_hit_penalty", &ChipConfig::l2HitPenalty, kKey);
+        v("l2_miss_penalty", &ChipConfig::l2MissPenalty, kKey);
+        v("upgrade_penalty", &ChipConfig::upgradePenalty, kKey);
+        v("tile_shift", &ChipConfig::tileShift, kKey);
+    }
 };
 
 /** Everything a chip run produces. */

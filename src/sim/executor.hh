@@ -27,6 +27,16 @@ struct CpuState
     uint32_t regs[NUM_REGS] = {};
     Flags flags;
     bool halted = false;
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("regs", &CpuState::regs);
+        v("flags", &CpuState::flags);
+        v("halted", &CpuState::halted);
+    }
 };
 
 /** Index <-> byte-address mapping for one instruction stream. */
@@ -93,6 +103,15 @@ struct IoSinks
 {
     std::string console;
     std::vector<uint32_t> emitted;
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("console", &IoSinks::console);
+        v("emitted", &IoSinks::emitted);
+    }
 };
 
 /**

@@ -34,6 +34,7 @@
 
 #include "cache/cache.hh"
 #include "common/fault.hh"
+#include "common/fields.hh"
 #include "sim/executor.hh"
 #include "sim/frontend.hh"
 #include "sim/memory.hh"
@@ -59,6 +60,13 @@ enum class RunOutcome : uint8_t
 /** @return "completed"/"trapped"/"watchdog-expired"/"fault-detected". */
 const char *runOutcomeName(RunOutcome outcome);
 
+template <>
+struct FieldEnum<RunOutcome>
+{
+    static constexpr unsigned kCount = 4;
+    static const char *name(RunOutcome o) { return runOutcomeName(o); }
+};
+
 /**
  * Which execution loop a Machine runs.
  *
@@ -80,6 +88,13 @@ enum class SimBackend : uint8_t
 
 /** @return "interp" or "fast". */
 const char *simBackendName(SimBackend backend);
+
+template <>
+struct FieldEnum<SimBackend>
+{
+    static constexpr unsigned kCount = 2;
+    static const char *name(SimBackend b) { return simBackendName(b); }
+};
 
 /**
  * Parse "interp"/"fast" into @p backend.
@@ -126,6 +141,28 @@ struct CoreConfig
      * only when non-default so existing interp keys stay stable.
      */
     SimBackend backend = SimBackend::Interp;
+
+    /**
+     * The field list (common/fields.hh). clock_hz hashes as whole
+     * millihertz; backend is a late row, so interp keys and requests
+     * carry no trace of it.
+     */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("name", &CoreConfig::name, kKey);
+        v("issue_width", &CoreConfig::issueWidth, kKey);
+        v("branch_penalty", &CoreConfig::branchPenalty, kKey);
+        v("icache_miss_penalty", &CoreConfig::icacheMissPenalty, kKey);
+        v("dcache_miss_penalty", &CoreConfig::dcacheMissPenalty, kKey);
+        v("icache", &CoreConfig::icache, kKey);
+        v("dcache", &CoreConfig::dcache, kKey);
+        v("max_instructions", &CoreConfig::maxInstructions, kKey);
+        v("clock_hz", &CoreConfig::clockHz, kKey);
+        v("packed_fetch", &CoreConfig::packedFetch, kKey);
+        v("backend", &CoreConfig::backend, kKey | kLate);
+    }
 };
 
 /** Everything a run produces, for the metrics and power layers. */
@@ -152,6 +189,30 @@ struct RunResult
     CpuState finalState;
     RunOutcome outcome = RunOutcome::Trapped;
     std::string trapReason;    //!< diagnostic for non-Completed outcomes
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("benchmark", &RunResult::benchmark);
+        v("config", &RunResult::config);
+        v("instructions", &RunResult::instructions);
+        v("annulled", &RunResult::annulled);
+        v("cycles", &RunResult::cycles);
+        v("clock_hz", &RunResult::clockHz);
+        v("icache", &RunResult::icache);
+        v("dcache", &RunResult::dcache);
+        v("fetch_toggle_bits", &RunResult::fetchToggleBits);
+        v("fetch_bits_total", &RunResult::fetchBitsTotal);
+        v("icache_refill_words", &RunResult::icacheRefillWords);
+        v("dmem_accesses", &RunResult::dmemAccesses);
+        v("taken_branches", &RunResult::takenBranches);
+        v("io", &RunResult::io);
+        v("final_state", &RunResult::finalState);
+        v("outcome", &RunResult::outcome);
+        v("trap_reason", &RunResult::trapReason);
+    }
 
     double
     ipc() const

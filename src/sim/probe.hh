@@ -329,6 +329,20 @@ struct IntervalSample
     uint64_t toggleBits = 0;
     uint64_t fetchBits = 0;
 
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("first_instruction", &IntervalSample::firstInstruction);
+        v("instructions", &IntervalSample::instructions);
+        v("cycles", &IntervalSample::cycles);
+        v("icache_accesses", &IntervalSample::icacheAccesses);
+        v("icache_misses", &IntervalSample::icacheMisses);
+        v("toggle_bits", &IntervalSample::toggleBits);
+        v("fetch_bits", &IntervalSample::fetchBits);
+    }
+
     double
     ipc() const
     {

@@ -264,20 +264,17 @@ SvcClient::recordServerStats()
         if (!v.isObject() || !v.get("store").isObject())
             return;
         const JsonValue &store = v.get("store");
-        if (store.get("evictions").isNumber())
-            setGauge("svc.store.evictions",
-                     static_cast<int64_t>(
-                         store.get("evictions").asNumber()));
-        if (store.get("quarantined").isNumber())
-            setGauge("svc.store.quarantined",
-                     static_cast<int64_t>(
-                         store.get("quarantined").asNumber()));
+        int64_t value = 0;
+        if (getUnsigned(store.get("evictions"), &value))
+            setGauge("svc.store.evictions", value);
+        if (getUnsigned(store.get("quarantined"), &value))
+            setGauge("svc.store.quarantined", value);
     } catch (const FatalError &) {
     }
 }
 
 void
-SvcClient::tryPut(const SimCacheKey &key, const SimResult &result)
+SvcClient::tryPut(const SimKey &key, const SimResult &result)
 {
     std::ostringstream os;
     JsonWriter w(os, 0);
@@ -317,7 +314,7 @@ SvcClient::simulate(const SimRequest &request)
         !request.chip.isDefault())
         return localSimService().simulate(request);
 
-    SimCacheKey key = request.key();
+    SimKey key = request.key();
     if (auto cached = SimCache::instance().tryGet(key))
         return *cached;
 
@@ -342,7 +339,7 @@ SvcClient::simulate(const SimRequest &request)
         // store, so ask for the entry and a lease to fill it.
         w.field("op", "get");
         w.key("key");
-        writeKeyJson(w, key);
+        writeJsonFields(w, key);
         w.field("wait", true);
         w.field("lease", true);
     } else {
@@ -361,7 +358,7 @@ SvcClient::simulate(const SimRequest &request)
                 request.spec.intervalInstructions);
         w.endObject();
         w.key("key");
-        writeKeyJson(w, key);
+        writeJsonFields(w, key);
     }
     w.field("deadline_ms",
             static_cast<int64_t>(config_.requestTimeoutMs));
@@ -407,7 +404,7 @@ SvcClient::simulate(const SimRequest &request)
                                    ? v.get("status").asString()
                                    : "";
     if (status == "hit" && v.get("entry").isString()) {
-        SimCacheKey got;
+        SimKey got;
         SimResult result;
         std::string err;
         if (!decodeResultEntry(v.get("entry").asString(), &got,

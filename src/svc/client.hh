@@ -103,7 +103,7 @@ class SvcClient final : public SimService
                  int budget_ms, std::string *err);
 
     /** Best-effort publish of a locally computed result. */
-    void tryPut(const SimCacheKey &key, const SimResult &result);
+    void tryPut(const SimKey &key, const SimResult &result);
 
     /** Compute locally, count a fallback, and best-effort put. */
     SimResult fallback(const SimRequest &request, bool try_put);

@@ -26,7 +26,7 @@
 
 #include "common/fault.hh"
 #include "exp/simcache.hh"
-#include "obs/json.hh"
+#include "obs/json_fields.hh"
 #include "sim/machine.hh"
 #include "sim/probe.hh"
 
@@ -60,36 +60,27 @@ bool sendFrame(int fd, const std::string &payload, int deadline_ms,
 bool recvFrame(int fd, std::string *payload, int deadline_ms,
                std::string *err);
 
-// --- key and config serialization ----------------------------------------
-
-/** "0x<hex>" for a 64-bit hash (JSON numbers stop being exact at 2^53). */
-std::string hexString(uint64_t v);
-
-/** Parse a "0x<hex>" string. @return false on malformed input. */
-bool parseHexU64(const std::string &s, uint64_t *out);
-
-/** Emit @p key as {"program":"0x..","config":..,"faults":..,"observers":..}. */
-void writeKeyJson(JsonWriter &w, const SimCacheKey &key);
-
-/** Parse writeKeyJson output. @return false when fields are missing. */
-bool parseKeyJson(const JsonValue &v, SimCacheKey *key);
+// --- keys, configs and results ------------------------------------------
+//
+// Keys, core configs, fault plans and results travel as their field
+// lists (obs/json_fields.hh): writeJsonFields/readJsonFields.
 
 /** The store-relative filename an entry for @p key lives under. */
-std::string keyFileName(const SimCacheKey &key);
+std::string keyFileName(const SimKey &key);
 
-void writeCoreConfigJson(JsonWriter &w, const CoreConfig &core);
-bool parseCoreConfigJson(const JsonValue &v, CoreConfig *core);
+/** A "sim" request's "core" part. */
+inline void
+writeCoreConfigJson(JsonWriter &w, const CoreConfig &core)
+{
+    writeJsonFields(w, core);
+}
 
-void writeFaultParamsJson(JsonWriter &w, const FaultParams &faults);
-bool parseFaultParamsJson(const JsonValue &v, FaultParams *faults);
-
-// --- result serialization ------------------------------------------------
-
-/** Emit @p result (run counters, retries, intervals, trace path). */
-void writeSimResultJson(JsonWriter &w, const SimResult &result);
-
-/** Parse writeSimResultJson output. @return false on shape errors. */
-bool parseSimResultJson(const JsonValue &v, SimResult *result);
+/** A "sim" request's "faults" part. */
+inline void
+writeFaultParamsJson(JsonWriter &w, const FaultParams &faults)
+{
+    writeJsonFields(w, faults);
+}
 
 // --- store entries -------------------------------------------------------
 
@@ -98,7 +89,7 @@ bool parseSimResultJson(const JsonValue &v, SimResult *result);
  * {"schema","key","result"} followed by "\nchecksum 0x<fnv64>\n" over
  * that line. This text is the canonical persisted and wire form.
  */
-std::string encodeResultEntry(const SimCacheKey &key,
+std::string encodeResultEntry(const SimKey &key,
                               const SimResult &result);
 
 /**
@@ -106,14 +97,14 @@ std::string encodeResultEntry(const SimCacheKey &key,
  * JSON shape. @return false with a diagnostic in @p err on any defect;
  * on success fills @p key and @p result.
  */
-bool decodeResultEntry(const std::string &text, SimCacheKey *key,
+bool decodeResultEntry(const std::string &text, SimKey *key,
                        SimResult *result, std::string *err);
 
 /**
  * Verify the checksum trailer and extract the embedded key without
  * parsing the result body — the store's cheap integrity scan.
  */
-bool verifyResultEntry(const std::string &text, SimCacheKey *key,
+bool verifyResultEntry(const std::string &text, SimKey *key,
                        std::string *err);
 
 } // namespace pfits

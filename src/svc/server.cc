@@ -96,19 +96,6 @@ unsupportedResponse(const std::string &reason)
 
 } // namespace
 
-bool
-SvcServer::KeyLess::operator()(const SimCacheKey &a,
-                               const SimCacheKey &b) const
-{
-    if (a.program != b.program)
-        return a.program < b.program;
-    if (a.config != b.config)
-        return a.config < b.config;
-    if (a.faults != b.faults)
-        return a.faults < b.faults;
-    return a.observers < b.observers;
-}
-
 SvcServer::SvcServer(SvcServerConfig config)
     : config_(std::move(config))
 {
@@ -372,15 +359,14 @@ SvcServer::handleRequest(const std::string &payload)
     return errorResponse("unknown op: " + op);
 }
 
-int
-SvcServer::resolveDeadlineMs(const JsonValue &req) const
+bool
+SvcServer::resolveDeadlineMs(const JsonValue &req, int *deadline_ms) const
 {
-    if (req.get("deadline_ms").isNumber()) {
-        int d = static_cast<int>(req.get("deadline_ms").asNumber());
-        if (d > 0)
-            return d;
-    }
-    return config_.defaultDeadlineMs;
+    int d = 0;
+    if (req.has("deadline_ms") && !getUnsigned(req.get("deadline_ms"), &d))
+        return false;
+    *deadline_ms = d > 0 ? d : config_.defaultDeadlineMs;
+    return true;
 }
 
 SvcServer::Inflight::State
@@ -400,7 +386,7 @@ SvcServer::waitInflight(std::shared_ptr<Inflight> infl,
 }
 
 void
-SvcServer::resolveInflight(const SimCacheKey &key,
+SvcServer::resolveInflight(const SimKey &key,
                            Inflight::State state,
                            const std::string &error)
 {
@@ -419,12 +405,15 @@ SvcServer::resolveInflight(const SimCacheKey &key,
 std::string
 SvcServer::handleGet(const JsonValue &req)
 {
-    SimCacheKey key;
-    if (!parseKeyJson(req.get("key"), &key))
+    SimKey key;
+    if (!readJsonFields(req.get("key"), key))
         return errorResponse("get: bad key");
     bool wait = req.get("wait").isBool() && req.get("wait").asBool();
     bool lease = req.get("lease").isBool() && req.get("lease").asBool();
-    int64_t deadline_at = nowMs() + resolveDeadlineMs(req);
+    int deadline_ms = 0;
+    if (!resolveDeadlineMs(req, &deadline_ms))
+        return errorResponse("get: bad deadline_ms");
+    int64_t deadline_at = nowMs() + deadline_ms;
 
     for (;;) {
         std::string entry;
@@ -487,7 +476,7 @@ SvcServer::handlePut(const JsonValue &req)
         return errorResponse("put: missing entry");
     const std::string &entry = req.get("entry").asString();
 
-    SimCacheKey key;
+    SimKey key;
     std::string err;
     if (!verifyResultEntry(entry, &key, &err))
         return errorResponse("put: " + err);
@@ -500,8 +489,8 @@ SvcServer::handlePut(const JsonValue &req)
 std::string
 SvcServer::handleSim(const JsonValue &req)
 {
-    SimCacheKey key;
-    if (!parseKeyJson(req.get("key"), &key))
+    SimKey key;
+    if (!readJsonFields(req.get("key"), key))
         return errorResponse("sim: bad key");
     if (!req.get("bench").isString() || !req.get("isa").isString())
         return errorResponse("sim: missing bench/isa");
@@ -512,26 +501,26 @@ SvcServer::handleSim(const JsonValue &req)
     bool is_fits = isa == "fits";
 
     CoreConfig core;
-    if (!parseCoreConfigJson(req.get("core"), &core))
+    if (!readJsonFields(req.get("core"), core))
         return errorResponse("sim: bad core config");
     FaultParams faults;
-    if (req.has("faults") &&
-        !parseFaultParamsJson(req.get("faults"), &faults))
+    if (req.has("faults") && !readJsonFields(req.get("faults"), faults))
         return errorResponse("sim: bad fault params");
     unsigned max_retries = 0;
-    if (req.get("max_retries").isNumber())
-        max_retries = static_cast<unsigned>(
-            req.get("max_retries").asNumber());
+    if (req.has("max_retries") &&
+        !getUnsigned(req.get("max_retries"), &max_retries))
+        return errorResponse("sim: bad max_retries");
     ObserverSpec spec;
     if (req.has("observers")) {
         const JsonValue &ov = req.get("observers");
-        if (!ov.isObject() ||
-            !ov.get("interval_instructions").isNumber())
+        if (!ov.isObject() || !getUnsigned(ov.get("interval_instructions"),
+                                           &spec.intervalInstructions))
             return errorResponse("sim: bad observers");
-        spec.intervalInstructions = static_cast<uint64_t>(
-            ov.get("interval_instructions").asNumber());
     }
-    int64_t deadline_at = nowMs() + resolveDeadlineMs(req);
+    int deadline_ms = 0;
+    if (!resolveDeadlineMs(req, &deadline_ms))
+        return errorResponse("sim: bad deadline_ms");
+    int64_t deadline_at = nowMs() + deadline_ms;
 
     for (;;) {
         std::string entry;
@@ -643,7 +632,7 @@ SvcServer::preparedFor(const std::string &bench)
 }
 
 void
-SvcServer::computeJob(const SimCacheKey &key, const std::string &bench,
+SvcServer::computeJob(const SimKey &key, const std::string &bench,
                       bool is_fits, const CoreConfig &core,
                       const FaultParams &faults, unsigned max_retries,
                       const ObserverSpec &spec)
@@ -688,7 +677,7 @@ SvcServer::computeJob(const SimCacheKey &key, const std::string &bench,
         // Refusing (rather than serving a near-miss) keeps the store
         // content-addressed and the client falls back to local
         // simulation.
-        SimCacheKey rebuilt{hashFrontEnd(fe), hashCoreConfig(core),
+        SimKey rebuilt{hashFrontEnd(fe), hashCoreConfig(core),
                             hashFaultParams(faults, max_retries),
                             hashObserverSpec(spec)};
         if (!(rebuilt == key)) {

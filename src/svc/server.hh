@@ -136,11 +136,11 @@ class SvcServer
                                  int64_t deadline_at);
 
     /** Resolve the slot for @p key to @p state and wake waiters. */
-    void resolveInflight(const SimCacheKey &key, Inflight::State state,
+    void resolveInflight(const SimKey &key, Inflight::State state,
                          const std::string &error = "");
 
     /** Run one simulation request end to end (worker thread). */
-    void computeJob(const SimCacheKey &key, const std::string &bench,
+    void computeJob(const SimKey &key, const std::string &bench,
                     bool is_fits, const CoreConfig &core,
                     const FaultParams &faults, unsigned max_retries,
                     const ObserverSpec &spec);
@@ -148,7 +148,12 @@ class SvcServer
     /** Build (or fetch) the prepared front-ends for @p bench. */
     std::shared_ptr<PreparedBench> preparedFor(const std::string &bench);
 
-    int resolveDeadlineMs(const JsonValue &req) const;
+    /**
+     * The request's "deadline_ms" when positive, the server default
+     * when it is absent or 0. @return false when it is present but not
+     * an integer in [0, INT_MAX].
+     */
+    bool resolveDeadlineMs(const JsonValue &req, int *deadline_ms) const;
 
     SvcServerConfig config_;
     std::unique_ptr<ResultStore> store_;
@@ -174,11 +179,7 @@ class SvcServer
     std::vector<std::thread> workers_;
 
     std::mutex inflightMu_; //!< guards inflight_ and every Inflight
-    struct KeyLess
-    {
-        bool operator()(const SimCacheKey &a, const SimCacheKey &b) const;
-    };
-    std::map<SimCacheKey, std::shared_ptr<Inflight>, KeyLess> inflight_;
+    std::map<SimKey, std::shared_ptr<Inflight>> inflight_;
 
     std::mutex benchMu_; //!< guards benchCache_
     std::map<std::string, std::shared_ptr<PreparedBench>> benchCache_;

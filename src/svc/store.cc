@@ -41,21 +41,6 @@ endsWith(const std::string &s, const char *suffix)
 
 } // namespace
 
-size_t
-ResultStore::KeyHash::operator()(const SimCacheKey &k) const
-{
-    // FNV-1a over the four hashes; matches the spirit of the
-    // SimCache's own key hasher without needing access to it.
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t v : {k.program, k.config, k.faults, k.observers}) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-    return static_cast<size_t>(h);
-}
-
 ResultStore::ResultStore(std::string dir, uint64_t max_bytes)
     : dir_(std::move(dir)), maxBytes_(max_bytes)
 {
@@ -68,7 +53,7 @@ ResultStore::quarantineDir() const
 }
 
 std::string
-ResultStore::pathFor(const SimCacheKey &key) const
+ResultStore::pathFor(const SimKey &key) const
 {
     return dir_ + "/" + keyFileName(key);
 }
@@ -90,7 +75,7 @@ ResultStore::open(std::string *err)
     struct Found
     {
         std::string name;
-        SimCacheKey key;
+        SimKey key;
         uint64_t bytes;
         int64_t mtimeNs;
     };
@@ -119,7 +104,7 @@ ResultStore::open(std::string *err)
             quarantineLocked(name);
             continue;
         }
-        SimCacheKey key;
+        SimKey key;
         std::string verr;
         if (!verifyResultEntry(text, &key, &verr) ||
             keyFileName(key) != name) {
@@ -159,7 +144,7 @@ ResultStore::open(std::string *err)
 }
 
 bool
-ResultStore::get(const SimCacheKey &key, std::string *entry_text)
+ResultStore::get(const SimKey &key, std::string *entry_text)
 {
     // Store reads span the disk read plus integrity verification —
     // the I/O cost a warm OS cache hides and a trace makes visible.
@@ -173,7 +158,7 @@ ResultStore::get(const SimCacheKey &key, std::string *entry_text)
     }
 
     std::string text;
-    SimCacheKey embedded;
+    SimKey embedded;
     std::string verr;
     if (!readFileToString(pathFor(key), &text) ||
         !verifyResultEntry(text, &embedded, &verr) ||
@@ -197,10 +182,10 @@ ResultStore::get(const SimCacheKey &key, std::string *entry_text)
 }
 
 bool
-ResultStore::put(const SimCacheKey &key, const std::string &entry_text,
+ResultStore::put(const SimKey &key, const std::string &entry_text,
                  std::string *err)
 {
-    SimCacheKey embedded;
+    SimKey embedded;
     if (!verifyResultEntry(entry_text, &embedded, err))
         return false;
     if (!(embedded == key)) {
@@ -234,7 +219,7 @@ ResultStore::put(const SimCacheKey &key, const std::string &entry_text,
 }
 
 bool
-ResultStore::contains(const SimCacheKey &key)
+ResultStore::contains(const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     return index_.count(key) != 0;
@@ -274,7 +259,7 @@ ResultStore::quarantineLocked(const std::string &file_name)
 }
 
 void
-ResultStore::dropIndexLocked(const SimCacheKey &key)
+ResultStore::dropIndexLocked(const SimKey &key)
 {
     auto it = index_.find(key);
     if (it == index_.end())
@@ -290,7 +275,7 @@ ResultStore::enforceBudgetLocked()
     if (maxBytes_ == 0)
         return;
     while (bytes_ > maxBytes_ && !lru_.empty()) {
-        SimCacheKey victim = lru_.back();
+        SimKey victim = lru_.back();
         if (TraceRecorder *trace = TraceRecorder::current())
             trace->instant("store.evict", "store",
                            TraceArgs().addHex("program",

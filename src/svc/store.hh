@@ -67,7 +67,7 @@ class ResultStore
      * checksum on every read; a corrupt file is quarantined and
      * reported as a miss. @return true and fill @p entry_text on a hit.
      */
-    bool get(const SimCacheKey &key, std::string *entry_text);
+    bool get(const SimKey &key, std::string *entry_text);
 
     /**
      * Publish @p entry_text (a complete encoded entry) under @p key.
@@ -77,11 +77,11 @@ class ResultStore
      * address makes old and new semantically identical).
      * @return false with @p err on verification or I/O failure.
      */
-    bool put(const SimCacheKey &key, const std::string &entry_text,
+    bool put(const SimKey &key, const std::string &entry_text,
              std::string *err = nullptr);
 
     /** @return true when an entry for @p key is resident. */
-    bool contains(const SimCacheKey &key);
+    bool contains(const SimKey &key);
 
     StoreStats stats() const;
 
@@ -91,18 +91,13 @@ class ResultStore
     std::string quarantineDir() const;
 
   private:
-    struct KeyHash
-    {
-        size_t operator()(const SimCacheKey &k) const;
-    };
-
     struct Entry
     {
         uint64_t bytes = 0;
-        std::list<SimCacheKey>::iterator lruPos;
+        std::list<SimKey>::iterator lruPos;
     };
 
-    std::string pathFor(const SimCacheKey &key) const;
+    std::string pathFor(const SimKey &key) const;
 
     /** Move @p file_name aside into quarantine/. Caller holds mu_. */
     void quarantineLocked(const std::string &file_name);
@@ -111,14 +106,14 @@ class ResultStore
     void enforceBudgetLocked();
 
     /** Remove @p key from the index (file already gone/moved). */
-    void dropIndexLocked(const SimCacheKey &key);
+    void dropIndexLocked(const SimKey &key);
 
     std::string dir_;
     uint64_t maxBytes_;
 
     mutable std::mutex mu_;
-    std::unordered_map<SimCacheKey, Entry, KeyHash> index_;
-    std::list<SimCacheKey> lru_; //!< front = most recently used
+    std::unordered_map<SimKey, Entry, SimKeyHash> index_;
+    std::list<SimKey> lru_; //!< front = most recently used
     uint64_t bytes_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

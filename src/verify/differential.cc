@@ -99,72 +99,6 @@ checkedRun(Machine &machine, const CoreConfig &core,
     return result;
 }
 
-/** Field-for-field comparison of one cache's counters. */
-void
-compareCacheStats(const std::string &what, const char *cache_name,
-                  const CacheStats &a, const CacheStats &b,
-                  std::vector<std::string> &out)
-{
-    auto check = [&](const char *field, uint64_t va, uint64_t vb) {
-        if (va != vb)
-            out.push_back(detail::format(
-                "%s: %s.%s %llu vs %llu", what.c_str(), cache_name,
-                field, static_cast<unsigned long long>(va),
-                static_cast<unsigned long long>(vb)));
-    };
-    check("reads", a.reads, b.reads);
-    check("writes", a.writes, b.writes);
-    check("read_misses", a.readMisses, b.readMisses);
-    check("write_misses", a.writeMisses, b.writeMisses);
-    check("writebacks", a.writebacks, b.writebacks);
-    check("faults_injected", a.faultsInjected, b.faultsInjected);
-    check("parity_detections", a.parityDetections,
-          b.parityDetections);
-    check("corrupt_deliveries", a.corruptDeliveries,
-          b.corruptDeliveries);
-    check("way_memo_hits", a.wayMemoHits, b.wayMemoHits);
-}
-
-/**
- * The interp-vs-fast contract: every RunResult field equal. Nothing
- * is excluded — the fast backend claims bit-exactness, so cycles,
- * toggle counts and even the trap message text must match.
- */
-void
-compareBackendResults(const std::string &what, const RunResult &a,
-                      const RunResult &b,
-                      std::vector<std::string> &out)
-{
-    if (a.outcome != b.outcome)
-        out.push_back(detail::format(
-            "%s: outcome %s vs %s", what.c_str(),
-            runOutcomeName(a.outcome), runOutcomeName(b.outcome)));
-    if (a.trapReason != b.trapReason)
-        out.push_back(detail::format(
-            "%s: trap reason '%s' vs '%s'", what.c_str(),
-            a.trapReason.c_str(), b.trapReason.c_str()));
-    auto check = [&](const char *field, uint64_t va, uint64_t vb) {
-        if (va != vb)
-            out.push_back(detail::format(
-                "%s: %s %llu vs %llu", what.c_str(), field,
-                static_cast<unsigned long long>(va),
-                static_cast<unsigned long long>(vb)));
-    };
-    check("instructions", a.instructions, b.instructions);
-    check("annulled", a.annulled, b.annulled);
-    check("cycles", a.cycles, b.cycles);
-    check("taken_branches", a.takenBranches, b.takenBranches);
-    check("dmem_accesses", a.dmemAccesses, b.dmemAccesses);
-    check("fetch_toggle_bits", a.fetchToggleBits, b.fetchToggleBits);
-    check("fetch_bits_total", a.fetchBitsTotal, b.fetchBitsTotal);
-    check("icache_refill_words", a.icacheRefillWords,
-          b.icacheRefillWords);
-    compareCacheStats(what, "icache", a.icache, b.icache, out);
-    compareCacheStats(what, "dcache", a.dcache, b.dcache, out);
-    compareRegs(what, a.finalState, b.finalState, 0, out);
-    compareIo(what, a.io, b.io, out);
-}
-
 /** One config's Machine kept alive for memory-image comparison. */
 struct BackendRun
 {
@@ -197,8 +131,10 @@ runConfig(const FrontEnd &fe, CoreConfig core, const std::string &label,
         Machine fast_machine(fe, fast_core);
         RunResult rf = checkedRun(fast_machine, fast_core,
                                   label + "[fast]", out);
-        compareBackendResults(label + " interp vs fast",
-                              primary.result, rf, out);
+        // The interp-vs-fast contract: every RunResult row equal.
+        // Nothing is excluded — the fast backend claims bit-exactness,
+        // so cycles, toggle counts and even the trap text must match.
+        diffFields(label + " interp vs fast", primary.result, rf, out);
         if (auto addr = primary.machine->mem().firstDifference(
                 fast_machine.mem()))
             out.push_back(detail::format(
@@ -212,8 +148,8 @@ runConfig(const FrontEnd &fe, CoreConfig core, const std::string &label,
         // unpacked sub-word streams.)
         Machine bare_machine(fe, fast_core);
         RunResult rb = bare_machine.run();
-        compareBackendResults(label + " interp vs fast[bare]",
-                              primary.result, rb, out);
+        diffFields(label + " interp vs fast[bare]", primary.result, rb,
+                   out);
         if (auto addr = primary.machine->mem().firstDifference(
                 bare_machine.mem()))
             out.push_back(detail::format(
@@ -232,8 +168,8 @@ runConfig(const FrontEnd &fe, CoreConfig core, const std::string &label,
         std::vector<Chip::TileSpec> specs(1, Chip::TileSpec{&fe, core});
         Chip chip(specs, chip_cfg);
         ChipResult cres = chip.run();
-        compareBackendResults(label + " interp vs chip1",
-                              primary.result, cres.tiles.front(), out);
+        diffFields(label + " interp vs chip1", primary.result,
+                   cres.tiles.front(), out);
         if (auto addr = primary.machine->mem().firstDifference(
                 chip.tileMem(0)))
             out.push_back(detail::format(

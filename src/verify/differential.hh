@@ -24,12 +24,17 @@
 #ifndef POWERFITS_VERIFY_DIFFERENTIAL_HH
 #define POWERFITS_VERIFY_DIFFERENTIAL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <ranges>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "assembler/program.hh"
+#include "common/fields.hh"
+#include "common/logging.hh"
 
 namespace pfits
 {
@@ -147,6 +152,93 @@ struct ChipDiffOptions
  */
 DiffSummary runChipDifferentialSuite(const ChipDiffOptions &opts,
                                      std::ostream *progress = nullptr);
+
+template <class M>
+void diffFields(const std::string &what, const std::string &path,
+                const M &a, const M &b, std::vector<std::string> &out);
+
+namespace detail
+{
+
+/** A row value as diffFields prints it. */
+template <class M>
+std::string
+fieldText(const M &v)
+{
+    if constexpr (std::is_enum_v<M>)
+        return FieldEnum<M>::name(v);
+    else if constexpr (std::is_same_v<M, bool>)
+        return v ? "true" : "false";
+    else if constexpr (std::is_integral_v<M>)
+        return std::to_string(static_cast<unsigned long long>(v));
+    else if constexpr (std::is_floating_point_v<M>)
+        return format("%.17g", static_cast<double>(v));
+    else
+        return "'" + v + "'";
+}
+
+template <class T>
+struct DiffRow
+{
+    const std::string &what;
+    const std::string &prefix;
+    const T &a;
+    const T &b;
+    std::vector<std::string> &out;
+
+    template <class M>
+    void
+    operator()(const char *name, M T::*member, unsigned = 0)
+    {
+        diffFields(what, prefix + name, a.*member, b.*member, out);
+    }
+};
+
+} // namespace detail
+
+/**
+ * The differential consumer of the field lists (common/fields.hh):
+ * append "<what>: <path> <a> vs <b>" to @p out for every row where
+ * @p a and @p b differ. Nested lists extend the path ("icache.reads");
+ * for a vector or array, a length mismatch and the first differing
+ * element ("final_state.regs[3]") are reported.
+ */
+template <class M>
+void
+diffFields(const std::string &what, const std::string &path,
+           const M &a, const M &b, std::vector<std::string> &out)
+{
+    if constexpr (HasFields<M>) {
+        const std::string prefix = path.empty() ? path : path + ".";
+        detail::DiffRow<M> row{what, prefix, a, b, out};
+        M::fields(row);
+    } else if constexpr (std::ranges::range<M> &&
+                         !std::is_same_v<M, std::string>) {
+        const size_t na = std::ranges::size(a);
+        const size_t nb = std::ranges::size(b);
+        if (na != nb)
+            out.push_back(detail::format("%s: %s %zu vs %zu entries",
+                                         what.c_str(), path.c_str(), na,
+                                         nb));
+        const size_t before = out.size();
+        for (size_t i = 0; i < std::min(na, nb) && out.size() == before;
+             ++i)
+            diffFields(what, path + "[" + std::to_string(i) + "]", a[i],
+                       b[i], out);
+    } else if (!(a == b)) {
+        out.push_back(what + ": " + path + " " + detail::fieldText(a) +
+                      " vs " + detail::fieldText(b));
+    }
+}
+
+/** diffFields over every row of two listed structs. */
+template <class T>
+void
+diffFields(const std::string &what, const T &a, const T &b,
+           std::vector<std::string> &out)
+{
+    diffFields(what, std::string(), a, b, out);
+}
 
 } // namespace pfits
 

@@ -213,7 +213,7 @@ TEST(SimCache, TryGetAndSeedRoundTrip)
     mibench::Workload wl = mibench::buildCrc32();
     ArmFrontEnd fe(std::move(wl.program));
     CoreConfig core;
-    SimCacheKey key{hashFrontEnd(fe), hashCoreConfig(core),
+    SimKey key{hashFrontEnd(fe), hashCoreConfig(core),
                     hashFaultParams({}, 0), hashObserverSpec({})};
 
     // Absent: tryGet must not compute, count, or block.

@@ -85,7 +85,7 @@ sampleResult()
     return r;
 }
 
-SimCacheKey
+SimKey
 sampleKey()
 {
     return {0x1111222233334444ull, 0x5555666677778888ull,
@@ -184,12 +184,12 @@ TEST(SvcProto, HexRoundTripAndRejection)
 
 TEST(SvcProto, KeyJsonRoundTrip)
 {
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::ostringstream os;
     JsonWriter w(os, 0);
-    writeKeyJson(w, key);
-    SimCacheKey back{};
-    ASSERT_TRUE(parseKeyJson(JsonValue::parse(os.str()), &back));
+    writeJsonFields(w, key);
+    SimKey back{};
+    ASSERT_TRUE(readJsonFields(JsonValue::parse(os.str()), back));
     EXPECT_TRUE(back == key);
     EXPECT_EQ(keyFileName(key),
               "1111222233334444-5555666677778888-"
@@ -211,7 +211,7 @@ TEST(SvcProto, CoreConfigJsonRoundTripPreservesHash)
     JsonWriter w(os, 0);
     writeCoreConfigJson(w, core);
     CoreConfig back;
-    ASSERT_TRUE(parseCoreConfigJson(JsonValue::parse(os.str()), &back));
+    ASSERT_TRUE(readJsonFields(JsonValue::parse(os.str()), back));
     EXPECT_EQ(back.name, core.name);
     EXPECT_EQ(back.dcache.policy, ReplPolicy::ROUND_ROBIN);
     // The content hash is the contract the daemon checks against.
@@ -230,18 +230,18 @@ TEST(SvcProto, FaultParamsJsonRoundTripPreservesHash)
     writeFaultParamsJson(w, fp);
     FaultParams back;
     ASSERT_TRUE(
-        parseFaultParamsJson(JsonValue::parse(os.str()), &back));
+        readJsonFields(JsonValue::parse(os.str()), back));
     EXPECT_EQ(back.seed, fp.seed);
     EXPECT_EQ(hashFaultParams(back, 3), hashFaultParams(fp, 3));
 }
 
 TEST(SvcProto, EntryRoundTripIsLossless)
 {
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     SimResult result = sampleResult();
     std::string entry = encodeResultEntry(key, result);
 
-    SimCacheKey back_key{};
+    SimKey back_key{};
     SimResult back;
     std::string err;
     ASSERT_TRUE(decodeResultEntry(entry, &back_key, &back, &err))
@@ -253,7 +253,7 @@ TEST(SvcProto, EntryRoundTripIsLossless)
 TEST(SvcProto, EntryCorruptionIsAlwaysDetected)
 {
     std::string entry = encodeResultEntry(sampleKey(), sampleResult());
-    SimCacheKey k;
+    SimKey k;
     SimResult r;
     std::string err;
 
@@ -319,7 +319,7 @@ TEST(SvcStore, PutGetRoundTripAndStats)
     ResultStore store(freshDir("putget"));
     ASSERT_TRUE(store.open());
 
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
     std::string err;
     ASSERT_TRUE(store.put(key, entry, &err)) << err;
@@ -329,7 +329,7 @@ TEST(SvcStore, PutGetRoundTripAndStats)
     ASSERT_TRUE(store.get(key, &got));
     EXPECT_EQ(got, entry) << "stored text must be served verbatim";
 
-    SimCacheKey other = key;
+    SimKey other = key;
     other.program ^= 1;
     EXPECT_FALSE(store.get(other, &got));
 
@@ -345,7 +345,7 @@ TEST(SvcStore, PutRejectsCorruptOrMisKeyedEntries)
     ResultStore store(freshDir("putbad"));
     ASSERT_TRUE(store.open());
 
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
 
     std::string bad = entry;
@@ -353,7 +353,7 @@ TEST(SvcStore, PutRejectsCorruptOrMisKeyedEntries)
     std::string err;
     EXPECT_FALSE(store.put(key, bad, &err));
 
-    SimCacheKey wrong = key;
+    SimKey wrong = key;
     wrong.config ^= 0xff;
     EXPECT_FALSE(store.put(wrong, entry, &err));
     EXPECT_EQ(store.stats().entries, 0u);
@@ -362,7 +362,7 @@ TEST(SvcStore, PutRejectsCorruptOrMisKeyedEntries)
 TEST(SvcStore, RecoveryScanQuarantinesTornAndCorruptEntries)
 {
     std::string dir = freshDir("recover");
-    SimCacheKey good_key = sampleKey();
+    SimKey good_key = sampleKey();
     std::string good = encodeResultEntry(good_key, sampleResult());
     {
         ResultStore store(dir);
@@ -371,7 +371,7 @@ TEST(SvcStore, RecoveryScanQuarantinesTornAndCorruptEntries)
     }
 
     // A second valid entry, then corrupt it on disk (bit rot).
-    SimCacheKey rot_key = good_key;
+    SimKey rot_key = good_key;
     rot_key.faults ^= 0x42;
     SimResult rot_result = sampleResult();
     rot_result.run.cycles += 1;
@@ -380,7 +380,7 @@ TEST(SvcStore, RecoveryScanQuarantinesTornAndCorruptEntries)
     ASSERT_TRUE(writeFileAtomic(dir + "/" + keyFileName(rot_key), rot));
 
     // A truncated entry (torn write on a weak filesystem).
-    SimCacheKey torn_key = good_key;
+    SimKey torn_key = good_key;
     torn_key.observers ^= 0x99;
     std::string torn = encodeResultEntry(torn_key, sampleResult());
     ASSERT_TRUE(writeFileAtomic(dir + "/" + keyFileName(torn_key),
@@ -423,7 +423,7 @@ TEST(SvcStore, CorruptionUnderneathALiveStoreIsQuarantinedOnGet)
     ResultStore store(dir);
     ASSERT_TRUE(store.open());
 
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
     ASSERT_TRUE(store.put(key, entry));
 
@@ -440,8 +440,8 @@ TEST(SvcStore, CorruptionUnderneathALiveStoreIsQuarantinedOnGet)
 
 TEST(SvcStore, ByteBudgetEvictsLeastRecentlyUsed)
 {
-    SimCacheKey k1 = sampleKey();
-    SimCacheKey k2 = k1, k3 = k1;
+    SimKey k1 = sampleKey();
+    SimKey k2 = k1, k3 = k1;
     k2.program ^= 2;
     k3.program ^= 3;
     std::string e1 = encodeResultEntry(k1, sampleResult());
@@ -487,27 +487,27 @@ TEST(SvcProto, DecodeRejectsNumbersOutsideTheFieldRange)
     writeCoreConfigJson(core_w, CoreConfig{});
     const std::string core_text = core_os.str();
     CoreConfig core;
-    ASSERT_TRUE(parseCoreConfigJson(JsonValue::parse(core_text), &core));
-    EXPECT_FALSE(parseCoreConfigJson(
+    ASSERT_TRUE(readJsonFields(JsonValue::parse(core_text), core));
+    EXPECT_FALSE(readJsonFields(
         JsonValue::parse(replaceFirst(core_text, "\"assoc\":32",
                                       "\"assoc\":-1")),
-        &core));
-    EXPECT_FALSE(parseCoreConfigJson(
+        core));
+    EXPECT_FALSE(readJsonFields(
         JsonValue::parse(replaceFirst(core_text, "\"size_bytes\":16384",
                                       "\"size_bytes\":1e300")),
-        &core));
+        core));
 
     std::ostringstream result_os;
     JsonWriter result_w(result_os, 0);
-    writeSimResultJson(result_w, sampleResult());
+    writeJsonFields(result_w, sampleResult());
     const std::string result_text = result_os.str();
     SimResult result;
     ASSERT_TRUE(
-        parseSimResultJson(JsonValue::parse(result_text), &result));
-    EXPECT_FALSE(parseSimResultJson(
+        readJsonFields(JsonValue::parse(result_text), result));
+    EXPECT_FALSE(readJsonFields(
         JsonValue::parse(replaceFirst(result_text, "\"reads\":100",
                                       "\"reads\":100.5")),
-        &result));
+        result));
 }
 
 // --- server + client end to end ------------------------------------------
@@ -670,7 +670,7 @@ TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
         w.field("interval_instructions", static_cast<uint64_t>(0));
         w.endObject();
         w.key("key");
-        writeKeyJson(w, sr.req.key());
+        writeJsonFields(w, sr.req.key());
         w.field("deadline_ms", static_cast<int64_t>(200));
         w.endObject();
 
@@ -887,7 +887,7 @@ TEST(SvcService, AbsentDaemonFallsBackCleanly)
 TEST(SvcService, GetPutLeaseProtocolForNonSuitePrograms)
 {
     TestServer ts;
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
 
     auto getReq = [&](bool lease) {
@@ -897,7 +897,7 @@ TEST(SvcService, GetPutLeaseProtocolForNonSuitePrograms)
         w.field("schema", kSvcSchema);
         w.field("op", "get");
         w.key("key");
-        writeKeyJson(w, key);
+        writeJsonFields(w, key);
         w.field("wait", false);
         w.field("lease", lease);
         w.field("deadline_ms", static_cast<int64_t>(2'000));
@@ -941,7 +941,7 @@ TEST(SvcService, StatsOpReturnsLiveStoreAndMetricSnapshot)
     reg.counter("unit.test.counter").add(3);
 
     // Seed one entry so the store section has something to count.
-    SimCacheKey key = sampleKey();
+    SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
     std::ostringstream put;
     JsonWriter w(put, 0);
