@@ -8,10 +8,10 @@
  * pure function of (instruction stream, core configuration, fault
  * schedule), so the second request for any triple is a lookup, not a
  * re-run. The key is content-based — a hash of the program's decoded
- * stream, encodings, and data image; a hash of every timing-relevant
- * CoreConfig/CacheConfig field; and a hash of the fault plan's seed
- * and schedule parameters — so two FrontEnds with identical contents
- * hit the same entry regardless of identity.
+ * stream, encodings, and data image; a hash of every key row of the
+ * CoreConfig (and ChipConfig) field lists; and a hash of the fault
+ * plan's seed and schedule parameters — so two FrontEnds with
+ * identical contents hit the same entry regardless of identity.
  *
  * Fault-injected runs are memoized as the outcome of the whole
  * reload-and-retry loop (a FaultPlan is deterministic from its seed,
@@ -43,7 +43,10 @@ namespace pfits
 /** Content hash of @p fe: name, stream, encodings, data image. */
 uint64_t hashFrontEnd(const FrontEnd &fe);
 
-/** Hash of every timing-relevant field of @p core (and its caches). */
+/**
+ * Hash of every kKey row of @p core and its caches (the field lists,
+ * common/fields.hh), in list order.
+ */
 uint64_t hashCoreConfig(const CoreConfig &core);
 
 /**

@@ -409,7 +409,7 @@ SvcClient::simulate(const SimRequest &request)
         std::string err;
         if (!decodeResultEntry(v.get("entry").asString(), &got,
                                &result, &err) ||
-            !(got == key)) {
+            got != key) {
             // A corrupt or mis-keyed entry survived the daemon's own
             // verification — treat the daemon as untrusted for this
             // request and recompute; local results are authoritative.

@@ -228,36 +228,6 @@ encodeResultEntry(const SimKey &key, const SimResult &result)
 }
 
 bool
-verifyResultEntry(const std::string &text, SimKey *key,
-                  std::string *err)
-{
-    std::string line;
-    if (!splitAndVerify(text, &line, err))
-        return false;
-
-    JsonValue doc;
-    try {
-        doc = JsonValue::parse(line);
-    } catch (const FatalError &e) {
-        if (err)
-            *err = std::string("bad entry JSON: ") + e.what();
-        return false;
-    }
-    if (!doc.isObject() || !doc.get("schema").isString() ||
-        doc.get("schema").asString() != kStoreSchema) {
-        if (err)
-            *err = "bad entry schema";
-        return false;
-    }
-    if (!readJsonFields(doc.get("key"), *key)) {
-        if (err)
-            *err = "bad entry key";
-        return false;
-    }
-    return true;
-}
-
-bool
 decodeResultEntry(const std::string &text, SimKey *key,
                   SimResult *result, std::string *err)
 {
@@ -284,12 +254,19 @@ decodeResultEntry(const std::string &text, SimKey *key,
             *err = "bad entry key";
         return false;
     }
-    if (!readJsonFields(doc.get("result"), *result)) {
+    if (result && !readJsonFields(doc.get("result"), *result)) {
         if (err)
             *err = "bad entry result";
         return false;
     }
     return true;
+}
+
+bool
+verifyResultEntry(const std::string &text, SimKey *key,
+                  std::string *err)
+{
+    return decodeResultEntry(text, key, nullptr, err);
 }
 
 } // namespace pfits

@@ -95,7 +95,7 @@ std::string encodeResultEntry(const SimKey &key,
 /**
  * Decode and fully verify a store entry: checksum trailer, schema tag,
  * JSON shape. @return false with a diagnostic in @p err on any defect;
- * on success fills @p key and @p result.
+ * on success fills @p key and @p result (which may be null).
  */
 bool decodeResultEntry(const std::string &text, SimKey *key,
                        SimResult *result, std::string *err);

@@ -680,7 +680,7 @@ SvcServer::computeJob(const SimKey &key, const std::string &bench,
         SimKey rebuilt{hashFrontEnd(fe), hashCoreConfig(core),
                             hashFaultParams(faults, max_retries),
                             hashObserverSpec(spec)};
-        if (!(rebuilt == key)) {
+        if (rebuilt != key) {
             resolveInflight(key, Inflight::State::Unsupported,
                             "content hash mismatch rebuilding '" +
                                 bench + "'");

@@ -162,7 +162,7 @@ ResultStore::get(const SimKey &key, std::string *entry_text)
     std::string verr;
     if (!readFileToString(pathFor(key), &text) ||
         !verifyResultEntry(text, &embedded, &verr) ||
-        !(embedded == key)) {
+        embedded != key) {
         // The file rotted (or vanished) underneath the index: move it
         // aside and report a miss; the requester will re-simulate.
         warn("pfitsd store: quarantining %s on read (%s)",
@@ -188,7 +188,7 @@ ResultStore::put(const SimKey &key, const std::string &entry_text,
     SimKey embedded;
     if (!verifyResultEntry(entry_text, &embedded, err))
         return false;
-    if (!(embedded == key)) {
+    if (embedded != key) {
         if (err)
             *err = "entry key does not match put key";
         return false;

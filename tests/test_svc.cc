@@ -33,6 +33,7 @@
 #include "svc/proto.hh"
 #include "svc/server.hh"
 #include "svc/store.hh"
+#include "verify/differential.hh"
 
 namespace pfits
 {
@@ -92,44 +93,13 @@ sampleKey()
             0x9999aaaabbbbccccull, 0xddddeeeeffff0001ull};
 }
 
+/** Every row of the two results equal (their field lists). */
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
-    EXPECT_EQ(a.run.benchmark, b.run.benchmark);
-    EXPECT_EQ(a.run.config, b.run.config);
-    EXPECT_EQ(a.run.instructions, b.run.instructions);
-    EXPECT_EQ(a.run.annulled, b.run.annulled);
-    EXPECT_EQ(a.run.cycles, b.run.cycles);
-    EXPECT_EQ(a.run.clockHz, b.run.clockHz);
-    EXPECT_EQ(a.run.icache.reads, b.run.icache.reads);
-    EXPECT_EQ(a.run.icache.readMisses, b.run.icache.readMisses);
-    EXPECT_EQ(a.run.icache.parityDetections,
-              b.run.icache.parityDetections);
-    EXPECT_EQ(a.run.dcache.writes, b.run.dcache.writes);
-    EXPECT_EQ(a.run.dcache.writebacks, b.run.dcache.writebacks);
-    EXPECT_EQ(a.run.fetchToggleBits, b.run.fetchToggleBits);
-    EXPECT_EQ(a.run.fetchBitsTotal, b.run.fetchBitsTotal);
-    EXPECT_EQ(a.run.icacheRefillWords, b.run.icacheRefillWords);
-    EXPECT_EQ(a.run.dmemAccesses, b.run.dmemAccesses);
-    EXPECT_EQ(a.run.takenBranches, b.run.takenBranches);
-    EXPECT_EQ(a.run.io.console, b.run.io.console);
-    EXPECT_EQ(a.run.io.emitted, b.run.io.emitted);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(a.run.finalState.regs[i], b.run.finalState.regs[i]);
-    EXPECT_EQ(a.run.finalState.flags.z, b.run.finalState.flags.z);
-    EXPECT_EQ(a.run.finalState.halted, b.run.finalState.halted);
-    EXPECT_EQ(a.run.outcome, b.run.outcome);
-    EXPECT_EQ(a.run.trapReason, b.run.trapReason);
-    EXPECT_EQ(a.faultRetries, b.faultRetries);
-    ASSERT_EQ(a.intervals.size(), b.intervals.size());
-    for (size_t i = 0; i < a.intervals.size(); ++i) {
-        EXPECT_EQ(a.intervals[i].firstInstruction,
-                  b.intervals[i].firstInstruction);
-        EXPECT_EQ(a.intervals[i].cycles, b.intervals[i].cycles);
-        EXPECT_EQ(a.intervals[i].toggleBits,
-                  b.intervals[i].toggleBits);
-    }
-    EXPECT_EQ(a.tracePath, b.tracePath);
+    std::vector<std::string> diffs;
+    diffFields("result", a, b, diffs);
+    EXPECT_TRUE(diffs.empty()) << diffs.front();
 }
 
 /** Connect to @p path; gtest-asserts on failure. */
@@ -985,17 +955,45 @@ TEST(SvcService, StatsOpReturnsLiveStoreAndMetricSnapshot)
 TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
 {
     TestServer ts;
-    for (const std::string &bad :
-         {std::string("not json at all"), std::string("{}"),
-          std::string("{\"op\":\"frobnicate\"}"),
-          std::string("{\"op\":\"sim\"}"),
-          std::string("{\"op\":\"put\",\"entry\":\"garbage\"}"),
-          std::string("{\"op\":\"get\",\"key\":{\"program\":17}}")}) {
+    std::vector<std::string> requests = {
+        "not json at all", "{}", "{\"op\":\"frobnicate\"}",
+        "{\"op\":\"sim\"}", "{\"op\":\"put\",\"entry\":\"garbage\"}",
+        "{\"op\":\"get\",\"key\":{\"program\":17}}"};
+
+    // Well-formed get/sim requests except for one integer field that
+    // is negative, fractional or far out of range.
+    const std::string key = "{\"program\":\"0x1\",\"config\":\"0x2\","
+                            "\"faults\":\"0x0\",\"observers\":\"0x0\"}";
+    std::ostringstream core;
+    JsonWriter core_w(core, 0);
+    writeCoreConfigJson(core_w, CoreConfig{});
+    const std::string get = "{\"op\":\"get\",\"key\":" + key;
+    const std::string sim = "{\"op\":\"sim\",\"bench\":\"crc32\","
+                            "\"isa\":\"arm\",\"key\":" +
+                            key + ",\"core\":" + core.str();
+    for (const std::string number : {"-1", "0.5", "1e300"}) {
+        requests.push_back(get + ",\"deadline_ms\":" + number + "}");
+        requests.push_back(sim + ",\"deadline_ms\":" + number + "}");
+        requests.push_back(sim + ",\"max_retries\":" + number + "}");
+        requests.push_back(sim + ",\"observers\":{"
+                                 "\"interval_instructions\":" +
+                           number + "}}");
+    }
+    for (const std::string &bad : requests) {
         JsonValue resp =
             JsonValue::parse(rawRequest(ts.config.socketPath, bad));
         ASSERT_TRUE(resp.isObject()) << bad;
         EXPECT_FALSE(resp.get("ok").asBool()) << bad;
         EXPECT_TRUE(resp.get("error").isString()) << bad;
+    }
+
+    // An absent or zero deadline still means the server default.
+    for (const std::string &good :
+         {get + "}", get + ",\"deadline_ms\":0}"}) {
+        JsonValue resp =
+            JsonValue::parse(rawRequest(ts.config.socketPath, good));
+        EXPECT_TRUE(resp.get("ok").asBool()) << good;
+        EXPECT_EQ(resp.get("status").asString(), "miss") << good;
     }
     // The server is still healthy afterwards.
     SvcClientConfig ccfg;
@@ -1027,6 +1025,58 @@ TEST(SvcService, DeeplyNestedFrameIsRejectedAndServerStaysUp)
     ccfg.socketPath = ts.config.socketPath;
     SvcClient client(ccfg);
     EXPECT_TRUE(client.ping());
+}
+
+/** A frame header announcing @p len payload bytes. */
+std::string
+frameHeader(uint32_t len)
+{
+    return {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+            static_cast<char>(len >> 8), static_cast<char>(len)};
+}
+
+void
+sendRaw(int fd, const std::string &bytes)
+{
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(SvcService, OversizedTruncatedAndStalledFramesNeitherWedgeNorCrash)
+{
+    TestServer ts;
+    const std::string &path = ts.config.socketPath;
+
+    // A header above the frame limit, one promising 1 KiB and then
+    // closing, and half a frame left stalled with the connection open.
+    int oversized = connectTo(path);
+    sendRaw(oversized, frameHeader(kMaxFrameBytes + 1));
+    int truncated = connectTo(path);
+    sendRaw(truncated, frameHeader(1024) + std::string(100, 'x'));
+    ::close(truncated);
+    int stalled = connectTo(path);
+    sendRaw(stalled, frameHeader(1024) + std::string(512, '{'));
+
+    // The oversized frame is refused by hanging up, not by reading on.
+    std::string response, err;
+    EXPECT_FALSE(recvFrame(oversized, &response, 5'000, &err));
+    EXPECT_NE(err, "timeout");
+    ::close(oversized);
+
+    // Another client is served while the stalled frame is pending.
+    SvcClientConfig ccfg;
+    ccfg.socketPath = path;
+    SvcClient client(ccfg);
+    EXPECT_TRUE(client.ping());
+
+    // And shutdown does not wait on the stalled peer.
+    const auto t0 = std::chrono::steady_clock::now();
+    ts.server->stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(2));
+    EXPECT_FALSE(recvFrame(stalled, &response, 5'000, &err));
+    EXPECT_NE(err, "timeout");
+    ::close(stalled);
 }
 
 } // namespace
