@@ -231,11 +231,11 @@ parseArgs(int argc, char **argv)
             if (opts.daemonSocket.empty())
                 reject("--daemon= wants a socket path");
         } else if (arg == "--backend") {
-            if (!parseSimBackend(wantValue(i, arg), &opts.backend))
+            if (!parseFieldEnum(wantValue(i, arg), &opts.backend))
                 reject("bad --backend value (interp|fast)");
         } else if (arg.rfind("--backend=", 0) == 0) {
-            if (!parseSimBackend(std::string(arg.substr(10)),
-                                 &opts.backend))
+            if (!parseFieldEnum(std::string(arg.substr(10)),
+                                &opts.backend))
                 reject("bad --backend value (interp|fast)");
         } else if (arg == "--jobs") {
             opts.jobs = parseCount(wantValue(i, arg));

@@ -1,10 +1,8 @@
 /**
  * @file
- * Field lists: every config and result struct that is hashed, sent
- * over the wire, stored or cross-checked describes its members once,
- * and each of those consumers walks that one description.
- *
- * A listed struct stays a plain aggregate and adds
+ * Field lists: each struct that is hashed into a memo key, sent over
+ * the wire, stored or cross-checked describes its members once, in a
+ * static list next to them:
  *
  *     template <class V>
  *     static void
@@ -14,27 +12,18 @@
  *         ...
  *     }
  *
- * with one row per member: the wire name, the member pointer and the
- * row flags below. A visitor is any type with a call operator over
- * (name, member pointer, flags); holding member pointers rather than
- * references lets one walk read two objects in step (the differential
- * compare) or rewrite a copy (the property tests). The walkers are
- * templates over the concrete visitor, so a walk compiles to the same
- * straight-line code the hand-written enumerations were.
- *
- * The consumers: hashFields() in exp/simcache.cc (the SimCache and
- * pfitsd memo key), writeJsonFields()/readJsonFields() in
- * obs/json_fields.hh (the wire and store JSON), and diffFields() in
- * verify/differential.hh (the interp-vs-fast compare). Adding a knob or
- * a counter is one struct member plus one row; DESIGN.md ("Config and
- * result fields") gives the rules that keep old keys and entries
- * byte-stable.
+ * One row per member: wire name, member pointer, flags. Member pointers
+ * let one walk read two objects in step (the differential compare) or
+ * rewrite a copy (the property tests). The walkers are hashFields()
+ * (exp/simcache.cc), writeJsonFields()/readJsonFields()
+ * (obs/json_fields.hh) and diffFields() (verify/differential.hh);
+ * DESIGN.md §10 gives the rules that keep old keys and entries stable.
  */
 
 #ifndef POWERFITS_COMMON_FIELDS_HH
 #define POWERFITS_COMMON_FIELDS_HH
 
-#include <type_traits>
+#include <string>
 
 namespace pfits
 {
@@ -46,11 +35,10 @@ enum FieldFlag : unsigned
     kKey = 1u << 0,
 
     /**
-     * A late addition: optional on read (zero when absent), so entries
-     * written before the row existed stay readable. On a key row it
-     * also means "left out of the hash and the wire while zero" (and
-     * hashed as 1 + value otherwise), so every older key and request
-     * keeps its bytes.
+     * A late addition: optional on read (zero when absent). On a key
+     * row it is also left out of the hash and the wire while zero (and
+     * hashed as 1 + value otherwise), so older keys and requests keep
+     * their bytes. Late rows are scalars.
      */
     kLate = 1u << 1,
 
@@ -66,6 +54,20 @@ enum FieldFlag : unsigned
 template <class E>
 struct FieldEnum;
 
+/** Parse a FieldEnum name. @return false (out untouched) otherwise. */
+template <class E>
+bool
+parseFieldEnum(const std::string &text, E *out)
+{
+    for (unsigned i = 0; i < FieldEnum<E>::kCount; ++i) {
+        if (text == FieldEnum<E>::name(static_cast<E>(i))) {
+            *out = static_cast<E>(i);
+            return true;
+        }
+    }
+    return false;
+}
+
 /** A visitor that accepts any row; used to detect a field list. */
 struct AnyFieldRow
 {
@@ -79,21 +81,6 @@ struct AnyFieldRow
 /** True for structs that carry a field list. */
 template <class T>
 concept HasFields = requires(AnyFieldRow &v) { T::fields(v); };
-
-/**
- * True when a kLate key row holds its zero value and so is left out of
- * the hash and the wire. Late rows are scalars; anything else never
- * counts as zero.
- */
-template <class M>
-bool
-lateRowIsZero(const M &value)
-{
-    if constexpr (std::is_scalar_v<M>)
-        return value == M{};
-    else
-        return false;
-}
 
 } // namespace pfits
 

@@ -67,55 +67,39 @@ struct Hasher
     unsigned nbits = 0;
 };
 
-template <class M>
-void hashValue(Hasher &h, const M &value);
-
 /**
- * The memo-key consumer of the field lists (common/fields.hh): hashes
- * every kKey row in list order. Adjacent bool rows share one word (bit
- * i is the i-th bool), a double hashes as whole thousandths, a string
- * as its length and bytes, an enum as its value, a nested listed
- * struct inline, and a late row only when non-zero, as 1 + value.
- * These rules reproduce the hand-written hashes the lists replaced, so
- * every existing key keeps its value.
+ * The memo-key walker of the field lists: hashes every kKey row in
+ * list order. Adjacent bools share one word (bit i = the i-th bool), a
+ * double hashes as whole thousandths, a string as length and bytes, a
+ * nested list inline, and a late row only when non-zero, as 1 + value.
+ * These encodings are frozen (DESIGN.md §10).
  */
-template <class T>
-struct KeyRow
-{
-    Hasher &h;
-    const T &obj;
-
-    template <class M>
-    void
-    operator()(const char *, M T::*member, unsigned flags = 0)
-    {
-        if (!(flags & kKey))
-            return;
-        const M &value = obj.*member;
-        if constexpr (std::is_same_v<M, bool>) {
-            if (!(flags & kLate)) {
-                h.bit(value);
-                return;
-            }
-        }
-        h.flushBits();
-        if constexpr (std::is_scalar_v<M>) {
-            if (flags & kLate) {
-                if (!lateRowIsZero(value))
-                    h.u64(static_cast<uint64_t>(value) + 1);
-                return;
-            }
-        }
-        hashValue(h, value);
-    }
-};
-
 template <class M>
 void
 hashValue(Hasher &h, const M &value)
 {
     if constexpr (HasFields<M>) {
-        KeyRow<M> row{h, value};
+        auto row = [&]<class F>(const char *, F M::*member,
+                                unsigned flags = 0) {
+            if (!(flags & kKey))
+                return;
+            const F &field = value.*member;
+            if constexpr (std::is_same_v<F, bool>) {
+                if (!(flags & kLate)) {
+                    h.bit(field);
+                    return;
+                }
+            }
+            h.flushBits();
+            if constexpr (std::is_scalar_v<F>) {
+                if (flags & kLate) {
+                    if (field != F{})
+                        h.u64(static_cast<uint64_t>(field) + 1);
+                    return;
+                }
+            }
+            hashValue(h, field);
+        };
         M::fields(row);
         h.flushBits();
     } else if constexpr (std::is_same_v<M, std::string>) {

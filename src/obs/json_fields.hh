@@ -1,17 +1,12 @@
 /**
  * @file
- * The JSON consumers of the field lists (common/fields.hh): one writer
- * and one checked reader for every listed struct. The pfitsd wire
- * requests, store entries and run-manifest keys all encode through
- * these two, so a struct's JSON form is its field list:
- *
- *  - rows in list order, under their wire names;
- *  - a listed struct as a nested object, a vector or array as a JSON
- *    array (an array must come back at its exact length);
- *  - an enum by its FieldEnum name, a kHex row as "0x%016x";
- *  - a late key row left out while zero (common/fields.hh);
- *  - every integer read through getUnsigned, so a negative, fractional
- *    or out-of-range number fails the read instead of being cast.
+ * The JSON walkers of the field lists (common/fields.hh): one writer
+ * and one checked reader, used by the pfitsd wire, the store and
+ * manifests. Rows go out in list order under their wire names; nested
+ * lists become objects, vectors and arrays JSON arrays, enums their
+ * names, kHex rows hex strings. Every integer is read through
+ * getUnsigned, so a negative, fractional or out-of-range number fails
+ * the read instead of being cast.
  */
 
 #ifndef POWERFITS_OBS_JSON_FIELDS_HH
@@ -28,68 +23,23 @@
 namespace pfits
 {
 
-template <class M>
-void writeJsonFields(JsonWriter &w, const M &value, unsigned flags = 0);
-
-template <class M>
-bool readJsonFields(const JsonValue &v, M &out, unsigned flags = 0);
-
-namespace detail
-{
-
-template <class T>
-struct JsonWriteRow
-{
-    JsonWriter &w;
-    const T &obj;
-
-    template <class M>
-    void
-    operator()(const char *name, M T::*member, unsigned flags = 0)
-    {
-        if ((flags & kKey) && (flags & kLate) &&
-            lateRowIsZero(obj.*member))
-            return;
-        w.key(name);
-        writeJsonFields(w, obj.*member, flags);
-    }
-};
-
-template <class T>
-struct JsonReadRow
-{
-    const JsonValue &v;
-    T &obj;
-    bool ok = true;
-
-    template <class M>
-    void
-    operator()(const char *name, M T::*member, unsigned flags = 0)
-    {
-        if (!ok)
-            return;
-        const JsonValue &field = v.get(name);
-        if ((flags & kLate) && field.isNull()) {
-            if constexpr (std::is_array_v<M>)
-                ok = false; // late rows are scalars
-            else
-                obj.*member = M{};
-            return;
-        }
-        ok = readJsonFields(field, obj.*member, flags);
-    }
-};
-
-} // namespace detail
-
 /** Emit @p value (a listed struct or one row's value) as JSON. */
 template <class M>
 void
-writeJsonFields(JsonWriter &w, const M &value, unsigned flags)
+writeJsonFields(JsonWriter &w, const M &value, unsigned flags = 0)
 {
     if constexpr (HasFields<M>) {
         w.beginObject();
-        detail::JsonWriteRow<M> row{w, value};
+        auto row = [&]<class F>(const char *name, F M::*member,
+                                unsigned row_flags = 0) {
+            if constexpr (std::is_scalar_v<F>) {
+                if ((row_flags & kKey) && (row_flags & kLate) &&
+                    value.*member == F{})
+                    return;
+            }
+            w.key(name);
+            writeJsonFields(w, value.*member, row_flags);
+        };
         M::fields(row);
         w.endObject();
     } else if constexpr (std::is_enum_v<M>) {
@@ -119,24 +69,27 @@ writeJsonFields(JsonWriter &w, const M &value, unsigned flags)
  */
 template <class M>
 bool
-readJsonFields(const JsonValue &v, M &out, unsigned flags)
+readJsonFields(const JsonValue &v, M &out, unsigned flags = 0)
 {
     if constexpr (HasFields<M>) {
         if (!v.isObject())
             return false;
-        detail::JsonReadRow<M> row{v, out};
-        M::fields(row);
-        return row.ok;
-    } else if constexpr (std::is_enum_v<M>) {
-        if (!v.isString())
-            return false;
-        for (unsigned i = 0; i < FieldEnum<M>::kCount; ++i) {
-            if (v.asString() == FieldEnum<M>::name(static_cast<M>(i))) {
-                out = static_cast<M>(i);
-                return true;
+        bool ok = true;
+        auto row = [&]<class F>(const char *name, F M::*member,
+                                unsigned row_flags = 0) {
+            const JsonValue &field = v.get(name);
+            if constexpr (std::is_scalar_v<F>) {
+                if ((row_flags & kLate) && field.isNull()) {
+                    out.*member = F{};
+                    return;
+                }
             }
-        }
-        return false;
+            ok = ok && readJsonFields(field, out.*member, row_flags);
+        };
+        M::fields(row);
+        return ok;
+    } else if constexpr (std::is_enum_v<M>) {
+        return v.isString() && parseFieldEnum(v.asString(), &out);
     } else if constexpr (std::is_same_v<M, bool>) {
         if (!v.isBool())
             return false;

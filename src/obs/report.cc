@@ -8,6 +8,7 @@
 #include <map>
 
 #include "common/logging.hh"
+#include "obs/json_fields.hh"
 #include "obs/manifest.hh"
 
 namespace pfits
@@ -211,10 +212,8 @@ validateManifest(const JsonValue &doc)
     if (!sims.isArray())
         return "missing array 'sims'";
     for (const JsonValue &s : sims.asArray()) {
-        if (!s.isObject() || !s.get("program").isString() ||
-            !s.get("config").isString() ||
-            !s.get("faults").isString() ||
-            !s.get("observers").isString())
+        SimKey key;
+        if (!readJsonFields(s, key))
             return "sims entry missing program/config/faults/observers "
                    "hashes";
     }

@@ -34,20 +34,6 @@ simBackendName(SimBackend backend)
     }
 }
 
-bool
-parseSimBackend(const std::string &text, SimBackend *backend)
-{
-    if (text == "interp") {
-        *backend = SimBackend::Interp;
-        return true;
-    }
-    if (text == "fast") {
-        *backend = SimBackend::Fast;
-        return true;
-    }
-    return false;
-}
-
 void
 RunResult::addStats(StatGroup &group) const
 {

@@ -96,12 +96,6 @@ struct FieldEnum<SimBackend>
     static const char *name(SimBackend b) { return simBackendName(b); }
 };
 
-/**
- * Parse "interp"/"fast" into @p backend.
- * @return false (leaving @p backend untouched) on any other text.
- */
-bool parseSimBackend(const std::string &text, SimBackend *backend);
-
 /** Core configuration (defaults model the Intel SA-1100). */
 struct CoreConfig
 {

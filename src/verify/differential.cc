@@ -59,31 +59,6 @@ compareRegs(const std::string &what, const CpuState &a,
             b.flags.c, b.flags.v));
 }
 
-/** Compare the SWI output sinks. */
-void
-compareIo(const std::string &what, const IoSinks &a, const IoSinks &b,
-          std::vector<std::string> &out)
-{
-    if (a.console != b.console)
-        out.push_back(detail::format(
-            "%s: console '%s' vs '%s'", what.c_str(),
-            a.console.c_str(), b.console.c_str()));
-    if (a.emitted != b.emitted) {
-        out.push_back(detail::format(
-            "%s: emitted %zu words vs %zu words", what.c_str(),
-            a.emitted.size(), b.emitted.size()));
-        for (size_t i = 0;
-             i < std::min(a.emitted.size(), b.emitted.size()); ++i) {
-            if (a.emitted[i] != b.emitted[i]) {
-                out.push_back(detail::format(
-                    "%s: emitted[%zu] 0x%08x vs 0x%08x", what.c_str(),
-                    i, a.emitted[i], b.emitted[i]));
-                break;
-            }
-        }
-    }
-}
-
 /** One Machine run with the timing checker attached. */
 RunResult
 checkedRun(Machine &machine, const CoreConfig &core,
@@ -234,7 +209,7 @@ diffProgram(const Program &prog, uint64_t seed,
             (g.trapReason + " / " + ra.trapReason).c_str()));
     compareRegs("golden vs arm32", g.finalState, ra.finalState, 0,
                 out);
-    compareIo("golden vs arm32", g.io, ra.io, out);
+    diffFields("golden vs arm32", g.io, ra.io, out);
     if (g.retired != ra.instructions)
         out.push_back(detail::format(
             "golden vs arm32: retired %llu vs %llu",
@@ -265,7 +240,7 @@ diffProgram(const Program &prog, uint64_t seed,
             runOutcomeName(ra.outcome), runOutcomeName(rp.outcome)));
     compareRegs("arm32 vs packed", ra.finalState, rp.finalState, 0,
                 out);
-    compareIo("arm32 vs packed", ra.io, rp.io, out);
+    diffFields("arm32 vs packed", ra.io, rp.io, out);
     if (ra.instructions != rp.instructions ||
         ra.annulled != rp.annulled)
         out.push_back(detail::format(
@@ -304,7 +279,7 @@ diffProgram(const Program &prog, uint64_t seed,
             // return addresses. Everything else must agree.
             compareRegs("arm32 vs fits16", ra.finalState,
                         rf.finalState, (1u << R12) | (1u << LR), out);
-            compareIo("arm32 vs fits16", ra.io, rf.io, out);
+            diffFields("arm32 vs fits16", ra.io, rf.io, out);
             // The stack holds pushed code addresses, which
             // legitimately differ; the declared data segments must
             // not.
@@ -465,7 +440,7 @@ chipDiffProgram(const Program &prog, uint64_t seed, unsigned tiles)
                 static_cast<unsigned long long>(rs.takenBranches),
                 static_cast<unsigned long long>(rt.takenBranches)));
         compareRegs(what, rs.finalState, rt.finalState, 0, out);
-        compareIo(what, rs.io, rt.io, out);
+        diffFields(what, rs.io, rt.io, out);
         if (auto addr = solo.mem().firstDifference(chip.tileMem(t)))
             out.push_back(detail::format(
                 "%s: memory differs at 0x%08x", what.c_str(), *addr));

@@ -153,10 +153,6 @@ struct ChipDiffOptions
 DiffSummary runChipDifferentialSuite(const ChipDiffOptions &opts,
                                      std::ostream *progress = nullptr);
 
-template <class M>
-void diffFields(const std::string &what, const std::string &path,
-                const M &a, const M &b, std::vector<std::string> &out);
-
 namespace detail
 {
 
@@ -167,8 +163,6 @@ fieldText(const M &v)
 {
     if constexpr (std::is_enum_v<M>)
         return FieldEnum<M>::name(v);
-    else if constexpr (std::is_same_v<M, bool>)
-        return v ? "true" : "false";
     else if constexpr (std::is_integral_v<M>)
         return std::to_string(static_cast<unsigned long long>(v));
     else if constexpr (std::is_floating_point_v<M>)
@@ -177,40 +171,26 @@ fieldText(const M &v)
         return "'" + v + "'";
 }
 
-template <class T>
-struct DiffRow
-{
-    const std::string &what;
-    const std::string &prefix;
-    const T &a;
-    const T &b;
-    std::vector<std::string> &out;
-
-    template <class M>
-    void
-    operator()(const char *name, M T::*member, unsigned = 0)
-    {
-        diffFields(what, prefix + name, a.*member, b.*member, out);
-    }
-};
-
 } // namespace detail
 
 /**
  * The differential consumer of the field lists (common/fields.hh):
  * append "<what>: <path> <a> vs <b>" to @p out for every row where
- * @p a and @p b differ. Nested lists extend the path ("icache.reads");
+ * @p a and @p b differ. Nested lists extend @p path ("icache.reads");
  * for a vector or array, a length mismatch and the first differing
  * element ("final_state.regs[3]") are reported.
  */
 template <class M>
 void
-diffFields(const std::string &what, const std::string &path,
-           const M &a, const M &b, std::vector<std::string> &out)
+diffFields(const std::string &what, const M &a, const M &b,
+           std::vector<std::string> &out, const std::string &path = "")
 {
     if constexpr (HasFields<M>) {
         const std::string prefix = path.empty() ? path : path + ".";
-        detail::DiffRow<M> row{what, prefix, a, b, out};
+        auto row = [&]<class F>(const char *name, F M::*member,
+                                unsigned = 0) {
+            diffFields(what, a.*member, b.*member, out, prefix + name);
+        };
         M::fields(row);
     } else if constexpr (std::ranges::range<M> &&
                          !std::is_same_v<M, std::string>) {
@@ -223,21 +203,12 @@ diffFields(const std::string &what, const std::string &path,
         const size_t before = out.size();
         for (size_t i = 0; i < std::min(na, nb) && out.size() == before;
              ++i)
-            diffFields(what, path + "[" + std::to_string(i) + "]", a[i],
-                       b[i], out);
+            diffFields(what, a[i], b[i], out,
+                       path + "[" + std::to_string(i) + "]");
     } else if (!(a == b)) {
         out.push_back(what + ": " + path + " " + detail::fieldText(a) +
                       " vs " + detail::fieldText(b));
     }
-}
-
-/** diffFields over every row of two listed structs. */
-template <class T>
-void
-diffFields(const std::string &what, const T &a, const T &b,
-           std::vector<std::string> &out)
-{
-    diffFields(what, std::string(), a, b, out);
 }
 
 } // namespace pfits
