@@ -546,8 +546,8 @@ SimCache::simulate(const FrontEnd &fe, const CoreConfig &core,
                    const ObserverSpec &spec, const ChipConfig &chip)
 {
     SimKey key{hashFrontEnd(fe), hashConfigKey(core, chip),
-                    hashFaultParams(faults, max_retries),
-                    hashObserverSpec(spec)};
+               hashFaultParams(faults, max_retries),
+               hashObserverSpec(spec)};
 
     std::shared_ptr<Slot> slot = acquireSlot(key);
     // Compute outside the map lock so unrelated keys never serialize;

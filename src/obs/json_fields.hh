@@ -6,7 +6,7 @@
  * lists become objects, vectors and arrays JSON arrays, enums their
  * names, kHex rows hex strings. Every integer is read through
  * getUnsigned, so a negative, fractional or out-of-range number fails
- * the read instead of being cast.
+ * the read instead of being cast; a double must lie in [0, 2^53).
  */
 
 #ifndef POWERFITS_OBS_JSON_FIELDS_HH
@@ -106,7 +106,9 @@ readJsonFields(const JsonValue &v, M &out, unsigned flags = 0)
         }
         return getUnsigned(v, &out);
     } else if constexpr (std::is_floating_point_v<M>) {
-        if (!v.isNumber())
+        // [0, 2^53): every clock fits, and the memo-key hash's
+        // conversion of the value to whole thousandths stays defined.
+        if (!v.isNumber() || !(v.asNumber() >= 0 && v.asNumber() < 0x1p53))
             return false;
         out = v.asNumber();
         return true;

@@ -678,8 +678,8 @@ SvcServer::computeJob(const SimKey &key, const std::string &bench,
         // content-addressed and the client falls back to local
         // simulation.
         SimKey rebuilt{hashFrontEnd(fe), hashCoreConfig(core),
-                            hashFaultParams(faults, max_retries),
-                            hashObserverSpec(spec)};
+                       hashFaultParams(faults, max_retries),
+                       hashObserverSpec(spec)};
         if (rebuilt != key) {
             resolveInflight(key, Inflight::State::Unsupported,
                             "content hash mismatch rebuilding '" +

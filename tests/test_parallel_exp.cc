@@ -214,7 +214,7 @@ TEST(SimCache, TryGetAndSeedRoundTrip)
     ArmFrontEnd fe(std::move(wl.program));
     CoreConfig core;
     SimKey key{hashFrontEnd(fe), hashCoreConfig(core),
-                    hashFaultParams({}, 0), hashObserverSpec({})};
+               hashFaultParams({}, 0), hashObserverSpec({})};
 
     // Absent: tryGet must not compute, count, or block.
     EXPECT_FALSE(cache.tryGet(key).has_value());

@@ -968,9 +968,10 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
     JsonWriter core_w(core, 0);
     writeCoreConfigJson(core_w, CoreConfig{});
     const std::string get = "{\"op\":\"get\",\"key\":" + key;
-    const std::string sim = "{\"op\":\"sim\",\"bench\":\"crc32\","
-                            "\"isa\":\"arm\",\"key\":" +
-                            key + ",\"core\":" + core.str();
+    const std::string sim_head = "{\"op\":\"sim\",\"bench\":\"crc32\","
+                                 "\"isa\":\"arm\",\"key\":" +
+                                 key + ",\"core\":";
+    const std::string sim = sim_head + core.str();
     for (const std::string number : {"-1", "0.5", "1e300"}) {
         requests.push_back(get + ",\"deadline_ms\":" + number + "}");
         requests.push_back(sim + ",\"deadline_ms\":" + number + "}");
@@ -979,6 +980,13 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
                                  "\"interval_instructions\":" +
                            number + "}}");
     }
+    // Clocks the memo-key hash cannot take in whole thousandths.
+    for (const std::string clock : {"-1", "1e300"})
+        requests.push_back(sim_head +
+                           replaceFirst(core.str(),
+                                        "\"clock_hz\":200000000",
+                                        "\"clock_hz\":" + clock) +
+                           "}");
     for (const std::string &bad : requests) {
         JsonValue resp =
             JsonValue::parse(rawRequest(ts.config.socketPath, bad));
