@@ -1081,7 +1081,7 @@ TEST(SvcService, OversizedTruncatedAndStalledFramesNeitherWedgeNorCrash)
     const auto t0 = std::chrono::steady_clock::now();
     ts.server->stop();
     EXPECT_LT(std::chrono::steady_clock::now() - t0,
-              std::chrono::seconds(2));
+              std::chrono::seconds(5));
     EXPECT_FALSE(recvFrame(stalled, &response, 5'000, &err));
     EXPECT_NE(err, "timeout");
     ::close(stalled);
