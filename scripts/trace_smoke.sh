@@ -20,7 +20,8 @@ experiment="$2"
 daemon="$3"
 report="$4"
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+daemon_pid=""
+trap '[[ -n "$daemon_pid" ]] && kill "$daemon_pid" 2>/dev/null; rm -rf "$workdir"' EXIT
 
 echo "trace: running $experiment --trace-out"
 "$run" "$experiment" --trace-out "$workdir/bench.trace.json" > /dev/null
@@ -45,11 +46,14 @@ sock="$workdir/d.sock"
     --trace-out "$workdir/daemon.trace.json" \
     > "$workdir/pfitsd.log" 2>&1 &
 daemon_pid=$!
+# Wait for the readiness line, not the socket file: the file appears at
+# bind(), a moment before listen(), and a connect in that gap is refused.
+ready() { grep -q "pfitsd: listening" "$workdir/pfitsd.log"; }
 for _ in $(seq 100); do
-    [[ -S "$sock" ]] && break
+    ready && break
     sleep 0.1
 done
-if [[ ! -S "$sock" ]]; then
+if ! ready; then
     echo "trace: FAILED — pfitsd never came up" >&2
     cat "$workdir/pfitsd.log" >&2
     exit 1
@@ -69,6 +73,7 @@ EOF
 # means the write failed — the satellite contract for --trace-out).
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
+daemon_pid=""
 
 echo "trace: validate daemon timeline"
 "$report" validate-trace "$workdir/daemon.trace.json"
