@@ -24,10 +24,10 @@ namespace
 {
 
 /**
- * One kernel per suite category, small enough that the interp-only
- * chip runs keep the bench quick while still spanning control-heavy
- * (dijkstra), data-heavy (qsort), and kernel-loop (sha, crc32, gsm,
- * bitcount) behavior.
+ * One kernel per suite category, small enough that the chip runs keep
+ * the bench quick while still spanning control-heavy (dijkstra),
+ * data-heavy (qsort), and kernel-loop (sha, crc32, gsm, bitcount)
+ * behavior.
  */
 const std::vector<std::string> kKernels = {
     "bitcount", "qsort", "dijkstra", "sha", "crc32", "gsm",

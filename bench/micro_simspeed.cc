@@ -21,6 +21,7 @@
 #include "mibench/mibench.hh"
 #include "sim/machine.hh"
 #include "sim/probe.hh"
+#include "verify/differential.hh"
 
 using namespace pfits;
 
@@ -34,26 +35,24 @@ crcProgram()
     return prog;
 }
 
-/** Arg(0) = interp, Arg(1) = fast — the backends run side by side so
- * one invocation reports the speedup ratio in instructions/second. */
-CoreConfig
-coreForArg(benchmark::State &state)
+/** Arg(0) = the interpreter oracle, Arg(1) = the engine — run side by
+ * side so one invocation reports the engine's speedup over the oracle
+ * in instructions/second. */
+TileFactory
+tileForArg(benchmark::State &state)
 {
-    CoreConfig core;
-    core.backend =
-        state.range(0) ? SimBackend::Fast : SimBackend::Interp;
-    state.SetLabel(simBackendName(core.backend));
-    return core;
+    state.SetLabel(state.range(0) ? "engine" : "oracle");
+    return state.range(0) ? TileFactory{} : TileFactory{makeOracleTile};
 }
 
 void
 BM_ArmSimulate(benchmark::State &state)
 {
     ArmFrontEnd fe(crcProgram());
-    const CoreConfig core = coreForArg(state);
+    const TileFactory tile = tileForArg(state);
     uint64_t instructions = 0;
     for (auto _ : state) {
-        Machine machine(fe, core);
+        Machine machine(fe, CoreConfig{}, tile);
         RunResult rr = machine.run();
         instructions += rr.instructions;
         benchmark::DoNotOptimize(rr.cycles);
@@ -73,10 +72,10 @@ BM_FitsSimulate(benchmark::State &state)
     ProfileInfo profile = profileProgram(crcProgram());
     FitsIsa isa = synthesize(profile, SynthParams{}, "crc32");
     FitsFrontEnd fe(translateProgram(crcProgram(), isa, profile));
-    const CoreConfig core = coreForArg(state);
+    const TileFactory tile = tileForArg(state);
     uint64_t instructions = 0;
     for (auto _ : state) {
-        Machine machine(fe, core);
+        Machine machine(fe, CoreConfig{}, tile);
         RunResult rr = machine.run();
         instructions += rr.instructions;
         // Matches BM_ArmSimulate: without this the compiler may elide

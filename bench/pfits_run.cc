@@ -26,8 +26,6 @@
  *                     1..64, also --tiles=N and PFITS_TILES. The
  *                     default 1 is the plain single-core Machine and
  *                     reproduces every pre-chip table byte-identically
- *   --backend B       simulator loop, interp (default) or fast; the
- *                     backends are verified result-equivalent
  *   --trace-on-trap   arm the bounded flight recorder on every run
  *   --trace-dir DIR   directory trace JSONL files are written to
  *                     (default "."); give concurrent runs distinct
@@ -37,9 +35,9 @@
  *                     params, simulated content hashes, result tables,
  *                     engine self-metrics, wall/CPU time
  *                     (docs/OBSERVABILITY.md). <tool> is the
- *                     experiment name plus "+fast" / "+tilesN" for a
- *                     non-default backend or chip shape, so those runs
- *                     are separate tracked series
+ *                     experiment name plus "+tilesN" for a non-default
+ *                     chip shape, so those runs are a separate tracked
+ *                     series
  *   --trace-out FILE  write a Chrome trace-event JSON timeline of the
  *                     whole invocation (runner phases, per-worker job
  *                     lanes, SimCache hits/misses, per-tile chip
@@ -98,8 +96,6 @@ struct Options
     //!< shared coherent L2 (ExperimentParams::chipSim).
     unsigned tiles = 1;
 
-    SimBackend backend = SimBackend::Interp;
-
     bool traceOnTrap = false;
     std::string traceDir = ".";
     std::string jsonDir; //!< empty = no manifests
@@ -126,10 +122,6 @@ printUsage(std::ostream &os)
           "coherent L2\n"
           "                   (1..64; PFITS_TILES also works; default "
           "1 = single-core)\n"
-          "  --backend B      simulator loop: interp (default) or "
-          "fast\n"
-          "                   (verified result-equivalent; tables are "
-          "byte-identical)\n"
           "  --trace-on-trap  dump a bounded event trace on "
           "trap/machine-check\n"
           "  --trace-dir DIR  directory for trace JSONL files "
@@ -230,13 +222,6 @@ parseArgs(int argc, char **argv)
             opts.daemonSocket = std::string(arg.substr(9));
             if (opts.daemonSocket.empty())
                 reject("--daemon= wants a socket path");
-        } else if (arg == "--backend") {
-            if (!parseFieldEnum(wantValue(i, arg), &opts.backend))
-                reject("bad --backend value (interp|fast)");
-        } else if (arg.rfind("--backend=", 0) == 0) {
-            if (!parseFieldEnum(std::string(arg.substr(10)),
-                                &opts.backend))
-                reject("bad --backend value (interp|fast)");
         } else if (arg == "--jobs") {
             opts.jobs = parseCount(wantValue(i, arg));
         } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -256,8 +241,8 @@ parseArgs(int argc, char **argv)
             // capture and what a user pasting an error sees first.
             reject("unknown flag '" + std::string(arg) +
                    "' (accepted: --all --list --csv --jobs --tiles "
-                   "--backend --trace-on-trap --trace-dir --json "
-                   "--trace-out --daemon --help)");
+                   "--trace-on-trap --trace-dir --json --trace-out "
+                   "--daemon --help)");
         } else if (const Experiment *e = findExperiment(std::string(arg))) {
             opts.run.push_back(e);
         } else {
@@ -288,9 +273,6 @@ parseArgs(int argc, char **argv)
         if (env && *env)
             opts.tiles = parseTiles(env);
     }
-    if (opts.tiles != 1 && opts.backend != SimBackend::Interp)
-        reject("--tiles runs the interpreter tile loop; it cannot be "
-               "combined with --backend fast");
     return opts;
 }
 
@@ -300,7 +282,6 @@ sharedParams(const Options &opts)
 {
     ExperimentParams params;
     params.jobs = opts.jobs;
-    params.core.backend = opts.backend;
     if (opts.tiles != 1) {
         // Multi-tile means the full chip story: N tiles behind a
         // shared, MSI-coherent L2 (with one tile the chip config stays
@@ -322,11 +303,6 @@ manifestParams(const ExperimentParams &params)
     ManifestParams m;
     m.recorded = true;
     m.jobs = params.jobs;
-    // Recorded only when non-default so pre-backend manifests keep
-    // their exact bytes.
-    m.backend = params.core.backend == SimBackend::Interp
-                    ? ""
-                    : simBackendName(params.core.backend);
     m.tiles = params.chipSim.tiles;
     m.faultSeed = params.faults.enabled() ? params.faults.seed : 0;
     m.faultRetries = params.faultRetries;
@@ -338,17 +314,15 @@ manifestParams(const ExperimentParams &params)
 }
 
 /**
- * The manifest identity: the experiment name, plus "+<backend>" and
- * "+tilesN" when those differ from the default. Aggregation and the
- * regression gate key runs by this name, so an interp and a fast run
- * (or a 4-tile and a single-core run) are separate tracked series.
+ * The manifest identity: the experiment name, plus "+tilesN" when the
+ * chip shape differs from the default. Aggregation and the regression
+ * gate key runs by this name, so a 4-tile and a single-core run are
+ * separate tracked series.
  */
 std::string
 toolName(const Experiment &e, const Options &opts)
 {
     std::string tool = e.name;
-    if (opts.backend != SimBackend::Interp)
-        tool += std::string("+") + simBackendName(opts.backend);
     if (opts.tiles != 1)
         tool += "+tiles" + std::to_string(opts.tiles);
     return tool;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Suite-level regression gate over run manifests: run every experiment
-# with --json, aggregate the manifests into one BENCH_suite.json via
-# pfits_report, and diff it against the checked-in baseline
-# (tests/baseline/BENCH_baseline.json).
+# once with --json, aggregate the manifests into one BENCH_suite.json
+# via pfits_report, and diff it against the checked-in baseline
+# (tests/baseline/BENCH_baseline.json); compare the engine's exact work
+# counters against tests/baseline/work_counters.txt.
 #
 # Numeric table drift beyond the tolerance fails the gate. Wall times
 # are machine-specific, so the diff against the checked-in baseline
@@ -11,8 +12,9 @@
 # available for same-machine comparisons via pfits_report diff.
 #
 # Usage: bench_regress.sh <build-dir> [--update]
-#   --update  regenerate tests/baseline/BENCH_baseline.json from the
-#             current build (review the diff before committing).
+#   --update  regenerate tests/baseline/BENCH_baseline.json and
+#             work_counters.txt from the current build (review the
+#             diff before committing).
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -24,6 +26,7 @@ build="$1"
 update="${2:-}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 baseline="$repo/tests/baseline/BENCH_baseline.json"
+counter_baseline="$repo/tests/baseline/work_counters.txt"
 report="$build/src/obs/pfits_report"
 
 if [[ ! -x "$report" ]]; then
@@ -40,34 +43,38 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-# The suite runs once per backend; the fast run writes each manifest
-# under the distinct tool identity "<name>+fast", so the suite file
-# tracks the interp and fast series separately (and a table divergence
-# between them trips the same gate as any other drift).
 status=0
-for backend in interp fast; do
-    if ! "$run" --all --backend="$backend" --json "$workdir" > /dev/null
-    then
-        echo "bench_regress: pfits_run --all ($backend) FAILED" >&2
-        status=1
-    fi
-done
+if ! "$run" --all --json "$workdir" > /dev/null; then
+    echo "bench_regress: pfits_run --all FAILED" >&2
+    status=1
+fi
 names="$("$run" --list)" # a separate step, so set -e sees a failure
 for name in $names; do
-    for tool in "$name" "$name+fast"; do
-        if [[ ! -f "$workdir/$tool.json" ]]; then
-            echo "bench_regress: $tool wrote no manifest" >&2
-            status=1
-        elif ! "$report" validate "$workdir/$tool.json" > /dev/null; then
-            echo "bench_regress: $tool wrote an invalid manifest" >&2
-            status=1
-        fi
-    done
+    if [[ ! -f "$workdir/$name.json" ]]; then
+        echo "bench_regress: $name wrote no manifest" >&2
+        status=1
+    elif ! "$report" validate "$workdir/$name.json" > /dev/null; then
+        echo "bench_regress: $name wrote an invalid manifest" >&2
+        status=1
+    fi
 done
 if [[ $status -ne 0 ]]; then
     echo "bench_regress: FAILED before aggregation" >&2
     exit $status
 fi
+
+# The engine's exact work counters (sim/fastsim.cc): retired ops the
+# superblock batches carried and ops that took the per-op entry. They
+# are host-independent, so they gate exactly: a change that quietly
+# stops batching fails here even when every table still matches.
+counters="$build/work_counters.txt"
+for name in $names; do
+    for key in engine.ops_batched engine.ops_per_op; do
+        value="$(sed -n "s/^ *\"$key\": \([0-9]*\),\{0,1\}\$/\1/p" \
+                     "$workdir/$name.json")"
+        echo "$name $key ${value:-0}"
+    done
+done > "$counters"
 
 suite="$build/BENCH_suite.json"
 "$report" aggregate "$workdir" -o "$suite"
@@ -75,8 +82,15 @@ suite="$build/BENCH_suite.json"
 if [[ "$update" == "--update" ]]; then
     mkdir -p "$(dirname "$baseline")"
     cp "$suite" "$baseline"
-    echo "bench_regress: baseline updated ($baseline)"
+    cp "$counters" "$counter_baseline"
+    echo "bench_regress: baseline updated ($baseline, $counter_baseline)"
     exit 0
+fi
+
+if ! diff -u "$counter_baseline" "$counters"; then
+    echo "bench_regress: FAILED — engine work counters drifted from" \
+         "$counter_baseline" >&2
+    exit 1
 fi
 
 if [[ ! -f "$baseline" ]]; then

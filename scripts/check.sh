@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build and run the full test suite three times —
 # plain, AddressSanitizer + UBSan, and UBSan alone (non-recovering) —
-# then diff every experiment against its committed golden snapshot
-# on both simulator backends, with fast-backend differential shards
-# under every build flavour. The ctest suites include the trace_smoke
+# with engine-vs-oracle differential shards (single-core and chip)
+# under every build flavour, then diff every experiment against its
+# committed golden snapshot. The ctest suites include the trace_smoke
 # gate (scripts/trace_smoke.sh): --trace-out timelines from pfits_run
 # and from pfitsd must validate via `pfits_report validate-trace`, so
 # the tracing layer gets a sanitized pass too.
@@ -25,42 +25,35 @@ run_suite() {
 run_suite "$repo/build" -DASAN=OFF
 
 # Differential fuzz: every MiBench kernel plus 500 seeded random
-# programs cross-executed on golden/arm32/packed/fits16, and the
-# timing-invariant sweep over the paper's four configurations (see
-# docs/VERIFICATION.md). Override the shard with PFITS_VERIFY_SEED to
-# rotate coverage; a failure prints the seed and disassembly needed to
-# replay it.
+# programs cross-executed on golden/arm32/packed/fits16, every timing
+# config on the engine AND the cycle-exact interpreter oracle (checked,
+# bare and as a one-tile chip), and the timing-invariant sweep over
+# the paper's four configurations (see docs/VERIFICATION.md). Override
+# the shard with PFITS_VERIFY_SEED to rotate coverage; a failure prints
+# the seed and disassembly needed to replay it.
 echo "=== differential verification (pfits_verify) ==="
 "$repo/build/src/verify/pfits_verify" --count 500 --jobs "$jobs"
 
-# The multi-tile chip shard: every kernel plus 500 random programs run
-# as all four tiles of a chip over a small shared MSI L2 (forcing
-# capacity back-invalidations), checked architecturally against
-# independent single-core runs plus the coherence invariants. The
-# one-tile chip cross-execution rides inside the default sweep above.
-echo "=== differential verification (multi-tile chip shard) ==="
+# The multi-tile chip shards: every kernel plus random programs run as
+# every tile of a chip over a small shared MSI L2 (forcing capacity
+# back-invalidations), the engine chip checked field for field against
+# the oracle chip, architecturally against independent single-core
+# runs, and for the coherence invariants — each at a fine, an odd and
+# the production round-robin quantum (7, 1009, 10 000).
+echo "=== differential verification (multi-tile chip shards) ==="
 "$repo/build/src/verify/pfits_verify" --no-random --no-timing \
     --chip-count 500 --chip-tiles 4 --jobs "$jobs"
-
-# A fast-backend-only shard on top of the interp+fast cross-execution
-# above: diffProgram still compares against the golden interpreter, so
-# this pins the fast loop in isolation (a divergence here bisects to
-# one backend in a single run).
-echo "=== differential verification (fast backend shard) ==="
-"$repo/build/src/verify/pfits_verify" --count 200 --jobs "$jobs" \
-    --backend fast
+"$repo/build/src/verify/pfits_verify" --no-random --no-timing \
+    --chip-count 100 --chip-tiles 8 --jobs "$jobs"
+"$repo/build/src/verify/pfits_verify" --no-random --no-timing \
+    --chip-count 100 --chip-tiles 2 --jobs "$jobs"
 
 # Every experiment must print byte-identical tables to its committed
 # snapshot (tests/golden/): measurements are observers now, and this
 # gate catches any instrumentation change leaking into results.
-# Regenerate deliberately with golden_check.sh --update. The second
-# sweep reruns every experiment with --backend=fast against the SAME
-# snapshots — the fast loop must reproduce the interpreter's
-# tables byte for byte.
+# Regenerate deliberately with golden_check.sh --update.
 echo "=== golden snapshots ==="
 "$repo/scripts/golden_check.sh" "$repo/build"
-echo "=== golden snapshots (fast backend) ==="
-"$repo/scripts/golden_check.sh" "$repo/build" --backend=fast
 
 # Manifest-based regression tracking: every experiment re-runs with
 # --json, the manifests aggregate into BENCH_suite.json, and table values are
@@ -82,26 +75,24 @@ echo "=== pfitsd crash fuzz ==="
 # small CI hosts — races surface under TSan-less ASan as heap errors.
 PFITS_JOBS=4 run_suite "$repo/build-asan" -DASAN=ON
 
-# A smaller differential shard under ASan: the golden interpreter and
-# the differential runner themselves get leak/overflow coverage. The
-# fast-backend shard and golden sweep run sanitized too — the batched
-# dispatch loop does its own pointer arithmetic over the predecoded
-# trace and earns the same scrutiny as the interpreter.
-echo "=== differential verification (ASan shard) ==="
-PFITS_JOBS=4 "$repo/build-asan/src/verify/pfits_verify" --count 50
-echo "=== differential verification (ASan fast backend shard) ==="
-PFITS_JOBS=4 "$repo/build-asan/src/verify/pfits_verify" --count 50 \
-    --backend fast
-
-# Multi-tile chip shard under ASan: the round-robin quantum loop, the
-# directory's recall paths and the per-tile memories all do pointer
-# work worth sanitizing. (The directed MSI table and protocol fuzz in
-# tests/test_coherence.cc already ran sanitized inside ctest above.)
-echo "=== differential verification (ASan multi-tile chip shard) ==="
-PFITS_JOBS=4 "$repo/build-asan/src/verify/pfits_verify" --no-random \
-    --no-timing --chip-count 50 --chip-tiles 4
-echo "=== golden snapshots (ASan, fast backend) ==="
-"$repo/scripts/golden_check.sh" "$repo/build-asan" --backend=fast
+# The sanitized shards, once per flavour: a smaller differential shard
+# (the golden interpreter, the oracle, the differential runner and the
+# engine's batched dispatch — which does its own pointer arithmetic
+# over the predecoded trace — get leak/overflow coverage), a multi-tile
+# chip shard (the quantum loop, the directory's recall paths, the
+# engine's streak release around them, the per-tile memories) and the
+# golden sweep. The directed MSI table, protocol fuzz and
+# engine-vs-oracle chip shards in tests/ already ran inside ctest.
+sanitized_shards() { # <build-dir> <flavour>
+    echo "=== differential verification ($2 shard) ==="
+    PFITS_JOBS=4 "$1/src/verify/pfits_verify" --count 50
+    echo "=== differential verification ($2 multi-tile chip shard) ==="
+    PFITS_JOBS=4 "$1/src/verify/pfits_verify" --no-random --no-timing \
+        --chip-count 50 --chip-tiles 4
+    echo "=== golden snapshots ($2) ==="
+    "$repo/scripts/golden_check.sh" "$1"
+}
+sanitized_shards "$repo/build-asan" ASan
 
 # One crash-fuzz pass with the daemon and clients under ASan: the
 # kill/restart/quarantine paths get leak and overflow coverage.
@@ -109,14 +100,6 @@ echo "=== pfitsd crash fuzz (ASan) ==="
 PFITS_JOBS=4 "$repo/scripts/svc_crash_fuzz.sh" "$repo/build-asan"
 
 PFITS_JOBS=4 run_suite "$repo/build-ubsan" -DUBSAN=ON
-
-echo "=== differential verification (UBSan fast backend shard) ==="
-PFITS_JOBS=4 "$repo/build-ubsan/src/verify/pfits_verify" --count 50 \
-    --backend fast
-echo "=== differential verification (UBSan multi-tile chip shard) ==="
-PFITS_JOBS=4 "$repo/build-ubsan/src/verify/pfits_verify" --no-random \
-    --no-timing --chip-count 50 --chip-tiles 4
-echo "=== golden snapshots (UBSan, fast backend) ==="
-"$repo/scripts/golden_check.sh" "$repo/build-ubsan" --backend=fast
+sanitized_shards "$repo/build-ubsan" UBSan
 
 echo "=== all checks passed (plain + sanitized + golden) ==="

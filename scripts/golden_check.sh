@@ -4,43 +4,18 @@
 # tests/golden/<name>.txt. This guards the probe refactor's promise
 # that instrumentation seams never change measured results.
 #
-# Usage: golden_check.sh <build-dir> [--update] [--backend=fast]
-#   --update        regenerate the snapshots from the current build
-#                   (review the diff before committing).
-#   --backend=fast  run every experiment on the fast simulator backend but
-#                   diff against the SAME snapshots: the backends are
-#                   result-equivalent by contract, so the committed
-#                   interp tables are the fast backend's golden too.
+# Usage: golden_check.sh <build-dir> [--update]
+#   --update  regenerate the snapshots from the current build (review
+#             the diff before committing).
 set -euo pipefail
 
-if [[ $# -lt 1 ]]; then
-    echo "usage: $0 <build-dir> [--update] [--backend=fast]" >&2
+if [[ $# -lt 1 || $# -gt 2 || ( $# -eq 2 && "$2" != "--update" ) ]]; then
+    echo "usage: $0 <build-dir> [--update]" >&2
     exit 2
 fi
 
 build="$1"
-shift
-update=""
-backend_flags=()
-tag=""
-for arg in "$@"; do
-    case "$arg" in
-    --update) update="--update" ;;
-    --backend=*)
-        backend_flags=("$arg")
-        tag=" (${arg#--backend=})"
-        ;;
-    *)
-        echo "golden: unknown argument '$arg'" >&2
-        exit 2
-        ;;
-    esac
-done
-if [[ "$update" == "--update" && ${#backend_flags[@]} -gt 0 ]]; then
-    echo "golden: snapshots are regenerated on the default backend" \
-         "only; drop --backend to --update" >&2
-    exit 2
-fi
+update="${2:-}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 golden="$repo/tests/golden"
 
@@ -65,13 +40,13 @@ for name in $names; do
         status=1
         continue
     fi
-    if ! "$run" "$name" "${backend_flags[@]}" 2>/dev/null |
+    if ! "$run" "$name" 2>/dev/null |
             diff -u "$snapshot" - > /tmp/golden_diff_$$; then
-        echo "golden: MISMATCH $name$tag" >&2
+        echo "golden: MISMATCH $name" >&2
         head -40 /tmp/golden_diff_$$ >&2
         status=1
     else
-        echo "golden: ok $name$tag"
+        echo "golden: ok $name"
     fi
     rm -f /tmp/golden_diff_$$
 done

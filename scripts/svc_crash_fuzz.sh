@@ -45,10 +45,13 @@ unset PFITS_DAEMON PFITS_DAEMON_TIMEOUT_MS PFITS_DAEMON_RETRIES
 
 start_daemon() {
     "$pfitsd" --socket "$sock" --store "$store" "$@" \
-        >> "$workdir/pfitsd.log" &
+        > "$workdir/pfitsd.log" &
     daemon_pid=$!
+    # Wait for the readiness line, not the socket file: the file
+    # appears at bind(), a moment before listen(), and a connect in
+    # that gap is refused.
     for _ in $(seq 1 100); do
-        [[ -S "$sock" ]] && return 0
+        grep -qs "pfitsd: listening" "$workdir/pfitsd.log" && return 0
         kill -0 "$daemon_pid" 2>/dev/null || break
         sleep 0.1
     done

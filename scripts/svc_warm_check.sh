@@ -42,8 +42,11 @@ echo "warm: daemon-less reference run"
 echo "warm: starting pfitsd"
 "$pfitsd" --socket "$sock" --store "$store" > "$workdir/pfitsd.log" &
 daemon_pid=$!
+# Wait for the readiness line, not the socket file: the file appears at
+# bind(), a moment before listen(), and a connect in that gap is refused.
+ready() { grep -qs "pfitsd: listening" "$workdir/pfitsd.log"; }
 for _ in $(seq 1 100); do
-    [[ -S "$sock" ]] && break
+    ready && break
     kill -0 "$daemon_pid" 2>/dev/null || {
         echo "warm: FAILED — pfitsd died during startup" >&2
         cat "$workdir/pfitsd.log" >&2
@@ -51,7 +54,7 @@ for _ in $(seq 1 100); do
     }
     sleep 0.1
 done
-[[ -S "$sock" ]] || { echo "warm: FAILED — no socket" >&2; exit 1; }
+ready || { echo "warm: FAILED — pfitsd never came up" >&2; exit 1; }
 
 echo "warm: first sweep (populates the store)"
 "$run" "$experiment" --daemon="$sock" --json "$workdir/first" > /dev/null

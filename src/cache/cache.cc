@@ -225,7 +225,7 @@ Cache::handleMiss(uint32_t addr, bool write)
     line.tag = tag;
     line.stamp = tick_;
     // The refilled line is resident and clean: repeat accesses may take
-    // the touchRepeat() fast path until something disturbs the array.
+    // the applyRepeatsAt() fast path until something disturbs the array.
     lastLineAddr_ = addr / config_.lineBytes;
     lastHitIdx_ = base + way;
     return result;
@@ -275,7 +275,7 @@ Cache::invalidateLine(uint32_t addr)
             LineProbe probe{true, line.dirty};
             line = Line{};
             // The repeat hint must not outlive the line it vouches
-            // for: a touchRepeat after this would dirty a dead slot.
+            // for: a batched repeat after this would dirty a dead slot.
             if (lastLineAddr_ == addr / config_.lineBytes)
                 lastLineAddr_ = kNoLine;
             return probe;

@@ -192,18 +192,16 @@ class Cache
     CacheAccessResult access(uint32_t addr, bool write);
 
     /**
-     * Same-line repeat fast path (used by the SimBackend::Fast loop).
+     * Same-line repeat fast path (used by the engine, sim/fastsim.cc).
      *
      * lastLineAddr() identifies the line the most recent access left
      * resident and clean (addr / lineBytes), or kNoLine after a
      * write-around miss, a parity or corrupt-delivery outcome, an
      * injectBitFlip() or a flush(). While it matches the line of the
      * next access — and nothing can touch the array in between — that
-     * access is guaranteed to be another clean hit, and touchRepeat()
-     * applies exactly the state updates a full access() would (access
-     * counter, LRU stamp, dirty bit for write-back writes) without the
-     * tag scan. The access result is CacheAccessResult{hit=true} with
-     * every other field false.
+     * access is guaranteed to be another clean hit: applyRepeatsAt()
+     * can stand for it (and for any number of such repeats) without
+     * the tag scan.
      */
     static constexpr uint64_t kNoLine = ~0ull;
 
@@ -214,55 +212,38 @@ class Cache
      * for applyRepeatsAt(). */
     size_t lastHitIdx() const { return lastHitIdx_; }
 
-    void
-    touchRepeat(bool write)
-    {
-        applyRepeats(write ? 0u : 1u, write ? 1u : 0u);
-    }
-
     /**
-     * Batched form of touchRepeat: apply @p reads + @p writes repeat
-     * hits of the hint line in one step. The final cache state is
-     * identical to that many sequential touchRepeat calls — the tick
-     * advances by the access count, the counters absorb the split,
-     * the LRU stamp lands on the last tick, and any write dirties a
-     * write-back line; the intermediate stamps are unobservable. The
-     * fast backend accumulates same-line streaks in registers and
-     * flushes them here only when the streak breaks.
+     * Re-point the repeat hint at @p lineAddr, resident at lines_
+     * index @p idx (a lastHitIdx() the caller captured while that line
+     * was the hint). For a caller that batched repeat hits of the line
+     * and now resumes full accesses: the hint becomes what a
+     * per-access run would have left, so way-memo counting agrees.
      */
     void
-    applyRepeats(uint32_t reads, uint32_t writes)
+    restoreHint(uint64_t lineAddr, size_t idx)
     {
-        applyRepeatsAt(lastHitIdx_, reads, writes);
+        lastLineAddr_ = lineAddr;
+        lastHitIdx_ = idx;
     }
 
     /**
-     * applyRepeats against an explicit line (a lastHitIdx() the caller
-     * captured while that line was the hint). Sound whenever nothing
-     * else touched the cache between the captured hit and this call —
-     * the line is then still resident and clean, exactly as the
-     * repeat-hint contract above requires. The fast backend uses this
-     * to batch two interleaved line streaks: flushing them in
-     * last-touch order reproduces the relative LRU stamp order a
-     * per-access interpreter would leave (absolute stamp values differ
-     * but only their in-set ordering is observable, through victim
-     * choice).
-     */
-    void
-    applyRepeatsAt(size_t idx, uint32_t reads, uint32_t writes)
-    {
-        // Every batched repeat is by definition an access to the line
-        // the previous access left resident — i.e. a way-memo hit.
-        applyRepeatsAt(idx, reads, writes, reads + writes);
-    }
-
-    /**
-     * applyRepeatsAt with an explicit way-memo count, for callers whose
-     * first streak access was *not* against the immediately preceding
-     * line (the fast backend's interleaved A-B-A streaks: the touch
-     * that re-enters streak A after B is a repeat hit of A's captured
-     * index, but the access it follows was to B's line, so it is not a
-     * memo hit). @p memoHits <= reads + writes.
+     * Apply @p reads + @p writes repeat hits of the line at lines_
+     * index @p idx (a lastHitIdx() the caller captured while that line
+     * was the hint) in one step, @p memoHits of them way-memo hits.
+     * The final cache state is identical to that many sequential
+     * access() hits — the tick advances by the access count, the
+     * counters absorb the split, the LRU stamp lands on the last tick,
+     * and any write dirties a write-back line; the intermediate stamps
+     * are unobservable. Sound whenever nothing else touched the cache
+     * between the captured hit and this call — the line is then still
+     * resident and clean, exactly as the repeat-hint contract above
+     * requires. The engine batches two interleaved line streaks this
+     * way: flushing them in last-touch order reproduces the relative
+     * LRU stamp order a per-access run would leave (absolute stamp
+     * values differ but only their in-set ordering is observable,
+     * through victim choice). A touch that re-enters streak A after B
+     * is a repeat hit of A's line but not a memo hit, hence the
+     * explicit count; @p memoHits <= reads + writes.
      */
     void
     applyRepeatsAt(size_t idx, uint32_t reads, uint32_t writes,
@@ -279,8 +260,16 @@ class Cache
             line.dirty = true;
     }
 
+    /** applyRepeatsAt for a run of repeats that followed their own
+     * line throughout: every one is a way-memo hit. */
+    void
+    applyRepeatsAt(size_t idx, uint32_t reads, uint32_t writes)
+    {
+        applyRepeatsAt(idx, reads, writes, reads + writes);
+    }
+
     /**
-     * access() with an O(1) clean-hit path (used by SimBackend::Fast).
+     * access() with an O(1) clean-hit path (used by the engine).
      *
      * A per-set way-hint table — a direct-mapped cache of the cache —
      * remembers which way a tag was last found in. A hinted hit is
@@ -290,8 +279,8 @@ class Cache
      * makes the validation fail and the access falls back to the full
      * access() scan, which then refreshes the hint. State updates and
      * the returned result are bit-identical to access(); only the tag
-     * scan is skipped. The reference interpreter keeps calling
-     * access() so the backends share one source of truth for misses,
+     * scan is skipped. The interpreter oracle keeps calling
+     * access() so both share one source of truth for misses,
      * replacement and faults.
      */
     CacheAccessResult
@@ -356,7 +345,7 @@ class Cache
     /**
      * Drop the line holding @p addr, if any. The repeat hint is
      * cleared when it pointed at the dropped line, so a stale
-     * touchRepeat can never resurrect it.
+     * batched repeat can never resurrect it.
      * @return whether a line existed and whether it was dirty (the
      * caller owns the recalled data's fate).
      */

@@ -128,6 +128,22 @@ struct CoherenceStats
     uint64_t recallWritebacks = 0; //!< dirty L1 data pulled by recalls
     uint64_t l1Writebacks = 0;     //!< dirty L1 victims landing in L2
     uint64_t l2Writebacks = 0;     //!< dirty lines pushed to memory
+
+    /** The field list (common/fields.hh). */
+    template <class V>
+    static void
+    fields(V &v)
+    {
+        v("read_fills", &CoherenceStats::readFills);
+        v("write_fills", &CoherenceStats::writeFills);
+        v("upgrades", &CoherenceStats::upgrades);
+        v("invalidations", &CoherenceStats::invalidations);
+        v("downgrades", &CoherenceStats::downgrades);
+        v("back_invalidations", &CoherenceStats::backInvalidations);
+        v("recall_writebacks", &CoherenceStats::recallWritebacks);
+        v("l1_writebacks", &CoherenceStats::l1Writebacks);
+        v("l2_writebacks", &CoherenceStats::l2Writebacks);
+    }
 };
 
 /** The shared second level: L2 tags plus the MSI directory. */

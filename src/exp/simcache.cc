@@ -419,66 +419,6 @@ SimCache::computeLocked(Slot &slot, const FrontEnd &fe,
         }
 
         SimResult out;
-        if (!chip.isDefault()) {
-            // A homogeneous chip: chip.tiles copies of this program,
-            // round-robin over the shared L2. The reported run is tile
-            // 0's — this benchmark as one tile of an N-tile chip under
-            // L2 contention — with the chip-level products (aggregate
-            // cycles, L2/coherence activity) riding along in out.chip.
-            // Instruments attach to tile 0 so interval series and trap
-            // traces mean the same thing they mean single-core.
-            std::unique_ptr<IntervalStatsObserver> interval;
-            if (spec.intervalInstructions)
-                interval = std::make_unique<IntervalStatsObserver>(
-                    spec.intervalInstructions);
-            ObserverList list;
-            if (interval)
-                list.add(interval.get());
-            if (tracer)
-                list.add(tracer.get());
-            std::vector<Chip::TileSpec> tile_specs(
-                chip.tiles, Chip::TileSpec{&fe, core});
-            Chip chip_sim(tile_specs, chip);
-            if (!list.empty())
-                chip_sim.setObservers(0, &list);
-            ChipResult cres = chip_sim.run();
-            out.run = cres.tiles.front();
-            out.chip.chipCycles = cres.chipCycles;
-            out.chip.l2 = cres.l2;
-            out.chip.coherence = cres.coherence;
-            out.chip.tileCycles.reserve(cres.tiles.size());
-            out.chip.tileInstructions.reserve(cres.tiles.size());
-            for (const RunResult &rr : cres.tiles) {
-                out.chip.tileCycles.push_back(rr.cycles);
-                out.chip.tileInstructions.push_back(rr.instructions);
-            }
-            if (interval)
-                out.intervals = interval->take();
-            if (metrics) {
-                const CoherenceStats &coh = cres.coherence;
-                metrics->counter("chip.invalidations")
-                    .add(coh.invalidations + coh.backInvalidations);
-                metrics->counter("chip.writebacks")
-                    .add(coh.recallWritebacks + coh.l1Writebacks);
-                metrics->counter("l2.accesses").add(cres.l2.accesses());
-                metrics->counter("l2.misses").add(cres.l2.misses());
-                metrics->counter("l2.writebacks").add(coh.l2Writebacks);
-            }
-            if (tracer)
-                out.tracePath = tracer->path();
-            slot.value = std::move(out);
-            slot.done.store(true);
-            if (metrics) {
-                metrics->counter("simcache.misses").add();
-                metrics
-                    ->histogram("simcache.sim_ms", 0.0, 1000.0, 20)
-                    .sample(static_cast<double>(monotonicNs() - t0) /
-                            1e6);
-                metrics->gauge("simcache.entries")
-                    .set(static_cast<int64_t>(entries()));
-            }
-            return;
-        }
         auto attempt = [&]() -> RunResult {
             // The interval instrument is rebuilt per attempt: a
             // machine-checked run's partial series must not leak into
@@ -492,16 +432,56 @@ SimCache::computeLocked(Slot &slot, const FrontEnd &fe,
                 list.add(interval.get());
             if (tracer)
                 list.add(tracer.get());
-            RunResult rr = Machine(fe, core).run(
-                plan.get(), list.empty() ? nullptr : &list);
+            RunResult rr;
+            if (chip.isDefault()) {
+                rr = Machine(fe, core).run(plan.get(),
+                                           list.empty() ? nullptr : &list);
+            } else {
+                // A homogeneous chip: chip.tiles copies of this
+                // program, round-robin over the shared L2. The
+                // reported run is tile 0's — this benchmark as one
+                // tile of an N-tile chip under L2 contention — with
+                // the chip-level products (aggregate cycles,
+                // L2/coherence activity) riding along in out.chip.
+                // Instruments attach to tile 0 so interval series and
+                // trap traces mean the same thing they mean
+                // single-core.
+                std::vector<Chip::TileSpec> tile_specs(
+                    chip.tiles, Chip::TileSpec{&fe, core});
+                Chip chip_sim(tile_specs, chip);
+                if (!list.empty())
+                    chip_sim.setObservers(0, &list);
+                ChipResult cres = chip_sim.run();
+                rr = cres.tiles.front();
+                out.chip.chipCycles = cres.chipCycles;
+                out.chip.l2 = cres.l2;
+                out.chip.coherence = cres.coherence;
+                for (const RunResult &tile : cres.tiles) {
+                    out.chip.tileCycles.push_back(tile.cycles);
+                    out.chip.tileInstructions.push_back(tile.instructions);
+                }
+                if (metrics) {
+                    const CoherenceStats &coh = cres.coherence;
+                    metrics->counter("chip.invalidations")
+                        .add(coh.invalidations + coh.backInvalidations);
+                    metrics->counter("chip.writebacks")
+                        .add(coh.recallWritebacks + coh.l1Writebacks);
+                    metrics->counter("l2.accesses")
+                        .add(cres.l2.accesses());
+                    metrics->counter("l2.misses").add(cres.l2.misses());
+                    metrics->counter("l2.writebacks")
+                        .add(coh.l2Writebacks);
+                }
+            }
             if (interval)
                 out.intervals = interval->take();
             return rr;
         };
 
-        // Retry-with-reload: a parity machine-check means the stored
-        // program image is still good — a fresh Machine reloads it
-        // and the run is retried a bounded number of times.
+        // Retry-with-reload (single-core only: chips take no faults): a
+        // parity machine-check means the stored program image is still
+        // good — a fresh Machine reloads it and the run is retried a
+        // bounded number of times.
         out.run = attempt();
         while (out.run.outcome == RunOutcome::FaultDetected &&
                out.faultRetries < max_retries) {

@@ -633,20 +633,28 @@ class JsonParser
 };
 
 JsonValue
-JsonValue::parse(const std::string &text)
+JsonValue::parse(const std::string &text, size_t maxBytes)
 {
+    if (text.size() > maxBytes)
+        fatal("json: document of %zu bytes exceeds the %zu-byte limit",
+              text.size(), maxBytes);
     return JsonParser(text).parseDocument();
 }
 
 JsonValue
-JsonValue::parseFile(const std::string &path)
+JsonValue::parseFile(const std::string &path, size_t maxBytes)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fatal("json: cannot open '%s'", path.c_str());
+    const std::streamoff size = in.tellg();
+    if (size >= 0 && static_cast<uint64_t>(size) > maxBytes)
+        fatal("json: '%s' is %lld bytes, over the %zu-byte limit",
+              path.c_str(), static_cast<long long>(size), maxBytes);
+    in.seekg(0);
     std::ostringstream ss;
     ss << in.rdbuf();
-    return parse(ss.str());
+    return parse(ss.str(), maxBytes);
 }
 
 } // namespace pfits

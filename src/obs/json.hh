@@ -34,6 +34,13 @@ namespace pfits
  */
 constexpr size_t kJsonMaxDepth = 256;
 
+/**
+ * Largest document JsonValue::parse accepts by default. Manifests,
+ * store entries, suite aggregates and frames stay far below 1 MiB; the
+ * cap bounds what a corrupt input makes a reader spend.
+ */
+constexpr size_t kJsonMaxBytes = 16u << 20;
+
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscapeString(const std::string &s);
 
@@ -160,12 +167,18 @@ class JsonValue
     /**
      * Parse one JSON document (must consume all non-whitespace input).
      * Throws FatalError with a line/column diagnostic on bad input,
-     * including containers nested deeper than kJsonMaxDepth.
+     * including containers nested deeper than kJsonMaxDepth, and on a
+     * document longer than @p maxBytes.
      */
-    static JsonValue parse(const std::string &text);
+    static JsonValue parse(const std::string &text,
+                           size_t maxBytes = kJsonMaxBytes);
 
-    /** Parse the contents of @p path (throws on I/O error too). */
-    static JsonValue parseFile(const std::string &path);
+    /**
+     * Parse the contents of @p path (throws on I/O error too). A file
+     * longer than @p maxBytes is refused before it is read.
+     */
+    static JsonValue parseFile(const std::string &path,
+                               size_t maxBytes = kJsonMaxBytes);
 
   private:
     friend class JsonParser;

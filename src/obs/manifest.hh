@@ -97,12 +97,11 @@ struct ManifestParams
     uint64_t traceDepth = 0;
     bool traceOnTrap = false;
     std::string traceDir;
-    std::string backend; //!< Machine execution loop ("interp"/"fast")
 
     /**
      * Chip tile count; 1 (the default) means plain single-core runs.
-     * Like backend, it is serialized only when non-default so every
-     * pre-chip manifest keeps its exact bytes.
+     * It is serialized only when non-default so every pre-chip
+     * manifest keeps its exact bytes.
      */
     unsigned tiles = 1;
 };

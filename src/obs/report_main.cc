@@ -234,7 +234,9 @@ cmdValidateTrace(const std::vector<std::string> &args)
     const std::string &path = args[0];
     pfits::JsonValue doc;
     try {
-        doc = pfits::JsonValue::parseFile(path);
+        // Its own cap: a traced chip sweep records every quantum and
+        // coherence event and legitimately runs to hundreds of MiB.
+        doc = pfits::JsonValue::parseFile(path, size_t{1} << 30);
     } catch (const pfits::FatalError &err) {
         std::cerr << "pfits_report: " << path << ": " << err.what()
                   << "\n";

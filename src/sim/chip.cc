@@ -44,7 +44,8 @@ ChipConfig::validate() const
         fatal("%s", err.c_str());
 }
 
-Chip::Chip(const std::vector<TileSpec> &specs, const ChipConfig &config)
+Chip::Chip(const std::vector<TileSpec> &specs, const ChipConfig &config,
+           const TileFactory &factory)
     : config_(config), observers_(config.tiles, nullptr)
 {
     config_.validate();
@@ -62,6 +63,7 @@ Chip::Chip(const std::vector<TileSpec> &specs, const ChipConfig &config)
         l2_->setListener(&bridge_);
     }
 
+    const TileFactory make = factory ? factory : engineTileFactory();
     mems_.reserve(config_.tiles);
     tiles_.reserve(config_.tiles);
     for (unsigned t = 0; t < config_.tiles; ++t) {
@@ -71,7 +73,7 @@ Chip::Chip(const std::vector<TileSpec> &specs, const ChipConfig &config)
         auto mem = std::make_unique<Memory>();
         for (const DataSegment &seg : spec.fe->dataSegments())
             mem->writeBytes(seg.base, seg.bytes);
-        auto tile = std::make_unique<Tile>(*spec.fe, spec.core, *mem, t);
+        std::unique_ptr<Tile> tile = make(*spec.fe, spec.core, *mem, t);
         if (l2_) {
             tile->attachL2(l2_.get(),
                            static_cast<uint32_t>(t) << config_.tileShift);

@@ -17,7 +17,7 @@
  * ChipResult. The quantum only changes *interleaving* — for a single
  * tile it is unobservable, and ChipConfig{tiles = 1} without a shared
  * L2 reproduces Machine::run bit for bit (the Chip simply steps the
- * same Tile the Machine would).
+ * same tile the Machine would, one virtual call per quantum).
  *
  * Address coloring: tile t's references are offset by t << tileShift,
  * so independent programs never collide in the shared L2 while still
@@ -37,6 +37,7 @@
 #include "cache/coherence.hh"
 #include "sim/machine.hh"
 #include "sim/memory.hh"
+#include "sim/probe.hh"
 #include "sim/tile.hh"
 
 namespace pfits
@@ -136,10 +137,13 @@ class Chip
     };
 
     /**
-     * @param specs one entry per tile; size must equal config.tiles
-     * @param config chip parameters (validated here)
+     * @param specs   one entry per tile; size must equal config.tiles
+     * @param config  chip parameters (validated here)
+     * @param factory the tiles to run; empty = the production engine
+     *                (the differential harness passes its oracle)
      */
-    Chip(const std::vector<TileSpec> &specs, const ChipConfig &config);
+    Chip(const std::vector<TileSpec> &specs, const ChipConfig &config,
+         const TileFactory &factory = {});
 
     /**
      * Attach @p observers (not owned) to tile @p tile's event stream;
@@ -159,8 +163,6 @@ class Chip
     ChipResult run();
 
     const ChipConfig &config() const { return config_; }
-    unsigned numTiles() const { return config_.tiles; }
-    Tile &tile(unsigned t) { return *tiles_[t]; }
     Memory &tileMem(unsigned t) { return *mems_[t]; }
     CoherentL2 *l2() { return l2_.get(); }
 

@@ -1,54 +1,68 @@
 /**
  * @file
- * The SimBackend::Fast execution loop.
+ * The engine: the production Tile (sim/tile.hh) every Machine and Chip
+ * runs.
  *
- * The reference interpreter (machine.cc runLoop + executor.cc execute)
- * pays per *dynamic* instruction for work that only depends on the
- * *static* instruction: two virtual front-end calls, a full ExecInfo
- * reset, the operand2/offset-kind decode switches, and the tag scan of
- * a 32-way I-cache set for a fetch that almost always lands in the
- * line it just hit. This backend hoists all of it out of the loop:
+ * A per-access interpreter pays per *dynamic* instruction for work
+ * that only depends on the *static* instruction: two virtual front-end
+ * calls, a full ExecInfo reset, the operand2/offset-kind decode
+ * switches, and the tag scan of a 32-way I-cache set for a fetch that
+ * almost always lands in the line it just hit. The engine hoists all
+ * of it out of the loop:
  *
- *  - predecode: one pass over the static code builds a flat FastOp
- *    trace — per instruction a handler function pointer specialized on
- *    (op, operand kind, S-bit), the byte address, raw encoding,
- *    read-register mask, immediates, the absolute branch target, and
- *    every ExecInfo field that is a pure function of the static
- *    instruction (destination register, extra latency, base-writeback,
- *    classification bits);
+ *  - predecode: once per tile, one pass over the static code builds a
+ *    flat FastOp trace — per instruction a handler function pointer
+ *    specialized on (op, operand kind, S-bit), the byte address, raw
+ *    encoding, read-register mask, immediates, the absolute branch
+ *    target, and every ExecInfo field that is a pure function of the
+ *    static instruction (destination register, extra latency,
+ *    base-writeback, classification bits);
  *  - dispatch: the loop is condition-check + one indirect call; the
  *    handler updates the register file and at most two effect scalars
  *    (branch target index, memory access list) — everything else the
  *    scoreboard consumes comes straight from the FastOp;
- *  - timing: the issue/writeback scoreboard from machine.cc is inlined
- *    verbatim, and fetches/data accesses that stay within the
- *    most-recently-hit cache line accumulate in plain counters that
- *    flush through Cache::applyRepeats() only when the streak breaks
- *    (same final cache state, no per-access tag scan or counter RMW);
+ *  - timing: the analytic issue/writeback scoreboard is inlined, and
+ *    fetches/data accesses that stay within the most-recently-hit
+ *    cache line accumulate in plain counters that flush through
+ *    Cache::applyRepeatsAt() only when the streak breaks (same final
+ *    cache state, no per-access tag scan or counter RMW);
+ *  - superblocks: with no observer and no fault plan, straight-line
+ *    runs retire a run at a time, with the per-op checks and the
+ *    fetch-side counters hoisted to run granularity;
  *  - observers: the built-in counters are plain locals; external
  *    observers get the same typed event stream via the HasExtra
  *    template stamp, so TimingInvariantChecker, interval stats and
- *    traces replay against this backend unchanged. A second HasFaults
- *    stamp drops the soft-error machinery from fault-free runs.
+ *    traces replay against the engine unchanged. A second HasFaults
+ *    stamp drops the soft-error machinery from fault-free runs;
+ *  - chips: the tile steps in quanta and routes L1 misses through a
+ *    shared CoherentL2, releasing its line streaks around every L2
+ *    call and every coherence action taken on it.
  *
  * CORRECTNESS CONTRACT: every handler and every timing statement here
- * replicates machine.cc/executor.cc exactly — same operation order,
- * same partial state on traps, same trap message text. Any semantic
- * change to either file must be mirrored; the differential harness
- * (src/verify/differential.cc) cross-executes the two backends over
- * every kernel and seeded random programs and requires field-for-field
- * equal RunResults, and tests/test_verify.cc gates it in CI.
+ * reproduces the cycle-exact interpreter oracle (verify/oracle.cc over
+ * sim/executor.cc) — same operation order, same partial state on
+ * traps, same trap message text. The differential harness
+ * (src/verify/differential.cc) cross-executes the engine against the
+ * oracle over every kernel and seeded random programs, single-core and
+ * as chips, and requires field-for-field equal results; pfits_verify
+ * and tests/test_verify.cc gate it.
  */
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "sim/machine.hh"
 #include "sim/probe.hh"
+#include "sim/tile.hh"
 
 namespace pfits
 {
@@ -714,6 +728,13 @@ struct Streak
      * Always <= reads + writes.
      */
     uint32_t memoHits = 0;
+    /**
+     * D-side only: a write to this line can be absorbed without an
+     * S->M upgrade. Always true without an L2; with one, true only
+     * when the access that opened the streak wrote the line (so the
+     * directory holds it Modified for this tile).
+     */
+    bool writeOk = true;
 };
 
 inline void
@@ -834,6 +855,242 @@ predecode(const FrontEnd &fe)
     return ops;
 }
 
+
+/**
+ * One L1's streak state between steps: the two streaks, which was
+ * touched last, and the way-memo mirror prevLine (see stepImpl). It is
+ * always kNoLine, the cache's own repeat hint, or a streak line.
+ */
+struct LineTrack
+{
+    Streak a;
+    Streak b;
+    bool lastB = false;
+    uint64_t prevLine = Cache::kNoLine;
+};
+
+/**
+ * Flush both streaks, stop tracking their lines, and re-point the
+ * cache's repeat hint at the line the memo mirror names, so the full
+ * accesses that follow memo-count exactly like a per-access run. Runs
+ * before every L2 call and every coherence action on the tile: the L2
+ * may drop or clean any tracked line, and a streak must neither
+ * outlive its line nor absorb a write that needs an S->M upgrade.
+ */
+inline void
+releaseTrack(Cache &cache, Streak &a, Streak &b, bool last_b,
+             uint64_t prev_line)
+{
+    flushStreakPair(cache, a, b, last_b);
+    if (prev_line != Cache::kNoLine && prev_line != cache.lastLineAddr()) {
+        if (prev_line == a.line)
+            cache.restoreHint(a.line, a.idx);
+        else if (prev_line == b.line)
+            cache.restoreHint(b.line, b.idx);
+    }
+    a.line = Cache::kNoLine;
+    b.line = Cache::kNoLine;
+}
+
+/**
+ * A tile's immutable program: the predecoded trace plus the superblock
+ * tables. A run is a maximal straight-line span — it ends at the first
+ * op that can redirect control or halt (branches, cold shapes, the
+ * program's last op). runLen[i] is the run length starting at i (valid
+ * from ANY entry index, so branch targets need no leader bookkeeping),
+ * segOps[i] the length of the sequential same-I-line stretch from i,
+ * wordPre/seqPre prefix sums of fetched words and sequential toggle
+ * bits for range queries and trap-site reconciliation. Tiles running
+ * one program share it (engineTileFactory).
+ */
+struct Predecoded
+{
+    Predecoded(const FrontEnd &fe, const CoreConfig &config);
+
+    std::vector<FastOp> ops;
+    std::vector<uint32_t> runLen;
+    std::vector<uint32_t> segOps;
+    std::vector<uint32_t> wordPre;
+    std::vector<uint64_t> seqPre;
+};
+
+Predecoded::Predecoded(const FrontEnd &fe, const CoreConfig &config)
+    : ops(predecode(fe)), runLen(ops.size()), segOps(ops.size()),
+      wordPre(ops.size() + 1), seqPre(ops.size() + 1)
+{
+    const FastOp *const code = ops.data();
+    const size_t n = ops.size();
+    const unsigned iline_shift = static_cast<unsigned>(
+        std::countr_zero(config.icache.lineBytes));
+    for (size_t i = 0; i < n; ++i) {
+        // Mirrors the per-op path's new_word rule: without the
+        // packed-fetch buffer EVERY fetch accesses the cache, even
+        // when consecutive 2-byte encodings share a 32-bit word.
+        // Word-transition counting here is only correct under packed
+        // fetch (where mid-run static predecessors equal dynamic
+        // ones); applying it unpacked undercounts I-cache reads on
+        // sub-word streams.
+        const bool new_w =
+            !config.packedFetch || i == 0 ||
+            (code[i].addr >> 2) != (code[i - 1].addr >> 2);
+        wordPre[i + 1] = wordPre[i] + (new_w ? 1u : 0u);
+        seqPre[i + 1] = seqPre[i] + code[i].toggleSeq;
+    }
+    for (size_t i = n; i-- > 0;) {
+        const bool term = (code[i].flags & kIsBranch) != 0 ||
+                          code[i].hot == 0 || i == n - 1;
+        runLen[i] = term ? 1u : runLen[i + 1] + 1u;
+        const bool same_line =
+            i + 1 < n && (code[i].addr >> iline_shift) ==
+                             (code[i + 1].addr >> iline_shift);
+        segOps[i] = same_line ? segOps[i + 1] + 1u : 1u;
+    }
+}
+
+/**
+ * The engine tile: the predecoded trace and the dispatch loop below,
+ * with all loop state kept in members between quanta. stepImpl works
+ * on local copies and stores them back on every exit path, so a step
+ * boundary is unobservable in the results.
+ */
+class FastTile final : public Tile
+{
+  public:
+    FastTile(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
+             unsigned tileId, std::shared_ptr<const Predecoded> trace);
+
+    void
+    attachL2(CoherentL2 *l2, uint32_t addrBase) override
+    {
+        l2_ = l2;
+        addrBase_ = addrBase;
+    }
+
+    void step(uint64_t budget, FaultPlan *faults,
+              const ObserverList *observers) override;
+    bool done() const override { return done_; }
+    RunResult finish(const ObserverList *observers) override;
+
+    bool
+    coherenceInvalidate(uint32_t lineAddr) override
+    {
+        releaseTracks();
+        const uint32_t virt = lineAddr - addrBase_;
+        // The packed-fetch buffer may hold a word of the dropped line.
+        if (icache_.invalidateLine(virt).present)
+            fetchPoisoned_ = true;
+        const bool dirty = dcache_.invalidateLine(virt).dirty;
+        // invalidateLine clears a repeat hint naming the dropped line.
+        itrack_.prevLine = icache_.lastLineAddr();
+        dtrack_.prevLine = dcache_.lastLineAddr();
+        return dirty;
+    }
+
+    bool
+    coherenceDowngrade(uint32_t lineAddr) override
+    {
+        // The line turns clean, so no streak may keep absorbing writes
+        // to it. I-side lines are never dirty and stay resident.
+        releaseTracks();
+        return dcache_.cleanLine(lineAddr - addrBase_).dirty;
+    }
+
+    void
+    enumerateLines(
+        const std::function<void(uint32_t, bool)> &fn) const override
+    {
+        for (const Cache *cache : {&icache_, &dcache_})
+            cache->forEachValidLine([&](uint32_t la, bool dirty) {
+                fn(addrBase_ + la, dirty);
+            });
+    }
+
+  private:
+    template <bool HasExtra, bool HasFaults, bool Packed>
+    void stepImpl(uint64_t budget, FaultPlan *faults,
+                  const ObserverList *extra);
+
+    /** releaseTrack both L1s' member streaks (between steps). */
+    void
+    releaseTracks()
+    {
+        releaseTrack(icache_, itrack_.a, itrack_.b, itrack_.lastB,
+                     itrack_.prevLine);
+        releaseTrack(dcache_, dtrack_.a, dtrack_.b, dtrack_.lastB,
+                     dtrack_.prevLine);
+    }
+
+    const CoreConfig config_;
+    const unsigned tileId_;
+    Cache icache_;
+    Cache dcache_;
+    const std::shared_ptr<const Predecoded> trace_;
+    FastCtx ctx_;
+    const unsigned fetchBits_;
+
+    // Scoreboard: index NUM_REGS is the retired NZCV slot kept for
+    // layout, NUM_REGS + 1 (kReadPad) is never written and pads
+    // readRegs slots, NUM_REGS + 2 (kWritePad) absorbs writebacks of
+    // ops with no destination; the NZCV ready cycle is flagsReady_.
+    uint64_t regReady_[NUM_REGS + 3] = {};
+    uint64_t flagsReady_ = 0;
+    uint64_t issueCycle_ = 0;
+    unsigned slotsUsed_ = 0;
+    bool memPortUsed_ = false;
+    bool mulUnitUsed_ = false;
+    uint64_t frontReady_ = 0;
+    uint64_t lastIssue_ = 0;
+
+    static constexpr uint64_t kNoFetchWord = ~0ull;
+    uint64_t prevWordAddr_ = kNoFetchWord; //!< packed-fetch buffer tag
+    uint64_t index_ = 0;
+    uint64_t retired_ = 0; //!< watchdog / fault-schedule clock
+
+    // The RunResult counters (retired_ is the instruction count).
+    uint64_t annulled_ = 0;
+    uint64_t takenBranches_ = 0;
+    uint64_t dmemAccesses_ = 0;
+    uint64_t toggleBits_ = 0;
+    uint64_t bitsTotal_ = 0;
+    uint64_t refillWords_ = 0;
+    bool seqFetch_ = true;
+    uint32_t dynEnc_ = 0;
+
+    //! Ops retired inside a superblock batch (the rest took the per-op
+    //! entry): a host-independent work counter, tallied at finish().
+    uint64_t batchedOps_ = 0;
+
+    LineTrack itrack_;
+    LineTrack dtrack_;
+
+    RunResult result_;
+    bool done_ = false;
+    bool finished_ = false;
+
+    CoherentL2 *l2_ = nullptr;
+    uint32_t addrBase_ = 0;
+
+    //! A coherence invalidation dropped an I-line the packed-fetch
+    //! buffer may hold a word of (packed-fetch buffer contract,
+    //! sim/machine.hh); checked at step entry and after every L2 call.
+    bool fetchPoisoned_ = false;
+};
+
+FastTile::FastTile(const FrontEnd &fe, const CoreConfig &config,
+                   Memory &mem, unsigned tileId,
+                   std::shared_ptr<const Predecoded> trace)
+    : config_(config), tileId_(tileId), icache_(config_.icache),
+      dcache_(config_.dcache), trace_(std::move(trace)), ctx_(mem),
+      fetchBits_(fe.instrBits())
+{
+    ctx_.state.regs[SP] = fe.stackTop();
+    ctx_.codec = fe.codec();
+    result_.benchmark = fe.name();
+    result_.config = config_.name;
+    result_.clockHz = config_.clockHz;
+    result_.outcome = RunOutcome::Completed;
+}
+
 } // namespace
 
 // --- the loop ------------------------------------------------------------
@@ -845,64 +1102,69 @@ predecode(const FrontEnd &fe)
  * which needs the same-word filter) are all template parameters. The
  * zero-observer, zero-fault instantiation is the one the experiment
  * engine runs; everything it skips is code that never executes rather
- * than predicated-off work.
+ * than predicated-off work. An attached L2 is a runtime property: it
+ * only adds work on L1 misses and S->M upgrades.
  */
 template <bool HasExtra, bool HasFaults, bool Packed>
-static RunResult
-fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
-             [[maybe_unused]] FaultPlan *faults,
-             [[maybe_unused]] const ObserverList *extra)
+void
+FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
+                   [[maybe_unused]] const ObserverList *extra)
 {
-    RunResult result;
-    result.benchmark = fe.name();
-    result.config = config.name;
-    result.clockHz = config.clockHz;
+    Cache &icache = icache_;
+    Cache &dcache = dcache_;
+    FastCtx &ctx = ctx_;
+    Memory &mem = ctx.mem;
+    const Predecoded &trace = *trace_;
+    const FastOp *const code = trace.ops.data();
+    const size_t num_insns = trace.ops.size();
+    CoherentL2 *const l2 = l2_;
 
-    Cache icache(config.icache);
-    Cache dcache(config.dcache);
-
-    const std::vector<FastOp> ops = predecode(fe);
-    const FastOp *const code = ops.data();
-    const size_t num_insns = ops.size();
-
-    FastCtx ctx(mem);
-    ctx.state.regs[SP] = fe.stackTop();
-    ctx.codec = fe.codec();
-
-    const unsigned fetch_bits = fe.instrBits();
+    const unsigned fetch_bits = fetchBits_;
     const uint32_t enc_mask = detail::encodingMask(fetch_bits);
-    const uint32_t line_words = config.icache.lineBytes / 4;
+    const uint32_t line_words = config_.icache.lineBytes / 4;
     // Line sizes are validated powers of two: shifts replace divisions
     // in the per-fetch repeat-hint comparison.
     const unsigned iline_shift = static_cast<unsigned>(
-        std::countr_zero(config.icache.lineBytes));
+        std::countr_zero(config_.icache.lineBytes));
     const unsigned dline_shift = static_cast<unsigned>(
-        std::countr_zero(config.dcache.lineBytes));
+        std::countr_zero(config_.dcache.lineBytes));
 
-    // Inlined built-in observers (CounterObserver / ActivityObserver).
-    uint64_t instructions = 0;
-    uint64_t annulled = 0;
-    uint64_t taken_branches = 0;
-    uint64_t dmem_accesses = 0;
-    uint64_t toggle_bits = 0;
-    uint64_t bits_total = 0;
-    uint64_t refill_words = 0;
+    // Hot config fields mirrored into locals: the indirect handler
+    // call makes every member reload non-hoistable for the compiler,
+    // so the loop keeps its own copies of these and of the loop state
+    // below, stored back when the step ends.
+    const uint64_t max_instructions = config_.maxInstructions;
+    const unsigned issue_width = config_.issueWidth;
+    const uint32_t icache_miss_penalty = config_.icacheMissPenalty;
+    const uint32_t dcache_miss_penalty = config_.dcacheMissPenalty;
+    const uint32_t branch_penalty = config_.branchPenalty;
+
+    uint64_t annulled = annulled_;
+    uint64_t taken_branches = takenBranches_;
+    uint64_t dmem_accesses = dmemAccesses_;
+    uint64_t toggle_bits = toggleBits_;
+    uint64_t bits_total = bitsTotal_;
+    uint64_t refill_words = refillWords_;
+    uint64_t batched_ops = batchedOps_;
 
     // Sequential-fetch toggle fast path: while control flow arrives
     // sequentially the per-op toggle count is the predecoded
     // toggleSeq; only the first fetch after a taken branch runs the
     // XOR + popcount against the branch site's encoding.
-    bool seq_fetch = true;
-    uint32_t dyn_enc = 0;
+    bool seq_fetch = seqFetch_;
+    uint32_t dyn_enc = dynEnc_;
 
     // Two-line streak accumulators per cache: repeat hits of a
     // tracked line are counted in registers and flushed through
     // applyRepeatsAt() when a full access is needed, before a fault
-    // strikes the array, and at finalization.
-    Streak istreak_a, istreak_b;
-    Streak dstreak_a, dstreak_b;
-    bool ilast_b = false;
-    bool dlast_b = false;
+    // strikes the array, before any L2 call, and at finish(). While
+    // the step runs the locals own them; the members stay empty, so a
+    // coherence action triggered by this step's own L2 calls finds
+    // nothing stale to flush (releaseTracks).
+    Streak istreak_a = itrack_.a, istreak_b = itrack_.b;
+    Streak dstreak_a = dtrack_.a, dstreak_b = dtrack_.b;
+    bool ilast_b = itrack_.lastB;
+    bool dlast_b = dtrack_.lastB;
 
     // The line of the dynamically previous access per cache, mirroring
     // Cache::lastLineAddr() across streak touches (which do not update
@@ -912,88 +1174,90 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
     // either kNoLine or one of the tracked streak lines, and the new
     // line is neither, so the internal check agrees with prev_*line —
     // and resync the mirror afterwards.
-    uint64_t prev_iline = Cache::kNoLine;
-    uint64_t prev_dline = Cache::kNoLine;
+    uint64_t prev_iline = itrack_.prevLine;
+    uint64_t prev_dline = dtrack_.prevLine;
+    itrack_ = LineTrack{};
+    dtrack_ = LineTrack{};
 
-    // Scoreboard state, identical to machine.cc's model. The NZCV
-    // ready cycle lives in a register-resident local (flags_ready);
-    // index 16 is the retired NZCV slot kept for layout, index 17
-    // (kReadPad) is never written and pads readRegs slots, index 18
-    // (kWritePad) absorbs writebacks of ops with no destination.
-    uint64_t reg_ready[NUM_REGS + 3] = {};
-    uint64_t flags_ready = 0;
-    uint64_t issue_cycle = 0;
-    unsigned slots_used = 0;
-    bool mem_port_used = false;
-    bool mul_unit_used = false;
-    uint64_t front_ready = 0;
-    uint64_t last_issue = 0;
+    uint64_t reg_ready[NUM_REGS + 3];
+    std::copy(std::begin(regReady_), std::end(regReady_),
+              std::begin(reg_ready));
+    uint64_t flags_ready = flagsReady_;
+    uint64_t issue_cycle = issueCycle_;
+    unsigned slots_used = slotsUsed_;
+    bool mem_port_used = memPortUsed_;
+    bool mul_unit_used = mulUnitUsed_;
+    uint64_t front_ready = frontReady_;
+    uint64_t last_issue = lastIssue_;
 
-    constexpr uint64_t no_fetch_word = ~0ull;
-    uint64_t prev_word_addr = no_fetch_word;
-    uint64_t index = 0;
-    uint64_t retired = 0;
+    constexpr uint64_t no_fetch_word = kNoFetchWord;
+    uint64_t prev_word_addr = prevWordAddr_;
+    uint64_t index = index_;
+    uint64_t retired = retired_;
 
-    // Hot config fields and cache repeat hints mirrored into locals:
-    // the indirect handler call makes every member reload non-hoistable
-    // for the compiler, so the loop keeps its own copies. The mirrors
-    // stay valid across op.fn and observer calls because neither can
-    // touch the caches; they resync after every full cache access and
-    // after fault injection.
-    const uint64_t max_instructions = config.maxInstructions;
-    const unsigned issue_width = config.issueWidth;
-    const uint32_t icache_miss_penalty = config.icacheMissPenalty;
-    const uint32_t dcache_miss_penalty = config.dcacheMissPenalty;
-    const uint32_t branch_penalty = config.branchPenalty;
+    // This step ends once `stop` instructions have retired in total;
+    // the watchdog and the quantum share one clamp for superblocks.
+    const uint64_t stop =
+        budget > ~0ull - retired ? ~0ull : retired + budget;
+    const uint64_t limit = std::min(stop, max_instructions);
 
-    // Superblock dispatch (the zero-observer, zero-fault
-    // instantiations only): ops are retired a run at a time. A run is
-    // a maximal straight-line span — it ends at the first op that can
-    // redirect control or halt (branches, cold shapes, the program's
-    // last op) — so the bounds/watchdog checks and the fetch-side
-    // accounting hoist from op to run granularity. run_len[i] is the
-    // run length starting at i (valid from ANY entry index, so branch
-    // targets need no leader bookkeeping), seg_ops[i] the length of
-    // the sequential same-I-line stretch from i, word_pre/seq_pre
-    // prefix sums of fetched words and sequential toggle bits for
-    // range queries and trap-site reconciliation.
-    constexpr bool RunBatch = !HasExtra && !HasFaults;
-    std::vector<uint32_t> run_len_v, seg_ops_v, word_pre_v;
-    std::vector<uint64_t> seq_pre_v;
-    if constexpr (RunBatch) {
-        const size_t n = num_insns;
-        run_len_v.resize(n);
-        seg_ops_v.resize(n);
-        word_pre_v.resize(n + 1);
-        seq_pre_v.resize(n + 1);
-        for (size_t i = 0; i < n; ++i) {
-            // Mirrors the per-op path's new_word rule: without the
-            // packed-fetch buffer EVERY fetch accesses the cache, even
-            // when consecutive 2-byte encodings share a 32-bit word.
-            // Word-transition counting here is only correct under
-            // Packed (where mid-run static predecessors equal dynamic
-            // ones); applying it unpacked undercounts I-cache reads
-            // on sub-word streams.
-            const bool new_w =
-                !Packed || i == 0 ||
-                (code[i].addr >> 2) != (code[i - 1].addr >> 2);
-            word_pre_v[i + 1] = word_pre_v[i] + (new_w ? 1u : 0u);
-            seq_pre_v[i + 1] = seq_pre_v[i] + code[i].toggleSeq;
-        }
-        for (size_t i = n; i-- > 0;) {
-            const bool term = (code[i].flags & kIsBranch) != 0 ||
-                              code[i].hot == 0 || i == n - 1;
-            run_len_v[i] = term ? 1u : run_len_v[i + 1] + 1u;
-            const bool same_line =
-                i + 1 < n && (code[i].addr >> iline_shift) ==
-                                 (code[i + 1].addr >> iline_shift);
-            seg_ops_v[i] = same_line ? seg_ops_v[i + 1] + 1u : 1u;
-        }
+    // A remote tile may have invalidated the buffered I-line between
+    // our quanta.
+    if (fetchPoisoned_) {
+        prev_word_addr = no_fetch_word;
+        fetchPoisoned_ = false;
     }
-    [[maybe_unused]] const uint32_t *const run_len = run_len_v.data();
-    [[maybe_unused]] const uint32_t *const seg_ops = seg_ops_v.data();
-    [[maybe_unused]] const uint32_t *const word_pre = word_pre_v.data();
-    [[maybe_unused]] const uint64_t *const seq_pre = seq_pre_v.data();
+
+    // The L2 seam: release both caches' streaks before the call (the
+    // directory may drop or clean any of our lines, the requesting
+    // tile included), and resync the memo mirrors and the packed-fetch
+    // buffer after it.
+    auto beforeL2 = [&]() __attribute__((always_inline))
+    {
+        releaseTrack(icache, istreak_a, istreak_b, ilast_b, prev_iline);
+        releaseTrack(dcache, dstreak_a, dstreak_b, dlast_b, prev_dline);
+    };
+    auto afterL2 = [&]() __attribute__((always_inline))
+    {
+        prev_iline = icache.lastLineAddr();
+        prev_dline = dcache.lastLineAddr();
+        if (fetchPoisoned_) {
+            prev_word_addr = no_fetch_word;
+            fetchPoisoned_ = false;
+        }
+    };
+    // An L1 miss's penalty: @p flat without an L2; with one, the fill
+    // through the directory, after draining a dirty victim so its data
+    // is in the L2 when the fill's own victim selection runs.
+    auto missPenalty = [&](uint32_t flat, const CacheAccessResult &res,
+                           uint32_t addr, bool write)
+        __attribute__((always_inline)) -> uint32_t
+    {
+        if (!l2)
+            return flat;
+        beforeL2();
+        if (res.writeback)
+            l2->l1Writeback(tileId_, addrBase_ + res.victimAddr);
+        const uint32_t penalty =
+            l2->accessFill(tileId_, addrBase_ + addr, write);
+        afterL2();
+        return penalty;
+    };
+
+    // Superblock dispatch (the zero-observer, zero-fault stamps only):
+    // ops are retired a run at a time, so the bounds/watchdog checks
+    // and the fetch-side accounting hoist from op to run granularity.
+    // With an L2 attached every L2 call can take lines away mid-run,
+    // so segments shrink to one op (fetch stays exact per op) and the
+    // packed-fetch buffer, which such a call can poison, disables
+    // batching altogether.
+    constexpr bool RunBatch = !HasExtra && !HasFaults;
+    [[maybe_unused]] const bool batch_ok = !(Packed && l2);
+    [[maybe_unused]] const bool lazy_segs = l2 != nullptr;
+    [[maybe_unused]] const uint32_t *const run_len = trace.runLen.data();
+    [[maybe_unused]] const uint32_t *const seg_ops = trace.segOps.data();
+    [[maybe_unused]] const uint32_t *const word_pre = trace.wordPre.data();
+    [[maybe_unused]] const uint64_t *const seq_pre = trace.seqPre.data();
 
     // One instruction through execute, issue timing, data-memory
     // timing, writeback and commit. Shared by the per-op entry path
@@ -1004,8 +1268,8 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
     // InRun = a mid-run op on the superblock path: it cannot branch,
     // halt or be observed, so commit collapses to the annulled check —
     // the run-level counters land in bulk at the end of the batch.
-    auto step = [&]<bool InRun>(const FastOp &op,
-                                const uint64_t op_index)
+    auto retire = [&]<bool InRun>(const FastOp &op,
+                                  const uint64_t op_index)
         __attribute__((always_inline))
     {
         // --- execute (functional) ------------------------------------
@@ -1190,6 +1454,9 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
         last_issue = issue_cycle;
 
         if constexpr (HasExtra) {
+            // Priority mirrors the computation above: a structural
+            // bump is applied last, operand readiness can only raise a
+            // front-end-ready baseline.
             StallReason reason = StallReason::None;
             if (issue_cycle != prev_issue) {
                 reason = structural_stall ? StallReason::Structural
@@ -1211,7 +1478,10 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             const bool dwrite = ctx.memAcc[m].write;
             const uint64_t dline = daddr >> dline_shift;
             CacheAccessResult dres;
-            if (dline == dstreak_a.line) {
+            // A streak absorbs a write only when its line needs no
+            // S->M upgrade (Streak::writeOk).
+            if (dline == dstreak_a.line &&
+                (!dwrite || dstreak_a.writeOk)) {
                 if (dwrite)
                     ++dstreak_a.writes;
                 else
@@ -1220,7 +1490,8 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                 prev_dline = dline;
                 dlast_b = false;
                 dres.hit = true;
-            } else if (dline == dstreak_b.line) {
+            } else if (dline == dstreak_b.line &&
+                       (!dwrite || dstreak_b.writeOk)) {
                 if (dwrite)
                     ++dstreak_b.writes;
                 else
@@ -1230,8 +1501,20 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                 dlast_b = true;
                 dres.hit = true;
             } else {
-                flushStreakPair(dcache, dstreak_a, dstreak_b, dlast_b);
+                if (dline == dstreak_a.line || dline == dstreak_b.line) {
+                    // A write its line's streak may not absorb: the
+                    // full access below memo-counts against the
+                    // cache's own hint, so point that at the mirror
+                    // first (and stop tracking, so the line is
+                    // re-armed fresh below).
+                    releaseTrack(dcache, dstreak_a, dstreak_b, dlast_b,
+                                 prev_dline);
+                } else {
+                    flushStreakPair(dcache, dstreak_a, dstreak_b,
+                                    dlast_b);
+                }
                 dres = dcache.accessFast(daddr, dwrite);
+                prev_dline = dcache.lastLineAddr();
                 if (!dres.hit) {
                     // A refill may have evicted a tracked line.
                     dstreak_a.line = Cache::kNoLine;
@@ -1244,20 +1527,37 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                     victim.reads = 0;
                     victim.writes = 0;
                     victim.memoHits = 0;
+                    // Without an L2 no write ever needs an upgrade;
+                    // with one, only a line this access wrote is
+                    // known to be held Modified.
+                    victim.writeOk = !l2 || dwrite;
                     dlast_b = !dlast_b;
                 }
-                prev_dline = dcache.lastLineAddr();
             }
             ++dmem_accesses;
             if constexpr (HasExtra)
                 extra->dataAccess(
                     DataAccessEvent{op_index, daddr, dwrite, dres});
             if (!dres.hit) {
+                const uint32_t penalty =
+                    missPenalty(dcache_miss_penalty, dres, daddr, dwrite);
                 // Blocking cache: the whole pipeline waits.
-                result_ready += dcache_miss_penalty;
-                front_ready = std::max(
-                    front_ready,
-                    issue_cycle + dcache_miss_penalty);
+                result_ready += penalty;
+                front_ready =
+                    std::max(front_ready, issue_cycle + penalty);
+            } else if (dres.writeUpgrade && l2) {
+                // Write hit on a clean line: the S->M edge. Remote
+                // copies are invalidated; only then may this store's
+                // data land.
+                beforeL2();
+                const unsigned penalty =
+                    l2->upgradeForWrite(tileId_, addrBase_ + daddr);
+                afterL2();
+                if (penalty != 0) {
+                    result_ready += penalty;
+                    front_ready =
+                        std::max(front_ready, issue_cycle + penalty);
+                }
             }
         }
         if (executed && (op.flags & kIsLoad))
@@ -1284,7 +1584,8 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             } else {
                 // Common shapes: one unconditional store (destination
                 // or the kWritePad scratch slot) and a flag-select.
-                // S-forms deliver NZCV with the result (machine.cc).
+                // S-forms deliver NZCV with the result: a dependent
+                // conditional or ADC must not issue early.
                 reg_ready[op.wbReg] = result_ready;
                 flags_ready = (op.flags & kSetsFlags) ? result_ready
                                                       : flags_ready;
@@ -1296,7 +1597,6 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             ++annulled; // a failed condition implies cond != AL
         if constexpr (InRun)
             return;
-        ++instructions;
         const bool branch_taken =
             executed && (op.flags & kIsBranch) != 0;
         const uint64_t next_index =
@@ -1334,24 +1634,25 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
         index = next_index;
     };
 
-    result.outcome = RunOutcome::Completed;
     try {
-    while (!ctx.state.halted) {
+    while (!ctx.state.halted && retired < stop) {
         if (index >= num_insns) {
             if (index == AddrCodec::kBadIndex)
                 trap("%s/%s: control transfer below the code base",
-                     result.benchmark.c_str(), result.config.c_str());
+                     result_.benchmark.c_str(), result_.config.c_str());
             trap("%s/%s: fell off the end of the program at index %llu",
-                 result.benchmark.c_str(), result.config.c_str(),
+                 result_.benchmark.c_str(), result_.config.c_str(),
                  static_cast<unsigned long long>(index));
         }
         if (retired >= max_instructions) {
-            result.outcome = RunOutcome::WatchdogExpired;
-            result.trapReason = detail::format(
+            // Runaway guard: report the expiry with partial statistics
+            // instead of tearing the whole sweep down.
+            result_.outcome = RunOutcome::WatchdogExpired;
+            result_.trapReason = detail::format(
                 "%s/%s: exceeded the %llu-instruction cap",
-                result.benchmark.c_str(), result.config.c_str(),
-                static_cast<unsigned long long>(
-                    config.maxInstructions));
+                result_.benchmark.c_str(), result_.config.c_str(),
+                static_cast<unsigned long long>(max_instructions));
+            done_ = true;
             break;
         }
 
@@ -1365,9 +1666,9 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                     // through the parity-checking full access.
                     istreak_a.line = Cache::kNoLine;
                     istreak_b.line = Cache::kNoLine;
-                    // injectBitFlip cleared the repeat hint, and the
-                    // interpreter would no longer memo-count the next
-                    // same-line fetch; mirror that.
+                    // injectBitFlip cleared the repeat hint, and a
+                    // per-access run would no longer memo-count the
+                    // next same-line fetch; mirror that.
                     prev_iline = Cache::kNoLine;
                     faults->recordInjected(FaultTarget::ICACHE);
                     if constexpr (HasExtra)
@@ -1394,12 +1695,14 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
         [[maybe_unused]] const uint64_t run_base = index;
         uint64_t span = 1;
         if constexpr (RunBatch) {
-            // Clamp to the watchdog budget so the cap expires at
-            // exactly the same op as the per-op path.
-            span = run_len[index];
-            const uint64_t room = max_instructions - retired;
-            if (span > room)
-                span = room;
+            // Clamp to the watchdog and quantum budget so both expire
+            // at exactly the same op as on the per-op path.
+            if (batch_ok) {
+                span = run_len[index];
+                const uint64_t room = limit - retired;
+                if (span > room)
+                    span = room;
+            }
         }
 
         const FastOp &op = code[index];
@@ -1430,8 +1733,16 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             } else {
                 flushStreakPair(icache, istreak_a, istreak_b, ilast_b);
                 fetch = icache.accessFast(addr, false);
+                // Full accesses memo-count inside the Cache; resync
+                // the mirror to the line they left resident.
+                prev_iline = icache.lastLineAddr();
                 if (fetch.parityError) {
-                    // Machine-check: see machine.cc for the contract.
+                    // Machine-check: parity caught a corrupt line on
+                    // consumption. The run is not trustworthy past
+                    // this point; the harness reloads and retries. No
+                    // FetchEvent is emitted for the poisoned word, and
+                    // the packed-fetch buffer is emptied so no stale
+                    // word survives the detection.
                     if constexpr (HasFaults)
                         faults->recordDetected(FaultTarget::ICACHE);
                     if constexpr (HasExtra)
@@ -1440,14 +1751,19 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                                        FaultEvent::Kind::Detected,
                                        retired, addr});
                     prev_word_addr = no_fetch_word;
-                    result.outcome = RunOutcome::FaultDetected;
-                    result.trapReason = detail::format(
+                    result_.outcome = RunOutcome::FaultDetected;
+                    result_.trapReason = detail::format(
                         "%s/%s: I-cache parity error at 0x%08x",
-                        result.benchmark.c_str(),
-                        result.config.c_str(), addr);
+                        result_.benchmark.c_str(),
+                        result_.config.c_str(), addr);
+                    done_ = true;
                     break;
                 }
                 if constexpr (HasFaults) {
+                    // No checker: the flipped bits reach the decoder.
+                    // The tag-only cache model cannot alter the
+                    // functional stream, so the escape is counted
+                    // rather than acted out (see docs/RESILIENCE.md).
                     if (fetch.corruptDelivered) {
                         faults->recordEscaped(FaultTarget::ICACHE);
                         if constexpr (HasExtra)
@@ -1458,13 +1774,15 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                     }
                 }
                 if (!fetch.hit) {
-                    front_ready = std::max(front_ready, last_issue) +
-                                  icache_miss_penalty;
                     // The refill may have evicted a tracked line from
                     // its set: residency is no longer guaranteed, so
                     // drop both (their pendings are already flushed).
                     istreak_a.line = Cache::kNoLine;
                     istreak_b.line = Cache::kNoLine;
+                    const uint32_t penalty = missPenalty(
+                        icache_miss_penalty, fetch, addr, false);
+                    front_ready =
+                        std::max(front_ready, last_issue) + penalty;
                 }
                 // Track the line if it is resident and clean (the
                 // repeat-hint contract): replace the older streak so
@@ -1478,7 +1796,6 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                     victim.memoHits = 0;
                     ilast_b = !ilast_b;
                 }
-                prev_iline = icache.lastLineAddr();
             }
         }
         if (seq_fetch) {
@@ -1495,14 +1812,14 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             extra->fetch(FetchEvent{index, addr, op.encoding,
                                     fetch_bits, new_word, fetch,
                                     line_words});
-        step.template operator()<false>(op, index);
+        retire.template operator()<false>(op, index);
 
         // --- superblock batch --------------------------------------
         // The remaining ops of the run (none unless RunBatch): fetch
         // advances a same-line segment at a time, the per-op checks
         // and fetch-side counters are hoisted to run granularity, and
-        // the shared step() does the rest. Exactness argument: only a
-        // segment's first word can miss, and it is accessed at the
+        // the shared retire() does the rest. Exactness argument: only
+        // a segment's first word can miss, and it is accessed at the
         // same point in the issue stream as the per-op path would;
         // repeat hits only touch streak counters, which flush
         // identically; mid-run ops cannot branch, trap-site
@@ -1524,112 +1841,99 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
             auto fetchSeg = [&](uint64_t k)
                 __attribute__((always_inline))
             {
-
-                        // Fetch the same-I-line segment [k, j).
-                        const uint64_t j =
-                            k + std::min<uint64_t>(seg_ops[k],
-                                                   run_end - k);
-                        const uint32_t words =
-                            word_pre[j] - word_pre[k];
-                        seg_streak = nullptr;
-                        seg_word_base = word_pre[k];
-                        if (words != 0) {
-                            const uint64_t iline =
-                                code[k].addr >> iline_shift;
-                            if (iline == istreak_a.line) {
-                                // The segment's first word is a memo
-                                // hit iff the access before it was in
-                                // this line; the words - 1 that follow
-                                // all are.
-                                seg_first_memo = iline == prev_iline;
-                                istreak_a.reads += words;
-                                istreak_a.memoHits +=
-                                    words - 1 +
-                                    (seg_first_memo ? 1u : 0u);
-                                prev_iline = iline;
-                                ilast_b = false;
-                                seg_streak = &istreak_a;
-                            } else if (iline == istreak_b.line) {
-                                seg_first_memo = iline == prev_iline;
-                                istreak_b.reads += words;
-                                istreak_b.memoHits +=
-                                    words - 1 +
-                                    (seg_first_memo ? 1u : 0u);
-                                prev_iline = iline;
-                                ilast_b = true;
-                                seg_streak = &istreak_b;
-                            } else {
-                                flushStreakPair(icache, istreak_a,
-                                                istreak_b, ilast_b);
-                                const CacheAccessResult f =
-                                    icache.accessFast(code[k].addr,
-                                                      false);
-                                // No fault plan is active (RunBatch),
-                                // so parity errors and corrupt
-                                // deliveries cannot occur here.
-                                if (!f.hit) {
-                                    front_ready =
-                                        std::max(front_ready,
-                                                 last_issue) +
-                                        icache_miss_penalty;
-                                    istreak_a.line = Cache::kNoLine;
-                                    istreak_b.line = Cache::kNoLine;
-                                    refill_words += line_words;
-                                }
-                                if (icache.lastLineAddr() == iline) {
-                                    Streak &victim = ilast_b
-                                                         ? istreak_a
-                                                         : istreak_b;
-                                    victim.line = iline;
-                                    victim.idx = icache.lastHitIdx();
-                                    // The first word went through the
-                                    // full access (which memo-counted
-                                    // it inside Cache); the rest are
-                                    // intra-line repeats. kept >= 1
-                                    // always holds at a trap here, so
-                                    // seg_first_memo is moot — keep
-                                    // the reconciliation formula
-                                    // uniform.
-                                    victim.reads = words - 1;
-                                    victim.writes = 0;
-                                    victim.memoHits = words - 1;
-                                    seg_first_memo = true;
-                                    ilast_b = !ilast_b;
-                                    seg_streak = &victim;
-                                } else {
-                                    // Unreachable without fault
-                                    // injection — a read always
-                                    // leaves its line resident — but
-                                    // stay exact: access the rest of
-                                    // the segment's words in full.
-                                    for (uint64_t w = k + 1; w < j;
-                                         ++w)
-                                        if (word_pre[w + 1] !=
-                                            word_pre[w])
-                                            icache.accessFast(
-                                                code[w].addr, false);
-                                }
-                                // Full accesses memo-count inside the
-                                // Cache; resync the mirror to the line
-                                // they left resident.
-                                prev_iline = icache.lastLineAddr();
-                            }
+                const uint64_t j =
+                    lazy_segs ? k + 1
+                              : k + std::min<uint64_t>(seg_ops[k],
+                                                       run_end - k);
+                const uint32_t words = word_pre[j] - word_pre[k];
+                seg_streak = nullptr;
+                seg_word_base = word_pre[k];
+                if (words != 0) {
+                    const uint64_t iline = code[k].addr >> iline_shift;
+                    if (iline == istreak_a.line) {
+                        // The segment's first word is a memo hit iff
+                        // the access before it was in this line; the
+                        // words - 1 that follow all are.
+                        seg_first_memo = iline == prev_iline;
+                        istreak_a.reads += words;
+                        istreak_a.memoHits +=
+                            words - 1 + (seg_first_memo ? 1u : 0u);
+                        prev_iline = iline;
+                        ilast_b = false;
+                        seg_streak = &istreak_a;
+                    } else if (iline == istreak_b.line) {
+                        seg_first_memo = iline == prev_iline;
+                        istreak_b.reads += words;
+                        istreak_b.memoHits +=
+                            words - 1 + (seg_first_memo ? 1u : 0u);
+                        prev_iline = iline;
+                        ilast_b = true;
+                        seg_streak = &istreak_b;
+                    } else {
+                        flushStreakPair(icache, istreak_a, istreak_b,
+                                        ilast_b);
+                        const CacheAccessResult f =
+                            icache.accessFast(code[k].addr, false);
+                        prev_iline = icache.lastLineAddr();
+                        // No fault plan is active (RunBatch), so
+                        // parity errors and corrupt deliveries cannot
+                        // occur here.
+                        if (!f.hit) {
+                            istreak_a.line = Cache::kNoLine;
+                            istreak_b.line = Cache::kNoLine;
+                            const uint32_t penalty = missPenalty(
+                                icache_miss_penalty, f, code[k].addr,
+                                false);
+                            front_ready =
+                                std::max(front_ready, last_issue) +
+                                penalty;
+                            refill_words += line_words;
                         }
-                        fetched_to = j;
+                        if (icache.lastLineAddr() == iline) {
+                            Streak &victim =
+                                ilast_b ? istreak_a : istreak_b;
+                            victim.line = iline;
+                            victim.idx = icache.lastHitIdx();
+                            // The first word went through the full
+                            // access (which memo-counted it inside
+                            // Cache); the rest are intra-line repeats.
+                            // kept >= 1 always holds at a trap here,
+                            // so seg_first_memo is moot — keep the
+                            // reconciliation formula uniform.
+                            victim.reads = words - 1;
+                            victim.writes = 0;
+                            victim.memoHits = words - 1;
+                            seg_first_memo = true;
+                            ilast_b = !ilast_b;
+                            seg_streak = &victim;
+                        } else {
+                            // Unreachable without fault injection — a
+                            // read always leaves its line resident —
+                            // but stay exact: access the rest of the
+                            // segment's words in full.
+                            for (uint64_t w = k + 1; w < j; ++w)
+                                if (word_pre[w + 1] != word_pre[w])
+                                    icache.accessFast(code[w].addr,
+                                                      false);
+                            prev_iline = icache.lastLineAddr();
+                        }
+                    }
+                }
+                fetched_to = j;
             };
             const uint64_t last = run_end - 1;
             try {
                 while (k < last) {
                     if (k == fetched_to)
                         fetchSeg(k);
-                    step.template operator()<true>(code[k], k);
+                    retire.template operator()<true>(code[k], k);
                     ++k;
                 }
                 if (k == fetched_to)
                     fetchSeg(k);
-                step.template operator()<false>(code[last], last);
-                instructions += span - 2;
+                retire.template operator()<false>(code[last], last);
                 retired += span - 2;
+                batched_ops += span - 1;
             } catch (const TrapError &) {
                 // Op k trapped during execute: the per-op path counts
                 // its fetch but nothing behind it. The batch counters
@@ -1639,8 +1943,8 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
                 // streak counter that took them.
                 toggle_bits += seq_pre[k + 1] - seq_pre[run_base + 1];
                 bits_total += (k - run_base) * fetch_bits;
-                instructions += k - (run_base + 1);
                 retired += k - (run_base + 1);
+                batched_ops += k - (run_base + 1);
                 if (seg_streak != nullptr) {
                     const uint32_t backed =
                         word_pre[fetched_to] - word_pre[k + 1];
@@ -1666,64 +1970,122 @@ fastLoopImpl(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
         }
     }
     } catch (const TrapError &e) {
-        result.outcome = RunOutcome::Trapped;
-        result.trapReason = e.what();
+        // Architectural trap raised by a handler or the memory system:
+        // a measured outcome with partial statistics, not an abort.
+        result_.outcome = RunOutcome::Trapped;
+        result_.trapReason = e.what();
+        done_ = true;
     }
+    if (ctx.state.halted)
+        done_ = true;
 
-    // Flush any open line streaks so the stats below match a
-    // per-access interpreter run exactly.
-    flushStreakPair(icache, istreak_a, istreak_b, ilast_b);
-    flushStreakPair(dcache, dstreak_a, dstreak_b, dlast_b);
+    annulled_ = annulled;
+    takenBranches_ = taken_branches;
+    dmemAccesses_ = dmem_accesses;
+    toggleBits_ = toggle_bits;
+    bitsTotal_ = bits_total;
+    refillWords_ = refill_words;
+    batchedOps_ = batched_ops;
+    seqFetch_ = seq_fetch;
+    dynEnc_ = dyn_enc;
+    itrack_ = LineTrack{istreak_a, istreak_b, ilast_b, prev_iline};
+    dtrack_ = LineTrack{dstreak_a, dstreak_b, dlast_b, prev_dline};
+    std::copy(std::begin(reg_ready), std::end(reg_ready),
+              std::begin(regReady_));
+    flagsReady_ = flags_ready;
+    issueCycle_ = issue_cycle;
+    slotsUsed_ = slots_used;
+    memPortUsed_ = mem_port_used;
+    mulUnitUsed_ = mul_unit_used;
+    frontReady_ = front_ready;
+    lastIssue_ = last_issue;
+    prevWordAddr_ = prev_word_addr;
+    index_ = index;
+    retired_ = retired;
+}
 
-    // Finalization order mirrors machine.cc: built-in totals publish
-    // before the external observers' onRunEnd fan-out.
-    result.cycles = last_issue + 4;
-    result.icache = icache.stats();
-    result.dcache = dcache.stats();
-    result.finalState = ctx.state;
-    result.io = std::move(ctx.io);
-    result.instructions = instructions;
-    result.annulled = annulled;
-    result.takenBranches = taken_branches;
-    result.dmemAccesses = dmem_accesses;
-    result.fetchToggleBits = toggle_bits;
-    result.fetchBitsTotal = bits_total;
-    result.icacheRefillWords = refill_words;
-    if constexpr (HasExtra)
-        extra->runEnd(result);
-    return result;
+void
+FastTile::step(uint64_t budget, FaultPlan *faults,
+               const ObserverList *observers)
+{
+    if (done_ || budget == 0)
+        return;
+    const bool has_extra = observers && !observers->empty();
+    const ObserverList *extra = has_extra ? observers : nullptr;
+    switch ((config_.packedFetch ? 4 : 0) | (has_extra ? 2 : 0) |
+            (faults ? 1 : 0)) {
+      case 0: return stepImpl<false, false, false>(budget, faults, extra);
+      case 1: return stepImpl<false, true, false>(budget, faults, extra);
+      case 2: return stepImpl<true, false, false>(budget, faults, extra);
+      case 3: return stepImpl<true, true, false>(budget, faults, extra);
+      case 4: return stepImpl<false, false, true>(budget, faults, extra);
+      case 5: return stepImpl<false, true, true>(budget, faults, extra);
+      case 6: return stepImpl<true, false, true>(budget, faults, extra);
+      default: return stepImpl<true, true, true>(budget, faults, extra);
+    }
 }
 
 RunResult
-Machine::fastRun(FaultPlan *faults, ObserverList *observers)
+FastTile::finish(const ObserverList *observers)
 {
-    const bool has_extra = observers && !observers->empty();
-    if (config_.packedFetch) {
-        if (has_extra) {
-            if (faults)
-                return fastLoopImpl<true, true, true>(
-                    fe_, config_, mem_, faults, observers);
-            return fastLoopImpl<true, false, true>(
-                fe_, config_, mem_, nullptr, observers);
-        }
-        if (faults)
-            return fastLoopImpl<false, true, true>(fe_, config_, mem_,
-                                                   faults, nullptr);
-        return fastLoopImpl<false, false, true>(fe_, config_, mem_,
-                                                nullptr, nullptr);
+    if (finished_)
+        return result_;
+    finished_ = true;
+
+    // Flush any open line streaks so the stats below match a
+    // per-access run exactly. Then drain the pipeline
+    // (fetch/decode/execute/mem/writeback): all outcomes finalize, a
+    // trapped or watchdog-expired run still reports the activity it
+    // accumulated. Built-in totals publish before the external
+    // observers' onRunEnd fan-out.
+    releaseTracks();
+    result_.cycles = lastIssue_ + 4;
+    result_.icache = icache_.stats();
+    result_.dcache = dcache_.stats();
+    result_.finalState = ctx_.state;
+    result_.io = std::move(ctx_.io);
+    result_.instructions = retired_;
+    result_.annulled = annulled_;
+    result_.takenBranches = takenBranches_;
+    result_.dmemAccesses = dmemAccesses_;
+    result_.fetchToggleBits = toggleBits_;
+    result_.fetchBitsTotal = bitsTotal_;
+    result_.icacheRefillWords = refillWords_;
+
+    // The engine's exact work counters, tallied once per run rather
+    // than in the loop: how many retired ops the superblock batches
+    // carried and how many took the per-op entry. Host-independent,
+    // so bench_regress.sh compares them exactly.
+    if (MetricRegistry *metrics = MetricRegistry::current()) {
+        metrics->counter("engine.ops_batched").add(batchedOps_);
+        metrics->counter("engine.ops_per_op")
+            .add(retired_ - batchedOps_);
     }
-    if (has_extra) {
-        if (faults)
-            return fastLoopImpl<true, true, false>(fe_, config_, mem_,
-                                                   faults, observers);
-        return fastLoopImpl<true, false, false>(fe_, config_, mem_,
-                                                nullptr, observers);
-    }
-    if (faults)
-        return fastLoopImpl<false, true, false>(fe_, config_, mem_,
-                                                faults, nullptr);
-    return fastLoopImpl<false, false, false>(fe_, config_, mem_,
-                                             nullptr, nullptr);
+
+    if (observers && !observers->empty())
+        observers->runEnd(result_);
+    return result_;
+}
+
+TileFactory
+engineTileFactory()
+{
+    // The trace depends on the program, the packed-fetch rule and the
+    // I-line size; tiles agreeing on all three share one.
+    using Key = std::tuple<const FrontEnd *, bool, uint32_t>;
+    using Entry = std::pair<Key, std::shared_ptr<const Predecoded>>;
+    auto traces = std::make_shared<std::vector<Entry>>();
+    return [traces](const FrontEnd &fe, const CoreConfig &config,
+                    Memory &mem, unsigned tileId) {
+        const Key key{&fe, config.packedFetch, config.icache.lineBytes};
+        auto it = std::find_if(traces->begin(), traces->end(),
+                               [&](const Entry &e) { return e.first == key; });
+        if (it == traces->end())
+            it = traces->insert(
+                it, {key, std::make_shared<Predecoded>(fe, config)});
+        return std::unique_ptr<Tile>(std::make_unique<FastTile>(
+            fe, config, mem, tileId, it->second));
+    };
 }
 
 } // namespace pfits

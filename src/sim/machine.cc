@@ -1,10 +1,7 @@
 #include "sim/machine.hh"
 
-#include <algorithm>
-#include <bit>
-#include <vector>
+#include <utility>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "sim/probe.hh"
 #include "sim/tile.hh"
@@ -21,16 +18,6 @@ runOutcomeName(RunOutcome outcome)
       case RunOutcome::WatchdogExpired: return "watchdog-expired";
       case RunOutcome::FaultDetected: return "fault-detected";
       default: panic("bad RunOutcome");
-    }
-}
-
-const char *
-simBackendName(SimBackend backend)
-{
-    switch (backend) {
-      case SimBackend::Interp: return "interp";
-      case SimBackend::Fast: return "fast";
-      default: panic("bad SimBackend");
     }
 }
 
@@ -81,8 +68,9 @@ RunResult::addStats(StatGroup &group) const
         "corrupt I-cache lines consumed silently");
 }
 
-Machine::Machine(const FrontEnd &fe, const CoreConfig &config)
-    : fe_(fe), config_(config)
+Machine::Machine(const FrontEnd &fe, const CoreConfig &config,
+                 TileFactory factory)
+    : fe_(fe), config_(config), factory_(std::move(factory))
 {
     config_.icache.validate();
     config_.dcache.validate();
@@ -93,18 +81,13 @@ Machine::Machine(const FrontEnd &fe, const CoreConfig &config)
 RunResult
 Machine::run(FaultPlan *faults, ObserverList *observers)
 {
-    if (config_.backend == SimBackend::Fast)
-        return fastRun(faults, observers);
-
-    // The interpreter is one Tile run to completion (sim/tile.hh):
-    // the Tile owns the loop that used to live here, with its locals
-    // promoted to members so a Chip can step it in quanta. Running a
-    // single tile with an unbounded budget and no L2 reproduces the
-    // historical Machine::run bit for bit — the single-core contract
-    // is structural.
-    Tile tile(fe_, config_, mem_);
-    tile.step(~0ull, faults, observers);
-    return tile.finish(observers);
+    // One tile with an unbounded budget and no L2: the single-core
+    // contract is structural — a one-tile Chip steps the same tile in
+    // quanta and must agree bit for bit.
+    std::unique_ptr<Tile> tile =
+        (factory_ ? factory_ : engineTileFactory())(fe_, config_, mem_, 0);
+    tile->step(~0ull, faults, observers);
+    return tile->finish(observers);
 }
 
 } // namespace pfits

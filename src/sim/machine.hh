@@ -17,18 +17,18 @@
  * trace rings, anything new) register through an ObserverList without
  * touching this hot loop.
  *
- * Since the Tile/Chip refactor the interpreter loop itself lives in
- * sim/tile.hh: Machine::run with the interp backend constructs one
- * Tile and steps it to completion, and a Chip (sim/chip.hh) runs N
- * such Tiles round-robin against a shared coherent L2. The Machine
- * remains the single-core entry point the experiment engine and
- * differential harness build on.
+ * The execution loop itself is a Tile (sim/tile.hh): Machine::run
+ * builds one engine tile (sim/fastsim.cc) and steps it to completion,
+ * and a Chip (sim/chip.hh) runs N such tiles round-robin against a
+ * shared coherent L2. The Machine remains the single-core entry point
+ * the experiment engine and differential harness build on.
  */
 
 #ifndef POWERFITS_SIM_MACHINE_HH
 #define POWERFITS_SIM_MACHINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -67,35 +67,6 @@ struct FieldEnum<RunOutcome>
     static const char *name(RunOutcome o) { return runOutcomeName(o); }
 };
 
-/**
- * Which execution loop a Machine runs.
- *
- * Interp is the reference: the runLoop interpreter in machine.cc over
- * execute() in executor.cc. Fast predecodes the program once into a
- * flat trace of fully-resolved micro-ops (precomputed addresses,
- * encodings, read-register masks, immediates and branch targets) and
- * dispatches through a per-instruction function pointer with the
- * timing scoreboard inlined (sim/fastsim.cc). The two backends are
- * result-equivalent down to every RunResult counter and cache stat —
- * the differential harness (src/verify/) cross-executes them as a
- * merge gate — so the backend is a pure speed/reference trade-off.
- */
-enum class SimBackend : uint8_t
-{
-    Interp, //!< reference interpreter (machine.cc runLoop)
-    Fast,   //!< predecoded trace + function-pointer dispatch
-};
-
-/** @return "interp" or "fast". */
-const char *simBackendName(SimBackend backend);
-
-template <>
-struct FieldEnum<SimBackend>
-{
-    static constexpr unsigned kCount = 2;
-    static const char *name(SimBackend b) { return simBackendName(b); }
-};
-
 /** Core configuration (defaults model the Intel SA-1100). */
 struct CoreConfig
 {
@@ -130,17 +101,8 @@ struct CoreConfig
      */
     bool packedFetch = false;
 
-    /**
-     * Execution backend (see SimBackend). Joins the SimCache memo key
-     * only when non-default so existing interp keys stay stable.
-     */
-    SimBackend backend = SimBackend::Interp;
-
-    /**
-     * The field list (common/fields.hh). clock_hz hashes as whole
-     * millihertz; backend is a late row, so interp keys and requests
-     * carry no trace of it.
-     */
+    /** The field list (common/fields.hh). clock_hz hashes as whole
+     * millihertz. */
     template <class V>
     static void
     fields(V &v)
@@ -155,7 +117,6 @@ struct CoreConfig
         v("max_instructions", &CoreConfig::maxInstructions, kKey);
         v("clock_hz", &CoreConfig::clockHz, kKey);
         v("packed_fetch", &CoreConfig::packedFetch, kKey);
-        v("backend", &CoreConfig::backend, kKey | kLate);
     }
 };
 
@@ -224,15 +185,27 @@ struct RunResult
     void addStats(StatGroup &group) const;
 };
 
-/** An execution-driven simulated machine. */
+class Tile; // sim/tile.hh
+
+/** Builds the tile for one core (sim/tile.hh); @p fe and @p mem, pre-
+ * loaded with the data segments, must outlive it. Empty = the engine
+ * (engineTileFactory). */
+using TileFactory = std::function<std::unique_ptr<Tile>(
+    const FrontEnd &fe, const CoreConfig &config, Memory &mem,
+    unsigned tileId)>;
+
+/** An execution-driven simulated machine: one tile run to completion. */
 class Machine
 {
   public:
     /**
-     * @param fe     the instruction stream (not owned; must outlive us)
-     * @param config core parameters
+     * @param fe      the instruction stream (not owned; must outlive us)
+     * @param config  core parameters
+     * @param factory the tile to run; empty = the production engine
+     *                (the differential harness passes its oracle)
      */
-    Machine(const FrontEnd &fe, const CoreConfig &config);
+    Machine(const FrontEnd &fe, const CoreConfig &config,
+            TileFactory factory = {});
 
     /**
      * Run from instruction 0 until SWI_EXIT, an architectural trap, a
@@ -252,17 +225,10 @@ class Machine
     const CoreConfig &config() const { return config_; }
 
   private:
-    /**
-     * The SimBackend::Fast loop (sim/fastsim.cc): predecode fe_ into a
-     * flat FastOp trace, then dispatch via per-op function pointers
-     * with the scoreboard inlined. Produces a RunResult equal to
-     * runLoop's field for field, including cache stats and outcome.
-     */
-    RunResult fastRun(FaultPlan *faults, ObserverList *observers);
-
     const FrontEnd &fe_;
     CoreConfig config_;
     Memory mem_;
+    TileFactory factory_;
 };
 
 } // namespace pfits

@@ -33,23 +33,6 @@ faultEventKindName(FaultEvent::Kind kind)
 }
 
 void
-CounterObserver::onRunEnd(RunResult &result)
-{
-    result.instructions = instructions_;
-    result.annulled = annulled_;
-    result.takenBranches = takenBranches_;
-    result.dmemAccesses = dmemAccesses_;
-}
-
-void
-ActivityObserver::onRunEnd(RunResult &result)
-{
-    result.fetchToggleBits = toggleBits_;
-    result.fetchBitsTotal = bitsTotal_;
-    result.icacheRefillWords = refillWords_;
-}
-
-void
 IntervalStatsObserver::onRunEnd(RunResult &result)
 {
     // The final sample absorbs the partial instruction tail and the

@@ -11,14 +11,11 @@
  * architectural execution; every measurement, including the legacy
  * RunResult counters, is an observer.
  *
- * Performance contract: the built-in observers (CounterObserver,
- * ActivityObserver, FaultAccountingObserver) are concrete final
- * classes the Machine calls directly — the compiler devirtualizes and
- * inlines them, so they cost what the hand-woven counters cost.
- * External observers go through an ObserverList registered up front;
- * its empty fast path is a single predictable branch per event site,
- * so zero-observer runs cost nothing measurable (numbers in
- * docs/OBSERVABILITY.md).
+ * Performance contract: the RunResult counters are built into the
+ * engine's loop (sim/fastsim.cc) as plain locals. External observers
+ * go through an ObserverList registered up front; its empty fast path
+ * is a single predictable branch per event site, so zero-observer runs
+ * cost nothing measurable (numbers in docs/OBSERVABILITY.md).
  */
 
 #ifndef POWERFITS_SIM_PROBE_HH
@@ -113,7 +110,7 @@ const char *faultEventKindName(FaultEvent::Kind kind);
  * Instrumentation interface over one Machine::run. Hooks default to
  * no-ops so observers override only what they consume. onRunEnd sees
  * the RunResult being finalized and may write into it (that is how the
- * built-in counter observers publish their totals).
+ * interpreter oracle's counter observers publish their totals).
  */
 class SimObserver
 {
@@ -220,101 +217,6 @@ encodingMask(unsigned bits)
 }
 
 } // namespace detail
-
-// --- built-in observers ---------------------------------------------------
-
-/**
- * The legacy RunResult architectural counters: dynamic instructions,
- * annulled instructions, taken branches, data-memory accesses.
- * Always attached by Machine::run; publishes into RunResult at run end.
- */
-class CounterObserver final : public SimObserver
-{
-  public:
-    void
-    onCommit(const CommitEvent &e) override
-    {
-        ++instructions_;
-        if (!e.info->executed && e.uop->cond != Cond::AL)
-            ++annulled_;
-        if (e.info->executed && e.info->branchTaken)
-            ++takenBranches_;
-    }
-
-    void onDataAccess(const DataAccessEvent &) override
-    {
-        ++dmemAccesses_;
-    }
-
-    void onRunEnd(RunResult &result) override;
-
-  private:
-    uint64_t instructions_ = 0;
-    uint64_t annulled_ = 0;
-    uint64_t takenBranches_ = 0;
-    uint64_t dmemAccesses_ = 0;
-};
-
-/**
- * The activity counts the power models consume: fetch-bus Hamming
- * toggles (true bit flips between successively fetched encodings —
- * where a 16-bit FITS stream halves switching activity), total bits
- * delivered, and line-refill words. Always attached by Machine::run.
- */
-class ActivityObserver final : public SimObserver
-{
-  public:
-    void
-    onFetch(const FetchEvent &e) override
-    {
-        toggleBits_ += popcount32((e.encoding ^ prevWord_) &
-                                  detail::encodingMask(e.bits));
-        prevWord_ = e.encoding;
-        bitsTotal_ += e.bits;
-        if (e.newWord && !e.cache.hit)
-            refillWords_ += e.lineWords;
-    }
-
-    void onRunEnd(RunResult &result) override;
-
-  private:
-    uint32_t prevWord_ = 0;
-    uint64_t toggleBits_ = 0;
-    uint64_t bitsTotal_ = 0;
-    uint64_t refillWords_ = 0;
-};
-
-/**
- * PR 1's fault accounting as an observer: forwards injection,
- * detection and escape events into the run's FaultPlan counters.
- * Attached by Machine::run whenever a plan is present.
- */
-class FaultAccountingObserver final : public SimObserver
-{
-  public:
-    explicit FaultAccountingObserver(FaultPlan *plan) : plan_(plan) {}
-
-    void
-    onFault(const FaultEvent &e) override
-    {
-        if (!plan_)
-            return;
-        switch (e.kind) {
-          case FaultEvent::Kind::Injected:
-            plan_->recordInjected(e.target);
-            break;
-          case FaultEvent::Kind::Detected:
-            plan_->recordDetected(e.target);
-            break;
-          case FaultEvent::Kind::Escaped:
-            plan_->recordEscaped(e.target);
-            break;
-        }
-    }
-
-  private:
-    FaultPlan *plan_;
-};
 
 // --- shipped instruments --------------------------------------------------
 

@@ -3,17 +3,19 @@
  * A Tile: one core's worth of simulation state, steppable in bounded
  * instruction quanta.
  *
- * The Tile is Machine::run's interpreter loop with its locals promoted
- * to members: the frontend, the analytic scoreboard, the private I/D
- * L1s, the built-in observers and the in-progress RunResult all live
- * here, so execution can stop after a bounded number of instructions
- * and resume later with bit-identical results. A Machine with the
- * interp backend runs exactly one Tile to completion — the single-core
- * contract (every counter, stat and outcome) is structural, not
- * re-implemented. A Chip (sim/chip.hh) runs N Tiles round-robin and
- * wires their L1 miss paths into a shared CoherentL2.
+ * A tile owns the core's analytic scoreboard, its private I/D L1s, the
+ * built-in counters and the in-progress RunResult, so execution can
+ * stop after a bounded number of instructions and resume later with
+ * bit-identical results. A Machine runs exactly one tile to
+ * completion; a Chip (sim/chip.hh) runs N tiles round-robin and wires
+ * their L1 miss paths into a shared CoherentL2. The production tile is
+ * the predecoded engine (engineTileFactory, sim/fastsim.cc); the
+ * differential harness plugs its cycle-exact interpreter oracle
+ * (makeOracleTile, verify/differential.hh) into the same seam through
+ * a TileFactory. One virtual call per quantum is the whole cost of the
+ * indirection.
  *
- * Address coloring: a Tile attached to an L2 presents its references
+ * Address coloring: a tile attached to an L2 presents its references
  * as physical addresses virt + addrBase, where the Chip assigns each
  * tile a disjoint base (tileId << tileShift). Tiles therefore never
  * share lines by accident in multiprogrammed runs, while the verify
@@ -25,33 +27,27 @@
 #define POWERFITS_SIM_TILE_HH
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
-#include "cache/cache.hh"
 #include "cache/coherence.hh"
 #include "common/fault.hh"
-#include "sim/executor.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
 #include "sim/memory.hh"
-#include "sim/probe.hh"
 
 namespace pfits
 {
 
+class ObserverList; // sim/probe.hh
+
 /** One core plus private L1s, steppable in instruction quanta. */
-class Tile final : public CoherencePort
+class Tile : public CoherencePort
 {
   public:
-    /**
-     * @param fe     the instruction stream (not owned; must outlive us)
-     * @param config core parameters (interp semantics; the backend
-     *               field is ignored — Machine dispatches backends)
-     * @param mem    this tile's (pre-loaded) data memory, not owned
-     * @param tileId this tile's index within its chip
-     */
-    Tile(const FrontEnd &fe, const CoreConfig &config, Memory &mem,
-         unsigned tileId = 0);
+    Tile() = default;
+    // An attached L2 holds the tile's address as its coherence port.
+    Tile(const Tile &) = delete;
+    Tile &operator=(const Tile &) = delete;
 
     /**
      * Route L1 misses through @p l2 (not owned), presenting addresses
@@ -59,7 +55,7 @@ class Tile final : public CoherencePort
      * L2, misses cost the flat CoreConfig penalties — bit-identical to
      * the single-core Machine.
      */
-    void attachL2(CoherentL2 *l2, uint32_t addrBase);
+    virtual void attachL2(CoherentL2 *l2, uint32_t addrBase) = 0;
 
     /**
      * Execute up to @p budget further instructions. Returns early when
@@ -68,90 +64,27 @@ class Tile final : public CoherencePort
      * and observers follow the Machine::run contract; pass the same
      * arguments to every step of one run.
      */
-    void step(uint64_t budget, FaultPlan *faults = nullptr,
-              const ObserverList *observers = nullptr);
+    virtual void step(uint64_t budget, FaultPlan *faults = nullptr,
+                      const ObserverList *observers = nullptr) = 0;
 
     /** The run has ended (in any RunOutcome). */
-    bool done() const { return done_; }
+    virtual bool done() const = 0;
 
     /**
      * Finalize and return the result: drain cycles, cache stats, final
-     * state, observer publication (Machine::run's epilogue). Call once,
-     * after stepping is over — also valid for an unfinished run, which
-     * reports partial statistics.
+     * state, observer publication. Call once, after stepping is over —
+     * also valid for an unfinished run, which reports partial
+     * statistics.
      */
-    RunResult finish(const ObserverList *observers = nullptr);
-
-    unsigned tileId() const { return tileId_; }
-    uint32_t addrBase() const { return addrBase_; }
-    const CoreConfig &config() const { return config_; }
-    const Cache &icache() const { return icache_; }
-    const Cache &dcache() const { return dcache_; }
-
-    /** Retired dynamic instructions so far. */
-    uint64_t retired() const { return retired_; }
-
-    // CoherencePort: the directory acting on this tile's L1s.
-    bool coherenceInvalidate(uint32_t lineAddr) override;
-    bool coherenceDowngrade(uint32_t lineAddr) override;
-    void enumerateLines(
-        const std::function<void(uint32_t, bool)> &fn) const override;
-
-  private:
-    template <bool HasExtra>
-    void stepLoop(uint64_t budget, FaultPlan *faults,
-                  const ObserverList *extra);
-
-    const FrontEnd &fe_;
-    CoreConfig config_;
-    Memory &mem_;
-    unsigned tileId_;
-
-    Cache icache_;
-    Cache dcache_;
-    CpuState state_;
-    AddrCodec codec_;
-    unsigned fetchBits_;
-    uint32_t lineWords_;
-    size_t numInsns_;
-    std::vector<uint32_t> readMasks_;
-
-    // Built-in observers (sim/probe.hh): concrete final types called
-    // directly so the compiler inlines them.
-    CounterObserver counters_;
-    ActivityObserver activity_;
-
-    // Scoreboard state, persisted across steps. Index NUM_REGS tracks
-    // the NZCV flags.
-    uint64_t regReady_[NUM_REGS + 1] = {};
-    uint64_t issueCycle_ = 0;   //!< cycle of the most recent issue group
-    unsigned slotsUsed_ = 0;    //!< instructions issued in that cycle
-    bool memPortUsed_ = false;
-    bool mulUnitUsed_ = false;
-    uint64_t frontReady_ = 0;   //!< earliest issue for the next instr
-    uint64_t lastIssue_ = 0;
-
-    static constexpr uint64_t kNoFetchWord = ~0ull;
-    uint64_t prevWordAddr_ = kNoFetchWord; //!< packed-fetch buffer tag
-    uint64_t index_ = 0;
-    uint64_t retired_ = 0; //!< watchdog / fault-schedule clock
-
-    RunResult result_;
-    bool done_ = false;
-    bool finished_ = false;
-
-    CoherentL2 *l2_ = nullptr;
-    uint32_t addrBase_ = 0;
-
-    /**
-     * Set when a coherence invalidation dropped an I-side line: the
-     * packed-fetch buffer may hold a word of it, so the next step must
-     * refill from the array (packed-fetch buffer contract,
-     * sim/machine.hh). Checked at step entry and after every L2 call —
-     * the L2 can back-invalidate the requesting tile itself.
-     */
-    bool fetchPoisoned_ = false;
+    virtual RunResult finish(const ObserverList *observers = nullptr) = 0;
 };
+
+/**
+ * The production engine tiles (sim/fastsim.cc). Tiles one factory
+ * builds share one predecoded trace per program, so a homogeneous chip
+ * predecodes once; use each factory from one thread at a time.
+ */
+TileFactory engineTileFactory();
 
 } // namespace pfits
 

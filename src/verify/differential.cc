@@ -37,26 +37,15 @@ paperCoreConfig(ConfigId id)
     return core;
 }
 
-/** Compare register files; bits set in @p skip_mask are excluded. */
+/** Compare final states; registers set in @p skip_mask are excluded. */
 void
-compareRegs(const std::string &what, const CpuState &a,
-            const CpuState &b, uint32_t skip_mask,
-            std::vector<std::string> &out)
+compareRegs(const std::string &what, CpuState a, CpuState b,
+            uint32_t skip_mask, std::vector<std::string> &out)
 {
-    for (unsigned r = 0; r < NUM_REGS; ++r) {
+    for (unsigned r = 0; r < NUM_REGS; ++r)
         if ((skip_mask >> r) & 1u)
-            continue;
-        if (a.regs[r] != b.regs[r])
-            out.push_back(detail::format(
-                "%s: r%u 0x%08x vs 0x%08x", what.c_str(), r,
-                a.regs[r], b.regs[r]));
-    }
-    if (a.flags.n != b.flags.n || a.flags.z != b.flags.z ||
-        a.flags.c != b.flags.c || a.flags.v != b.flags.v)
-        out.push_back(detail::format(
-            "%s: NZCV %d%d%d%d vs %d%d%d%d", what.c_str(), a.flags.n,
-            a.flags.z, a.flags.c, a.flags.v, b.flags.n, b.flags.z,
-            b.flags.c, b.flags.v));
+            a.regs[r] = b.regs[r] = 0;
+    diffFields(what, a, b, out, "final_state");
 }
 
 /** One Machine run with the timing checker attached. */
@@ -74,84 +63,205 @@ checkedRun(Machine &machine, const CoreConfig &core,
     return result;
 }
 
-/** One config's Machine kept alive for memory-image comparison. */
-struct BackendRun
+/** One config's oracle Machine kept alive for memory comparison. */
+struct ConfigRun
 {
     std::unique_ptr<Machine> machine;
     RunResult result;
 };
 
-/**
- * Run @p fe on @p core under @p mode. Both runs interp as the primary
- * result, then the fast backend on an identical config, and requires
- * the two runs to agree on every RunResult field and the full memory
- * image; Interp/Fast run only that loop (the primary).
- */
-BackendRun
-runConfig(const FrontEnd &fe, CoreConfig core, const std::string &label,
-          DiffBackend mode, std::vector<std::string> &out)
+/** Append a mismatch when two memory images differ. */
+void
+compareMem(const std::string &what, const Memory &a, const Memory &b,
+           std::vector<std::string> &out)
 {
-    if (mode == DiffBackend::Fast)
-        core.backend = SimBackend::Fast;
-    BackendRun primary;
-    primary.machine = std::make_unique<Machine>(fe, core);
-    primary.result =
-        checkedRun(*primary.machine, core,
-                   mode == DiffBackend::Fast ? label + "[fast]" : label,
-                   out);
+    if (auto addr = a.firstDifference(b))
+        out.push_back(detail::format("%s: memory differs at 0x%08x",
+                                     what.c_str(), *addr));
+}
 
-    if (mode == DiffBackend::Both) {
-        CoreConfig fast_core = core;
-        fast_core.backend = SimBackend::Fast;
-        Machine fast_machine(fe, fast_core);
-        RunResult rf = checkedRun(fast_machine, fast_core,
-                                  label + "[fast]", out);
-        // The interp-vs-fast contract: every RunResult row equal.
-        // Nothing is excluded — the fast backend claims bit-exactness,
-        // so cycles, toggle counts and even the trap text must match.
-        diffFields(label + " interp vs fast", primary.result, rf, out);
-        if (auto addr = primary.machine->mem().firstDifference(
-                fast_machine.mem()))
-            out.push_back(detail::format(
-                "%s interp vs fast: memory differs at 0x%08x",
-                label.c_str(), *addr));
+/**
+ * Architectural equality of two runs of one program: outcome, retired,
+ * annulled and taken-branch counts, final state, I/O and memory —
+ * what no fetch-path or L2 variation may change. (Trap text names the
+ * config, so callers compare it where the configs match.)
+ */
+void
+compareArch(const std::string &what, const RunResult &a,
+            const Memory &ma, const RunResult &b, const Memory &mb,
+            std::vector<std::string> &out)
+{
+    diffFields(what, a.outcome, b.outcome, out, "outcome");
+    diffFields(what, a.instructions, b.instructions, out, "instructions");
+    diffFields(what, a.annulled, b.annulled, out, "annulled");
+    diffFields(what, a.takenBranches, b.takenBranches, out,
+               "taken_branches");
+    diffFields(what, a.finalState, b.finalState, out, "final_state");
+    diffFields(what, a.io, b.io, out, "io");
+    compareMem(what, ma, mb, out);
+}
 
-        // Again with ZERO observers: attaching the checker forces the
-        // fast loop onto its exact per-op path, so only a bare run
-        // exercises the batched dispatch the production sweeps use.
-        // (This split once hid an I-cache access undercount on
-        // unpacked sub-word streams.)
-        Machine bare_machine(fe, fast_core);
-        RunResult rb = bare_machine.run();
-        diffFields(label + " interp vs fast[bare]", primary.result, rb,
-                   out);
-        if (auto addr = primary.machine->mem().firstDifference(
-                bare_machine.mem()))
-            out.push_back(detail::format(
-                "%s interp vs fast[bare]: memory differs at 0x%08x",
-                label.c_str(), *addr));
+/**
+ * Run @p fe on @p core on the interpreter oracle (the primary result)
+ * and on the engine three ways, each required to agree with the
+ * oracle on every RunResult row and the full memory image:
+ *
+ *  - with the timing checker attached, which forces the engine onto
+ *    its exact per-op path;
+ *  - with ZERO observers, the only run that exercises the batched
+ *    superblock dispatch production sweeps use (this split once hid an
+ *    I-cache access undercount on unpacked sub-word streams);
+ *  - as a one-tile Chip stepped in (deliberately odd) quanta: for a
+ *    single tile the quantum is unobservable and ChipConfig{tiles = 1}
+ *    is contractually a Machine (sim/chip.hh), and Machine::run itself
+ *    uses one unbounded step, so this is where quantum re-entry gets
+ *    cross-checked.
+ */
+ConfigRun
+runConfig(const FrontEnd &fe, const CoreConfig &core,
+          const std::string &label, std::vector<std::string> &out)
+{
+    ConfigRun oracle;
+    oracle.machine = std::make_unique<Machine>(fe, core, makeOracleTile);
+    oracle.result =
+        checkedRun(*oracle.machine, core, label + "[oracle]", out);
 
-        // And the one-tile Chip: the round-robin loop stepping this
-        // same core in (deliberately odd) quanta must reproduce the
-        // unbounded interp run bit for bit — for a single tile the
-        // quantum is unobservable and ChipConfig{tiles = 1} is
-        // contractually a Machine (sim/chip.hh). Machine::run's own
-        // delegation uses ONE unbounded Tile::step call, so this is
-        // the only place quantum re-entry itself gets cross-checked.
-        ChipConfig chip_cfg;
-        chip_cfg.quantum = 4099;
-        std::vector<Chip::TileSpec> specs(1, Chip::TileSpec{&fe, core});
-        Chip chip(specs, chip_cfg);
-        ChipResult cres = chip.run();
-        diffFields(label + " interp vs chip1", primary.result,
-                   cres.tiles.front(), out);
-        if (auto addr = primary.machine->mem().firstDifference(
-                chip.tileMem(0)))
-            out.push_back(detail::format(
-                "%s interp vs chip1: memory differs at 0x%08x",
-                label.c_str(), *addr));
+    // Nothing is excluded — the engine claims bit-exactness, so
+    // cycles, toggle counts and even the trap text must match.
+    Machine checked(fe, core);
+    RunResult rc = checkedRun(checked, core, label, out);
+    diffFields(label + " oracle vs engine", oracle.result, rc, out);
+    compareMem(label + " oracle vs engine", oracle.machine->mem(),
+               checked.mem(), out);
+
+    Machine bare(fe, core);
+    RunResult rb = bare.run();
+    diffFields(label + " oracle vs engine[bare]", oracle.result, rb, out);
+    compareMem(label + " oracle vs engine[bare]", oracle.machine->mem(),
+               bare.mem(), out);
+
+    ChipConfig chip_cfg;
+    chip_cfg.quantum = 4099;
+    std::vector<Chip::TileSpec> specs(1, Chip::TileSpec{&fe, core});
+    Chip chip(specs, chip_cfg);
+    ChipResult cres = chip.run();
+    diffFields(label + " oracle vs chip1", oracle.result,
+               cres.tiles.front(), out);
+    compareMem(label + " oracle vs chip1", oracle.machine->mem(),
+               chip.tileMem(0), out);
+    return oracle;
+}
+
+/**
+ * Run @p check over the MiBench kernels (when @p with_kernels) plus
+ * @p count seeded random programs from @p seed, fanned out over the
+ * thread pool with deterministic result order; @p progress gets one
+ * line per failure and a "<label>: ..." tally ending in @p detail.
+ */
+template <class Check>
+DiffSummary
+runSweep(const char *label, const std::string &detail, bool with_kernels,
+         unsigned count, uint64_t seed, unsigned jobs,
+         std::ostream *progress, Check check)
+{
+    const auto &kernels = mibench::suite();
+    const size_t num_kernels = with_kernels ? kernels.size() : 0;
+    const size_t total = num_kernels + count;
+
+    std::unique_ptr<ThreadPool> own;
+    if (jobs)
+        own = std::make_unique<ThreadPool>(jobs);
+    ThreadPool &pool = own ? *own : ThreadPool::shared();
+
+    std::vector<DiffReport> reports =
+        parallelMap<DiffReport>(pool, total, [&](size_t i) {
+            if (i < num_kernels) {
+                mibench::Workload wl = kernels[i].build();
+                return check(wl.program, uint64_t{0}, &wl.expected);
+            }
+            const uint64_t s = seed + static_cast<uint64_t>(i - num_kernels);
+            return check(randomVerifyProgram(s), s,
+                         static_cast<const uint32_t *>(nullptr));
+        });
+
+    DiffSummary summary;
+    summary.programsRun = static_cast<unsigned>(total);
+    for (DiffReport &rep : reports)
+        if (!rep.ok())
+            summary.failed.push_back(std::move(rep));
+
+    if (progress) {
+        for (const DiffReport &rep : summary.failed)
+            *progress << "FAIL " << rep.describe() << "\n";
+        *progress << label << ": " << summary.programsRun << " programs ("
+                  << num_kernels << " kernels, " << count
+                  << " random, base seed " << seed << ", " << detail
+                  << "), " << summary.failed.size() << " failure(s)\n";
     }
-    return primary;
+    return summary;
+}
+
+/** The round-robin quanta every chip-sweep program runs at. */
+constexpr uint64_t kChipDiffQuanta[] = {7, 1009, 10'000};
+
+/**
+ * Run @p prog as every tile of an N-tile chip at each of
+ * kChipDiffQuanta and as one independent single-core Machine, and
+ * cross-check (see runChipDifferentialSuite).
+ */
+DiffReport
+chipDiffProgram(const Program &prog, uint64_t seed, unsigned tiles)
+{
+    DiffReport rep;
+    rep.program = prog.name;
+    rep.seed = seed;
+    auto &out = rep.mismatches;
+
+    ArmFrontEnd arm(prog);
+    CoreConfig core;
+
+    // The reference: one independent single-core run. N independent
+    // runs of the same deterministic Machine are all equal to this
+    // one, so every tile compares against it.
+    Machine solo(arm, core);
+    RunResult rs = solo.run();
+    rep.armInstructions = rs.instructions;
+
+    ChipConfig cfg;
+    cfg.tiles = tiles;
+    cfg.sharedL2 = true;
+    // A small L2 on purpose: capacity back-invalidation (an L2 victim
+    // recalling tiles' L1 lines, including the running tile's own
+    // I-lines) is a path under test, as are the quantum boundaries.
+    cfg.l2.sizeBytes = 32 * 1024;
+    const std::vector<Chip::TileSpec> specs(tiles,
+                                            Chip::TileSpec{&arm, core});
+    for (uint64_t quantum : kChipDiffQuanta) {
+        cfg.quantum = quantum;
+        const std::string q = detail::format(
+            "q%llu ", static_cast<unsigned long long>(quantum));
+
+        // The engine chip against the oracle chip: exact, stats
+        // included, plus both chips' coherence invariants.
+        const ChipDiff diff = diffChipAgainstOracle(specs, cfg);
+        for (const std::string &m : diff.mismatches)
+            out.push_back(q + m);
+
+        for (unsigned t = 0; t < tiles; ++t) {
+            // Architectural equality only: shared-L2 penalties change
+            // the timing and back-invalidations change the L1 miss
+            // counts, so cycles and cache stats legitimately differ
+            // from solo.
+            const std::string what =
+                q + detail::format("solo vs tile%u", t);
+            const RunResult &rt = diff.result.tiles[t];
+            compareArch(what, rs, solo.mem(), rt,
+                        diff.engine->tileMem(t), out);
+            diffFields(what, rs.trapReason, rt.trapReason, out,
+                       "trap_reason");
+        }
+    }
+    return rep;
 }
 
 } // namespace
@@ -171,7 +281,7 @@ DiffReport::describe() const
 
 DiffReport
 diffProgram(const Program &prog, uint64_t seed,
-            const uint32_t *expected, DiffBackend backend)
+            const uint32_t *expected)
 {
     DiffReport rep;
     rep.program = prog.name;
@@ -193,11 +303,10 @@ diffProgram(const Program &prog, uint64_t seed,
                 g.io.emitted.back(), *expected));
     }
 
-    // 2. The timing Machine on the fixed ARM decoder (under Both,
-    // every Machine config here also cross-executes the fast backend
-    // against interp inside runConfig).
+    // 2. The timing Machine on the fixed ARM decoder (every config
+    // here cross-executes the engine against the oracle in runConfig).
     CoreConfig arm_core;
-    BackendRun arm_run = runConfig(arm, arm_core, "arm32", backend, out);
+    ConfigRun arm_run = runConfig(arm, arm_core, "arm32", out);
     Machine &arm_machine = *arm_run.machine;
     RunResult &ra = arm_run.result;
     rep.armInstructions = ra.instructions;
@@ -229,30 +338,11 @@ diffProgram(const Program &prog, uint64_t seed,
     CoreConfig packed_core;
     packed_core.name = "packed";
     packed_core.packedFetch = true;
-    BackendRun packed_run =
-        runConfig(arm, packed_core, "packed", backend, out);
-    Machine &packed_machine = *packed_run.machine;
-    RunResult &rp = packed_run.result;
+    ConfigRun packed_run = runConfig(arm, packed_core, "packed", out);
+    const RunResult &rp = packed_run.result;
 
-    if (ra.outcome != rp.outcome)
-        out.push_back(detail::format(
-            "arm32 vs packed: outcome %s vs %s",
-            runOutcomeName(ra.outcome), runOutcomeName(rp.outcome)));
-    compareRegs("arm32 vs packed", ra.finalState, rp.finalState, 0,
-                out);
-    diffFields("arm32 vs packed", ra.io, rp.io, out);
-    if (ra.instructions != rp.instructions ||
-        ra.annulled != rp.annulled)
-        out.push_back(detail::format(
-            "arm32 vs packed: retired %llu/%llu vs %llu/%llu",
-            static_cast<unsigned long long>(ra.instructions),
-            static_cast<unsigned long long>(ra.annulled),
-            static_cast<unsigned long long>(rp.instructions),
-            static_cast<unsigned long long>(rp.annulled)));
-    if (auto addr =
-            arm_machine.mem().firstDifference(packed_machine.mem()))
-        out.push_back(detail::format(
-            "arm32 vs packed: memory differs at 0x%08x", *addr));
+    compareArch("arm32 vs packed", ra, arm_run.machine->mem(), rp,
+                packed_run.machine->mem(), out);
 
     // 4. The synthesized 16-bit ISA on the programmable decoder.
     try {
@@ -263,8 +353,7 @@ diffProgram(const Program &prog, uint64_t seed,
 
         CoreConfig fits_core;
         fits_core.name = "fits16";
-        BackendRun fits_run =
-            runConfig(fits, fits_core, "fits16", backend, out);
+        ConfigRun fits_run = runConfig(fits, fits_core, "fits16", out);
         Machine &fits_machine = *fits_run.machine;
         RunResult &rf = fits_run.result;
         rep.fitsInstructions = rf.instructions;
@@ -327,187 +416,68 @@ diffProgram(const Program &prog, uint64_t seed,
 DiffSummary
 runDifferentialSuite(const DiffOptions &opts, std::ostream *progress)
 {
-    const auto &kernels = mibench::suite();
-    const size_t num_kernels = opts.kernels ? kernels.size() : 0;
-    const size_t total = num_kernels + opts.count;
-
-    std::unique_ptr<ThreadPool> own;
-    if (opts.jobs)
-        own = std::make_unique<ThreadPool>(opts.jobs);
-    ThreadPool &pool = own ? *own : ThreadPool::shared();
-
-    std::vector<DiffReport> reports =
-        parallelMap<DiffReport>(pool, total, [&](size_t i) {
-            if (i < num_kernels) {
-                mibench::Workload wl = kernels[i].build();
-                return diffProgram(wl.program, 0, &wl.expected,
-                                   opts.backend);
-            }
-            uint64_t seed =
-                opts.seed + static_cast<uint64_t>(i - num_kernels);
-            return diffProgram(randomVerifyProgram(seed), seed,
-                               nullptr, opts.backend);
-        });
-
-    DiffSummary summary;
-    summary.programsRun = static_cast<unsigned>(total);
-    for (DiffReport &rep : reports)
-        if (!rep.ok())
-            summary.failed.push_back(std::move(rep));
-
-    if (progress) {
-        for (const DiffReport &rep : summary.failed)
-            *progress << "FAIL " << rep.describe() << "\n";
-        const char *mode =
-            opts.backend == DiffBackend::Both
-                ? "interp+fast"
-                : opts.backend == DiffBackend::Fast ? "fast"
-                                                    : "interp";
-        *progress << "differential: " << summary.programsRun
-                  << " programs (" << num_kernels << " kernels, "
-                  << opts.count << " random, base seed " << opts.seed
-                  << ", backend " << mode << "), "
-                  << summary.failed.size() << " failure(s)\n";
-    }
-    return summary;
+    return runSweep("differential", "engine vs oracle", opts.kernels,
+                    opts.count, opts.seed, opts.jobs, progress,
+                    [](const Program &prog, uint64_t seed,
+                       const uint32_t *expected) {
+                        return diffProgram(prog, seed, expected);
+                    });
 }
-
-namespace
-{
-
-/**
- * Run @p prog as every tile of an N-tile chip and as one independent
- * single-core Machine, and cross-check (see runChipDifferentialSuite).
- */
-DiffReport
-chipDiffProgram(const Program &prog, uint64_t seed, unsigned tiles)
-{
-    DiffReport rep;
-    rep.program = prog.name;
-    rep.seed = seed;
-    auto &out = rep.mismatches;
-
-    ArmFrontEnd arm(prog);
-    CoreConfig core;
-
-    // The reference: one independent single-core run. N independent
-    // runs of the same deterministic Machine are all equal to this
-    // one, so every tile compares against it.
-    Machine solo(arm, core);
-    RunResult rs = solo.run();
-    rep.armInstructions = rs.instructions;
-
-    ChipConfig cfg;
-    cfg.tiles = tiles;
-    cfg.sharedL2 = true;
-    // Small L2 and odd quantum on purpose: capacity back-invalidation
-    // (an L2 victim recalling tiles' L1 lines, including the running
-    // tile's own I-lines) and misaligned quantum boundaries are
-    // exactly the paths under test.
-    cfg.l2.sizeBytes = 32 * 1024;
-    cfg.quantum = 1009;
-    std::vector<Chip::TileSpec> specs(tiles,
-                                      Chip::TileSpec{&arm, core});
-    Chip chip(specs, cfg);
-    ChipResult cres = chip.run();
-
-    for (unsigned t = 0; t < tiles; ++t) {
-        const RunResult &rt = cres.tiles[t];
-        const std::string what = detail::format("solo vs tile%u", t);
-        // Architectural equality only: shared-L2 penalties change the
-        // timing and back-invalidations change the L1 miss counts, so
-        // cycles and cache stats legitimately differ from solo.
-        if (rs.outcome != rt.outcome)
-            out.push_back(detail::format(
-                "%s: outcome %s vs %s (%s)", what.c_str(),
-                runOutcomeName(rs.outcome), runOutcomeName(rt.outcome),
-                rt.trapReason.c_str()));
-        if (rs.trapReason != rt.trapReason)
-            out.push_back(detail::format(
-                "%s: trap reason '%s' vs '%s'", what.c_str(),
-                rs.trapReason.c_str(), rt.trapReason.c_str()));
-        if (rs.instructions != rt.instructions ||
-            rs.annulled != rt.annulled)
-            out.push_back(detail::format(
-                "%s: retired %llu/%llu vs %llu/%llu", what.c_str(),
-                static_cast<unsigned long long>(rs.instructions),
-                static_cast<unsigned long long>(rs.annulled),
-                static_cast<unsigned long long>(rt.instructions),
-                static_cast<unsigned long long>(rt.annulled)));
-        if (rs.takenBranches != rt.takenBranches)
-            out.push_back(detail::format(
-                "%s: taken branches %llu vs %llu", what.c_str(),
-                static_cast<unsigned long long>(rs.takenBranches),
-                static_cast<unsigned long long>(rt.takenBranches)));
-        compareRegs(what, rs.finalState, rt.finalState, 0, out);
-        diffFields(what, rs.io, rt.io, out);
-        if (auto addr = solo.mem().firstDifference(chip.tileMem(t)))
-            out.push_back(detail::format(
-                "%s: memory differs at 0x%08x", what.c_str(), *addr));
-    }
-
-    const std::string inv = chip.checkCoherence();
-    if (!inv.empty())
-        out.push_back("coherence invariants: " + inv);
-    return rep;
-}
-
-} // namespace
 
 DiffSummary
 runChipDifferentialSuite(const ChipDiffOptions &opts,
                          std::ostream *progress)
 {
-    const auto &kernels = mibench::suite();
-    const size_t num_kernels = opts.kernels ? kernels.size() : 0;
-    const size_t total = num_kernels + opts.count;
-
-    std::unique_ptr<ThreadPool> own;
-    if (opts.jobs)
-        own = std::make_unique<ThreadPool>(opts.jobs);
-    ThreadPool &pool = own ? *own : ThreadPool::shared();
-
-    std::vector<DiffReport> reports =
-        parallelMap<DiffReport>(pool, total, [&](size_t i) {
-            if (i < num_kernels) {
-                mibench::Workload wl = kernels[i].build();
-                return chipDiffProgram(wl.program, 0, opts.tiles);
-            }
-            uint64_t seed =
-                opts.seed + static_cast<uint64_t>(i - num_kernels);
-            return chipDiffProgram(randomVerifyProgram(seed), seed,
-                                   opts.tiles);
+    return runSweep(
+        "chip differential",
+        detail::format("%u tiles, quanta 7/1009/10000", opts.tiles),
+        opts.kernels, opts.count, opts.seed, opts.jobs, progress,
+        [&](const Program &prog, uint64_t seed, const uint32_t *) {
+            return chipDiffProgram(prog, seed, opts.tiles);
         });
+}
 
-    DiffSummary summary;
-    summary.programsRun = static_cast<unsigned>(total);
-    for (DiffReport &rep : reports)
-        if (!rep.ok())
-            summary.failed.push_back(std::move(rep));
-
-    if (progress) {
-        for (const DiffReport &rep : summary.failed)
-            *progress << "FAIL " << rep.describe() << "\n";
-        *progress << "chip differential: " << summary.programsRun
-                  << " programs (" << num_kernels << " kernels, "
-                  << opts.count << " random, base seed " << opts.seed
-                  << ", " << opts.tiles << " tiles), "
-                  << summary.failed.size() << " failure(s)\n";
+ChipDiff
+diffChipAgainstOracle(const std::vector<Chip::TileSpec> &specs,
+                      const ChipConfig &config)
+{
+    ChipDiff diff;
+    diff.engine = std::make_unique<Chip>(specs, config);
+    diff.result = diff.engine->run();
+    Chip &engine = *diff.engine;
+    const ChipResult &re = diff.result;
+    std::vector<std::string> &out = diff.mismatches;
+    Chip oracle(specs, config, makeOracleTile);
+    const ChipResult ro = oracle.run();
+    const std::string what = "oracle vs engine chip";
+    diffFields(what, ro.tiles, re.tiles, out, "tiles");
+    diffFields(what, ro.l2, re.l2, out, "l2");
+    diffFields(what, ro.coherence, re.coherence, out, "coherence");
+    diffFields(what, ro.chipCycles, re.chipCycles, out, "chip_cycles");
+    for (unsigned t = 0; t < config.tiles; ++t)
+        compareMem(detail::format("%s tile%u", what.c_str(), t),
+                   oracle.tileMem(t), engine.tileMem(t), out);
+    for (Chip *chip : {&oracle, &engine}) {
+        const std::string inv = chip->checkCoherence();
+        if (!inv.empty())
+            out.push_back(std::string(chip == &oracle ? "oracle"
+                                                      : "engine") +
+                          " chip coherence invariants: " + inv);
     }
-    return summary;
+    return diff;
 }
 
 std::vector<std::string>
-runTimingInvariantSweep(unsigned jobs, std::ostream *progress,
-                        DiffBackend backend)
+runTimingInvariantSweep(unsigned jobs, std::ostream *progress)
 {
     const auto &kernels = mibench::suite();
 
-    std::vector<SimBackend> loops;
-    if (backend != DiffBackend::Fast)
-        loops.push_back(SimBackend::Interp);
-    if (backend != DiffBackend::Interp)
-        loops.push_back(SimBackend::Fast);
+    struct Loop
+    {
+        const char *name;
+        TileFactory factory;
+    };
+    const Loop loops[] = {{"engine", {}}, {"oracle", makeOracleTile}};
 
     std::unique_ptr<ThreadPool> own;
     if (jobs)
@@ -528,15 +498,14 @@ runTimingInvariantSweep(unsigned jobs, std::ostream *progress,
             FitsFrontEnd fits(std::move(fits_prog));
 
             for (ConfigId id : kAllConfigs) {
-                for (SimBackend loop : loops) {
+                for (const Loop &loop : loops) {
                     CoreConfig core = paperCoreConfig(id);
-                    core.backend = loop;
                     const bool is_fits = id == ConfigId::FITS16 ||
                                          id == ConfigId::FITS8;
                     const FrontEnd &fe =
                         is_fits ? static_cast<const FrontEnd &>(fits)
                                 : static_cast<const FrontEnd &>(arm);
-                    Machine machine(fe, core);
+                    Machine machine(fe, core, loop.factory);
                     TimingInvariantChecker checker(core);
                     ObserverList observers;
                     observers.add(&checker);
@@ -545,13 +514,12 @@ runTimingInvariantSweep(unsigned jobs, std::ostream *progress,
                         fails.push_back(detail::format(
                             "%s/%s[%s]: run ended %s (%s)",
                             wl.program.name.c_str(), configName(id),
-                            simBackendName(loop),
-                            runOutcomeName(rr.outcome),
+                            loop.name, runOutcomeName(rr.outcome),
                             rr.trapReason.c_str()));
                     if (!checker.ok())
                         fails.push_back(detail::format(
                             "%s/%s[%s]: %s", wl.program.name.c_str(),
-                            configName(id), simBackendName(loop),
+                            configName(id), loop.name,
                             checker.summary().c_str()));
                 }
             }
@@ -568,8 +536,8 @@ runTimingInvariantSweep(unsigned jobs, std::ostream *progress,
         for (const std::string &f : failures)
             *progress << "FAIL " << f << "\n";
         *progress << "timing invariants: " << kernels.size()
-                  << " benchmarks x 4 configs x " << loops.size()
-                  << " backend(s), " << failures.size()
+                  << " benchmarks x 4 configs x engine+oracle, "
+                  << failures.size()
                   << " failure(s)\n";
     }
     return failures;

@@ -1,9 +1,9 @@
 /**
  * @file
- * The differential runner: execute one uARM program on every backend
- * and cross-check the architectural results.
+ * The differential runner: execute one uARM program on every model
+ * and cross-check the results.
  *
- * Backends compared per program:
+ * Models compared per program:
  *
  *  1. golden  — the naive reference interpreter (verify/golden.hh);
  *  2. arm32   — the fixed ARM decoder on the timing Machine;
@@ -17,8 +17,12 @@
  * ranges for fits16 — code addresses pushed on the stack legitimately
  * differ between a 4-byte and a 2-byte stream), console and emitted
  * I/O, retired-instruction counts (exact across golden/arm32/packed),
- * and run outcome. Every Machine run additionally carries the
- * timing-invariant checker (verify/timing.hh).
+ * and run outcome. Every timing Machine config runs on the engine AND
+ * on the cycle-exact interpreter oracle (makeOracleTile): with the
+ * timing-invariant checker attached (verify/timing.hh), bare (the
+ * batched zero-observer path production sweeps use) and as a one-tile
+ * Chip, and every engine run must equal the oracle's RunResult field
+ * for field plus the full memory image.
  */
 
 #ifndef POWERFITS_VERIFY_DIFFERENTIAL_HH
@@ -26,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <ranges>
 #include <string>
@@ -35,25 +40,21 @@
 #include "assembler/program.hh"
 #include "common/fields.hh"
 #include "common/logging.hh"
+#include "sim/chip.hh"
+#include "sim/tile.hh"
 
 namespace pfits
 {
 
 /**
- * Which Machine execution backend(s) a differential run exercises.
- * Both is the default and the strongest check: every Machine config
- * runs twice — SimBackend::Interp and SimBackend::Fast — and the two
- * RunResults must agree on every field (counters, cache stats, toggle
- * activity, outcome, trap text, final state, I/O) plus the full
- * memory image. Interp/Fast run just that backend, for bisecting
- * which side of a divergence is wrong.
+ * The cycle-exact differential oracle (verify/oracle.cc), a
+ * TileFactory: a per-instruction interpreter over execute() and the
+ * full Cache::access() scan. Every RunResult row, cache stat, trap text
+ * and memory image of the engine must equal this tile's.
  */
-enum class DiffBackend : uint8_t
-{
-    Interp,
-    Fast,
-    Both,
-};
+std::unique_ptr<Tile> makeOracleTile(const FrontEnd &fe,
+                                     const CoreConfig &config,
+                                     Memory &mem, unsigned tileId);
 
 /** Outcome of differentially executing one program. */
 struct DiffReport
@@ -72,7 +73,7 @@ struct DiffReport
 };
 
 /**
- * Run @p prog on all four backends and cross-check.
+ * Run @p prog on all four models and cross-check.
  * @param seed     recorded in the report for reproduction (0 = kernel)
  * @param expected when non-null, the independently computed golden
  *                 checksum (MiBench's C++ reference) the golden
@@ -81,8 +82,7 @@ struct DiffReport
  *                 implementation.
  */
 DiffReport diffProgram(const Program &prog, uint64_t seed = 0,
-                       const uint32_t *expected = nullptr,
-                       DiffBackend backend = DiffBackend::Both);
+                       const uint32_t *expected = nullptr);
 
 /** Differential-suite parameters. */
 struct DiffOptions
@@ -91,7 +91,6 @@ struct DiffOptions
     unsigned count = 500; //!< random programs to generate
     unsigned jobs = 0;    //!< worker threads; 0 = shared pool default
     bool kernels = true;  //!< also run the 21 MiBench kernels
-    DiffBackend backend = DiffBackend::Both; //!< loops to exercise
 };
 
 /** Aggregate outcome of one differential sweep. */
@@ -114,13 +113,13 @@ DiffSummary runDifferentialSuite(const DiffOptions &opts,
 
 /**
  * Run the timing-invariant checker over every MiBench benchmark on
- * the paper's four configurations (ARM16/ARM8/FITS16/FITS8).
+ * the paper's four configurations (ARM16/ARM8/FITS16/FITS8), on the
+ * engine and on the oracle.
  * @return violation descriptions, one entry per failing
- * (benchmark, config) run — empty when every schedule is legal.
+ * (benchmark, config, tile) run — empty when every schedule is legal.
  */
 std::vector<std::string> runTimingInvariantSweep(
-    unsigned jobs = 0, std::ostream *progress = nullptr,
-    DiffBackend backend = DiffBackend::Both);
+    unsigned jobs = 0, std::ostream *progress = nullptr);
 
 /** Multi-tile chip equivalence sweep parameters. */
 struct ChipDiffOptions
@@ -135,9 +134,13 @@ struct ChipDiffOptions
 /**
  * The multi-tile half of the differential story: run each program as
  * every tile of an N-tile chip over a small shared MSI L2 (sized to
- * force capacity back-invalidations) with an odd round-robin quantum,
- * and require
+ * force capacity back-invalidations) at each of the round-robin quanta
+ * 7, 1009 and 10 000 (a fine, an odd and the production one), and
+ * require
  *
+ *  - the engine chip to equal the same chip built from oracle tiles
+ *    (diffChipAgainstOracle): every per-tile RunResult row, the L2
+ *    and coherence stats, chip cycles and every tile's memory image;
  *  - per-tile architectural equality against an independent
  *    single-core run — outcome, retired counts, registers/flags, I/O,
  *    and the full memory image (timing and cache stats legitimately
@@ -152,6 +155,23 @@ struct ChipDiffOptions
  */
 DiffSummary runChipDifferentialSuite(const ChipDiffOptions &opts,
                                      std::ostream *progress = nullptr);
+
+/** An engine chip run checked against the same chip on oracle tiles. */
+struct ChipDiff
+{
+    std::unique_ptr<Chip> engine; //!< the engine chip, after its run
+    ChipResult result;            //!< the engine chip's result
+    std::vector<std::string> mismatches; //!< empty when exact
+};
+
+/**
+ * Run the chip (@p specs, @p config) twice — on engine tiles and on
+ * oracle tiles — and describe every difference: per-tile RunResult
+ * rows, L2 and coherence stats, chip cycles, tile memory images, and
+ * either chip's coherence-invariant violations.
+ */
+ChipDiff diffChipAgainstOracle(const std::vector<Chip::TileSpec> &specs,
+                               const ChipConfig &config);
 
 namespace detail
 {

@@ -14,7 +14,7 @@
  * Every program is well-formed by construction: it terminates (a
  * counted loop), never touches r12 (the FITS expansion scratch), and
  * confines memory traffic to a declared scratch buffer — so any
- * divergence between backends is a simulator bug, not UB in the test
+ * divergence between models is a simulator bug, not UB in the test
  * input. The seed fully determines the program; reproducing a failure
  * is `randomVerifyProgram(seed)`.
  */

@@ -3,23 +3,22 @@
  * pfits_verify — the differential verification driver check.sh runs.
  *
  *   pfits_verify [--seed N] [--count N] [--jobs N]
- *                [--backend interp|fast|both]
  *                [--chip-count N] [--chip-tiles N]
  *                [--no-kernels] [--no-timing] [--no-random]
  *
  * Runs the differential suite (21 MiBench kernels + N seeded random
- * programs across golden/arm32/packed/fits16, each Machine config
- * also cross-executed as a one-tile Chip under "both") and the
- * timing-invariant sweep (21 benchmarks x the paper's 4 configs).
- * --backend picks the Machine execution loop(s): "both" (default)
- * runs every config on the interpreter *and* the fast backend and
- * requires field-for-field identical RunResults, "interp"/"fast"
- * run one loop for bisecting a divergence.
+ * programs across golden/arm32/packed/fits16; every timing config runs
+ * on the engine and on the interpreter oracle — checked, bare and as
+ * a one-tile Chip — and must agree field for field) and the
+ * timing-invariant sweep (21 benchmarks x the paper's 4 configs, on
+ * engine and oracle).
  * --chip-count N > 0 additionally runs the multi-tile chip sweep
  * (runChipDifferentialSuite): kernels + N random programs, each run
- * as every tile of a --chip-tiles-tile chip over a small shared MSI
- * L2 and checked for per-tile architectural equality against an
- * independent single-core run plus the coherence invariants.
+ * as every tile of a --chip-tiles-tile chip (default 4) over a small
+ * shared MSI L2 at the round-robin quanta 7, 1009 and 10 000, checked
+ * field for field against the same chip on oracle tiles, for per-tile
+ * architectural equality against an independent single-core run, and
+ * for the coherence invariants.
  * The base seed also comes from PFITS_VERIFY_SEED, the worker count
  * from --jobs / PFITS_JOBS. On a mismatch the failing program's seed
  * and disassembly are printed so the case replays with
@@ -91,19 +90,6 @@ main(int argc, char **argv)
         } else if (!std::strncmp(arg, "--jobs=", 7) ||
                    !std::strncmp(arg, "-j", 2)) {
             // consumed by parseJobsFlag
-        } else if (!std::strcmp(arg, "--backend")) {
-            const char *text = value();
-            if (!std::strcmp(text, "both")) {
-                opts.backend = DiffBackend::Both;
-            } else if (!std::strcmp(text, "interp")) {
-                opts.backend = DiffBackend::Interp;
-            } else if (!std::strcmp(text, "fast")) {
-                opts.backend = DiffBackend::Fast;
-            } else {
-                std::cerr << "pfits_verify: bad value for --backend: '"
-                          << text << "' (interp|fast|both)\n";
-                return 2;
-            }
         } else if (!std::strcmp(arg, "--chip-count")) {
             chip_count = static_cast<unsigned>(
                 parseU64(value(), "--chip-count"));
@@ -124,8 +110,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--help")) {
             std::cout
                 << "usage: pfits_verify [--seed N] [--count N] "
-                   "[--jobs N] [--backend interp|fast|both] "
-                   "[--chip-count N] [--chip-tiles N] "
+                   "[--jobs N] [--chip-count N] [--chip-tiles N] "
                    "[--no-kernels] [--no-random] [--no-timing]\n";
             return 0;
         } else {
@@ -155,8 +140,7 @@ main(int argc, char **argv)
         }
 
         if (run_timing) {
-            auto fails = runTimingInvariantSweep(opts.jobs, &std::cout,
-                                                 opts.backend);
+            auto fails = runTimingInvariantSweep(opts.jobs, &std::cout);
             if (!fails.empty())
                 rc = 1;
         }

@@ -372,7 +372,7 @@ TEST(Cache, WayMemoCountsSameLineRepeats)
 TEST(Cache, WayMemoIdenticalAcrossAccessAndAccessFast)
 {
     // The fast path's hinted hits must count memo hits exactly like
-    // the full scan (the backends compare this field differentially).
+    // the full scan (the engine and the oracle are diffed on it).
     Cache full(smallCache());
     Cache fast(smallCache());
     const uint32_t addrs[] = {0x100, 0x104, 0x200, 0x204,

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "exp/simcache.hh"
+#include "mibench/mibench.hh"
 #include "sim/chip.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
+#include "verify/differential.hh"
 #include "verify/randprog.hh"
 
 namespace pfits
@@ -90,6 +93,30 @@ TEST(Chip, OneTileDefaultChipIsAMachine)
         EXPECT_EQ(cres.chipCycles, solo.cycles);
         EXPECT_EQ(machine.mem().firstDifference(chip.tileMem(0)),
                   std::nullopt);
+    }
+}
+
+TEST(Chip, OneTileChipIsAMachineOnEveryKernel)
+{
+    // Chip{1} stepping the engine in an odd quantum against a Machine
+    // on the interpreter oracle, over the whole suite: every RunResult
+    // row (way-memo hits included, which streak state carried across
+    // quantum boundaries decides) and the memory image.
+    ChipConfig cfg;
+    cfg.quantum = 997;
+    for (const mibench::BenchInfo &info : mibench::suite()) {
+        ArmFrontEnd arm(info.build().program);
+        CoreConfig core;
+        Machine machine(arm, core, makeOracleTile);
+        const RunResult solo = machine.run();
+        Chip chip(std::vector<Chip::TileSpec>{{&arm, core}}, cfg);
+        const ChipResult cres = chip.run();
+        std::vector<std::string> diffs;
+        diffFields(info.name, solo, cres.tiles.front(), diffs);
+        EXPECT_TRUE(diffs.empty()) << diffs.front();
+        EXPECT_EQ(machine.mem().firstDifference(chip.tileMem(0)),
+                  std::nullopt)
+            << info.name;
     }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -19,6 +21,7 @@
 #include "sim/executor.hh"
 #include "sim/machine.hh"
 #include "sim/probe.hh"
+#include "verify/differential.hh"
 #include "verify/golden.hh"
 #include "verify/timing.hh"
 
@@ -332,54 +335,34 @@ TEST(ExecutorRegression, LdmBaseInListLoadedValueWins)
 }
 
 /**
- * Run @p prog under both backends on @p core and require the complete
- * observable surface to match — architectural state, every counter,
- * cache statistics, outcome and trap text. Directed regressions for
- * divergences the differential harness caught while the fast backend
- * grew its batched dispatch paths.
+ * Run @p prog on the interpreter oracle and on the engine with @p core
+ * and require the complete observable surface to match — every
+ * RunResult row (architectural state, counters, cache statistics,
+ * outcome, trap text) and the memory image. Directed regressions for
+ * divergences the differential harness caught while the engine grew
+ * its batched dispatch paths.
  */
 void
 expectFastMatchesInterp(const Program &prog, CoreConfig core,
                         const FaultParams *faults = nullptr)
 {
+    ArmFrontEnd fe(prog);
+    Machine oracle(fe, core, makeOracleTile);
+    Machine engine(fe, core);
     RunResult res[2];
+    Machine *machines[2] = {&oracle, &engine};
     for (int i = 0; i < 2; ++i) {
-        core.backend = i == 0 ? SimBackend::Interp : SimBackend::Fast;
-        ArmFrontEnd fe(prog);
-        Machine m(fe, core);
         if (faults != nullptr) {
             FaultPlan plan(*faults);
-            res[i] = m.run(&plan);
+            res[i] = machines[i]->run(&plan);
         } else {
-            res[i] = m.run();
+            res[i] = machines[i]->run();
         }
     }
-    const RunResult &a = res[0], &b = res[1];
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.trapReason, b.trapReason);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.annulled, b.annulled);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.dmemAccesses, b.dmemAccesses);
-    EXPECT_EQ(a.fetchToggleBits, b.fetchToggleBits);
-    EXPECT_EQ(a.fetchBitsTotal, b.fetchBitsTotal);
-    EXPECT_EQ(a.icacheRefillWords, b.icacheRefillWords);
-    EXPECT_EQ(a.icache.reads, b.icache.reads);
-    EXPECT_EQ(a.icache.readMisses, b.icache.readMisses);
-    EXPECT_EQ(a.icache.faultsInjected, b.icache.faultsInjected);
-    EXPECT_EQ(a.icache.parityDetections, b.icache.parityDetections);
-    EXPECT_EQ(a.icache.corruptDeliveries, b.icache.corruptDeliveries);
-    EXPECT_EQ(a.dcache.reads, b.dcache.reads);
-    EXPECT_EQ(a.dcache.writes, b.dcache.writes);
-    EXPECT_EQ(a.dcache.readMisses, b.dcache.readMisses);
-    EXPECT_EQ(a.dcache.writeMisses, b.dcache.writeMisses);
-    EXPECT_EQ(a.dcache.writebacks, b.dcache.writebacks);
-    for (int r = 0; r < 16; ++r)
-        EXPECT_EQ(a.finalState.regs[r], b.finalState.regs[r]) << r;
-    EXPECT_EQ(a.finalState.halted, b.finalState.halted);
-    EXPECT_EQ(a.io.console, b.io.console);
-    EXPECT_EQ(a.io.emitted, b.io.emitted);
+    std::vector<std::string> diffs;
+    diffFields("oracle vs engine", res[0], res[1], diffs);
+    EXPECT_TRUE(diffs.empty()) << diffs.front();
+    EXPECT_EQ(oracle.mem().firstDifference(engine.mem()), std::nullopt);
 }
 
 TEST(FastBackendRegression, TrapInsideStraightLineRunMatchesInterp)
@@ -420,10 +403,9 @@ TEST(FastBackendRegression, WatchdogExpiryMidRunMatchesInterp)
 TEST(FastBackendRegression, ParityFaultAccountingMatchesInterp)
 {
     // I-cache fault injection with parity: every injection, detection
-    // and refetch must land on the same dynamic instruction in both
-    // backends (the fast loop once ran its fault accounting behind a
-    // different null-plan guard than the interpreter's
-    // FaultAccountingObserver route).
+    // and refetch must land on the same dynamic instruction on the
+    // engine and the oracle (the engine once ran its fault accounting
+    // behind a different null-plan guard than the interpreter's).
     ProgramBuilder b("parityfault");
     b.movi(R0, 200);
     Label loop = b.here();
@@ -471,9 +453,11 @@ TEST(FastBackendRegression, UnpackedSubWordStreamCountsEveryFetch)
     RunResult res[2];
     for (int i = 0; i < 2; ++i) {
         CoreConfig core; // packedFetch stays false
-        core.backend = i == 0 ? SimBackend::Interp : SimBackend::Fast;
         FitsFrontEnd fe(fits);
-        res[i] = Machine(fe, core).run();
+        res[i] = Machine(fe, core,
+                         i == 0 ? TileFactory{makeOracleTile}
+                                : TileFactory{})
+                     .run();
         ASSERT_EQ(res[i].outcome, RunOutcome::Completed);
     }
     EXPECT_EQ(res[0].icache.reads, res[1].icache.reads);

@@ -89,11 +89,6 @@ currentPins()
     pins.push_back({"config_key ARM16 packed_fetch",
                     hexString(hashConfigKey(packed, ChipConfig{}))});
 
-    CoreConfig fast = arm16;
-    fast.backend = SimBackend::Fast;
-    pins.push_back({"config_key ARM16 backend=fast",
-                    hexString(hashConfigKey(fast, ChipConfig{}))});
-
     CoreConfig odd = runner.coreConfig(ConfigId::FITS8);
     odd.icache.policy = ReplPolicy::FIFO;
     odd.icache.parity = true;
@@ -125,10 +120,6 @@ currentPins()
                     hexString(hashObserverSpec(traced))});
 
     pins.push_back({"core_json ARM16", coreJson(arm16)});
-    CoreConfig odd_fast = odd;
-    odd_fast.packedFetch = true;
-    odd_fast.backend = SimBackend::Fast;
-    pins.push_back({"core_json FITS8 odd packed fast", coreJson(odd_fast)});
     pins.push_back({"faults_json armed", faultsJson(armedFaults())});
 
     // One real run, instrumented so the interval series is pinned too.

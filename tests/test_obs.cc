@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -79,6 +81,25 @@ TEST(Json, ParserBoundsNestingDepth)
                  FatalError);
     // ~200 KB of '[' used to recurse until the stack overflowed.
     EXPECT_THROW(JsonValue::parse(std::string(100'000, '[')), FatalError);
+}
+
+TEST(Json, ParserBoundsDocumentSize)
+{
+    // One string literal just over the default cap: refused up front
+    // with an error, accepted under an explicit larger cap.
+    const std::string big = "\"" + std::string(kJsonMaxBytes, 'a') + "\"";
+    EXPECT_THROW(JsonValue::parse(big), FatalError);
+    EXPECT_TRUE(JsonValue::parse(big, big.size()).isString());
+
+    // A manifest file over the cap is refused before it is read.
+    const std::string path =
+        ::testing::TempDir() + "/oversized_manifest.json";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "{\"tool\":" << big << "}";
+    }
+    EXPECT_THROW(JsonValue::parseFile(path), FatalError);
+    std::remove(path.c_str());
 }
 
 TEST(Json, ParserHandlesEscapesAndUnicode)

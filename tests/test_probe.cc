@@ -252,26 +252,22 @@ TEST(Probe, IntervalExactMultipleFoldsDrainIntoLastSample)
     ASSERT_EQ(probe.instructions % 2, 0u)
         << "pick a count giving an even total";
 
-    for (SimBackend backend : {SimBackend::Interp, SimBackend::Fast}) {
-        CoreConfig core;
-        core.backend = backend;
-        ArmFrontEnd fe(countdownProgram(64));
-        IntervalStatsObserver intervals(probe.instructions / 2);
-        ObserverList list;
-        list.add(&intervals);
-        RunResult rr = Machine(fe, core).run(nullptr, &list);
-        ASSERT_EQ(rr.outcome, RunOutcome::Completed);
-        ASSERT_EQ(rr.instructions, probe.instructions);
+    ArmFrontEnd fe(countdownProgram(64));
+    IntervalStatsObserver intervals(probe.instructions / 2);
+    ObserverList list;
+    list.add(&intervals);
+    RunResult rr = Machine(fe, CoreConfig{}).run(nullptr, &list);
+    ASSERT_EQ(rr.outcome, RunOutcome::Completed);
+    ASSERT_EQ(rr.instructions, probe.instructions);
 
-        const auto &samples = intervals.intervals();
-        ASSERT_EQ(samples.size(), 2u);
-        uint64_t cycles = 0;
-        for (const IntervalSample &s : samples) {
-            EXPECT_EQ(s.instructions, probe.instructions / 2);
-            cycles += s.cycles;
-        }
-        EXPECT_EQ(cycles, rr.cycles);
+    const auto &samples = intervals.intervals();
+    ASSERT_EQ(samples.size(), 2u);
+    uint64_t cycles = 0;
+    for (const IntervalSample &s : samples) {
+        EXPECT_EQ(s.instructions, probe.instructions / 2);
+        cycles += s.cycles;
     }
+    EXPECT_EQ(cycles, rr.cycles);
 }
 
 TEST(Probe, StallReasonsAreClassified)

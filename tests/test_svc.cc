@@ -387,6 +387,30 @@ TEST(SvcStore, RecoveryScanQuarantinesTornAndCorruptEntries)
     EXPECT_NE(::stat(stale.c_str(), &st), 0);
 }
 
+TEST(SvcStore, OversizedEntryIsRefusedWithAnError)
+{
+    // A checksum-valid entry whose JSON line is over the parser's own
+    // size cap (kJsonMaxBytes) is refused with an error — by the
+    // decoder, and by a store recovering it from disk — instead of
+    // being built into a DOM many times its size.
+    const SimKey key = sampleKey();
+    SimResult big = sampleResult();
+    big.run.io.console.assign(kJsonMaxBytes, 'x');
+    const std::string entry = encodeResultEntry(key, big);
+    SimKey k;
+    SimResult r;
+    std::string err;
+    EXPECT_FALSE(decodeResultEntry(entry, &k, &r, &err));
+    EXPECT_NE(err.find("limit"), std::string::npos) << err;
+
+    const std::string dir = freshDir("oversized");
+    ASSERT_TRUE(writeFileAtomic(dir + "/" + keyFileName(key), entry));
+    ResultStore store(dir);
+    ASSERT_TRUE(store.open());
+    EXPECT_EQ(store.stats().entries, 0u);
+    EXPECT_EQ(store.stats().quarantined, 1u);
+}
+
 TEST(SvcStore, CorruptionUnderneathALiveStoreIsQuarantinedOnGet)
 {
     std::string dir = freshDir("liverot");

@@ -1,6 +1,6 @@
 /** @file Tests for the differential verification subsystem
  *  (src/verify/): golden-model equivalence, fixed-seed differential
- *  shards across all four backends, and the timing-invariant checker
+ *  shards across all four models, and the timing-invariant checker
  *  over the paper's configurations. The full-size sweep (500 random
  *  programs) lives in scripts/check.sh via pfits_verify; these shards
  *  keep ctest fast while pinning the same machinery. */
@@ -92,7 +92,7 @@ TEST(GoldenModel, WatchdogReportsExpiry)
     EXPECT_EQ(g.outcome, RunOutcome::WatchdogExpired);
 }
 
-// --- differential shards (fixed seeds, all four backends) ---------------
+// --- differential shards (fixed seeds, all four models) -----------------
 
 class DifferentialShard : public ::testing::TestWithParam<uint64_t>
 {
@@ -134,14 +134,12 @@ class FastBackendShard : public ::testing::TestWithParam<uint64_t>
 
 TEST_P(FastBackendShard, RandomProgramAgreesOnFastLoopAlone)
 {
-    // The Both shards above already cross-check fast against interp;
-    // these pin the fast loop in isolation so a divergence bisects in
-    // one run. A disjoint seed range from the Both shards widens the
-    // sampled program space.
+    // A second, disjoint seed range for the engine-vs-oracle
+    // cross-check the shards above run, widening the sampled program
+    // space.
     uint64_t seed = GetParam();
     Program prog = randomVerifyProgram(seed);
-    DiffReport rep = diffProgram(prog, seed, nullptr,
-                                 DiffBackend::Fast);
+    DiffReport rep = diffProgram(prog, seed);
     EXPECT_TRUE(rep.ok()) << rep.describe();
 }
 
@@ -159,15 +157,14 @@ TEST(DifferentialSuite, SmallSweepIsClean)
     EXPECT_TRUE(sum.ok());
 }
 
-// --- engine determinism across backends and job counts -------------------
+// --- engine determinism across job counts --------------------------------
 
 /** Two figure tables over the whole suite, as one CSV fingerprint. */
 std::string
-suiteCsv(SimBackend backend, unsigned jobs)
+suiteCsv(unsigned jobs)
 {
     SimCache::instance().clear(); // force fresh simulations
     ExperimentParams params;
-    params.core.backend = backend;
     params.jobs = jobs;
     Runner runner(params);
     std::ostringstream os;
@@ -178,15 +175,14 @@ suiteCsv(SimBackend backend, unsigned jobs)
 
 TEST(BackendDeterminism, TablesByteIdenticalAcrossBackendsAndJobs)
 {
-    // The merge gate for the fast backend: experiment tables must be
-    // byte-identical to the interpreter's, at any worker count (1,
-    // 4, and the hardware-sized shared pool). A single divergent
-    // counter anywhere in the suite shows up here.
-    const std::string interp = suiteCsv(SimBackend::Interp, 4);
-    ASSERT_FALSE(interp.empty());
-    EXPECT_EQ(interp, suiteCsv(SimBackend::Fast, 1));
-    EXPECT_EQ(interp, suiteCsv(SimBackend::Fast, 4));
-    EXPECT_EQ(interp, suiteCsv(SimBackend::Fast, 0));
+    // Experiment tables must be byte-identical at any worker count
+    // (1, 4, and the hardware-sized shared pool); the engine itself is
+    // held to the oracle by the differential shards above, and the
+    // tables to their snapshots by scripts/golden_check.sh.
+    const std::string four = suiteCsv(4);
+    ASSERT_FALSE(four.empty());
+    EXPECT_EQ(four, suiteCsv(1));
+    EXPECT_EQ(four, suiteCsv(0));
     SimCache::instance().clear();
 }
 
