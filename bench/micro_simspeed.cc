@@ -170,8 +170,9 @@ BENCHMARK(BM_SuiteSweep)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-/** Profiling is one functional execute() per dynamic instruction, so
- * items/s here is the shared datapath's throughput in instructions/s. */
+/** Profiling runs the engine's handlers functionally, a superblock at
+ * a time (runFunctional), so items/s here is that pass's throughput in
+ * instructions/s. */
 void
 BM_Profile(benchmark::State &state)
 {

@@ -2,7 +2,7 @@
 # Suite-level regression gate over run manifests: run every experiment
 # once with --json, aggregate the manifests into one BENCH_suite.json
 # via pfits_report, and diff it against the checked-in baseline
-# (tests/baseline/BENCH_baseline.json); compare the engine's exact work
+# (tests/baseline/BENCH_baseline.json); compare the exact work
 # counters against tests/baseline/work_counters.txt.
 #
 # Numeric table drift beyond the tolerance fails the gate. Wall times
@@ -63,13 +63,16 @@ if [[ $status -ne 0 ]]; then
     exit $status
 fi
 
-# The engine's exact work counters (sim/fastsim.cc): retired ops the
-# superblock batches carried and ops that took the per-op entry. They
-# are host-independent, so they gate exactly: a change that quietly
-# stops batching fails here even when every table still matches.
+# The exact work counters: the engine's retired ops carried by the
+# superblock batches and ops that took the per-op entry
+# (sim/fastsim.cc), and the profiler's dynamic profiles, instructions
+# and superblock entries (fits/profile.cc). They are host-independent,
+# so they gate exactly: a change that quietly stops batching, or
+# profiles more often, fails here even when every table still matches.
 counters="$build/work_counters.txt"
 for name in $names; do
-    for key in engine.ops_batched engine.ops_per_op; do
+    for key in engine.ops_batched engine.ops_per_op fits.profiles \
+               fits.profile_instrs fits.profile_runs; do
         value="$(sed -n "s/^ *\"$key\": \([0-9]*\),\{0,1\}\$/\1/p" \
                      "$workdir/$name.json")"
         echo "$name $key ${value:-0}"
@@ -88,7 +91,7 @@ if [[ "$update" == "--update" ]]; then
 fi
 
 if ! diff -u "$counter_baseline" "$counters"; then
-    echo "bench_regress: FAILED — engine work counters drifted from" \
+    echo "bench_regress: FAILED — work counters drifted from" \
          "$counter_baseline" >&2
     exit 1
 fi

@@ -143,7 +143,7 @@ prepareBenchmark(const std::string &bench_name,
 {
     // Front-end phase: workload build + profile + ISA synthesis +
     // translation, timed per benchmark.
-    ScopedTimerMs prepare_hist("runner.prepare_ms", 0.0, 500.0, 20);
+    ScopedTimerMs prepare_hist("runner.prepare_ms", 0.0, 500.0, 16);
     ScopedTimerMs prepare_total("runner.phase.prepare_ms");
     TraceSpan span("prepare", "runner",
                    TraceArgs().add("bench", bench_name));

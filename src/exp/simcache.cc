@@ -501,7 +501,7 @@ SimCache::computeLocked(Slot &slot, const FrontEnd &fe,
             // Per-fresh-sim wall time, retries included — the cost a
             // memo hit saves.
             metrics
-                ->histogram("simcache.sim_ms", 0.0, 1000.0, 20)
+                ->histogram("simcache.sim_ms", 0.0, 1000.0, 16)
                 .sample(static_cast<double>(monotonicNs() - t0) / 1e6);
             metrics->gauge("simcache.entries")
                 .set(static_cast<int64_t>(entries()));

@@ -4,7 +4,8 @@
 #include <set>
 
 #include "common/logging.hh"
-#include "sim/executor.hh"
+#include "obs/metrics.hh"
+#include "sim/tile.hh"
 
 namespace pfits
 {
@@ -152,38 +153,29 @@ ProfileInfo
 profileProgram(const Program &prog, bool run_dynamic, uint64_t max_instrs)
 {
     ProfileInfo info;
-    std::vector<MicroOp> uops = prog.decodeAll();
+    const std::vector<MicroOp> uops = prog.decodeAll();
     info.totalStatic = uops.size();
-    info.dynCounts.assign(uops.size(), 0);
 
     if (run_dynamic) {
-        Memory mem;
-        for (const DataSegment &seg : prog.data)
-            mem.writeBytes(seg.base, seg.bytes);
-        CpuState state;
-        state.regs[SP] = prog.stackTop;
-        IoSinks io;
-        AddrCodec codec{prog.codeBase, 2};
-        ExecInfo exec_info;
-        uint64_t index = 0;
-        uint64_t executed = 0;
-        while (!state.halted) {
-            if (index >= uops.size())
-                fatal("profile of '%s': fell off the end of the program",
-                      prog.name.c_str());
-            if (executed++ >= max_instrs)
-                fatal("profile of '%s': exceeded instruction cap",
-                      prog.name.c_str());
-            ++info.dynCounts[static_cast<size_t>(index)];
-            execute(uops[static_cast<size_t>(index)], index, codec, state,
-                    mem, io, exec_info);
-            index = exec_info.nextIndex;
+        FunctionalRun run = runFunctional(prog, uops, max_instrs);
+        if (run.end == FunctionalEnd::FellOff)
+            fatal("profile of '%s': fell off the end of the program",
+                  prog.name.c_str());
+        if (run.end == FunctionalEnd::CapExceeded)
+            fatal("profile of '%s': exceeded instruction cap",
+                  prog.name.c_str());
+        info.dynCounts = std::move(run.dynCounts);
+        info.totalDynamic = run.instructions;
+        // Exact work counters, tallied once per profile (never in the
+        // loop): host-independent, so bench_regress.sh gates them.
+        if (MetricRegistry *metrics = MetricRegistry::current()) {
+            metrics->counter("fits.profiles").add();
+            metrics->counter("fits.profile_instrs").add(run.instructions);
+            metrics->counter("fits.profile_runs").add(run.runs);
         }
-        info.totalDynamic = executed;
     } else {
         // Static estimate: every instruction "runs once".
-        for (auto &count : info.dynCounts)
-            count = 1;
+        info.dynCounts.assign(uops.size(), 1);
         info.totalDynamic = uops.size();
     }
 

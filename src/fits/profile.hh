@@ -77,9 +77,11 @@ struct ProfileInfo
  * Profile @p prog.
  *
  * @param prog        the ARM program
- * @param run_dynamic execute the program functionally to obtain dynamic
- *                    counts (otherwise static counts are used as the
- *                    dynamic estimate, as a pure static profile would)
+ * @param run_dynamic run the program functionally on the engine's
+ *                    handlers (runFunctional, sim/tile.hh) to obtain
+ *                    dynamic counts (otherwise static counts are used
+ *                    as the dynamic estimate, as a pure static profile
+ *                    would)
  * @param max_instrs  cap on profiled dynamic instructions
  */
 ProfileInfo profileProgram(const Program &prog, bool run_dynamic = true,

@@ -1,7 +1,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
@@ -22,14 +24,60 @@ monotonicNs()
 
 // --- MetricHistogram -----------------------------------------------------
 
-MetricHistogram::MetricHistogram(double lo, double hi, size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets ? buckets : 1))
+namespace
 {
-    if (hi <= lo)
+
+/** log2 of the quantized range: u = 2^ceil(log2(hi - lo)) / 2^20. */
+constexpr int kRangeBits = 20;
+
+} // namespace
+
+MetricHistogram::MetricHistogram(double lo, double hi, size_t subBuckets)
+    : lo_(lo), hi_(hi),
+      unit_(hi > lo ? std::exp2(std::ceil(std::log2(hi - lo)) - kRangeBits)
+                    : 1.0),
+      subBits_(static_cast<unsigned>(
+          std::bit_width(std::bit_ceil(subBuckets ? subBuckets : 1)) - 1))
+{
+    if (!(hi > lo))
         fatal("metrics: histogram range [%g, %g) is empty", lo, hi);
-    if (buckets == 0)
-        fatal("metrics: histogram needs at least one bucket");
-    counts_.assign(buckets, 0);
+    if (subBuckets == 0)
+        fatal("metrics: histogram needs at least one sub-bucket");
+    const auto units = static_cast<uint64_t>(std::ceil((hi - lo) / unit_));
+    counts_.assign(bucketOf(units - 1) + 1, 0);
+}
+
+size_t
+MetricHistogram::bucketOf(uint64_t units) const
+{
+    // The first two octaves' worth of units map 1:1; above them each
+    // octave keeps its top subBits_ + 1 bits (the leading one and the
+    // sub-bucket), i.e. drops `shift` low bits.
+    if (units < (2ull << subBits_))
+        return static_cast<size_t>(units);
+    const unsigned shift =
+        static_cast<unsigned>(std::bit_width(units)) - subBits_ - 1;
+    return (static_cast<size_t>(shift) << subBits_) +
+           static_cast<size_t>(units >> shift);
+}
+
+double
+MetricHistogram::bucketLow(size_t idx) const
+{
+    if (idx < (2u << subBits_))
+        return lo_ + static_cast<double>(idx) * unit_;
+    const size_t shift = (idx >> subBits_) - 1;
+    const size_t sub = idx - (shift << subBits_);
+    return lo_ + std::ldexp(static_cast<double>(sub) * unit_,
+                            static_cast<int>(shift));
+}
+
+double
+MetricHistogram::bucketWidth(size_t idx) const
+{
+    if (idx < (2u << subBits_))
+        return unit_;
+    return std::ldexp(unit_, static_cast<int>((idx >> subBits_) - 1));
 }
 
 void
@@ -46,14 +94,14 @@ MetricHistogram::sample(double v)
     }
     ++count_;
     sum_ += v;
-    if (v < lo_) {
+    if (!(v >= lo_)) {
         ++underflow_;
+    } else if (v >= hi_) {
+        ++overflow_;
     } else {
-        size_t idx = static_cast<size_t>((v - lo_) / width_);
-        if (idx >= counts_.size())
-            ++overflow_;
-        else
-            ++counts_[idx];
+        const size_t idx =
+            bucketOf(static_cast<uint64_t>((v - lo_) / unit_));
+        ++counts_[std::min(idx, counts_.size() - 1)];
     }
 }
 
@@ -144,7 +192,7 @@ MetricHistogram::percentileLocked(double p) const
         double in_bucket = static_cast<double>(counts_[i]);
         if (rank <= seen + in_bucket) {
             double frac = in_bucket > 0 ? (rank - seen) / in_bucket : 0;
-            double v = lo_ + (static_cast<double>(i) + frac) * width_;
+            double v = bucketLow(i) + frac * bucketWidth(i);
             return std::min(std::max(v, min_), max_);
         }
         seen += in_bucket;
@@ -166,13 +214,22 @@ MetricHistogram::writeJson(JsonWriter &w) const
     w.field("p95", percentileLocked(0.95));
     w.field("p99", percentileLocked(0.99));
     w.field("bucket_lo", lo_);
-    w.field("bucket_width", width_);
+    w.field("unit", unit_);
+    w.field("sub_buckets", uint64_t{1} << subBits_);
     w.field("underflow", underflow_);
     w.field("overflow", overflow_);
+    // Only the populated span: six decades of buckets are mostly empty.
+    size_t first = 0;
+    size_t end = counts_.size();
+    while (first < end && counts_[first] == 0)
+        ++first;
+    while (end > first && counts_[end - 1] == 0)
+        --end;
+    w.field("bucket_first", static_cast<uint64_t>(first));
     w.key("buckets");
     w.beginArray();
-    for (uint64_t c : counts_)
-        w.value(c);
+    for (size_t i = first; i < end; ++i)
+        w.value(counts_[i]);
     w.endArray();
     w.endObject();
 }
@@ -207,7 +264,7 @@ MetricRegistry::gauge(const std::string &name)
 
 MetricHistogram &
 MetricRegistry::histogram(const std::string &name, double lo, double hi,
-                          size_t buckets)
+                          size_t subBuckets)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (counters_.count(name) || gauges_.count(name))
@@ -215,7 +272,7 @@ MetricRegistry::histogram(const std::string &name, double lo, double hi,
               name.c_str());
     auto &slot = histograms_[name];
     if (!slot)
-        slot = std::make_unique<MetricHistogram>(lo, hi, buckets);
+        slot = std::make_unique<MetricHistogram>(lo, hi, subBuckets);
     return *slot;
 }
 
@@ -273,9 +330,9 @@ MetricRegistry::install(MetricRegistry *registry)
 // --- ScopedTimerMs -------------------------------------------------------
 
 ScopedTimerMs::ScopedTimerMs(const std::string &name, double lo,
-                             double hi, size_t buckets)
+                             double hi, size_t subBuckets)
     : registry_(MetricRegistry::current()), name_(name),
-      kind_(Kind::Histogram), lo_(lo), hi_(hi), buckets_(buckets)
+      kind_(Kind::Histogram), lo_(lo), hi_(hi), subBuckets_(subBuckets)
 {
     if (registry_)
         startNs_ = monotonicNs();
@@ -296,7 +353,7 @@ ScopedTimerMs::~ScopedTimerMs()
     double ms =
         static_cast<double>(monotonicNs() - startNs_) / 1e6;
     if (kind_ == Kind::Histogram)
-        registry_->histogram(name_, lo_, hi_, buckets_).sample(ms);
+        registry_->histogram(name_, lo_, hi_, subBuckets_).sample(ms);
     else
         registry_->counter(name_).add(static_cast<uint64_t>(ms));
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine self-metrics: a thread-safe registry of hierarchical named
- * counters, gauges and fixed-bucket latency histograms.
+ * counters, gauges and log-linear latency histograms.
  *
  * The experiment engine (Runner phases, SimCache hits/misses/fresh
  * sims, ThreadPool queue depth and per-worker busy time, per-sim wall
@@ -87,21 +87,30 @@ class MetricGauge
 };
 
 /**
- * A latency histogram over fixed-width buckets in [lo, hi), plus
- * underflow/overflow, count, sum, min and max. sample() takes a short
- * internal lock — engine events are per-simulation (milliseconds
- * apart), so contention is irrelevant; correctness under PFITS_JOBS=4
- * workers is what the tests pin down.
+ * A latency histogram over HDR-style log-linear buckets in [lo, hi),
+ * plus underflow/overflow, count, sum, min and max. Values are
+ * measured from lo in units u = 2^ceil(log2(hi - lo)) / 2^20. The
+ * first 2S units get one bucket each; above them every octave
+ * [2^k S u, 2^(k+1) S u) splits into S equal sub-buckets (S, the
+ * sub-bucket count, is a power of two). A bucket is thus at most 1/S
+ * of its low edge wide across six decades below hi, so percentiles
+ * keep their relative precision whether a phase takes 3 ms or 300
+ * (fixed-width buckets lost every small sample in bucket 0).
+ * sample() takes a short internal
+ * lock — engine events are per-simulation (milliseconds apart), so
+ * contention is irrelevant; correctness under PFITS_JOBS=4 workers is
+ * what the tests pin down.
  */
 class MetricHistogram
 {
   public:
     /**
-     * @param lo      lowest bucketed value (inclusive)
-     * @param hi      end of the bucketed range (exclusive; > lo)
-     * @param buckets number of equal-width buckets (>= 1)
+     * @param lo         lowest bucketed value (inclusive)
+     * @param hi         end of the bucketed range (exclusive; > lo)
+     * @param subBuckets sub-buckets per octave (>= 1, rounded up to a
+     *                   power of two): the relative precision
      */
-    MetricHistogram(double lo, double hi, size_t buckets);
+    MetricHistogram(double lo, double hi, size_t subBuckets);
 
     void sample(double v);
 
@@ -111,7 +120,8 @@ class MetricHistogram
     double maxSample() const;
     double mean() const;
 
-    double bucketLow(size_t idx) const { return lo_ + idx * width_; }
+    double bucketLow(size_t idx) const;
+    double bucketWidth(size_t idx) const;
     size_t bucketCount() const { return counts_.size(); }
 
     /** Snapshot of per-bucket counts (index-aligned with bucketLow). */
@@ -121,21 +131,31 @@ class MetricHistogram
 
     /**
      * Estimate the @p p quantile (0 <= p <= 1) by linear interpolation
-     * inside the containing bucket. Samples in the underflow bin
-     * resolve to the observed min, overflow to the observed max, and
-     * the result is clamped to [min, max] so a sparse bucket cannot
-     * report a value outside what was actually sampled. 0 when empty.
+     * inside the containing bucket, so the estimate lies within one
+     * bucket width of the exact order statistic. Samples in the
+     * underflow bin resolve to the observed min, overflow to the
+     * observed max, and the result is clamped to [min, max] so a
+     * sparse bucket cannot report a value outside what was actually
+     * sampled. 0 when empty.
      */
     double percentile(double p) const;
 
-    /** {"count":..,"sum":..,"min":..,"max":..,"buckets":[..]} */
+    /**
+     * {"count","sum","min","max","mean","p50","p95","p99","bucket_lo",
+     * "unit","sub_buckets","underflow","overflow","bucket_first",
+     * "buckets":[..]}: buckets lists the counts of buckets
+     * bucket_first through the last non-empty one.
+     */
     void writeJson(JsonWriter &w) const;
 
   private:
+    size_t bucketOf(uint64_t units) const;
     double percentileLocked(double p) const;
 
     const double lo_;
-    const double width_;
+    const double hi_;
+    const double unit_;
+    const unsigned subBits_; //!< log2 of the sub-bucket count
 
     mutable std::mutex mu_;
     std::vector<uint64_t> counts_;
@@ -169,7 +189,7 @@ class MetricRegistry
     MetricCounter &counter(const std::string &name);
     MetricGauge &gauge(const std::string &name);
     MetricHistogram &histogram(const std::string &name, double lo,
-                               double hi, size_t buckets);
+                               double hi, size_t subBuckets);
 
     /** Number of registered instruments of all kinds. */
     size_t size() const;
@@ -211,11 +231,11 @@ class ScopedTimerMs
     enum class Kind : uint8_t { Histogram, Counter };
 
     /**
-     * Histogram form. @p lo/@p hi/@p buckets size the histogram on
+     * Histogram form. @p lo/@p hi/@p subBuckets shape the histogram on
      * first use (ignored afterwards).
      */
     ScopedTimerMs(const std::string &name, double lo, double hi,
-                  size_t buckets);
+                  size_t subBuckets);
 
     /** Counter form: accumulates total elapsed ms under @p name. */
     explicit ScopedTimerMs(const std::string &name);
@@ -230,7 +250,7 @@ class ScopedTimerMs
     std::string name_;
     Kind kind_;
     double lo_ = 0, hi_ = 0;
-    size_t buckets_ = 0;
+    size_t subBuckets_ = 0;
     uint64_t startNs_ = 0;
 };
 

@@ -36,7 +36,10 @@
  *    stamp drops the soft-error machinery from fault-free runs;
  *  - chips: the tile steps in quanta and routes L1 misses through a
  *    shared CoherentL2, releasing its line streaks around every L2
- *    call and every coherence action taken on it.
+ *    call and every coherence action taken on it;
+ *  - profiling: runFunctional drives the same trace and handlers with
+ *    no caches, scoreboard or observers, a superblock at a time, for
+ *    the profiler's dynamic pass (fits/profile.cc).
  *
  * CORRECTNESS CONTRACT: every handler and every timing statement here
  * reproduces the cycle-exact interpreter oracle (verify/oracle.cc over
@@ -893,11 +896,29 @@ releaseTrack(Cache &cache, Streak &a, Streak &b, bool last_b,
 }
 
 /**
+ * The superblock run-length rule. A run is a maximal straight-line
+ * span: it ends at the first op that can redirect control or halt
+ * (branches, cold shapes, the program's last op). Element i is the
+ * length of the run entered at i — valid from ANY entry index, so
+ * branch targets need no leader bookkeeping. It depends on the trace
+ * alone, so the tiles and the functional run (runFunctional) share it.
+ */
+std::vector<uint32_t>
+runLengths(const std::vector<FastOp> &ops)
+{
+    const size_t n = ops.size();
+    std::vector<uint32_t> len(n);
+    for (size_t i = n; i-- > 0;) {
+        const bool term = (ops[i].flags & kIsBranch) != 0 ||
+                          ops[i].hot == 0 || i == n - 1;
+        len[i] = term ? 1u : len[i + 1] + 1u;
+    }
+    return len;
+}
+
+/**
  * A tile's immutable program: the predecoded trace plus the superblock
- * tables. A run is a maximal straight-line span — it ends at the first
- * op that can redirect control or halt (branches, cold shapes, the
- * program's last op). runLen[i] is the run length starting at i (valid
- * from ANY entry index, so branch targets need no leader bookkeeping),
+ * tables. runLen is the run-length rule above (runLengths),
  * segOps[i] the length of the sequential same-I-line stretch from i,
  * wordPre/seqPre prefix sums of fetched words and sequential toggle
  * bits for range queries and trap-site reconciliation. Tiles running
@@ -915,7 +936,7 @@ struct Predecoded
 };
 
 Predecoded::Predecoded(const FrontEnd &fe, const CoreConfig &config)
-    : ops(predecode(fe)), runLen(ops.size()), segOps(ops.size()),
+    : ops(predecode(fe)), runLen(runLengths(ops)), segOps(ops.size()),
       wordPre(ops.size() + 1), seqPre(ops.size() + 1)
 {
     const FastOp *const code = ops.data();
@@ -937,9 +958,6 @@ Predecoded::Predecoded(const FrontEnd &fe, const CoreConfig &config)
         seqPre[i + 1] = seqPre[i] + code[i].toggleSeq;
     }
     for (size_t i = n; i-- > 0;) {
-        const bool term = (code[i].flags & kIsBranch) != 0 ||
-                          code[i].hot == 0 || i == n - 1;
-        runLen[i] = term ? 1u : runLen[i + 1] + 1u;
         const bool same_line =
             i + 1 < n && (code[i].addr >> iline_shift) ==
                              (code[i + 1].addr >> iline_shift);
@@ -2086,6 +2104,113 @@ engineTileFactory()
         return std::unique_ptr<Tile>(std::make_unique<FastTile>(
             fe, config, mem, tileId, it->second));
     };
+}
+
+namespace
+{
+
+/** A non-owning FrontEnd over a Program and its decoded micro-ops, so
+ * predecode() reads the caller's decode instead of a second one. */
+class ProgramView final : public FrontEnd
+{
+  public:
+    ProgramView(const Program &prog, const std::vector<MicroOp> &uops)
+        : prog_(prog), uops_(uops)
+    {
+    }
+
+    const std::string &name() const override { return prog_.name; }
+    size_t numInstructions() const override { return uops_.size(); }
+    const MicroOp &uopAt(size_t i) const override { return uops_[i]; }
+    uint32_t encodingAt(size_t i) const override { return prog_.code[i]; }
+    unsigned instrBits() const override { return 32; }
+    AddrCodec codec() const override { return {prog_.codeBase, 2}; }
+
+    const std::vector<DataSegment> &
+    dataSegments() const override
+    {
+        return prog_.data;
+    }
+
+    uint32_t stackTop() const override { return prog_.stackTop; }
+    uint32_t codeBytes() const override { return prog_.codeBytes(); }
+
+  private:
+    const Program &prog_;
+    const std::vector<MicroOp> &uops_;
+};
+
+} // namespace
+
+FunctionalRun
+runFunctional(const Program &prog, const std::vector<MicroOp> &uops,
+              uint64_t max_instrs)
+{
+    const ProgramView view(prog, uops);
+    const std::vector<FastOp> ops = predecode(view);
+    const std::vector<uint32_t> run_len = runLengths(ops);
+    const FastOp *const code = ops.data();
+    const size_t n = ops.size();
+
+    Memory mem;
+    for (const DataSegment &seg : prog.data)
+        mem.writeBytes(seg.base, seg.bytes);
+    FastCtx ctx(mem);
+    ctx.state.regs[SP] = prog.stackTop;
+    ctx.codec = view.codec();
+
+    // The condition check plus one handler call; @return executed.
+    auto exec = [&ctx](const FastOp &op) __attribute__((always_inline))
+    {
+        const Cond cond = static_cast<Cond>(op.cond);
+        const bool executed =
+            cond == Cond::AL || condPasses(cond, ctx.state.flags);
+        if (executed)
+            op.fn(ctx, op);
+        return executed;
+    };
+
+    FunctionalRun run;
+    // dynCounts as a difference array: +1 at a run's entry, -1 (mod
+    // 2^64) past its end; one prefix sum turns it into the counts.
+    std::vector<uint64_t> &diff = run.dynCounts;
+    diff.assign(n + 1, 0);
+    uint64_t index = 0;
+    uint64_t executed = 0;
+    while (!ctx.state.halted) {
+        // The profiler's per-op checks, in its order: bounds, then cap.
+        if (index >= n) {
+            run.end = FunctionalEnd::FellOff;
+            return run;
+        }
+        if (executed >= max_instrs) {
+            run.end = FunctionalEnd::CapExceeded;
+            return run;
+        }
+        uint64_t span = run_len[index];
+        if (span > max_instrs - executed)
+            span = 1; // step per op up to the cap
+        ++diff[index];
+        --diff[index + span];
+        ++run.runs;
+        executed += span;
+        // Mid-run ops cannot branch or halt; only the last one can.
+        const uint64_t last = index + span - 1;
+        for (; index < last; ++index)
+            exec(code[index]);
+        const FastOp &op = code[last];
+        index = exec(op) && (op.flags & kIsBranch) != 0 ? ctx.nextIndex
+                                                        : last + 1;
+    }
+    uint64_t count = 0;
+    for (uint64_t &c : diff) {
+        count += c;
+        c = count;
+    }
+    diff.pop_back();
+    run.instructions = executed;
+    run.io = std::move(ctx.io);
+    return run;
 }
 
 } // namespace pfits

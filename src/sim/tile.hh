@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/coherence.hh"
 #include "common/fault.hh"
@@ -85,6 +86,38 @@ class Tile : public CoherencePort
  * predecodes once; use each factory from one thread at a time.
  */
 TileFactory engineTileFactory();
+
+/** How a functional run (runFunctional) ended. */
+enum class FunctionalEnd : uint8_t
+{
+    Halted,      //!< SWI_EXIT
+    FellOff,     //!< control reached an index past the last op
+    CapExceeded, //!< the next op would exceed the instruction cap
+};
+
+/** The architectural outcome of a functional run. */
+struct FunctionalRun
+{
+    FunctionalEnd end = FunctionalEnd::Halted;
+    /** Per-instruction execution counts (annulled ops included);
+     * complete only when the run halted. */
+    std::vector<uint64_t> dynCounts;
+    uint64_t instructions = 0; //!< ops executed, annulled included
+    uint64_t runs = 0;         //!< superblock entries
+    IoSinks io;
+};
+
+/**
+ * Run @p prog functionally on the engine's predecoded handlers, with
+ * no caches, scoreboard or observers: a superblock at a time, stepping
+ * per op only where a run would cross @p max_instrs. @p uops must be
+ * prog.decodeAll(); the trace points into it, so the caller's single
+ * decode serves both. Architectural traps propagate as TrapError with
+ * the same text as execute(). The profiler's dynamic pass.
+ */
+FunctionalRun runFunctional(const Program &prog,
+                            const std::vector<MicroOp> &uops,
+                            uint64_t max_instrs);
 
 } // namespace pfits
 

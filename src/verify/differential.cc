@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "exp/experiment.hh"
@@ -347,6 +348,25 @@ diffProgram(const Program &prog, uint64_t seed,
     // 4. The synthesized 16-bit ISA on the programmable decoder.
     try {
         ProfileInfo profile = profileProgram(prog);
+        // The profiler's functional pass runs the engine's handlers
+        // by superblock: it must retire exactly what the timing run
+        // did, annulled ops included, and its per-op counts must add
+        // up to that total.
+        if (ra.outcome == RunOutcome::Completed) {
+            if (profile.totalDynamic != ra.instructions)
+                out.push_back(detail::format(
+                    "profile vs arm32: total dynamic %llu vs retired %llu",
+                    static_cast<unsigned long long>(profile.totalDynamic),
+                    static_cast<unsigned long long>(ra.instructions)));
+            const uint64_t sum =
+                std::accumulate(profile.dynCounts.begin(),
+                                profile.dynCounts.end(), uint64_t{0});
+            if (sum != profile.totalDynamic)
+                out.push_back(detail::format(
+                    "profile: dynamic counts sum to %llu, total %llu",
+                    static_cast<unsigned long long>(sum),
+                    static_cast<unsigned long long>(profile.totalDynamic)));
+        }
         FitsIsa isa = synthesize(profile, SynthParams{}, prog.name);
         FitsProgram fits_prog = translateProgram(prog, isa, profile);
         FitsFrontEnd fits(std::move(fits_prog));

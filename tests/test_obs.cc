@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/table.hh"
 #include "exp/parallel.hh"
 #include "obs/json.hh"
@@ -189,6 +192,49 @@ TEST(Metrics, HistogramPercentilesInterpolateWithinBuckets)
     o.sample(60.0);
     EXPECT_DOUBLE_EQ(o.percentile(0.5), 60.0);
     EXPECT_DOUBLE_EQ(o.percentile(0.99), 60.0);
+}
+
+TEST(Metrics, LogLinearPercentilesLandWithinOneSubBucket)
+{
+    // Seeded samples, log-uniform over four decades: [0.1, 1000) ms.
+    MetricHistogram h(0.0, 1000.0, 16);
+    Rng rng(42);
+    std::vector<double> samples;
+    for (int i = 0; i < 20000; ++i) {
+        const double v =
+            std::pow(10.0, -1.0 + 4.0 * rng.next() / 4294967296.0);
+        samples.push_back(v);
+        h.sample(v);
+    }
+    std::sort(samples.begin(), samples.end());
+
+    // The buckets tile the range without gaps.
+    for (size_t i = 0; i + 1 < h.bucketCount(); ++i)
+        ASSERT_DOUBLE_EQ(h.bucketLow(i) + h.bucketWidth(i),
+                         h.bucketLow(i + 1)) << i;
+
+    for (double p : {0.01, 0.50, 0.95, 0.99}) {
+        // The nearest-rank order statistic and the bucket holding it.
+        const double exact = samples[static_cast<size_t>(
+            std::ceil(p * static_cast<double>(samples.size()))) - 1];
+        size_t idx = 0;
+        while (idx + 1 < h.bucketCount() && h.bucketLow(idx + 1) <= exact)
+            ++idx;
+        const double width = h.bucketWidth(idx);
+        EXPECT_NEAR(h.percentile(p), exact, width) << "p=" << p;
+        EXPECT_LE(width, h.bucketLow(idx) / 16.0) << "p=" << p;
+    }
+
+    // The JSON lists the populated span, which holds every sample.
+    std::ostringstream os;
+    JsonWriter w(os);
+    h.writeJson(w);
+    const JsonValue doc = JsonValue::parse(os.str());
+    double listed = 0;
+    for (const JsonValue &c : doc.get("buckets").asArray())
+        listed += c.asNumber();
+    EXPECT_DOUBLE_EQ(listed, 20000.0);
+    EXPECT_DOUBLE_EQ(doc.get("sub_buckets").asNumber(), 16.0);
 }
 
 TEST(Metrics, HistogramJsonCarriesPercentiles)
