@@ -44,8 +44,8 @@ ablCacheGeometry(const ExperimentParams &base)
             std::snprintf(label, sizeof(label), "%uw/%uB", assoc, line);
             // The 8 KiB ARM8/FITS8 caches are the tightest geometry a
             // sweep point must satisfy.
-            CacheConfig small = params.core.icache;
-            small.sizeBytes = params.smallCacheBytes;
+            const CacheConfig small =
+                paperCoreConfig(ConfigId::ARM8, params.core).icache;
             std::string err = params.core.icache.validateError();
             if (err.empty())
                 err = small.validateError();

@@ -31,11 +31,7 @@
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "experiments.hh"
-#include "fits/fits_frontend.hh"
-#include "fits/profile.hh"
 #include "fits/serialize.hh"
-#include "fits/synth.hh"
-#include "fits/translate.hh"
 #include "mibench/mibench.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
@@ -47,42 +43,15 @@ namespace pfits
 namespace
 {
 
-/** Base mean instructions between upsets for the 16 KiB cache. */
+/** Base mean instructions between upsets for the ARM16 cache. */
 constexpr uint64_t kBaseInterval = 5000;
-constexpr uint32_t kLargeCacheBytes = 16 * 1024;
-constexpr uint32_t kSmallCacheBytes = 8 * 1024;
 constexpr unsigned kMaxRetries = 3;
 constexpr int kConfigFlips = 64;
-
-/** One kernel's prebuilt front-ends (built once, run many times). */
-struct BenchSetup
-{
-    std::string name;
-    uint32_t expected = 0;
-    std::unique_ptr<ArmFrontEnd> arm;
-    std::unique_ptr<FitsFrontEnd> fits;
-    std::string configText; //!< saved decoder configuration
-};
-
-BenchSetup
-buildBench(const mibench::BenchInfo &info)
-{
-    BenchSetup setup;
-    setup.name = info.name;
-    mibench::Workload w = info.build();
-    setup.expected = w.expected;
-    ProfileInfo profile = profileProgram(w.program);
-    FitsIsa isa = synthesize(profile, SynthParams{}, info.name);
-    FitsProgram fits_prog = translateProgram(w.program, isa, profile);
-    setup.configText = saveFitsIsa(isa);
-    setup.arm = std::make_unique<ArmFrontEnd>(w.program);
-    setup.fits = std::make_unique<FitsFrontEnd>(std::move(fits_prog));
-    return setup;
-}
 
 struct FaultyRunStats
 {
     RunOutcome outcome = RunOutcome::Trapped;
+    uint32_t cacheBytes = 0; //!< I-cache size of the run's core
     uint64_t cycles = 0;
     uint64_t injected = 0;
     uint64_t detected = 0;
@@ -98,25 +67,27 @@ struct FaultyRunStats
  * constant flux the injection interval scales with cache size.
  */
 FaultyRunStats
-faultyRun(const ObserverSpec &observe, const BenchSetup &setup,
+faultyRun(const ObserverSpec &observe, const PreparedBench &setup,
           bool is_fits, bool parity, uint64_t base_interval,
           uint64_t seed)
 {
+    const std::string &name = setup.result->name;
     const FrontEnd &fe =
-        is_fits ? static_cast<const FrontEnd &>(*setup.fits)
-                : static_cast<const FrontEnd &>(*setup.arm);
-    CoreConfig core;
-    core.icache.sizeBytes = is_fits ? kSmallCacheBytes
-                                    : kLargeCacheBytes;
+        is_fits ? static_cast<const FrontEnd &>(*setup.fitsFe)
+                : static_cast<const FrontEnd &>(*setup.armFe);
+    CoreConfig core =
+        paperCoreConfig(is_fits ? ConfigId::FITS8 : ConfigId::ARM16);
     core.icache.parity = parity;
 
     FaultParams fp;
-    fp.seed = seed ^ configChecksum(setup.name) ^
+    fp.seed = seed ^ configChecksum(name) ^
               (static_cast<uint64_t>(is_fits) << 56) ^
               (static_cast<uint64_t>(parity) << 57);
     if (base_interval)
         fp.icacheMeanInterval =
-            base_interval * kLargeCacheBytes / core.icache.sizeBytes;
+            base_interval *
+            paperCoreConfig(ConfigId::ARM16).icache.sizeBytes /
+            core.icache.sizeBytes;
     std::unique_ptr<FaultPlan> plan;
     if (fp.enabled())
         plan = std::make_unique<FaultPlan>(fp);
@@ -128,7 +99,7 @@ faultyRun(const ObserverSpec &observe, const BenchSetup &setup,
     ObserverList observers;
     if (observe.traceArmed()) {
         tracer = std::make_unique<TraceObserver>(observe.traceDepth);
-        tracer->setPath(observe.traceDir + "/" + setup.name + "_" +
+        tracer->setPath(observe.traceDir + "/" + name + "_" +
                         (is_fits ? "FITS8" : "ARM16") +
                         ".trace.jsonl");
         observers.add(tracer.get());
@@ -136,6 +107,7 @@ faultyRun(const ObserverSpec &observe, const BenchSetup &setup,
     ObserverList *obs = tracer ? &observers : nullptr;
 
     FaultyRunStats out;
+    out.cacheBytes = core.icache.sizeBytes;
     RunResult rr = Machine(fe, core).run(plan.get(), obs);
     while (rr.outcome == RunOutcome::FaultDetected &&
            out.retries < kMaxRetries) {
@@ -159,9 +131,9 @@ faultyRun(const ObserverSpec &observe, const BenchSetup &setup,
 
 /** Upsets per GiB-cycle of cache residency (cross-section metric). */
 double
-upsetsPerGibCycle(const FaultyRunStats &s, uint32_t cache_bytes)
+upsetsPerGibCycle(const FaultyRunStats &s)
 {
-    double exposure = static_cast<double>(cache_bytes) *
+    double exposure = static_cast<double>(s.cacheBytes) *
                       static_cast<double>(s.cycles);
     return exposure > 0
                ? static_cast<double>(s.injected) / exposure * (1 << 30)
@@ -175,19 +147,20 @@ extFaultResilience(const ExperimentParams &params)
 {
     const ObserverSpec &observe = params.observers;
     setQuiet(true);
-    std::vector<BenchSetup> setups;
+    std::vector<PreparedBench> setups;
     for (const auto &info : mibench::suite())
-        setups.push_back(buildBench(info));
+        setups.push_back(prepareBenchmark(info.name, params));
 
     // --- 1. Golden gate at fault rate zero ---------------------------
-    for (const BenchSetup &s : setups) {
+    for (const PreparedBench &s : setups) {
         for (bool is_fits : {false, true}) {
             FaultyRunStats clean =
                 faultyRun(observe, s, is_fits, false, 0, 0);
             if (!clean.goldenOk)
                 fatal("%s/%s failed its golden checksum with faults "
                       "disabled",
-                      s.name.c_str(), is_fits ? "FITS8" : "ARM16");
+                      s.result->name.c_str(),
+                      is_fits ? "FITS8" : "ARM16");
         }
     }
 
@@ -199,7 +172,7 @@ extFaultResilience(const ExperimentParams &params)
                      "SDC"});
     double ratio_sum = 0;
     uint64_t sdc_total = 0;
-    for (const BenchSetup &s : setups) {
+    for (const PreparedBench &s : setups) {
         FaultyRunStats arm =
             faultyRun(observe, s, false, false, kBaseInterval, 0xe6);
         FaultyRunStats fits =
@@ -210,11 +183,10 @@ extFaultResilience(const ExperimentParams &params)
                 : 0.0;
         ratio_sum += ratio;
         sdc_total += (arm.sdc ? 1 : 0) + (fits.sdc ? 1 : 0);
-        sweep.addRow(s.name,
+        sweep.addRow(s.result->name,
                      {static_cast<double>(arm.injected),
                       static_cast<double>(fits.injected), ratio,
-                      upsetsPerGibCycle(arm, kLargeCacheBytes),
-                      upsetsPerGibCycle(fits, kSmallCacheBytes),
+                      upsetsPerGibCycle(arm), upsetsPerGibCycle(fits),
                       static_cast<double>((arm.sdc ? 1 : 0) +
                                           (fits.sdc ? 1 : 0))},
                      3);
@@ -227,7 +199,7 @@ extFaultResilience(const ExperimentParams &params)
     Table coverage("Extension E6: parity coverage and retry cost");
     coverage.setHeader({"benchmark", "config", "injected", "detected",
                         "escaped", "coverage %", "retries", "outcome"});
-    for (const BenchSetup &s : setups) {
+    for (const PreparedBench &s : setups) {
         for (bool is_fits : {false, true}) {
             for (bool parity : {false, true}) {
                 FaultyRunStats r = faultyRun(observe, s, is_fits,
@@ -240,7 +212,8 @@ extFaultResilience(const ExperimentParams &params)
                 std::string cfg =
                     std::string(is_fits ? "FITS8" : "ARM16") +
                     (parity ? "+par" : "");
-                coverage.addRow({s.name, cfg, std::to_string(r.injected),
+                coverage.addRow({s.result->name, cfg,
+                                 std::to_string(r.injected),
                                  std::to_string(r.detected),
                                  std::to_string(r.escaped),
                                  formatDouble(cover, 1),
@@ -255,13 +228,15 @@ extFaultResilience(const ExperimentParams &params)
                  "(single-bit flips)");
     config.setHeader({"benchmark", "config bytes", "flips", "detected",
                       "coverage %"});
-    for (const BenchSetup &s : setups) {
+    for (const PreparedBench &s : setups) {
+        const std::string &name = s.result->name;
+        const std::string text = saveFitsIsa(s.fitsFe->program().isa);
         FaultParams fp;
-        fp.seed = 0xc0f1 ^ configChecksum(s.name);
+        fp.seed = 0xc0f1 ^ configChecksum(name);
         FaultPlan plan(fp);
         int caught = 0;
         for (int i = 0; i < kConfigFlips; ++i) {
-            std::string mutated = s.configText;
+            std::string mutated = text;
             plan.corruptTextBit(mutated);
             try {
                 loadFitsIsa(mutated);
@@ -271,9 +246,9 @@ extFaultResilience(const ExperimentParams &params)
         }
         if (caught != kConfigFlips)
             fatal("%s: %d/%d config corruptions escaped the checksum",
-                  s.name.c_str(), kConfigFlips - caught, kConfigFlips);
-        config.addRow(s.name,
-                      {static_cast<double>(s.configText.size()),
+                  name.c_str(), kConfigFlips - caught, kConfigFlips);
+        config.addRow(name,
+                      {static_cast<double>(text.size()),
                        static_cast<double>(kConfigFlips),
                        static_cast<double>(caught), 100.0},
                       1);

@@ -17,15 +17,9 @@
  * reports.
  */
 
-#include <memory>
 #include <string>
 
 #include "experiments.hh"
-#include "fits/fits_frontend.hh"
-#include "fits/profile.hh"
-#include "fits/synth.hh"
-#include "fits/translate.hh"
-#include "mibench/mibench.hh"
 #include "power/cache_power.hh"
 #include "power/leakage.hh"
 #include "power/tech.hh"
@@ -42,28 +36,6 @@ namespace
 /** Kernels spanning tight loops (fft) and flat code (dijkstra). */
 const char *const kKernels[] = {"jpeg.encode", "fft", "sha",
                                 "dijkstra"};
-
-/** One kernel's prebuilt front-ends. */
-struct BenchSetup
-{
-    std::string name;
-    std::unique_ptr<ArmFrontEnd> arm;
-    std::unique_ptr<FitsFrontEnd> fits;
-};
-
-BenchSetup
-buildBench(const mibench::BenchInfo &info)
-{
-    BenchSetup setup;
-    setup.name = info.name;
-    mibench::Workload w = info.build();
-    ProfileInfo profile = profileProgram(w.program);
-    FitsIsa isa = synthesize(profile, SynthParams{}, info.name);
-    FitsProgram fits_prog = translateProgram(w.program, isa, profile);
-    setup.arm = std::make_unique<ArmFrontEnd>(w.program);
-    setup.fits = std::make_unique<FitsFrontEnd>(std::move(fits_prog));
-    return setup;
-}
 
 /** Leakage params for one policy, all other knobs at defaults. */
 LeakageParams
@@ -89,7 +61,7 @@ priceUj(const CoreConfig &core, LeakagePolicy policy,
 } // namespace
 
 ExperimentOutput
-extLeakagePolicy(const ExperimentParams &)
+extLeakagePolicy(const ExperimentParams &params)
 {
     Table table("Extension E10: I-cache leakage energy per power-down "
                 "policy (16 KiB I-cache)");
@@ -98,13 +70,13 @@ extLeakagePolicy(const ExperimentParams &)
                      "stall g"});
 
     for (const char *name : kKernels) {
-        BenchSetup setup = buildBench(mibench::findBench(name));
+        const PreparedBench prep = prepareBenchmark(name, params);
         struct Side
         {
             const char *label;
             const FrontEnd *fe;
-        } sides[2] = {{"ARM16", setup.arm.get()},
-                      {"FITS16", setup.fits.get()}};
+        } sides[2] = {{"ARM16", prep.armFe.get()},
+                      {"FITS16", prep.fitsFe.get()}};
         for (const Side &side : sides) {
             // One run, three observers: the policies differ only in
             // how the same idle intervals are priced.
@@ -131,7 +103,7 @@ extLeakagePolicy(const ExperimentParams &)
                 return off_uj ? 100.0 * (1.0 - j / off_uj) : 0.0;
             };
             table.addRow(
-                setup.name + " " + side.label,
+                std::string(name) + " " + side.label,
                 {off_uj, drowsy_uj, sv(drowsy_uj), gated_uj,
                  sv(gated_uj),
                  static_cast<double>(drowsy.activity().wakes),

@@ -18,16 +18,10 @@
  */
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "experiments.hh"
-#include "fits/fits_frontend.hh"
-#include "fits/profile.hh"
-#include "fits/synth.hh"
-#include "fits/translate.hh"
-#include "mibench/mibench.hh"
 #include "power/cache_power.hh"
 #include "power/tech.hh"
 #include "sim/frontend.hh"
@@ -43,28 +37,6 @@ namespace
 /** Kernels with visibly different phase structure (setup/core/check). */
 const char *const kKernels[] = {"jpeg.encode", "fft", "sha", "dijkstra"};
 constexpr int kPhases = 10;
-
-/** One kernel's prebuilt front-ends (built once, run twice per ISA). */
-struct BenchSetup
-{
-    std::string name;
-    std::unique_ptr<ArmFrontEnd> arm;
-    std::unique_ptr<FitsFrontEnd> fits;
-};
-
-BenchSetup
-buildBench(const mibench::BenchInfo &info)
-{
-    BenchSetup setup;
-    setup.name = info.name;
-    mibench::Workload w = info.build();
-    ProfileInfo profile = profileProgram(w.program);
-    FitsIsa isa = synthesize(profile, SynthParams{}, info.name);
-    FitsProgram fits_prog = translateProgram(w.program, isa, profile);
-    setup.arm = std::make_unique<ArmFrontEnd>(w.program);
-    setup.fits = std::make_unique<FitsFrontEnd>(std::move(fits_prog));
-    return setup;
-}
 
 /** The phase series of one (kernel, ISA) run, plus its power model. */
 struct PhaseSeries
@@ -99,20 +71,20 @@ measure(const FrontEnd &fe)
 } // namespace
 
 ExperimentOutput
-extPhaseBehavior(const ExperimentParams &)
+extPhaseBehavior(const ExperimentParams &params)
 {
     ExperimentOutput out;
     for (const char *name : kKernels) {
-        BenchSetup setup = buildBench(mibench::findBench(name));
-        PhaseSeries arm = measure(*setup.arm);
-        PhaseSeries fits = measure(*setup.fits);
+        const PreparedBench prep = prepareBenchmark(name, params);
+        PhaseSeries arm = measure(*prep.armFe);
+        PhaseSeries fits = measure(*prep.fitsFe);
 
         TechParams tech;
         tech.clockHz = arm.core.clockHz;
         CachePowerModel arm_model(arm.core.icache, tech);
         CachePowerModel fits_model(fits.core.icache, tech);
 
-        Table t("Extension E7: phase behaviour of " + setup.name +
+        Table t("Extension E7: phase behaviour of " + std::string(name) +
                 " (per-phase, ARM16 vs FITS16)");
         t.setHeader({"phase", "ARM ipc", "FITS ipc", "ARM mpmi",
                      "FITS mpmi", "ARM tog%", "FITS tog%", "ARM uJ",

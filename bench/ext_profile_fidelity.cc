@@ -41,9 +41,8 @@ evaluate(const mibench::Workload &w, const char *name, bool dynamic)
     Outcome out;
     out.dynMap = fits.mapping.dynRate();
 
-    CoreConfig arm16;
-    CoreConfig fits8;
-    fits8.icache.sizeBytes = 8 * 1024;
+    const CoreConfig arm16 = paperCoreConfig(ConfigId::ARM16);
+    const CoreConfig fits8 = paperCoreConfig(ConfigId::FITS8);
     ArmFrontEnd arm(w.program);
     FitsFrontEnd fe(std::move(fits));
     RunResult ra = Machine(arm, arm16).run();

@@ -19,8 +19,9 @@
  * usage error, exit 2 — a typo like "--cvs" is not a silent no-op):
  *
  *   --csv             emit tables as CSV, suppress the closing note
- *   --jobs N          engine worker count (also --jobs=N, -jN,
- *                     PFITS_JOBS); output is byte-identical at any N
+ *   --jobs N          engine worker count, 0..256 (also --jobs=N,
+ *                     -jN, PFITS_JOBS); output is byte-identical at
+ *                     any N
  *   --tiles N         run every simulation as an N-tile chip (round-
  *                     robin over a shared coherent L2, sim/chip.hh);
  *                     1..64, also --tiles=N and PFITS_TILES. The
@@ -63,6 +64,7 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -70,6 +72,7 @@
 
 #include "common/fileio.hh"
 #include "common/logging.hh"
+#include "exp/parallel.hh"
 #include "exp/simcache.hh"
 #include "exp/simservice.hh"
 #include "experiments.hh"
@@ -116,8 +119,8 @@ printUsage(std::ostream &os)
           "  --list           print every experiment name and exit\n"
           "flags:\n"
           "  --csv            print tables as CSV\n"
-          "  --jobs N         engine worker count (PFITS_JOBS also "
-          "works)\n"
+          "  --jobs N         engine worker count, 0..256 (PFITS_JOBS "
+          "also works)\n"
           "  --tiles N        simulate N-tile chips over a shared "
           "coherent L2\n"
           "                   (1..64; PFITS_TILES also works; default "
@@ -152,16 +155,11 @@ parseArgs(int argc, char **argv)
         std::exit(2);
     };
     auto parseCount = [&](std::string_view text) -> unsigned {
-        if (text.empty())
-            reject("--jobs wants a number");
-        unsigned v = 0;
-        for (char c : text) {
-            if (c < '0' || c > '9')
-                reject("malformed job count '" + std::string(text) +
-                       "'");
-            v = v * 10 + static_cast<unsigned>(c - '0');
-        }
-        return v == 0 ? 1u : v;
+        const std::optional<unsigned> v = parseJobCount(text);
+        if (!v)
+            reject("malformed job count '" + std::string(text) +
+                   "' (want 0.." + std::to_string(kMaxJobs) + ")");
+        return *v == 0 ? 1u : *v;
     };
     auto wantValue = [&](int &i, std::string_view flag) -> const char * {
         if (i + 1 >= argc)

@@ -39,15 +39,19 @@ Runner::pool()
 }
 
 CoreConfig
+paperCoreConfig(ConfigId id, CoreConfig base)
+{
+    base.name = configName(id);
+    base.icache.sizeBytes =
+        (id == ConfigId::ARM8 || id == ConfigId::FITS8) ? 8 * 1024
+                                                        : 16 * 1024;
+    return base;
+}
+
+CoreConfig
 Runner::coreConfig(ConfigId id) const
 {
-    CoreConfig core = params_.core;
-    core.name = configName(id);
-    core.icache.sizeBytes = (id == ConfigId::ARM8 ||
-                             id == ConfigId::FITS8)
-                                ? params_.smallCacheBytes
-                                : params_.largeCacheBytes;
-    return core;
+    return paperCoreConfig(id, params_.core);
 }
 
 const BenchResult &

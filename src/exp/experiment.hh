@@ -44,6 +44,12 @@ const char *configName(ConfigId id);
 inline constexpr ConfigId kAllConfigs[4] = {
     ConfigId::ARM16, ConfigId::ARM8, ConfigId::FITS16, ConfigId::FITS8};
 
+/**
+ * The paper's core for @p id: @p base named after the config, with an
+ * 8 KiB I-cache for ARM8/FITS8 and a 16 KiB one for ARM16/FITS16.
+ */
+CoreConfig paperCoreConfig(ConfigId id, CoreConfig base = {});
+
 /** One simulated configuration of one benchmark. */
 struct ConfigResult
 {
@@ -115,9 +121,7 @@ struct ExperimentParams
     TechParams tech;
     ChipEnergyParams chip;
     UncoreEnergyParams uncore; //!< shared-L2/coherence energy (chip runs)
-    CoreConfig core; //!< base core; I-cache size is overridden per config
-    uint32_t smallCacheBytes = 8 * 1024;
-    uint32_t largeCacheBytes = 16 * 1024;
+    CoreConfig core; //!< base core; paperCoreConfig() sets the I-cache size
 
     /**
      * Chip-level run shape (sim/chip.hh). The default — one tile, no
@@ -140,15 +144,6 @@ struct ExperimentParams
      */
     FaultParams faults;
     unsigned faultRetries = 3;
-
-    /**
-     * Voltage/frequency operating points for DVS sweeps (empty by
-     * default). Purely a post-simulation power-model axis: each point
-     * re-prices an already-simulated run via
-     * TechParams::atOperatingPoint, so it does NOT join the SimCache
-     * memo key and leaves every default table byte-identical.
-     */
-    std::vector<OperatingPoint> dvsLadder;
 
     /**
      * Instruments attached to every simulation (sim/probe.hh):

@@ -254,9 +254,7 @@ extWayMemoTable(Runner &runner)
 Table
 fig11DvsTable(Runner &runner)
 {
-    std::vector<OperatingPoint> ladder = runner.params().dvsLadder;
-    if (ladder.empty())
-        ladder = defaultDvsLadder();
+    const std::vector<OperatingPoint> ladder = defaultDvsLadder();
 
     Table table("Figure 11 (DVS axis): suite-total I-cache energy "
                 "(mJ) and EDP (uJ*s) per operating point");

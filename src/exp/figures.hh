@@ -51,9 +51,8 @@ Table extWayMemoTable(Runner &runner);
 
 /**
  * Figure 11, DVS axis: suite-total I-cache energy and energy-delay
- * product per operating point of the ladder
- * (ExperimentParams::dvsLadder, or defaultDvsLadder() when unset),
- * with the FITS8-vs-ARM16 total-energy saving at each point.
+ * product per operating point of defaultDvsLadder(), with the
+ * FITS8-vs-ARM16 total-energy saving at each point.
  */
 Table fig11DvsTable(Runner &runner);
 

@@ -24,13 +24,13 @@ envJobs()
     const char *env = std::getenv("PFITS_JOBS");
     if (!env || !*env)
         return 0;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warn_once("ignoring malformed PFITS_JOBS='%s'", env);
+    const std::optional<unsigned> v = parseJobCount(env);
+    if (!v) {
+        warn_once("ignoring malformed PFITS_JOBS='%s' (want 0..%u)", env,
+                  kMaxJobs);
         return 0;
     }
-    return v == 0 ? 1u : static_cast<unsigned>(v);
+    return *v == 0 ? 1u : *v;
 }
 
 } // namespace
@@ -52,19 +52,28 @@ setDefaultJobs(unsigned jobs)
     jobsOverride.store(jobs);
 }
 
+std::optional<unsigned>
+parseJobCount(std::string_view text)
+{
+    if (text.empty())
+        return std::nullopt;
+    unsigned v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        v = v * 10 + static_cast<unsigned>(c - '0');
+        if (v > kMaxJobs)
+            return std::nullopt;
+    }
+    return v;
+}
+
 unsigned
 parseJobsFlag(int argc, char **argv)
 {
     auto parse = [](std::string_view text) -> unsigned {
-        if (text.empty())
-            return 0;
-        unsigned v = 0;
-        for (char c : text) {
-            if (c < '0' || c > '9')
-                return 0;
-            v = v * 10 + static_cast<unsigned>(c - '0');
-        }
-        return v == 0 ? 1u : v;
+        const std::optional<unsigned> v = parseJobCount(text);
+        return !v ? 0u : *v == 0 ? 1u : *v;
     };
     for (int i = 1; i < argc; ++i) {
         std::string_view arg(argv[i]);

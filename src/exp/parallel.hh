@@ -22,6 +22,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,9 +43,22 @@ unsigned defaultJobs();
  */
 void setDefaultJobs(unsigned jobs);
 
+/** The largest job count any reader accepts: a pool thread per job,
+ * so a typo must not become thousands of threads. */
+constexpr unsigned kMaxJobs = 256;
+
+/**
+ * Parse a job count: decimal digits only (no sign, no space), value
+ * 0..kMaxJobs. The one parser behind --jobs, -jN and PFITS_JOBS; each
+ * caller keeps its own rule for 0.
+ * @return the count, or nullopt when @p text is anything else.
+ */
+std::optional<unsigned> parseJobCount(std::string_view text);
+
 /**
  * Scan argv for "--jobs N" / "--jobs=N" / "-jN".
- * @return the parsed count (>= 1), or 0 when the flag is absent.
+ * @return the parsed count (0 reads as 1), or 0 when the flag is
+ *         absent or its value is not a valid job count.
  */
 unsigned parseJobsFlag(int argc, char **argv);
 

@@ -740,32 +740,123 @@ struct Streak
     bool writeOk = true;
 };
 
-inline void
+__attribute__((always_inline)) inline void
 flushStreak(Cache &cache, Streak &s)
 {
     if ((s.reads | s.writes) != 0) {
         cache.applyRepeatsAt(s.idx, s.reads, s.writes, s.memoHits);
-        s.reads = 0;
-        s.writes = 0;
-        s.memoHits = 0;
+        s.reads = s.writes = s.memoHits = 0;
     }
 }
 
-/** Flush both streaks' pending hits, older-touched first, so their
- * batched LRU stamps land in the same relative order as the accesses
- * they stand for. Must run before ANY full cache access (or fault
- * injection) so no later tick can slip under a pending one. */
-inline void
-flushStreakPair(Cache &cache, Streak &a, Streak &b, bool last_is_b)
+/**
+ * One L1's two streaks, which was used last, and the way-memo mirror
+ * prevLine: the line of the dynamically previous access, mirroring
+ * Cache::lastLineAddr() across streak touches (which leave the Cache
+ * hint alone). A streak touch is a way-memo hit only when the access
+ * before it was to the same line. Full accesses count memo hits inside
+ * Cache — at a full-access site the hint is kNoLine or a tracked
+ * streak line, and the new line is neither, so the internal check
+ * agrees with prevLine — and the caller resyncs the mirror afterwards.
+ * prevLine is always kNoLine, the cache's own hint, or a streak line.
+ */
+struct LineTrack
 {
-    if (last_is_b) {
-        flushStreak(cache, a);
-        flushStreak(cache, b);
-    } else {
-        flushStreak(cache, b);
-        flushStreak(cache, a);
+    Streak a;
+    Streak b;
+    bool lastB = false;
+    uint64_t prevLine = Cache::kNoLine;
+
+    /** The streak touch() or arm() used last. */
+    Streak &last() { return lastB ? b : a; }
+
+    /** Count @p n repeat reads (writes if @p write) of @p line into
+     * the streak tracking it, if it may absorb them (Streak::writeOk).
+     * The first is a memo hit iff prevLine is this line; the rest are.
+     * @return false when a full access is needed. */
+    __attribute__((always_inline)) bool
+    touch(uint64_t line, uint32_t n, bool write)
+    {
+        if (line == a.line && (!write || a.writeOk))
+            lastB = false;
+        else if (line == b.line && (!write || b.writeOk))
+            lastB = true;
+        else
+            return false;
+        Streak &s = last();
+        (write ? s.writes : s.reads) += n;
+        s.memoHits += n - 1 + (line == prevLine ? 1u : 0u);
+        prevLine = line;
+        return true;
     }
-}
+
+    /** After a full access to @p line: if it is resident and clean
+     * (the repeat-hint contract), track it in the older streak, so an
+     * alternating pair converges to both being tracked, with @p reads
+     * memo-hit repeat reads pending. @return whether it did. */
+    __attribute__((always_inline)) bool
+    arm(const Cache &cache, uint64_t line, uint32_t reads, bool writeOk)
+    {
+        if (cache.lastLineAddr() != line)
+            return false;
+        if (lastB)
+            open(a, line, cache.lastHitIdx(), reads, writeOk);
+        else
+            open(b, line, cache.lastHitIdx(), reads, writeOk);
+        lastB = !lastB;
+        return true;
+    }
+
+    /** Flush both streaks' pending hits, older-touched first, so their
+     * batched LRU stamps land in the order of the accesses they stand
+     * for. Must run before ANY full cache access (or fault injection)
+     * so no later tick can slip under a pending one. */
+    __attribute__((always_inline)) void
+    flush(Cache &cache)
+    {
+        if (lastB) {
+            flushStreak(cache, a);
+            flushStreak(cache, b);
+        } else {
+            flushStreak(cache, b);
+            flushStreak(cache, a);
+        }
+    }
+
+    /** Stop tracking both (flushed) lines: a refill or a fault may
+     * have taken them away. */
+    void drop() { a.line = b.line = Cache::kNoLine; }
+
+    /**
+     * Flush both streaks, stop tracking their lines, and re-point the
+     * cache's repeat hint at the line the memo mirror names, so the
+     * full accesses that follow memo-count exactly like a per-access
+     * run. Runs before every L2 call and every coherence action on the
+     * tile: the L2 may drop or clean any tracked line, and a streak
+     * must neither outlive its line nor absorb a write that needs an
+     * S->M upgrade.
+     */
+    __attribute__((always_inline)) void
+    release(Cache &cache)
+    {
+        flush(cache);
+        if (prevLine != Cache::kNoLine &&
+            prevLine != cache.lastLineAddr()) {
+            if (prevLine == a.line)
+                cache.restoreHint(a.line, a.idx);
+            else if (prevLine == b.line)
+                cache.restoreHint(b.line, b.idx);
+        }
+        drop();
+    }
+
+  private:
+    __attribute__((always_inline)) static void
+    open(Streak &s, uint64_t line, size_t idx, uint32_t reads, bool writeOk)
+    {
+        s = Streak{line, idx, reads, 0, reads, writeOk};
+    }
+};
 
 /**
  * Dense id for the execute switch: every data-processing shape short
@@ -860,42 +951,6 @@ predecode(const FrontEnd &fe)
 
 
 /**
- * One L1's streak state between steps: the two streaks, which was
- * touched last, and the way-memo mirror prevLine (see stepImpl). It is
- * always kNoLine, the cache's own repeat hint, or a streak line.
- */
-struct LineTrack
-{
-    Streak a;
-    Streak b;
-    bool lastB = false;
-    uint64_t prevLine = Cache::kNoLine;
-};
-
-/**
- * Flush both streaks, stop tracking their lines, and re-point the
- * cache's repeat hint at the line the memo mirror names, so the full
- * accesses that follow memo-count exactly like a per-access run. Runs
- * before every L2 call and every coherence action on the tile: the L2
- * may drop or clean any tracked line, and a streak must neither
- * outlive its line nor absorb a write that needs an S->M upgrade.
- */
-inline void
-releaseTrack(Cache &cache, Streak &a, Streak &b, bool last_b,
-             uint64_t prev_line)
-{
-    flushStreakPair(cache, a, b, last_b);
-    if (prev_line != Cache::kNoLine && prev_line != cache.lastLineAddr()) {
-        if (prev_line == a.line)
-            cache.restoreHint(a.line, a.idx);
-        else if (prev_line == b.line)
-            cache.restoreHint(b.line, b.idx);
-    }
-    a.line = Cache::kNoLine;
-    b.line = Cache::kNoLine;
-}
-
-/**
  * The superblock run-length rule. A run is a maximal straight-line
  * span: it ends at the first op that can redirect control or halt
  * (branches, cold shapes, the program's last op). Element i is the
@@ -966,10 +1021,11 @@ Predecoded::Predecoded(const FrontEnd &fe, const CoreConfig &config)
 }
 
 /**
- * The engine tile: the predecoded trace and the dispatch loop below,
- * with all loop state kept in members between quanta. stepImpl works
- * on local copies and stores them back on every exit path, so a step
- * boundary is unobservable in the results.
+ * The engine tile: the predecoded trace and the dispatch loop below.
+ * Between quanta the loop's scalar state lives in one LoopState, the
+ * scoreboard in regReady_ and each L1's streaks in a LineTrack.
+ * stepImpl copies each into one local on entry and back once after
+ * every exit path has joined, so a step boundary is unobservable.
  */
 class FastTile final : public Tile
 {
@@ -1024,18 +1080,47 @@ class FastTile final : public Tile
     }
 
   private:
+    struct LoopState;
+
     template <bool HasExtra, bool HasFaults, bool Packed>
     void stepImpl(uint64_t budget, FaultPlan *faults,
                   const ObserverList *extra);
 
-    /** releaseTrack both L1s' member streaks (between steps). */
+    /**
+     * The L2 seam: the fill of L1 miss @p miss (draining a dirty victim
+     * first, so its data is in the L2 when the fill's own victim
+     * selection runs), or with @p miss null a write hit's S->M
+     * upgrade. Both caches' streaks are released before the call (the
+     * directory may drop or clean any of our lines, the requesting
+     * tile included); the memo mirrors and the packed-fetch buffer
+     * resync after it. @return the penalty in cycles.
+     */
+    __attribute__((always_inline)) uint32_t
+    callL2(LoopState &s, LineTrack &itrack, LineTrack &dtrack,
+           uint32_t addr, bool write, const CacheAccessResult *miss)
+    {
+        itrack.release(icache_);
+        dtrack.release(dcache_);
+        if (miss && miss->writeback)
+            l2_->l1Writeback(tileId_, addrBase_ + miss->victimAddr);
+        const uint32_t penalty =
+            miss ? l2_->accessFill(tileId_, addrBase_ + addr, write)
+                 : l2_->upgradeForWrite(tileId_, addrBase_ + addr);
+        itrack.prevLine = icache_.lastLineAddr();
+        dtrack.prevLine = dcache_.lastLineAddr();
+        if (fetchPoisoned_) {
+            s.prevWordAddr = kNoFetchWord;
+            fetchPoisoned_ = false;
+        }
+        return penalty;
+    }
+
+    /** Release both L1s' member streaks (between steps). */
     void
     releaseTracks()
     {
-        releaseTrack(icache_, itrack_.a, itrack_.b, itrack_.lastB,
-                     itrack_.prevLine);
-        releaseTrack(dcache_, dtrack_.a, dtrack_.b, dtrack_.lastB,
-                     dtrack_.prevLine);
+        itrack_.release(icache_);
+        dtrack_.release(dcache_);
     }
 
     const CoreConfig config_;
@@ -1049,34 +1134,43 @@ class FastTile final : public Tile
     // Scoreboard: index NUM_REGS is the retired NZCV slot kept for
     // layout, NUM_REGS + 1 (kReadPad) is never written and pads
     // readRegs slots, NUM_REGS + 2 (kWritePad) absorbs writebacks of
-    // ops with no destination; the NZCV ready cycle is flagsReady_.
+    // ops with no destination; the NZCV ready cycle is
+    // LoopState::flagsReady.
     uint64_t regReady_[NUM_REGS + 3] = {};
-    uint64_t flagsReady_ = 0;
-    uint64_t issueCycle_ = 0;
-    unsigned slotsUsed_ = 0;
-    bool memPortUsed_ = false;
-    bool mulUnitUsed_ = false;
-    uint64_t frontReady_ = 0;
-    uint64_t lastIssue_ = 0;
 
     static constexpr uint64_t kNoFetchWord = ~0ull;
-    uint64_t prevWordAddr_ = kNoFetchWord; //!< packed-fetch buffer tag
-    uint64_t index_ = 0;
-    uint64_t retired_ = 0; //!< watchdog / fault-schedule clock
 
-    // The RunResult counters (retired_ is the instruction count).
-    uint64_t annulled_ = 0;
-    uint64_t takenBranches_ = 0;
-    uint64_t dmemAccesses_ = 0;
-    uint64_t toggleBits_ = 0;
-    uint64_t bitsTotal_ = 0;
-    uint64_t refillWords_ = 0;
-    bool seqFetch_ = true;
-    uint32_t dynEnc_ = 0;
+    /**
+     * The loop's scalar state. stepImpl works on one local copy the
+     * compiler can keep in registers, so no field's address may leave
+     * it: a pointer into it, or a lambda capture nested in another
+     * closure, pins the whole copy to the stack.
+     */
+    struct LoopState
+    {
+        // Issue timing: the scoreboard's flag slot, the issue slot,
+        // port and unit state, and the front end.
+        uint64_t flagsReady = 0, issueCycle = 0;
+        unsigned slotsUsed = 0;
+        bool memPortUsed = false, mulUnitUsed = false;
+        uint64_t frontReady = 0, lastIssue = 0;
 
-    //! Ops retired inside a superblock batch (the rest took the per-op
-    //! entry): a host-independent work counter, tallied at finish().
-    uint64_t batchedOps_ = 0;
+        uint64_t prevWordAddr = kNoFetchWord; //!< packed-fetch buffer tag
+        uint64_t index = 0;
+        uint64_t retired = 0; //!< watchdog / fault-schedule clock
+
+        // The RunResult counters (retired is the instruction count).
+        uint64_t annulled = 0, takenBranches = 0, dmemAccesses = 0;
+        uint64_t toggleBits = 0, bitsTotal = 0, refillWords = 0;
+        // Sequential-fetch toggle fast path: while control flow arrives
+        // sequentially the per-op toggle count is the predecoded
+        // toggleSeq; only the first fetch after a taken branch runs
+        // the XOR + popcount against its encoding (dynEnc).
+        bool seqFetch = true;
+        uint32_t dynEnc = 0;
+        uint64_t batchedOps = 0; //!< ops retired in superblock batches
+    };
+    LoopState loop_;
 
     LineTrack itrack_;
     LineTrack dtrack_;
@@ -1147,30 +1241,19 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
     const unsigned dline_shift = static_cast<unsigned>(
         std::countr_zero(config_.dcache.lineBytes));
 
-    // Hot config fields mirrored into locals: the indirect handler
-    // call makes every member reload non-hoistable for the compiler,
-    // so the loop keeps its own copies of these and of the loop state
-    // below, stored back when the step ends.
+    // Hot config fields and the loop state mirrored into locals: the
+    // indirect handler call makes every member reload non-hoistable,
+    // so the loop works on copies and stores the state back once.
     const uint64_t max_instructions = config_.maxInstructions;
     const unsigned issue_width = config_.issueWidth;
     const uint32_t icache_miss_penalty = config_.icacheMissPenalty;
     const uint32_t dcache_miss_penalty = config_.dcacheMissPenalty;
     const uint32_t branch_penalty = config_.branchPenalty;
 
-    uint64_t annulled = annulled_;
-    uint64_t taken_branches = takenBranches_;
-    uint64_t dmem_accesses = dmemAccesses_;
-    uint64_t toggle_bits = toggleBits_;
-    uint64_t bits_total = bitsTotal_;
-    uint64_t refill_words = refillWords_;
-    uint64_t batched_ops = batchedOps_;
-
-    // Sequential-fetch toggle fast path: while control flow arrives
-    // sequentially the per-op toggle count is the predecoded
-    // toggleSeq; only the first fetch after a taken branch runs the
-    // XOR + popcount against the branch site's encoding.
-    bool seq_fetch = seqFetch_;
-    uint32_t dyn_enc = dynEnc_;
+    LoopState s = loop_;
+    uint64_t reg_ready[NUM_REGS + 3];
+    std::copy(std::begin(regReady_), std::end(regReady_),
+              std::begin(reg_ready));
 
     // Two-line streak accumulators per cache: repeat hits of a
     // tracked line are counted in registers and flushed through
@@ -1179,88 +1262,21 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
     // the step runs the locals own them; the members stay empty, so a
     // coherence action triggered by this step's own L2 calls finds
     // nothing stale to flush (releaseTracks).
-    Streak istreak_a = itrack_.a, istreak_b = itrack_.b;
-    Streak dstreak_a = dtrack_.a, dstreak_b = dtrack_.b;
-    bool ilast_b = itrack_.lastB;
-    bool dlast_b = dtrack_.lastB;
-
-    // The line of the dynamically previous access per cache, mirroring
-    // Cache::lastLineAddr() across streak touches (which do not update
-    // the Cache-internal hint): a streak touch is a way-memo hit only
-    // when the access before it was to the same line. Full accesses
-    // count memo hits inside Cache — at a full-access site the hint is
-    // either kNoLine or one of the tracked streak lines, and the new
-    // line is neither, so the internal check agrees with prev_*line —
-    // and resync the mirror afterwards.
-    uint64_t prev_iline = itrack_.prevLine;
-    uint64_t prev_dline = dtrack_.prevLine;
-    itrack_ = LineTrack{};
-    dtrack_ = LineTrack{};
-
-    uint64_t reg_ready[NUM_REGS + 3];
-    std::copy(std::begin(regReady_), std::end(regReady_),
-              std::begin(reg_ready));
-    uint64_t flags_ready = flagsReady_;
-    uint64_t issue_cycle = issueCycle_;
-    unsigned slots_used = slotsUsed_;
-    bool mem_port_used = memPortUsed_;
-    bool mul_unit_used = mulUnitUsed_;
-    uint64_t front_ready = frontReady_;
-    uint64_t last_issue = lastIssue_;
-
-    constexpr uint64_t no_fetch_word = kNoFetchWord;
-    uint64_t prev_word_addr = prevWordAddr_;
-    uint64_t index = index_;
-    uint64_t retired = retired_;
+    LineTrack itrack = std::exchange(itrack_, LineTrack{});
+    LineTrack dtrack = std::exchange(dtrack_, LineTrack{});
 
     // This step ends once `stop` instructions have retired in total;
     // the watchdog and the quantum share one clamp for superblocks.
     const uint64_t stop =
-        budget > ~0ull - retired ? ~0ull : retired + budget;
+        budget > ~0ull - s.retired ? ~0ull : s.retired + budget;
     const uint64_t limit = std::min(stop, max_instructions);
 
     // A remote tile may have invalidated the buffered I-line between
     // our quanta.
     if (fetchPoisoned_) {
-        prev_word_addr = no_fetch_word;
+        s.prevWordAddr = kNoFetchWord;
         fetchPoisoned_ = false;
     }
-
-    // The L2 seam: release both caches' streaks before the call (the
-    // directory may drop or clean any of our lines, the requesting
-    // tile included), and resync the memo mirrors and the packed-fetch
-    // buffer after it.
-    auto beforeL2 = [&]() __attribute__((always_inline))
-    {
-        releaseTrack(icache, istreak_a, istreak_b, ilast_b, prev_iline);
-        releaseTrack(dcache, dstreak_a, dstreak_b, dlast_b, prev_dline);
-    };
-    auto afterL2 = [&]() __attribute__((always_inline))
-    {
-        prev_iline = icache.lastLineAddr();
-        prev_dline = dcache.lastLineAddr();
-        if (fetchPoisoned_) {
-            prev_word_addr = no_fetch_word;
-            fetchPoisoned_ = false;
-        }
-    };
-    // An L1 miss's penalty: @p flat without an L2; with one, the fill
-    // through the directory, after draining a dirty victim so its data
-    // is in the L2 when the fill's own victim selection runs.
-    auto missPenalty = [&](uint32_t flat, const CacheAccessResult &res,
-                           uint32_t addr, bool write)
-        __attribute__((always_inline)) -> uint32_t
-    {
-        if (!l2)
-            return flat;
-        beforeL2();
-        if (res.writeback)
-            l2->l1Writeback(tileId_, addrBase_ + res.victimAddr);
-        const uint32_t penalty =
-            l2->accessFill(tileId_, addrBase_ + addr, write);
-        afterL2();
-        return penalty;
-    };
 
     // Superblock dispatch (the zero-observer, zero-fault stamps only):
     // ops are retired a run at a time, so the bounds/watchdog checks
@@ -1276,6 +1292,77 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
     [[maybe_unused]] const uint32_t *const seg_ops = trace.segOps.data();
     [[maybe_unused]] const uint32_t *const word_pre = trace.wordPre.data();
     [[maybe_unused]] const uint64_t *const seq_pre = trace.seqPre.data();
+
+    // The one I-fetch: op k's I-line supplies @p words (>= 1) words to
+    // ops [k, j), one word per op or a superblock's same-line segment.
+    // A tracked streak takes them all as repeats; otherwise the first
+    // word is one full access and the line is re-armed with words - 1
+    // pending. For the superblock's trap back-out, @p tracked says
+    // itrack.last() holds them and @p first_memo that the first word
+    // was a memo hit. A parity error returns at once. The loop state is
+    // a parameter, not a capture: fetchSeg captures this lambda, and a
+    // nested capture would pin the LoopState to the stack.
+    auto fetchLine = [&](LoopState &s, uint64_t k, uint64_t j,
+                         uint32_t words, bool &tracked, bool &first_memo)
+        __attribute__((always_inline)) -> CacheAccessResult
+    {
+        const uint32_t addr = code[k].addr;
+        const uint64_t iline = addr >> iline_shift;
+        // A guaranteed clean re-hit of a tracked line: the first word
+        // is a memo hit iff the access before it was in this line;
+        // the words - 1 that follow all are.
+        first_memo = iline == itrack.prevLine;
+        tracked = itrack.touch(iline, words, false);
+        if (tracked)
+            return CacheAccessResult{.hit = true};
+        itrack.flush(icache);
+        const CacheAccessResult f = icache.accessFast(addr, false);
+        // Full accesses memo-count inside the Cache; resync the mirror
+        // to the line they left resident.
+        itrack.prevLine = icache.lastLineAddr();
+        // Without a fault plan (every superblock stamp) parity errors
+        // and corrupt deliveries cannot occur.
+        if constexpr (HasFaults) {
+            if (f.parityError)
+                return f;
+            // No checker: the flipped bits reach the decoder. The
+            // tag-only cache model cannot alter the functional stream,
+            // so the escape is counted rather than acted out (see
+            // docs/RESILIENCE.md).
+            if (f.corruptDelivered) {
+                faults->recordEscaped(FaultTarget::ICACHE);
+                if constexpr (HasExtra)
+                    extra->fault(FaultEvent{FaultTarget::ICACHE,
+                                            FaultEvent::Kind::Escaped,
+                                            s.retired, addr});
+            }
+        }
+        if (!f.hit) {
+            // The refill may have evicted a tracked line.
+            itrack.drop();
+            const uint32_t penalty =
+                l2 ? callL2(s, itrack, dtrack, addr, false, &f)
+                   : icache_miss_penalty;
+            s.frontReady = std::max(s.frontReady, s.lastIssue) + penalty;
+            s.refillWords += line_words;
+        }
+        // The first word went through the full access (which
+        // memo-counted it inside Cache); the rest are intra-line
+        // repeats. kept >= 1 always holds at a trap here, so first_memo
+        // is moot — keep the reconciliation formula uniform.
+        first_memo = true;
+        tracked = itrack.arm(icache, iline, words - 1, true);
+        if (!tracked) {
+            // Unreachable without fault injection — a read always
+            // leaves its line resident — but stay exact: access the
+            // rest of the words in full.
+            for (uint64_t w = k + 1; w < j; ++w)
+                if (word_pre[w + 1] != word_pre[w])
+                    icache.accessFast(code[w].addr, false);
+            itrack.prevLine = icache.lastLineAddr();
+        }
+        return f;
+    };
 
     // One instruction through execute, issue timing, data-memory
     // timing, writeback and commit. Shared by the per-op entry path
@@ -1417,11 +1504,11 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
         }
 
         // --- issue timing --------------------------------------------
-        const uint64_t prev_issue = last_issue;
-        const uint64_t base_ready = std::max(front_ready, last_issue);
+        const uint64_t prev_issue = s.lastIssue;
+        const uint64_t base_ready = std::max(s.frontReady, s.lastIssue);
         uint64_t earliest = base_ready;
         if (op.flags & kReadsFlags)
-            earliest = std::max(earliest, flags_ready);
+            earliest = std::max(earliest, s.flagsReady);
         // Fixed-width operand probe, sized for the common case: at
         // most two register sources (pad slots read the never-written
         // kReadPad entry, always cycle 0). Three- and four-source
@@ -1452,42 +1539,42 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
         const bool wants_mul =
             executed && (op.flags & kIsMulDiv) != 0;
         bool structural_stall = false;
-        if (earliest == issue_cycle) {
-            if (slots_used >= issue_width ||
-                (wants_mem && mem_port_used) ||
-                (wants_mul && mul_unit_used)) {
+        if (earliest == s.issueCycle) {
+            if (s.slotsUsed >= issue_width ||
+                (wants_mem && s.memPortUsed) ||
+                (wants_mul && s.mulUnitUsed)) {
                 earliest += 1;
                 structural_stall = true;
             }
         }
-        if (earliest != issue_cycle) {
-            issue_cycle = earliest;
-            slots_used = 0;
-            mem_port_used = false;
-            mul_unit_used = false;
+        if (earliest != s.issueCycle) {
+            s.issueCycle = earliest;
+            s.slotsUsed = 0;
+            s.memPortUsed = false;
+            s.mulUnitUsed = false;
         }
-        ++slots_used;
-        mem_port_used = mem_port_used || wants_mem;
-        mul_unit_used = mul_unit_used || wants_mul;
-        last_issue = issue_cycle;
+        ++s.slotsUsed;
+        s.memPortUsed = s.memPortUsed || wants_mem;
+        s.mulUnitUsed = s.mulUnitUsed || wants_mul;
+        s.lastIssue = s.issueCycle;
 
         if constexpr (HasExtra) {
             // Priority mirrors the computation above: a structural
             // bump is applied last, operand readiness can only raise a
             // front-end-ready baseline.
             StallReason reason = StallReason::None;
-            if (issue_cycle != prev_issue) {
+            if (s.issueCycle != prev_issue) {
                 reason = structural_stall ? StallReason::Structural
                          : operand_stall ? StallReason::Operands
                                          : StallReason::FrontEnd;
             }
-            extra->issue(IssueEvent{op_index, issue_cycle, slots_used - 1,
-                                    issue_cycle - prev_issue, reason});
+            extra->issue(IssueEvent{op_index, s.issueCycle, s.slotsUsed - 1,
+                                    s.issueCycle - prev_issue, reason});
         }
 
         // --- data memory timing --------------------------------------
         const uint32_t extra_latency = executed ? op.baseLatency : 0u;
-        uint64_t result_ready = issue_cycle + 1 + extra_latency;
+        uint64_t result_ready = s.issueCycle + 1 + extra_latency;
         // The memory list is only meaningful when an executed memory
         // op wrote it this dispatch; stale entries are never read.
         const unsigned num_mem = wants_mem ? ctx.numMem : 0u;
@@ -1495,86 +1582,48 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
             const uint32_t daddr = ctx.memAcc[m].addr;
             const bool dwrite = ctx.memAcc[m].write;
             const uint64_t dline = daddr >> dline_shift;
-            CacheAccessResult dres;
-            // A streak absorbs a write only when its line needs no
-            // S->M upgrade (Streak::writeOk).
-            if (dline == dstreak_a.line &&
-                (!dwrite || dstreak_a.writeOk)) {
-                if (dwrite)
-                    ++dstreak_a.writes;
+            CacheAccessResult dres{.hit = true};
+            if (!dtrack.touch(dline, 1, dwrite)) {
+                // A write its line's streak may not absorb: the full
+                // access below memo-counts against the cache's own hint,
+                // so point that at the mirror first (and stop tracking,
+                // so the line is re-armed fresh below).
+                if (dline == dtrack.a.line || dline == dtrack.b.line)
+                    dtrack.release(dcache);
                 else
-                    ++dstreak_a.reads;
-                dstreak_a.memoHits += dline == prev_dline ? 1u : 0u;
-                prev_dline = dline;
-                dlast_b = false;
-                dres.hit = true;
-            } else if (dline == dstreak_b.line &&
-                       (!dwrite || dstreak_b.writeOk)) {
-                if (dwrite)
-                    ++dstreak_b.writes;
-                else
-                    ++dstreak_b.reads;
-                dstreak_b.memoHits += dline == prev_dline ? 1u : 0u;
-                prev_dline = dline;
-                dlast_b = true;
-                dres.hit = true;
-            } else {
-                if (dline == dstreak_a.line || dline == dstreak_b.line) {
-                    // A write its line's streak may not absorb: the
-                    // full access below memo-counts against the
-                    // cache's own hint, so point that at the mirror
-                    // first (and stop tracking, so the line is
-                    // re-armed fresh below).
-                    releaseTrack(dcache, dstreak_a, dstreak_b, dlast_b,
-                                 prev_dline);
-                } else {
-                    flushStreakPair(dcache, dstreak_a, dstreak_b,
-                                    dlast_b);
-                }
+                    dtrack.flush(dcache);
                 dres = dcache.accessFast(daddr, dwrite);
-                prev_dline = dcache.lastLineAddr();
-                if (!dres.hit) {
-                    // A refill may have evicted a tracked line.
-                    dstreak_a.line = Cache::kNoLine;
-                    dstreak_b.line = Cache::kNoLine;
-                }
-                if (dcache.lastLineAddr() == dline) {
-                    Streak &victim = dlast_b ? dstreak_a : dstreak_b;
-                    victim.line = dline;
-                    victim.idx = dcache.lastHitIdx();
-                    victim.reads = 0;
-                    victim.writes = 0;
-                    victim.memoHits = 0;
-                    // Without an L2 no write ever needs an upgrade;
-                    // with one, only a line this access wrote is
-                    // known to be held Modified.
-                    victim.writeOk = !l2 || dwrite;
-                    dlast_b = !dlast_b;
-                }
+                dtrack.prevLine = dcache.lastLineAddr();
+                // A refill may have evicted a tracked line.
+                if (!dres.hit)
+                    dtrack.drop();
+                // Without an L2 no write ever needs an upgrade; with
+                // one, only a line this access wrote is known to be
+                // held Modified.
+                dtrack.arm(dcache, dline, 0, !l2 || dwrite);
             }
-            ++dmem_accesses;
+            ++s.dmemAccesses;
             if constexpr (HasExtra)
                 extra->dataAccess(
                     DataAccessEvent{op_index, daddr, dwrite, dres});
             if (!dres.hit) {
                 const uint32_t penalty =
-                    missPenalty(dcache_miss_penalty, dres, daddr, dwrite);
+                    l2 ? callL2(s, itrack, dtrack, daddr, dwrite, &dres)
+                       : dcache_miss_penalty;
                 // Blocking cache: the whole pipeline waits.
                 result_ready += penalty;
-                front_ready =
-                    std::max(front_ready, issue_cycle + penalty);
+                s.frontReady =
+                    std::max(s.frontReady, s.issueCycle + penalty);
             } else if (dres.writeUpgrade && l2) {
                 // Write hit on a clean line: the S->M edge. Remote
                 // copies are invalidated; only then may this store's
                 // data land.
-                beforeL2();
-                const unsigned penalty =
-                    l2->upgradeForWrite(tileId_, addrBase_ + daddr);
-                afterL2();
+                const uint32_t penalty =
+                    callL2(s, itrack, dtrack, daddr, true, nullptr);
                 if (penalty != 0) {
                     result_ready += penalty;
-                    front_ready =
-                        std::max(front_ready, issue_cycle + penalty);
+                    s.frontReady =
+                        std::max(s.frontReady, s.issueCycle + penalty);
                 }
             }
         }
@@ -1589,30 +1638,30 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                         reg_ready[std::countr_zero(m)] = result_ready;
                     if (op.flags & kBaseWb)
                         reg_ready[op.rn] =
-                            std::max(reg_ready[op.rn], issue_cycle + 1);
+                            std::max(reg_ready[op.rn], s.issueCycle + 1);
                 } else if (op.flags & kIsLongMul) {
                     reg_ready[op.rd] = result_ready;
                     reg_ready[op.ra] = result_ready;
                 }
                 if ((op.flags & kIsStm) && (op.flags & kBaseWb))
                     reg_ready[op.rn] =
-                        std::max(reg_ready[op.rn], issue_cycle + 1);
+                        std::max(reg_ready[op.rn], s.issueCycle + 1);
                 if (op.flags & kSetsFlags)
-                    flags_ready = result_ready;
+                    s.flagsReady = result_ready;
             } else {
                 // Common shapes: one unconditional store (destination
                 // or the kWritePad scratch slot) and a flag-select.
                 // S-forms deliver NZCV with the result: a dependent
                 // conditional or ADC must not issue early.
                 reg_ready[op.wbReg] = result_ready;
-                flags_ready = (op.flags & kSetsFlags) ? result_ready
-                                                      : flags_ready;
+                s.flagsReady = (op.flags & kSetsFlags) ? result_ready
+                                                      : s.flagsReady;
             }
         }
 
         // --- commit / control flow -----------------------------------
         if (!executed)
-            ++annulled; // a failed condition implies cond != AL
+            ++s.annulled; // a failed condition implies cond != AL
         if constexpr (InRun)
             return;
         const bool branch_taken =
@@ -1637,32 +1686,32 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                                ? op.wbReg : 0xff;
             info.extraLatency = extra_latency;
             extra->commit(CommitEvent{op_index, op.uop, &info,
-                                      issue_cycle});
+                                      s.issueCycle});
         }
-        ++retired;
+        ++s.retired;
         if (branch_taken) {
-            ++taken_branches;
-            front_ready = std::max(front_ready,
-                                   issue_cycle + 1 + branch_penalty);
+            ++s.takenBranches;
+            s.frontReady = std::max(s.frontReady,
+                                   s.issueCycle + 1 + branch_penalty);
             // The next fetch's toggle predecessor is this branch, not
             // the static index - 1 op: take the dynamic toggle path.
-            seq_fetch = false;
-            dyn_enc = op.encoding;
+            s.seqFetch = false;
+            s.dynEnc = op.encoding;
         }
-        index = next_index;
+        s.index = next_index;
     };
 
     try {
-    while (!ctx.state.halted && retired < stop) {
-        if (index >= num_insns) {
-            if (index == AddrCodec::kBadIndex)
+    while (!ctx.state.halted && s.retired < stop) {
+        if (s.index >= num_insns) {
+            if (s.index == AddrCodec::kBadIndex)
                 trap("%s/%s: control transfer below the code base",
                      result_.benchmark.c_str(), result_.config.c_str());
             trap("%s/%s: fell off the end of the program at index %llu",
                  result_.benchmark.c_str(), result_.config.c_str(),
-                 static_cast<unsigned long long>(index));
+                 static_cast<unsigned long long>(s.index));
         }
-        if (retired >= max_instructions) {
+        if (s.retired >= max_instructions) {
             // Runaway guard: report the expiry with partial statistics
             // instead of tearing the whole sweep down.
             result_.outcome = RunOutcome::WatchdogExpired;
@@ -1676,161 +1725,97 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
 
         // --- soft-error injection ------------------------------------
         if constexpr (HasFaults) {
-            if (faults->due(FaultTarget::ICACHE, retired)) {
-                flushStreakPair(icache, istreak_a, istreak_b, ilast_b);
+            if (faults->due(FaultTarget::ICACHE, s.retired)) {
+                itrack.flush(icache);
                 if (icache.injectBitFlip(faults->rng())) {
                     // The struck line may be a tracked streak line and
                     // is now corrupt: drop both so its next touch goes
                     // through the parity-checking full access.
-                    istreak_a.line = Cache::kNoLine;
-                    istreak_b.line = Cache::kNoLine;
+                    itrack.drop();
                     // injectBitFlip cleared the repeat hint, and a
                     // per-access run would no longer memo-count the
                     // next same-line fetch; mirror that.
-                    prev_iline = Cache::kNoLine;
+                    itrack.prevLine = Cache::kNoLine;
                     faults->recordInjected(FaultTarget::ICACHE);
                     if constexpr (HasExtra)
                         extra->fault(
                             FaultEvent{FaultTarget::ICACHE,
                                        FaultEvent::Kind::Injected,
-                                       retired, 0});
+                                       s.retired, 0});
                     // Packed-fetch buffer contract (sim/machine.hh):
                     // drop the buffered word so parity can see the
                     // corruption.
-                    prev_word_addr = no_fetch_word;
+                    s.prevWordAddr = kNoFetchWord;
                 }
             }
-            if (faults->due(FaultTarget::MEMORY, retired) &&
+            if (faults->due(FaultTarget::MEMORY, s.retired) &&
                 mem.injectBitFlip(faults->rng())) {
                 faults->recordInjected(FaultTarget::MEMORY);
                 if constexpr (HasExtra)
                     extra->fault(FaultEvent{FaultTarget::MEMORY,
                                             FaultEvent::Kind::Injected,
-                                            retired, 0});
+                                            s.retired, 0});
             }
         }
 
-        [[maybe_unused]] const uint64_t run_base = index;
+        [[maybe_unused]] const uint64_t run_base = s.index;
         uint64_t span = 1;
         if constexpr (RunBatch) {
             // Clamp to the watchdog and quantum budget so both expire
             // at exactly the same op as on the per-op path.
             if (batch_ok) {
-                span = run_len[index];
-                const uint64_t room = limit - retired;
+                span = run_len[s.index];
+                const uint64_t room = limit - s.retired;
                 if (span > room)
                     span = room;
             }
         }
 
-        const FastOp &op = code[index];
+        const FastOp &op = code[s.index];
         const uint32_t addr = op.addr;
 
         // --- fetch ---------------------------------------------------
         bool new_word = true;
         if constexpr (Packed) {
-            new_word = (addr >> 2) != prev_word_addr;
-            prev_word_addr = addr >> 2;
+            new_word = (addr >> 2) != s.prevWordAddr;
+            s.prevWordAddr = addr >> 2;
         }
         CacheAccessResult fetch;
-        if (new_word) {
-            const uint64_t iline = addr >> iline_shift;
-            if (iline == istreak_a.line) {
-                // Guaranteed clean re-hit of a tracked line.
-                ++istreak_a.reads;
-                istreak_a.memoHits += iline == prev_iline ? 1u : 0u;
-                prev_iline = iline;
-                ilast_b = false;
-                fetch.hit = true;
-            } else if (iline == istreak_b.line) {
-                ++istreak_b.reads;
-                istreak_b.memoHits += iline == prev_iline ? 1u : 0u;
-                prev_iline = iline;
-                ilast_b = true;
-                fetch.hit = true;
-            } else {
-                flushStreakPair(icache, istreak_a, istreak_b, ilast_b);
-                fetch = icache.accessFast(addr, false);
-                // Full accesses memo-count inside the Cache; resync
-                // the mirror to the line they left resident.
-                prev_iline = icache.lastLineAddr();
-                if (fetch.parityError) {
-                    // Machine-check: parity caught a corrupt line on
-                    // consumption. The run is not trustworthy past
-                    // this point; the harness reloads and retries. No
-                    // FetchEvent is emitted for the poisoned word, and
-                    // the packed-fetch buffer is emptied so no stale
-                    // word survives the detection.
-                    if constexpr (HasFaults)
-                        faults->recordDetected(FaultTarget::ICACHE);
-                    if constexpr (HasExtra)
-                        extra->fault(
-                            FaultEvent{FaultTarget::ICACHE,
-                                       FaultEvent::Kind::Detected,
-                                       retired, addr});
-                    prev_word_addr = no_fetch_word;
-                    result_.outcome = RunOutcome::FaultDetected;
-                    result_.trapReason = detail::format(
-                        "%s/%s: I-cache parity error at 0x%08x",
-                        result_.benchmark.c_str(),
-                        result_.config.c_str(), addr);
-                    done_ = true;
-                    break;
-                }
-                if constexpr (HasFaults) {
-                    // No checker: the flipped bits reach the decoder.
-                    // The tag-only cache model cannot alter the
-                    // functional stream, so the escape is counted
-                    // rather than acted out (see docs/RESILIENCE.md).
-                    if (fetch.corruptDelivered) {
-                        faults->recordEscaped(FaultTarget::ICACHE);
-                        if constexpr (HasExtra)
-                            extra->fault(
-                                FaultEvent{FaultTarget::ICACHE,
-                                           FaultEvent::Kind::Escaped,
-                                           retired, addr});
-                    }
-                }
-                if (!fetch.hit) {
-                    // The refill may have evicted a tracked line from
-                    // its set: residency is no longer guaranteed, so
-                    // drop both (their pendings are already flushed).
-                    istreak_a.line = Cache::kNoLine;
-                    istreak_b.line = Cache::kNoLine;
-                    const uint32_t penalty = missPenalty(
-                        icache_miss_penalty, fetch, addr, false);
-                    front_ready =
-                        std::max(front_ready, last_issue) + penalty;
-                }
-                // Track the line if it is resident and clean (the
-                // repeat-hint contract): replace the older streak so
-                // an alternating pair converges to both being tracked.
-                if (icache.lastLineAddr() == iline) {
-                    Streak &victim = ilast_b ? istreak_a : istreak_b;
-                    victim.line = iline;
-                    victim.idx = icache.lastHitIdx();
-                    victim.reads = 0;
-                    victim.writes = 0;
-                    victim.memoHits = 0;
-                    ilast_b = !ilast_b;
-                }
-            }
+        bool tracked, first_memo; // for the superblock back-out only
+        if (new_word)
+            fetch = fetchLine(s, s.index, s.index + 1, 1, tracked, first_memo);
+        if (HasFaults && fetch.parityError) {
+            // Machine-check: parity caught a corrupt line on consumption.
+            // The run is not trustworthy past this point; the harness
+            // reloads and retries. No FetchEvent is emitted for the
+            // poisoned word, and the packed-fetch buffer is emptied so
+            // no stale word survives the detection.
+            faults->recordDetected(FaultTarget::ICACHE);
+            if constexpr (HasExtra)
+                extra->fault(FaultEvent{FaultTarget::ICACHE,
+                                        FaultEvent::Kind::Detected,
+                                        s.retired, addr});
+            s.prevWordAddr = kNoFetchWord;
+            result_.outcome = RunOutcome::FaultDetected;
+            result_.trapReason = detail::format(
+                "%s/%s: I-cache parity error at 0x%08x",
+                result_.benchmark.c_str(), result_.config.c_str(), addr);
+            done_ = true;
+            break;
         }
-        if (seq_fetch) {
-            toggle_bits += op.toggleSeq;
+        if (s.seqFetch) {
+            s.toggleBits += op.toggleSeq;
         } else {
-            toggle_bits += popcount32((op.encoding ^ dyn_enc) &
+            s.toggleBits += popcount32((op.encoding ^ s.dynEnc) &
                                       enc_mask);
-            seq_fetch = true;
+            s.seqFetch = true;
         }
-        bits_total += fetch_bits;
-        if (new_word && !fetch.hit)
-            refill_words += line_words;
+        s.bitsTotal += fetch_bits;
         if constexpr (HasExtra)
-            extra->fetch(FetchEvent{index, addr, op.encoding,
+            extra->fetch(FetchEvent{s.index, addr, op.encoding,
                                     fetch_bits, new_word, fetch,
                                     line_words});
-        retire.template operator()<false>(op, index);
+        retire.template operator()<false>(op, s.index);
 
         // --- superblock batch --------------------------------------
         // The remaining ops of the run (none unless RunBatch): fetch
@@ -1848,7 +1833,7 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
             const uint64_t run_end = run_base + span;
             uint64_t k = run_base + 1;
             uint64_t fetched_to = k;
-            Streak *seg_streak = nullptr;
+            bool seg_tracked = false; // itrack.last() holds its repeats
             // Trap-site memo reconciliation state for the open
             // segment: the word-prefix index of its first word and
             // whether that first word was itself a memo hit.
@@ -1864,79 +1849,10 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                               : k + std::min<uint64_t>(seg_ops[k],
                                                        run_end - k);
                 const uint32_t words = word_pre[j] - word_pre[k];
-                seg_streak = nullptr;
+                seg_tracked = false;
                 seg_word_base = word_pre[k];
-                if (words != 0) {
-                    const uint64_t iline = code[k].addr >> iline_shift;
-                    if (iline == istreak_a.line) {
-                        // The segment's first word is a memo hit iff
-                        // the access before it was in this line; the
-                        // words - 1 that follow all are.
-                        seg_first_memo = iline == prev_iline;
-                        istreak_a.reads += words;
-                        istreak_a.memoHits +=
-                            words - 1 + (seg_first_memo ? 1u : 0u);
-                        prev_iline = iline;
-                        ilast_b = false;
-                        seg_streak = &istreak_a;
-                    } else if (iline == istreak_b.line) {
-                        seg_first_memo = iline == prev_iline;
-                        istreak_b.reads += words;
-                        istreak_b.memoHits +=
-                            words - 1 + (seg_first_memo ? 1u : 0u);
-                        prev_iline = iline;
-                        ilast_b = true;
-                        seg_streak = &istreak_b;
-                    } else {
-                        flushStreakPair(icache, istreak_a, istreak_b,
-                                        ilast_b);
-                        const CacheAccessResult f =
-                            icache.accessFast(code[k].addr, false);
-                        prev_iline = icache.lastLineAddr();
-                        // No fault plan is active (RunBatch), so
-                        // parity errors and corrupt deliveries cannot
-                        // occur here.
-                        if (!f.hit) {
-                            istreak_a.line = Cache::kNoLine;
-                            istreak_b.line = Cache::kNoLine;
-                            const uint32_t penalty = missPenalty(
-                                icache_miss_penalty, f, code[k].addr,
-                                false);
-                            front_ready =
-                                std::max(front_ready, last_issue) +
-                                penalty;
-                            refill_words += line_words;
-                        }
-                        if (icache.lastLineAddr() == iline) {
-                            Streak &victim =
-                                ilast_b ? istreak_a : istreak_b;
-                            victim.line = iline;
-                            victim.idx = icache.lastHitIdx();
-                            // The first word went through the full
-                            // access (which memo-counted it inside
-                            // Cache); the rest are intra-line repeats.
-                            // kept >= 1 always holds at a trap here,
-                            // so seg_first_memo is moot — keep the
-                            // reconciliation formula uniform.
-                            victim.reads = words - 1;
-                            victim.writes = 0;
-                            victim.memoHits = words - 1;
-                            seg_first_memo = true;
-                            ilast_b = !ilast_b;
-                            seg_streak = &victim;
-                        } else {
-                            // Unreachable without fault injection — a
-                            // read always leaves its line resident —
-                            // but stay exact: access the rest of the
-                            // segment's words in full.
-                            for (uint64_t w = k + 1; w < j; ++w)
-                                if (word_pre[w + 1] != word_pre[w])
-                                    icache.accessFast(code[w].addr,
-                                                      false);
-                            prev_iline = icache.lastLineAddr();
-                        }
-                    }
-                }
+                if (words != 0)
+                    fetchLine(s, k, j, words, seg_tracked, seg_first_memo);
                 fetched_to = j;
             };
             const uint64_t last = run_end - 1;
@@ -1950,8 +1866,8 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                 if (k == fetched_to)
                     fetchSeg(k);
                 retire.template operator()<false>(code[last], last);
-                retired += span - 2;
-                batched_ops += span - 1;
+                s.retired += span - 2;
+                s.batchedOps += span - 1;
             } catch (const TrapError &) {
                 // Op k trapped during execute: the per-op path counts
                 // its fetch but nothing behind it. The batch counters
@@ -1959,31 +1875,32 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                 // the partial run; the segment's eagerly-counted
                 // repeat hits beyond op k are backed out of the
                 // streak counter that took them.
-                toggle_bits += seq_pre[k + 1] - seq_pre[run_base + 1];
-                bits_total += (k - run_base) * fetch_bits;
-                retired += k - (run_base + 1);
-                batched_ops += k - (run_base + 1);
-                if (seg_streak != nullptr) {
+                s.toggleBits += seq_pre[k + 1] - seq_pre[run_base + 1];
+                s.bitsTotal += (k - run_base) * fetch_bits;
+                s.retired += k - (run_base + 1);
+                s.batchedOps += k - (run_base + 1);
+                if (seg_tracked) {
                     const uint32_t backed =
                         word_pre[fetched_to] - word_pre[k + 1];
                     const uint32_t kept =
                         word_pre[k + 1] - seg_word_base;
-                    seg_streak->reads -= backed;
                     // The memo back-out matches the eager count: every
                     // backed-out word was counted as a memo hit except,
                     // when nothing of the segment survives, the first
                     // word — whose memo credit depended on the line
                     // the segment entered with (seg_first_memo).
-                    seg_streak->memoHits -=
-                        (kept == 0 && !seg_first_memo) ? backed - 1
-                                                       : backed;
+                    Streak &seg = itrack.last();
+                    seg.reads -= backed;
+                    seg.memoHits -= (kept == 0 && !seg_first_memo)
+                                        ? backed - 1
+                                        : backed;
                 }
                 throw;
             }
-            toggle_bits += seq_pre[run_end] - seq_pre[run_base + 1];
-            bits_total += (run_end - (run_base + 1)) * fetch_bits;
+            s.toggleBits += seq_pre[run_end] - seq_pre[run_base + 1];
+            s.bitsTotal += (run_end - (run_base + 1)) * fetch_bits;
             if constexpr (Packed)
-                prev_word_addr = code[run_end - 1].addr >> 2;
+                s.prevWordAddr = code[run_end - 1].addr >> 2;
           }
         }
     }
@@ -1997,29 +1914,11 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
     if (ctx.state.halted)
         done_ = true;
 
-    annulled_ = annulled;
-    takenBranches_ = taken_branches;
-    dmemAccesses_ = dmem_accesses;
-    toggleBits_ = toggle_bits;
-    bitsTotal_ = bits_total;
-    refillWords_ = refill_words;
-    batchedOps_ = batched_ops;
-    seqFetch_ = seq_fetch;
-    dynEnc_ = dyn_enc;
-    itrack_ = LineTrack{istreak_a, istreak_b, ilast_b, prev_iline};
-    dtrack_ = LineTrack{dstreak_a, dstreak_b, dlast_b, prev_dline};
+    loop_ = s;
     std::copy(std::begin(reg_ready), std::end(reg_ready),
               std::begin(regReady_));
-    flagsReady_ = flags_ready;
-    issueCycle_ = issue_cycle;
-    slotsUsed_ = slots_used;
-    memPortUsed_ = mem_port_used;
-    mulUnitUsed_ = mul_unit_used;
-    frontReady_ = front_ready;
-    lastIssue_ = last_issue;
-    prevWordAddr_ = prev_word_addr;
-    index_ = index;
-    retired_ = retired;
+    itrack_ = itrack;
+    dtrack_ = dtrack;
 }
 
 void
@@ -2057,27 +1956,28 @@ FastTile::finish(const ObserverList *observers)
     // accumulated. Built-in totals publish before the external
     // observers' onRunEnd fan-out.
     releaseTracks();
-    result_.cycles = lastIssue_ + 4;
+    const LoopState &s = loop_;
+    result_.cycles = s.lastIssue + 4;
     result_.icache = icache_.stats();
     result_.dcache = dcache_.stats();
     result_.finalState = ctx_.state;
     result_.io = std::move(ctx_.io);
-    result_.instructions = retired_;
-    result_.annulled = annulled_;
-    result_.takenBranches = takenBranches_;
-    result_.dmemAccesses = dmemAccesses_;
-    result_.fetchToggleBits = toggleBits_;
-    result_.fetchBitsTotal = bitsTotal_;
-    result_.icacheRefillWords = refillWords_;
+    result_.instructions = s.retired;
+    result_.annulled = s.annulled;
+    result_.takenBranches = s.takenBranches;
+    result_.dmemAccesses = s.dmemAccesses;
+    result_.fetchToggleBits = s.toggleBits;
+    result_.fetchBitsTotal = s.bitsTotal;
+    result_.icacheRefillWords = s.refillWords;
 
     // The engine's exact work counters, tallied once per run rather
     // than in the loop: how many retired ops the superblock batches
     // carried and how many took the per-op entry. Host-independent,
     // so bench_regress.sh compares them exactly.
     if (MetricRegistry *metrics = MetricRegistry::current()) {
-        metrics->counter("engine.ops_batched").add(batchedOps_);
+        metrics->counter("engine.ops_batched").add(s.batchedOps);
         metrics->counter("engine.ops_per_op")
-            .add(retired_ - batchedOps_);
+            .add(s.retired - s.batchedOps);
     }
 
     if (observers && !observers->empty())

@@ -9,13 +9,13 @@
  * depends on: dual-issue pairing rules, load-use and multiply latencies,
  * taken-branch bubbles, and blocking I/D-cache misses.
  *
- * The Machine itself models only timing and architectural execution.
- * Every measurement — the RunResult counters, the activity counts the
- * power models consume (fetch-bus Hamming toggles, refill words), and
- * the fault accounting — is an observer over the typed event stream
- * the run emits (sim/probe.hh). External instruments (interval stats,
- * trace rings, anything new) register through an ObserverList without
- * touching this hot loop.
+ * The engine keeps the RunResult counters — including the activity
+ * counts the power models consume (fetch-bus Hamming toggles, refill
+ * words) — in its own loop state, and the fault plan keeps the fault
+ * accounting. Any other instrument (interval stats, trace rings,
+ * anything new) is an observer over the typed event stream the run
+ * emits (sim/probe.hh), registered through an ObserverList without
+ * touching the hot loop.
  *
  * The execution loop itself is a Tile (sim/tile.hh): Machine::run
  * builds one engine tile (sim/fastsim.cc) and steps it to completion,

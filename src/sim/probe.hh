@@ -7,12 +7,11 @@
  * measurement used to mean another edit to the Machine::run hot loop.
  * This layer gives the loop seams instead: the Machine emits typed
  * events (fetch, issue, commit, data access, fault, run end) and
- * observers consume them. The Machine itself keeps only timing and
- * architectural execution; every measurement, including the legacy
- * RunResult counters, is an observer.
+ * observers consume them.
  *
  * Performance contract: the RunResult counters are built into the
- * engine's loop (sim/fastsim.cc) as plain locals. External observers
+ * engine's loop (sim/fastsim.cc) as its own loop state, not observers,
+ * so they cost the zero-observer run nothing extra. External observers
  * go through an ObserverList registered up front; its empty fast path
  * is a single predictable branch per event site, so zero-observer runs
  * cost nothing measurable (numbers in docs/OBSERVABILITY.md).

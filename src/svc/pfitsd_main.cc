@@ -9,16 +9,20 @@
  */
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "common/logging.hh"
+#include "exp/parallel.hh"
 #include "exp/simcache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -47,7 +51,7 @@ usage(const char *argv0)
         "(default pfitsd-store)\n"
         "  --max-store-bytes N     LRU eviction budget "
         "(default 0 = unbounded)\n"
-        "  --jobs N                compute worker threads "
+        "  --jobs N                compute worker threads, 1..256 "
         "(default 2)\n"
         "  --simcache-max N        in-memory memo entry bound "
         "(default 0 = unbounded)\n"
@@ -63,16 +67,23 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Decimal digits only (strtoull alone would take a sign or leading
+ * space, and wrap "-1" to 2^64 - 1), value at most @p max. */
 bool
-parseU64(const char *s, uint64_t *out)
+parseU64(const char *s, uint64_t *out, uint64_t max = UINT64_MAX)
 {
+    if (*s < '0' || *s > '9')
+        return false;
     char *end = nullptr;
+    errno = 0;
     unsigned long long v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0')
+    if (*end != '\0' || errno == ERANGE || v > max)
         return false;
     *out = v;
     return true;
 }
+
+constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
 
 } // namespace
 
@@ -104,11 +115,13 @@ main(int argc, char **argv)
             }
             cfg.storeMaxBytes = v;
         } else if (arg == "--jobs") {
-            if (!parseU64(next("--jobs"), &v) || v == 0) {
+            const std::optional<unsigned> jobs =
+                pfits::parseJobCount(next("--jobs"));
+            if (!jobs || *jobs == 0) {
                 usage(argv[0]);
                 return 2;
             }
-            cfg.computeThreads = static_cast<unsigned>(v);
+            cfg.computeThreads = *jobs;
         } else if (arg == "--simcache-max") {
             if (!parseU64(next("--simcache-max"), &v)) {
                 usage(argv[0]);
@@ -116,20 +129,20 @@ main(int argc, char **argv)
             }
             simcache_max = v;
         } else if (arg == "--lease-ttl-ms") {
-            if (!parseU64(next("--lease-ttl-ms"), &v) || v == 0) {
+            if (!parseU64(next("--lease-ttl-ms"), &v, kIntMax) || v == 0) {
                 usage(argv[0]);
                 return 2;
             }
             cfg.leaseTtlMs = static_cast<int>(v);
         } else if (arg == "--default-deadline-ms") {
-            if (!parseU64(next("--default-deadline-ms"), &v) ||
+            if (!parseU64(next("--default-deadline-ms"), &v, kIntMax) ||
                 v == 0) {
                 usage(argv[0]);
                 return 2;
             }
             cfg.defaultDeadlineMs = static_cast<int>(v);
         } else if (arg == "--test-compute-delay-ms") {
-            if (!parseU64(next("--test-compute-delay-ms"), &v)) {
+            if (!parseU64(next("--test-compute-delay-ms"), &v, kIntMax)) {
                 usage(argv[0]);
                 return 2;
             }

@@ -26,18 +26,6 @@ namespace pfits
 namespace
 {
 
-/** The paper's core for @p id (mirrors Runner::coreConfig). */
-CoreConfig
-paperCoreConfig(ConfigId id)
-{
-    CoreConfig core;
-    core.name = configName(id);
-    core.icache.sizeBytes =
-        (id == ConfigId::ARM8 || id == ConfigId::FITS8) ? 8 * 1024
-                                                        : 16 * 1024;
-    return core;
-}
-
 /** Compare final states; registers set in @p skip_mask are excluded. */
 void
 compareRegs(const std::string &what, CpuState a, CpuState b,

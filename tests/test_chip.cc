@@ -14,10 +14,15 @@
 
 #include "common/logging.hh"
 #include "exp/simcache.hh"
+#include "fits/fits_frontend.hh"
+#include "fits/profile.hh"
+#include "fits/synth.hh"
+#include "fits/translate.hh"
 #include "mibench/mibench.hh"
 #include "sim/chip.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
+#include "sim/probe.hh"
 #include "verify/differential.hh"
 #include "verify/randprog.hh"
 
@@ -72,6 +77,21 @@ expectSameRun(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.dmemAccesses, b.dmemAccesses);
     expectSameCache("icache", a.icache, b.icache);
     expectSameCache("dcache", a.dcache, b.dcache);
+}
+
+/** Every field of two interval series (IntervalSample::fields). */
+void
+expectSameSamples(const std::vector<IntervalSample> &a,
+                  const std::vector<IntervalSample> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        auto same = [&](const char *name, auto member) {
+            EXPECT_EQ(a[i].*member, b[i].*member)
+                << name << " of sample " << i;
+        };
+        IntervalSample::fields(same);
+    }
 }
 
 TEST(Chip, OneTileDefaultChipIsAMachine)
@@ -137,6 +157,42 @@ TEST(Chip, QuantumIsArchitecturallyUnobservable)
         EXPECT_EQ(machine.mem().firstDifference(chip.tileMem(0)),
                   std::nullopt)
             << "quantum " << quantum;
+    }
+
+    // The observer stamp saves and restores the same loop state at
+    // every step boundary: with an interval observer on tile 0, the
+    // chip must match a Machine run carrying the same observer, on an
+    // ARM stream and on a FITS kernel behind the packed-fetch buffer.
+    Program kernel = mibench::findBench("crc32").build().program;
+    ProfileInfo profile = profileProgram(kernel);
+    FitsIsa isa = synthesize(profile, SynthParams{}, kernel.name);
+    FitsFrontEnd fits(translateProgram(kernel, isa, profile));
+    CoreConfig packed;
+    packed.packedFetch = true;
+    const Chip::TileSpec specs[] = {{&arm, core}, {&fits, packed}};
+    for (const Chip::TileSpec &spec : specs) {
+        IntervalStatsObserver solo_intervals(97);
+        ObserverList solo_list;
+        solo_list.add(&solo_intervals);
+        const RunResult ref =
+            Machine(*spec.fe, spec.core).run(nullptr, &solo_list);
+        const std::vector<IntervalSample> ref_samples =
+            solo_intervals.take();
+        for (uint64_t quantum : {1ull, 7ull}) {
+            SCOPED_TRACE(ref.benchmark + " quantum " +
+                         std::to_string(quantum));
+            ChipConfig cfg;
+            cfg.quantum = quantum;
+            Chip chip(std::vector<Chip::TileSpec>{spec}, cfg);
+            IntervalStatsObserver intervals(97);
+            ObserverList list;
+            list.add(&intervals);
+            chip.setObservers(0, &list);
+            std::vector<std::string> diffs;
+            diffFields(ref.benchmark, ref, chip.run().tiles.front(), diffs);
+            EXPECT_TRUE(diffs.empty()) << diffs.front();
+            expectSameSamples(ref_samples, intervals.take());
+        }
     }
 }
 

@@ -120,6 +120,17 @@ TEST(ThreadPool, ParseJobsFlagForms)
     EXPECT_EQ(parseJobsFlag(2, const_cast<char **>(a4)), 0u);
     const char *a5[] = {"prog", "--jobs", "0"};
     EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a5)), 1u);
+    const char *a6[] = {"prog", "--jobs", "256"};
+    EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a6)), 256u);
+    // Not a job count: a value that would wrap an unsigned, a sign, a
+    // count above kMaxJobs, an empty value. Each reads as absent.
+    for (const char *bad : {"4294967297", "-1", "+4", "257", ""}) {
+        const char *a[] = {"prog", "--jobs", bad};
+        EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a)), 0u) << bad;
+        EXPECT_FALSE(parseJobCount(bad).has_value()) << bad;
+    }
+    EXPECT_EQ(parseJobCount("0"), 0u);
+    EXPECT_EQ(parseJobCount("0256"), 256u);
     EXPECT_GE(defaultJobs(), 1u);
 }
 
