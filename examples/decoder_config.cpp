@@ -5,8 +5,8 @@
  * into the processor's non-volatile state), reload it, and run the FITS
  * binary under the *reloaded* configuration. Also reports the size of
  * the configuration state — the hardware cost of decoder
- * programmability — and dumps the run's statistics through the stats
- * surface.
+ * programmability — and prints the run record as JSON (its field
+ * list, common/fields.hh).
  *
  * Usage: decoder_config [benchmark-name] [config-file]
  */
@@ -15,13 +15,13 @@
 #include <fstream>
 #include <iostream>
 
-#include "common/stats.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/serialize.hh"
 #include "fits/synth.hh"
 #include "fits/translate.hh"
 #include "mibench/mibench.hh"
+#include "obs/json_fields.hh"
 #include "sim/machine.hh"
 
 using namespace pfits;
@@ -68,9 +68,9 @@ main(int argc, char **argv)
                         ? "matches the golden checksum"
                         : "MISMATCH");
 
-        StatGroup stats(std::string("fits8.") + name);
-        rr.addStats(stats);
-        stats.dump(std::cout);
+        JsonWriter json(std::cout);
+        writeJsonFields(json, rr);
+        std::cout << "\n";
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());

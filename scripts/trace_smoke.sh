@@ -3,7 +3,9 @@
 # structurally valid Chrome trace-event JSON (checked by `pfits_report
 # validate-trace`: balanced B/E spans, sorted timestamps, named
 # tracks), and a pfitsd run with --trace-out must answer the `stats`
-# wire op and flush a valid daemon-side trace at shutdown. Registered
+# wire op and flush a valid daemon-side trace at shutdown, and `stats`
+# against a listener that accepts and never answers must give up with
+# exit 2 inside its deadline instead of hanging. Registered
 # in tests/CMakeLists.txt as "trace_smoke", so it runs in the plain,
 # ASan and UBSan ctest suites alike (scripts/check.sh).
 #
@@ -21,7 +23,8 @@ daemon="$3"
 report="$4"
 workdir="$(mktemp -d)"
 daemon_pid=""
-trap '[[ -n "$daemon_pid" ]] && kill "$daemon_pid" 2>/dev/null; rm -rf "$workdir"' EXIT
+stall_pid=""
+trap 'for p in $daemon_pid $stall_pid; do kill "$p" 2>/dev/null || true; done; rm -rf "$workdir"' EXIT
 
 echo "trace: running $experiment --trace-out"
 "$run" "$experiment" --trace-out "$workdir/bench.trace.json" > /dev/null
@@ -86,5 +89,34 @@ if "svc.request" not in spans:
     print("daemon trace has no svc.request span", file=sys.stderr)
     sys.exit(1)
 EOF
+
+echo "trace: stats against a stalled daemon gives up"
+stall_sock="$workdir/stall.sock"
+python3 - "$stall_sock" > "$workdir/stall.log" 2>&1 <<'EOF' &
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.bind(sys.argv[1])
+s.listen(4)
+s.settimeout(120)  # never outlive a forgotten smoke run
+print("listening", flush=True)
+held = []
+while True:
+    conn, _ = s.accept()
+    held.append(conn)  # accept, keep open, never answer
+EOF
+stall_pid=$!
+for _ in $(seq 100); do
+    grep -q listening "$workdir/stall.log" && break
+    sleep 0.1
+done
+rc=0
+timeout 30 "$report" stats --daemon="$stall_sock" > /dev/null || rc=$?
+kill "$stall_pid" 2>/dev/null || true
+wait "$stall_pid" 2>/dev/null || true
+stall_pid=""
+if [[ $rc -ne 2 ]]; then
+    echo "trace: FAILED — stats on a stalled daemon exited $rc, want 2" >&2
+    exit 1
+fi
 
 echo "trace: ok"

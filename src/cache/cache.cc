@@ -359,49 +359,4 @@ Cache::flush()
     lastLineAddr_ = kNoLine;
 }
 
-void
-Cache::addStats(StatGroup &group) const
-{
-    const CacheStats *s = &stats_;
-    group.addFormula("reads",
-                     [s]() { return static_cast<double>(s->reads); },
-                     "read accesses");
-    group.addFormula("writes",
-                     [s]() { return static_cast<double>(s->writes); },
-                     "write accesses");
-    group.addFormula("misses",
-                     [s]() { return static_cast<double>(s->misses()); },
-                     "total misses");
-    group.addFormula("writebacks",
-                     [s]() {
-                         return static_cast<double>(s->writebacks);
-                     },
-                     "dirty evictions");
-    group.addFormula("miss_rate", [s]() { return s->missRate(); },
-                     "misses / accesses");
-    group.addFormula("mpmi", [s]() { return s->missesPerMillion(); },
-                     "misses per million accesses");
-    group.addFormula("faults_injected",
-                     [s]() {
-                         return static_cast<double>(s->faultsInjected);
-                     },
-                     "soft errors landed in a line");
-    group.addFormula("parity_detections",
-                     [s]() {
-                         return static_cast<double>(s->parityDetections);
-                     },
-                     "corrupt lines caught by parity");
-    group.addFormula("corrupt_deliveries",
-                     [s]() {
-                         return static_cast<double>(
-                             s->corruptDeliveries);
-                     },
-                     "corrupt lines consumed silently");
-    group.addFormula("way_memo_hits",
-                     [s]() {
-                         return static_cast<double>(s->wayMemoHits);
-                     },
-                     "accesses landing in the previous access's line");
-}
-
 } // namespace pfits

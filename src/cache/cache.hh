@@ -20,7 +20,6 @@
 
 #include "common/fields.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 
 namespace pfits
 {
@@ -383,9 +382,6 @@ class Cache
     const CacheConfig &config() const { return config_; }
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }
-
-    /** Register the cache's counters into @p group. */
-    void addStats(StatGroup &group) const;
 
   private:
     struct Line

@@ -79,27 +79,27 @@ FaultPlan::recordEscaped(FaultTarget target)
 uint64_t
 FaultPlan::injected(FaultTarget target) const
 {
-    return injected_[static_cast<size_t>(target)].value();
+    return injected_[static_cast<size_t>(target)];
 }
 
 uint64_t
 FaultPlan::detected(FaultTarget target) const
 {
-    return detected_[static_cast<size_t>(target)].value();
+    return detected_[static_cast<size_t>(target)];
 }
 
 uint64_t
 FaultPlan::escaped(FaultTarget target) const
 {
-    return escaped_[static_cast<size_t>(target)].value();
+    return escaped_[static_cast<size_t>(target)];
 }
 
 uint64_t
 FaultPlan::totalInjected() const
 {
     uint64_t sum = 0;
-    for (const Counter &c : injected_)
-        sum += c.value();
+    for (uint64_t n : injected_)
+        sum += n;
     return sum;
 }
 
@@ -120,20 +120,6 @@ FaultPlan::corruptTextBit(std::string &text)
         static_cast<unsigned char>(text[bit / 8]) ^ (1u << (bit % 8)));
     recordInjected(FaultTarget::CONFIG);
     return static_cast<int64_t>(bit);
-}
-
-void
-FaultPlan::addStats(StatGroup &group) const
-{
-    for (size_t t = 0; t < static_cast<size_t>(FaultTarget::NUM); ++t) {
-        const char *name = faultTargetName(static_cast<FaultTarget>(t));
-        group.addCounter(std::string("faults.") + name + ".injected",
-                         &injected_[t], "upsets injected");
-        group.addCounter(std::string("faults.") + name + ".detected",
-                         &detected_[t], "upsets caught by a checker");
-        group.addCounter(std::string("faults.") + name + ".escaped",
-                         &escaped_[t], "upsets consumed undetected");
-    }
 }
 
 } // namespace pfits

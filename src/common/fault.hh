@@ -28,7 +28,6 @@
 
 #include "common/fields.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 
 namespace pfits
 {
@@ -122,21 +121,15 @@ class FaultPlan
 
     const FaultParams &params() const { return params_; }
 
-    /**
-     * Register "faults.<target>.{injected,detected,escaped}" counters
-     * into @p group. The plan must outlive the group.
-     */
-    void addStats(StatGroup &group) const;
-
   private:
     uint64_t nextGap(uint64_t mean);
 
     FaultParams params_;
     Rng rng_;
     uint64_t nextAt_[static_cast<size_t>(FaultTarget::NUM)];
-    Counter injected_[static_cast<size_t>(FaultTarget::NUM)];
-    Counter detected_[static_cast<size_t>(FaultTarget::NUM)];
-    Counter escaped_[static_cast<size_t>(FaultTarget::NUM)];
+    uint64_t injected_[static_cast<size_t>(FaultTarget::NUM)] = {};
+    uint64_t detected_[static_cast<size_t>(FaultTarget::NUM)] = {};
+    uint64_t escaped_[static_cast<size_t>(FaultTarget::NUM)] = {};
 };
 
 } // namespace pfits

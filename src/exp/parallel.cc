@@ -16,8 +16,6 @@ namespace pfits
 namespace
 {
 
-std::atomic<unsigned> jobsOverride{0};
-
 unsigned
 envJobs()
 {
@@ -38,18 +36,10 @@ envJobs()
 unsigned
 defaultJobs()
 {
-    if (unsigned forced = jobsOverride.load())
-        return forced;
     if (unsigned env = envJobs())
         return env;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1u : hw;
-}
-
-void
-setDefaultJobs(unsigned jobs)
-{
-    jobsOverride.store(jobs);
 }
 
 std::optional<unsigned>
@@ -66,25 +56,6 @@ parseJobCount(std::string_view text)
             return std::nullopt;
     }
     return v;
-}
-
-unsigned
-parseJobsFlag(int argc, char **argv)
-{
-    auto parse = [](std::string_view text) -> unsigned {
-        const std::optional<unsigned> v = parseJobCount(text);
-        return !v ? 0u : *v == 0 ? 1u : *v;
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string_view arg(argv[i]);
-        if (arg == "--jobs" && i + 1 < argc)
-            return parse(argv[i + 1]);
-        if (arg.rfind("--jobs=", 0) == 0)
-            return parse(arg.substr(7));
-        if (arg.rfind("-j", 0) == 0 && arg.size() > 2)
-            return parse(arg.substr(2));
-    }
-    return 0;
 }
 
 /**

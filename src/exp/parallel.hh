@@ -9,8 +9,8 @@
  * sweep built on the pool produces byte-identical output at any job
  * count (--jobs 1, --jobs 4 and --jobs $(nproc) all print the same
  * tables). The worker count comes from, in priority order: an explicit
- * constructor argument, setDefaultJobs(), the PFITS_JOBS environment
- * variable, and std::thread::hardware_concurrency().
+ * constructor argument (each driver's --jobs flag), the PFITS_JOBS
+ * environment variable, and std::thread::hardware_concurrency().
  */
 
 #ifndef POWERFITS_EXP_PARALLEL_HH
@@ -31,17 +31,10 @@ namespace pfits
 {
 
 /**
- * Worker count for new pools: setDefaultJobs() override if set, else
- * PFITS_JOBS (clamped to >= 1), else hardware_concurrency (>= 1).
+ * Worker count for new pools: PFITS_JOBS (clamped to >= 1), else
+ * hardware_concurrency (>= 1).
  */
 unsigned defaultJobs();
-
-/**
- * Override defaultJobs() process-wide (0 reverts to env/hardware).
- * Affects pools constructed afterwards, including the shared() pool if
- * it has not been touched yet.
- */
-void setDefaultJobs(unsigned jobs);
 
 /** The largest job count any reader accepts: a pool thread per job,
  * so a typo must not become thousands of threads. */
@@ -54,13 +47,6 @@ constexpr unsigned kMaxJobs = 256;
  * @return the count, or nullopt when @p text is anything else.
  */
 std::optional<unsigned> parseJobCount(std::string_view text);
-
-/**
- * Scan argv for "--jobs N" / "--jobs=N" / "-jN".
- * @return the parsed count (0 reads as 1), or 0 when the flag is
- *         absent or its value is not a valid job count.
- */
-unsigned parseJobsFlag(int argc, char **argv);
 
 /**
  * One job that threw, reported to the submitter: the job's index plus

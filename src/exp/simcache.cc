@@ -1,7 +1,6 @@
 #include "exp/simcache.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -231,20 +230,129 @@ hashObserverSpec(const ObserverSpec &spec)
     return h.h;
 }
 
-SimCache::SimCache()
+SimResult
+runSimulation(const SimRequest &request)
 {
-    // A long-lived daemon must not grow without bound; short-lived
-    // bench processes default to unbounded (every entry is provenance
-    // for the manifest they are about to write).
-    if (const char *env = std::getenv("PFITS_SIMCACHE_MAX");
-        env && *env) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (end == env || *end != '\0')
-            warn_once("ignoring malformed PFITS_SIMCACHE_MAX='%s'", env);
-        else
-            maxEntries_.store(static_cast<size_t>(v));
+    const FrontEnd &fe = *request.fe;
+    const CoreConfig &core = *request.core;
+    const FaultParams &faults = request.faults;
+    const ObserverSpec &spec = request.spec;
+    const ChipConfig &chip = request.chip;
+
+    MetricRegistry *metrics = MetricRegistry::current();
+    uint64_t t0 = metrics ? monotonicNs() : 0;
+
+    // One span per simulation (the cost a memo hit saves).
+    TraceSpan sim_span("sim", "simcache",
+                       TraceArgs()
+                           .add("fe", fe.name())
+                           .add("config", core.name)
+                           .add("tiles", chip.isDefault()
+                                             ? 1u
+                                             : chip.tiles));
+
+    std::unique_ptr<FaultPlan> plan;
+    if (faults.enabled())
+        plan = std::make_unique<FaultPlan>(faults);
+    if (!chip.isDefault() && faults.enabled())
+        fatal("simcache: fault injection is single-core only — "
+              "disable faults or drop the chip config");
+
+    // The trap tracer persists across retries: it clears its ring
+    // after every run and appends one bounded dump per qualifying
+    // attempt, so the file ends up with one record per
+    // machine-check.
+    std::unique_ptr<TraceObserver> tracer;
+    if (spec.traceArmed()) {
+        tracer = std::make_unique<TraceObserver>(spec.traceDepth);
+        const std::string dir =
+            spec.traceDir.empty() ? "." : spec.traceDir;
+        tracer->setPath(dir + "/" + fe.name() + "_" + core.name +
+                        ".trace.jsonl");
     }
+
+    SimResult out;
+    auto attempt = [&]() -> RunResult {
+        // The interval instrument is rebuilt per attempt: a
+        // machine-checked run's partial series must not leak into
+        // the retry. Only the final attempt's series is reported.
+        std::unique_ptr<IntervalStatsObserver> interval;
+        if (spec.intervalInstructions)
+            interval = std::make_unique<IntervalStatsObserver>(
+                spec.intervalInstructions);
+        ObserverList list;
+        if (interval)
+            list.add(interval.get());
+        if (tracer)
+            list.add(tracer.get());
+        RunResult rr;
+        if (chip.isDefault()) {
+            rr = Machine(fe, core).run(plan.get(),
+                                       list.empty() ? nullptr : &list);
+        } else {
+            // A homogeneous chip: chip.tiles copies of this
+            // program, round-robin over the shared L2. The
+            // reported run is tile 0's — this benchmark as one
+            // tile of an N-tile chip under L2 contention — with
+            // the chip-level products (aggregate cycles,
+            // L2/coherence activity) riding along in out.chip.
+            // Instruments attach to tile 0 so interval series and
+            // trap traces mean the same thing they mean
+            // single-core.
+            std::vector<Chip::TileSpec> tile_specs(
+                chip.tiles, Chip::TileSpec{&fe, core});
+            Chip chip_sim(tile_specs, chip);
+            if (!list.empty())
+                chip_sim.setObservers(0, &list);
+            ChipResult cres = chip_sim.run();
+            rr = cres.tiles.front();
+            out.chip.chipCycles = cres.chipCycles;
+            out.chip.l2 = cres.l2;
+            out.chip.coherence = cres.coherence;
+            for (const RunResult &tile : cres.tiles) {
+                out.chip.tileCycles.push_back(tile.cycles);
+                out.chip.tileInstructions.push_back(tile.instructions);
+            }
+            if (metrics) {
+                const CoherenceStats &coh = cres.coherence;
+                metrics->counter("chip.invalidations")
+                    .add(coh.invalidations + coh.backInvalidations);
+                metrics->counter("chip.writebacks")
+                    .add(coh.recallWritebacks + coh.l1Writebacks);
+                metrics->counter("l2.accesses")
+                    .add(cres.l2.accesses());
+                metrics->counter("l2.misses").add(cres.l2.misses());
+                metrics->counter("l2.writebacks")
+                    .add(coh.l2Writebacks);
+            }
+        }
+        if (interval)
+            out.intervals = interval->take();
+        return rr;
+    };
+
+    // Retry-with-reload (single-core only: chips take no faults): a
+    // parity machine-check means the stored program image is still
+    // good — a fresh Machine reloads it and the run is retried a
+    // bounded number of times.
+    out.run = attempt();
+    while (out.run.outcome == RunOutcome::FaultDetected &&
+           out.faultRetries < request.maxRetries) {
+        ++out.faultRetries;
+        warn_every_n(64, "%s/%s: parity machine-check, reloading "
+                     "(retry %u)", out.run.benchmark.c_str(),
+                     out.run.config.c_str(), out.faultRetries);
+        out.run = attempt();
+    }
+    if (tracer)
+        out.tracePath = tracer->path();
+    if (metrics) {
+        // Per-fresh-sim wall time, retries included — the cost a memo
+        // hit saves.
+        metrics->histogram("simcache.sim_ms", 0.0, 1000.0, 16)
+            .sample(static_cast<double>(monotonicNs() - t0) / 1e6);
+    }
+    return out;
 }
 
 SimCache &
@@ -252,14 +360,6 @@ SimCache::instance()
 {
     static SimCache cache;
     return cache;
-}
-
-void
-SimCache::setMaxEntries(size_t max_entries)
-{
-    maxEntries_.store(max_entries);
-    std::lock_guard<std::mutex> lock(mu_);
-    enforceBudgetLocked();
 }
 
 size_t
@@ -276,7 +376,7 @@ SimCache::keys() const
     {
         std::lock_guard<std::mutex> lock(mu_);
         out.reserve(map_.size());
-        for (const auto &[key, entry] : map_)
+        for (const auto &[key, slot] : map_)
             out.push_back(key);
     }
     std::sort(out.begin(), out.end());
@@ -288,54 +388,18 @@ SimCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
-    lru_.clear();
     hits_.store(0);
     misses_.store(0);
-    evictions_.store(0);
-}
-
-void
-SimCache::enforceBudgetLocked()
-{
-    const size_t budget = maxEntries_.load();
-    if (budget == 0)
-        return;
-    // Walk from the cold end, evicting only completed entries: a slot
-    // still being computed is owned by a call_once in flight and its
-    // result must stay publishable to the threads waiting on it.
-    auto it = lru_.end();
-    while (map_.size() > budget && it != lru_.begin()) {
-        --it;
-        auto mit = map_.find(*it);
-        if (mit == map_.end() || !mit->second.slot->done.load()) {
-            continue;
-        }
-        map_.erase(mit);
-        it = lru_.erase(it);
-        evictions_.fetch_add(1);
-        if (MetricRegistry *metrics = MetricRegistry::current()) {
-            metrics->counter("simcache.evictions").add();
-            metrics->gauge("simcache.entries")
-                .set(static_cast<int64_t>(map_.size()));
-        }
-    }
 }
 
 std::shared_ptr<SimCache::Slot>
 SimCache::acquireSlot(const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        lru_.push_front(key);
-        Entry entry{std::make_shared<Slot>(), lru_.begin()};
-        it = map_.emplace(key, std::move(entry)).first;
-        enforceBudgetLocked();
-    } else {
-        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-        it->second.lruPos = lru_.begin();
-    }
-    return it->second.slot;
+    std::shared_ptr<Slot> &slot = map_[key];
+    if (!slot)
+        slot = std::make_shared<Slot>();
+    return slot;
 }
 
 std::optional<SimResult>
@@ -343,11 +407,9 @@ SimCache::tryGet(const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it == map_.end() || !it->second.slot->done.load())
+    if (it == map_.end() || !it->second->done.load())
         return std::nullopt;
-    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-    it->second.lruPos = lru_.begin();
-    return it->second.slot->value;
+    return it->second->value;
 }
 
 bool
@@ -372,137 +434,22 @@ SimCache::seed(const SimKey &key, SimResult result)
 }
 
 SimResult
-SimCache::computeLocked(Slot &slot, const FrontEnd &fe,
-                        const CoreConfig &core,
-                        const FaultParams &faults,
-                        unsigned max_retries,
-                        const ObserverSpec &spec,
-                        const ChipConfig &chip)
+SimCache::simulate(const SimRequest &request)
 {
+    // Compute outside the map lock so unrelated keys never serialize;
+    // call_once makes concurrent requests for *this* key simulate once
+    // and share the result, and makes the miss/hit split deterministic
+    // at any job count, which is what lets tests pin the span
+    // structure.
+    std::shared_ptr<Slot> slot = acquireSlot(request.key());
     bool computed = false;
-    std::call_once(slot.once, [&] {
+    std::call_once(slot->once, [&] {
         computed = true;
         misses_.fetch_add(1);
-
-        MetricRegistry *metrics = MetricRegistry::current();
-        uint64_t t0 = metrics ? monotonicNs() : 0;
-
-        // One span per fresh simulation (the cost a memo hit saves).
-        // call_once makes the miss/hit split deterministic at any job
-        // count, which is what lets tests pin the span structure.
-        TraceSpan sim_span("sim", "simcache",
-                           TraceArgs()
-                               .add("fe", fe.name())
-                               .add("config", core.name)
-                               .add("tiles", chip.isDefault()
-                                                 ? 1u
-                                                 : chip.tiles));
-
-        std::unique_ptr<FaultPlan> plan;
-        if (faults.enabled())
-            plan = std::make_unique<FaultPlan>(faults);
-        if (!chip.isDefault() && faults.enabled())
-            fatal("simcache: fault injection is single-core only — "
-                  "disable faults or drop the chip config");
-
-        // The trap tracer persists across retries: it clears its ring
-        // after every run and appends one bounded dump per qualifying
-        // attempt, so the file ends up with one record per
-        // machine-check.
-        std::unique_ptr<TraceObserver> tracer;
-        if (spec.traceArmed()) {
-            tracer = std::make_unique<TraceObserver>(spec.traceDepth);
-            const std::string dir =
-                spec.traceDir.empty() ? "." : spec.traceDir;
-            tracer->setPath(dir + "/" + fe.name() + "_" + core.name +
-                            ".trace.jsonl");
-        }
-
-        SimResult out;
-        auto attempt = [&]() -> RunResult {
-            // The interval instrument is rebuilt per attempt: a
-            // machine-checked run's partial series must not leak into
-            // the retry. Only the final attempt's series is reported.
-            std::unique_ptr<IntervalStatsObserver> interval;
-            if (spec.intervalInstructions)
-                interval = std::make_unique<IntervalStatsObserver>(
-                    spec.intervalInstructions);
-            ObserverList list;
-            if (interval)
-                list.add(interval.get());
-            if (tracer)
-                list.add(tracer.get());
-            RunResult rr;
-            if (chip.isDefault()) {
-                rr = Machine(fe, core).run(plan.get(),
-                                           list.empty() ? nullptr : &list);
-            } else {
-                // A homogeneous chip: chip.tiles copies of this
-                // program, round-robin over the shared L2. The
-                // reported run is tile 0's — this benchmark as one
-                // tile of an N-tile chip under L2 contention — with
-                // the chip-level products (aggregate cycles,
-                // L2/coherence activity) riding along in out.chip.
-                // Instruments attach to tile 0 so interval series and
-                // trap traces mean the same thing they mean
-                // single-core.
-                std::vector<Chip::TileSpec> tile_specs(
-                    chip.tiles, Chip::TileSpec{&fe, core});
-                Chip chip_sim(tile_specs, chip);
-                if (!list.empty())
-                    chip_sim.setObservers(0, &list);
-                ChipResult cres = chip_sim.run();
-                rr = cres.tiles.front();
-                out.chip.chipCycles = cres.chipCycles;
-                out.chip.l2 = cres.l2;
-                out.chip.coherence = cres.coherence;
-                for (const RunResult &tile : cres.tiles) {
-                    out.chip.tileCycles.push_back(tile.cycles);
-                    out.chip.tileInstructions.push_back(tile.instructions);
-                }
-                if (metrics) {
-                    const CoherenceStats &coh = cres.coherence;
-                    metrics->counter("chip.invalidations")
-                        .add(coh.invalidations + coh.backInvalidations);
-                    metrics->counter("chip.writebacks")
-                        .add(coh.recallWritebacks + coh.l1Writebacks);
-                    metrics->counter("l2.accesses")
-                        .add(cres.l2.accesses());
-                    metrics->counter("l2.misses").add(cres.l2.misses());
-                    metrics->counter("l2.writebacks")
-                        .add(coh.l2Writebacks);
-                }
-            }
-            if (interval)
-                out.intervals = interval->take();
-            return rr;
-        };
-
-        // Retry-with-reload (single-core only: chips take no faults): a
-        // parity machine-check means the stored program image is still
-        // good — a fresh Machine reloads it and the run is retried a
-        // bounded number of times.
-        out.run = attempt();
-        while (out.run.outcome == RunOutcome::FaultDetected &&
-               out.faultRetries < max_retries) {
-            ++out.faultRetries;
-            warn_every_n(64, "%s/%s: parity machine-check, reloading "
-                         "(retry %u)", out.run.benchmark.c_str(),
-                         out.run.config.c_str(), out.faultRetries);
-            out.run = attempt();
-        }
-        if (tracer)
-            out.tracePath = tracer->path();
-        slot.value = std::move(out);
-        slot.done.store(true);
-
-        if (metrics) {
+        slot->value = runSimulation(request);
+        slot->done.store(true);
+        if (MetricRegistry *metrics = MetricRegistry::current()) {
             metrics->counter("simcache.misses").add();
-            // Per-fresh-sim wall time, retries included — the cost a
-            // memo hit saves.
-            metrics
-                ->histogram("simcache.sim_ms", 0.0, 1000.0, 16)
-                .sample(static_cast<double>(monotonicNs() - t0) / 1e6);
             metrics->gauge("simcache.entries")
                 .set(static_cast<int64_t>(entries()));
         }
@@ -514,27 +461,10 @@ SimCache::computeLocked(Slot &slot, const FrontEnd &fe,
         if (TraceRecorder *trace = TraceRecorder::current())
             trace->instant("simcache.hit", "simcache",
                            TraceArgs()
-                               .add("fe", fe.name())
-                               .add("config", core.name));
+                               .add("fe", request.fe->name())
+                               .add("config", request.core->name));
     }
-    return slot.value;
-}
-
-SimResult
-SimCache::simulate(const FrontEnd &fe, const CoreConfig &core,
-                   const FaultParams &faults, unsigned max_retries,
-                   const ObserverSpec &spec, const ChipConfig &chip)
-{
-    SimKey key{hashFrontEnd(fe), hashConfigKey(core, chip),
-               hashFaultParams(faults, max_retries),
-               hashObserverSpec(spec)};
-
-    std::shared_ptr<Slot> slot = acquireSlot(key);
-    // Compute outside the map lock so unrelated keys never serialize;
-    // call_once makes concurrent requests for *this* key simulate once
-    // and share the result.
-    return computeLocked(*slot, fe, core, faults, max_retries, spec,
-                         chip);
+    return slot->value;
 }
 
 } // namespace pfits

@@ -23,10 +23,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -119,7 +119,77 @@ struct SimResult
     }
 };
 
-/** Process-wide memoization cache over Machine::run. */
+/**
+ * One simulation request as the Runner phrases it. The FrontEnd and
+ * CoreConfig are authoritative (they define the content-addressed
+ * key); bench/isFits name the same workload symbolically so a remote
+ * service can rebuild it without shipping the instruction stream.
+ */
+struct SimRequest
+{
+    const FrontEnd *fe = nullptr;
+    const CoreConfig *core = nullptr;
+    FaultParams faults;       //!< final derived schedule (post seed mix)
+    unsigned maxRetries = 0;  //!< reload-and-retry bound under faults
+
+    /**
+     * Instruments to attach (interval series, trap tracing). They join
+     * the key, since their products only exist for runs that executed
+     * with them attached.
+     */
+    ObserverSpec spec;
+
+    /**
+     * Chip-level shape of the run. Default = one tile, no shared L2 —
+     * a plain Machine run. Non-default requests run a homogeneous
+     * chip.tiles-tile Chip and are resolved locally (the daemon
+     * protocol is single-core); the chip joins the content-addressed
+     * key via hashConfigKey, so a cached single-core result never
+     * answers a multi-tile request.
+     */
+    ChipConfig chip;
+
+    /**
+     * MiBench suite benchmark this program was built from, "" when the
+     * request is not suite-addressable (hand-built programs in tests).
+     */
+    std::string bench;
+    bool isFits = false; //!< bench's FITS translation vs its ARM form
+
+    /**
+     * The content-addressed identity of this request: the one place a
+     * memo key is built, for SimCache, the pfitsd client and pfitsd.
+     */
+    SimKey
+    key() const
+    {
+        return {hashFrontEnd(*fe), hashConfigKey(*core, chip),
+                hashFaultParams(faults, maxRetries),
+                hashObserverSpec(spec)};
+    }
+};
+
+/**
+ * Simulate @p request, uncached. When its faults are armed the whole
+ * reload-and-retry loop (up to maxRetries reloads after a parity
+ * machine-check) runs here; its ObserverSpec attaches the interval
+ * series and the trap tracer. A non-default chip runs the program as
+ * a homogeneous Chip — chip.tiles copies of (fe, core), round-robin
+ * over the shared L2 — and reports tile 0's RunResult plus the
+ * chip-level extras in SimResult::chip. Fault injection is single-core
+ * only: armed faults with a non-default chip are a fatal usage error.
+ *
+ * Each call is one "sim" trace span and one simcache.sim_ms sample.
+ * SimCache memoizes it per process; pfitsd calls it directly, since
+ * its store and single-flight map already are its memo.
+ */
+SimResult runSimulation(const SimRequest &request);
+
+/**
+ * Process-wide memo over runSimulation: one unbounded map from
+ * SimRequest::key() to result, so keys() is every simulation this
+ * process asked for — the manifest's "sims" provenance.
+ */
 class SimCache
 {
   public:
@@ -127,27 +197,10 @@ class SimCache
     static SimCache &instance();
 
     /**
-     * Simulate @p fe on @p core, memoized. When @p faults is armed the
-     * whole reload-and-retry loop (up to @p max_retries reloads after
-     * a parity machine-check) runs inside the cached computation.
-     * @p spec attaches instruments (interval series, trap tracing) to
-     * the run; it joins the memo key, since the instruments' products
-     * only exist for runs that executed with them attached.
+     * runSimulation(@p request), memoized under request.key().
      * Thread-safe; two threads asking for the same key simulate once.
-     *
-     * A non-default @p chip runs the program as a homogeneous Chip —
-     * chip.tiles copies of (fe, core), round-robin over the shared L2
-     * — and reports tile 0's RunResult plus the chip-level extras in
-     * SimResult::chip. The chip configuration joins the memo key
-     * (hashConfigKey), so a cached single-core result never answers a
-     * multi-tile request. Fault injection is single-core only: armed
-     * faults with a non-default chip are a fatal usage error.
      */
-    SimResult simulate(const FrontEnd &fe, const CoreConfig &core,
-                       const FaultParams &faults = {},
-                       unsigned max_retries = 0,
-                       const ObserverSpec &spec = {},
-                       const ChipConfig &chip = {});
+    SimResult simulate(const SimRequest &request);
 
     /**
      * The completed entry under @p key, if one is resident. Never
@@ -166,19 +219,8 @@ class SimCache
      */
     bool seed(const SimKey &key, SimResult result);
 
-    /**
-     * Bound the cache to @p max_entries completed entries (0 — the
-     * default — is unbounded), evicting least-recently-used completed
-     * entries on overflow. The PFITS_SIMCACHE_MAX environment variable
-     * sets the initial bound; this setter overrides it. Entries still
-     * being computed are never evicted.
-     */
-    void setMaxEntries(size_t max_entries);
-    size_t maxEntries() const { return maxEntries_.load(); }
-
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
-    uint64_t evictions() const { return evictions_.load(); }
     size_t entries() const;
 
     /**
@@ -192,41 +234,26 @@ class SimCache
     void clear();
 
   private:
+    /**
+     * Shared so clear() can drop an entry while a computation on it is
+     * still in flight.
+     */
     struct Slot
     {
         std::once_flag once;
         SimResult value;
-        std::atomic<bool> done{false}; //!< value is valid (eviction-safe)
+        std::atomic<bool> done{false}; //!< value is valid
     };
 
-    struct Entry
-    {
-        std::shared_ptr<Slot> slot;
-        std::list<SimKey>::iterator lruPos;
-    };
+    SimCache() = default;
 
-    SimCache();
-
-    SimResult computeLocked(Slot &slot, const FrontEnd &fe,
-                            const CoreConfig &core,
-                            const FaultParams &faults,
-                            unsigned max_retries,
-                            const ObserverSpec &spec,
-                            const ChipConfig &chip);
-
-    /** Find-or-create the slot for @p key and touch its recency. */
+    /** Find-or-create the slot for @p key. */
     std::shared_ptr<Slot> acquireSlot(const SimKey &key);
 
-    /** Drop LRU completed entries until within budget. Caller holds mu_. */
-    void enforceBudgetLocked();
-
     mutable std::mutex mu_;
-    std::unordered_map<SimKey, Entry, SimKeyHash> map_;
-    std::list<SimKey> lru_; //!< front = most recently used
-    std::atomic<size_t> maxEntries_{0};
+    std::unordered_map<SimKey, std::shared_ptr<Slot>, SimKeyHash> map_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> evictions_{0};
 };
 
 } // namespace pfits

@@ -15,9 +15,7 @@ class LocalSimService final : public SimService
     SimResult
     simulate(const SimRequest &request) override
     {
-        return SimCache::instance().simulate(
-            *request.fe, *request.core, request.faults,
-            request.maxRetries, request.spec, request.chip);
+        return SimCache::instance().simulate(request);
     }
 };
 

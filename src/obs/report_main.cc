@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "common/fileio.hh"
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "obs/manifest.hh"
 #include "obs/report.hh"
@@ -316,10 +317,15 @@ cmdValidateTrace(const std::vector<std::string> &args)
 }
 
 /**
- * Minimal pfits-svc-v1 transport for the `stats` query: a 4-byte
- * big-endian length prefix framing one JSON document over AF_UNIX.
- * Re-implemented here (rather than linking pfits_svc) so pfits_report
- * stays a lean obs-layer tool without dragging in the simulator.
+ * The bound on one `stats` exchange. A daemon answers stats from
+ * memory, so one that has not answered by then is wedged; report that
+ * instead of blocking forever.
+ */
+constexpr int kStatsDeadlineMs = 10'000;
+
+/**
+ * One pfits-svc-v1 round trip for the `stats` query: a frame out, a
+ * frame back (common/frame.hh), both under kStatsDeadlineMs.
  */
 bool
 statsRoundTrip(const std::string &socket_path, const std::string &request,
@@ -345,51 +351,10 @@ statsRoundTrip(const std::string &socket_path, const std::string &request,
         ::close(fd);
         return false;
     }
-
-    auto writeAll = [&](const char *p, size_t n) {
-        while (n > 0) {
-            ssize_t w = ::write(fd, p, n);
-            if (w <= 0)
-                return false;
-            p += w;
-            n -= static_cast<size_t>(w);
-        }
-        return true;
-    };
-    auto readAll = [&](char *p, size_t n) {
-        while (n > 0) {
-            ssize_t r = ::read(fd, p, n);
-            if (r <= 0)
-                return false;
-            p += r;
-            n -= static_cast<size_t>(r);
-        }
-        return true;
-    };
-
-    char hdr[4] = {
-        static_cast<char>((request.size() >> 24) & 0xff),
-        static_cast<char>((request.size() >> 16) & 0xff),
-        static_cast<char>((request.size() >> 8) & 0xff),
-        static_cast<char>(request.size() & 0xff),
-    };
-    bool ok = writeAll(hdr, 4) && writeAll(request.data(), request.size());
-    if (ok)
-        ok = readAll(hdr, 4);
-    if (ok) {
-        uint32_t len = 0;
-        for (char c : hdr)
-            len = (len << 8) | static_cast<uint8_t>(c);
-        if (len == 0 || len > (64u << 20)) {
-            ok = false;
-        } else {
-            response->resize(len);
-            ok = readAll(&(*response)[0], len);
-        }
-    }
+    const bool ok =
+        pfits::sendFrame(fd, request, kStatsDeadlineMs, err) &&
+        pfits::recvFrame(fd, response, kStatsDeadlineMs, err);
     ::close(fd);
-    if (!ok && err->empty())
-        *err = "daemon closed the connection mid-frame";
     return ok;
 }
 

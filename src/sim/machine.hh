@@ -176,13 +176,6 @@ struct RunResult
     }
 
     double seconds() const { return cycles / clockHz; }
-
-    /**
-     * Register this run's metrics into @p group (gem5-style stats
-     * surface: "<group>.instructions", "<group>.icache.mpmi", ...).
-     * The RunResult must outlive the group.
-     */
-    void addStats(StatGroup &group) const;
 };
 
 class Tile; // sim/tile.hh

@@ -23,7 +23,6 @@
 
 #include "common/logging.hh"
 #include "exp/parallel.hh"
-#include "exp/simcache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "svc/server.hh"
@@ -53,8 +52,6 @@ usage(const char *argv0)
         "(default 0 = unbounded)\n"
         "  --jobs N                compute worker threads, 1..256 "
         "(default 2)\n"
-        "  --simcache-max N        in-memory memo entry bound "
-        "(default 0 = unbounded)\n"
         "  --lease-ttl-ms N        client compute-lease TTL "
         "(default 30000)\n"
         "  --default-deadline-ms N per-request deadline when the "
@@ -91,7 +88,6 @@ int
 main(int argc, char **argv)
 {
     pfits::SvcServerConfig cfg;
-    uint64_t simcache_max = 0;
     std::string trace_out;
 
     for (int i = 1; i < argc; ++i) {
@@ -122,12 +118,6 @@ main(int argc, char **argv)
                 return 2;
             }
             cfg.computeThreads = *jobs;
-        } else if (arg == "--simcache-max") {
-            if (!parseU64(next("--simcache-max"), &v)) {
-                usage(argv[0]);
-                return 2;
-            }
-            simcache_max = v;
         } else if (arg == "--lease-ttl-ms") {
             if (!parseU64(next("--lease-ttl-ms"), &v, kIntMax) || v == 0) {
                 usage(argv[0]);
@@ -165,9 +155,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    if (simcache_max)
-        pfits::SimCache::instance().setMaxEntries(simcache_max);
 
     // The daemon always runs with a metric registry so the `stats`
     // wire op can answer with live engine metrics; the trace recorder

@@ -2,10 +2,11 @@
  * @file
  * The pfitsd wire protocol and store-entry format.
  *
- * Transport framing is a 4-byte big-endian length prefix followed by
- * one compact JSON document ("pfits-svc-v1"), exchanged over an
- * AF_UNIX stream socket. Every frame read or write takes an absolute
- * deadline so a hung peer costs a bounded wait, never a wedged thread.
+ * Transport framing (common/frame.hh) is a 4-byte big-endian length
+ * prefix followed by one compact JSON document ("pfits-svc-v1"),
+ * exchanged over an AF_UNIX stream socket. Every frame read or write
+ * takes an absolute deadline so a hung peer costs a bounded wait,
+ * never a wedged thread.
  *
  * A *store entry* ("pfits-store-v1") is the unit of persistence and of
  * end-to-end integrity: one compact JSON line carrying the
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "common/fault.hh"
+#include "common/frame.hh"
 #include "exp/simcache.hh"
 #include "obs/json_fields.hh"
 #include "sim/machine.hh"
@@ -38,27 +40,6 @@ inline constexpr const char *kSvcSchema = "pfits-svc-v1";
 
 /** Store-entry schema tag carried in every persisted entry. */
 inline constexpr const char *kStoreSchema = "pfits-store-v1";
-
-/** Frames larger than this are rejected as malformed (64 MiB). */
-inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
-
-// --- framing -------------------------------------------------------------
-
-/**
- * Write one length-prefixed frame to @p fd, finishing before
- * @p deadline_ms milliseconds elapse (0 = no deadline).
- * @return false (with @p err set) on error, timeout or closed peer.
- */
-bool sendFrame(int fd, const std::string &payload, int deadline_ms,
-               std::string *err);
-
-/**
- * Read one length-prefixed frame from @p fd into @p payload under the
- * same deadline contract. A clean EOF before any byte sets @p err to
- * "eof".
- */
-bool recvFrame(int fd, std::string *payload, int deadline_ms,
-               std::string *err);
 
 // --- keys, configs and results ------------------------------------------
 //

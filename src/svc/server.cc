@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "exp/simcache.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -677,18 +676,22 @@ SvcServer::computeJob(const SimKey &key, const std::string &bench,
         // Refusing (rather than serving a near-miss) keeps the store
         // content-addressed and the client falls back to local
         // simulation.
-        SimKey rebuilt{hashFrontEnd(fe), hashCoreConfig(core),
-                       hashFaultParams(faults, max_retries),
-                       hashObserverSpec(spec)};
-        if (rebuilt != key) {
+        SimRequest request;
+        request.fe = &fe;
+        request.core = &core;
+        request.faults = faults;
+        request.maxRetries = max_retries;
+        request.spec = spec;
+        if (request.key() != key) {
             resolveInflight(key, Inflight::State::Unsupported,
                             "content hash mismatch rebuilding '" +
                                 bench + "'");
             return;
         }
 
-        SimResult result = SimCache::instance().simulate(
-            fe, core, faults, max_retries, spec);
+        // No in-memory memo here: the store and the single-flight map
+        // already answer every repeat of this key.
+        SimResult result = runSimulation(request);
 
         std::string err;
         if (!store_->put(key, encodeResultEntry(key, result), &err)) {

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "exp/parallel.hh"
@@ -53,6 +54,19 @@ parseU64(const char *text, const char *flag)
     return v;
 }
 
+/** A --jobs / -j value: 0..kMaxJobs (0 reads as 1), else exit 2. */
+unsigned
+parseJobs(std::string_view text)
+{
+    const std::optional<unsigned> v = pfits::parseJobCount(text);
+    if (!v) {
+        std::cerr << "pfits_verify: malformed job count '" << text
+                  << "' (want 0.." << pfits::kMaxJobs << ")\n";
+        std::exit(2);
+    }
+    return *v == 0 ? 1u : *v;
+}
+
 } // namespace
 
 int
@@ -68,7 +82,6 @@ main(int argc, char **argv)
 
     if (const char *env = std::getenv("PFITS_VERIFY_SEED"))
         opts.seed = parseU64(env, "PFITS_VERIFY_SEED");
-    opts.jobs = parseJobsFlag(argc, argv);
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -86,10 +99,11 @@ main(int argc, char **argv)
             opts.count =
                 static_cast<unsigned>(parseU64(value(), "--count"));
         } else if (!std::strcmp(arg, "--jobs")) {
-            ++i; // consumed by parseJobsFlag
-        } else if (!std::strncmp(arg, "--jobs=", 7) ||
-                   !std::strncmp(arg, "-j", 2)) {
-            // consumed by parseJobsFlag
+            opts.jobs = parseJobs(value());
+        } else if (!std::strncmp(arg, "--jobs=", 7)) {
+            opts.jobs = parseJobs(arg + 7);
+        } else if (!std::strncmp(arg, "-j", 2) && arg[2] != '\0') {
+            opts.jobs = parseJobs(arg + 2);
         } else if (!std::strcmp(arg, "--chip-count")) {
             chip_count = static_cast<unsigned>(
                 parseU64(value(), "--chip-count"));

@@ -143,12 +143,11 @@ TEST(Cache, StatsRegistration)
     Cache cache(smallCache());
     cache.access(0x0, false);
     cache.access(0x0, false);
-    StatGroup group("c");
-    cache.addStats(group);
-    EXPECT_DOUBLE_EQ(group.lookup("reads"), 2.0);
-    EXPECT_DOUBLE_EQ(group.lookup("misses"), 1.0);
-    EXPECT_DOUBLE_EQ(group.lookup("miss_rate"), 0.5);
-    EXPECT_DOUBLE_EQ(group.lookup("mpmi"), 500000.0);
+    const CacheStats &s = cache.stats();
+    EXPECT_EQ(s.reads, 2u);
+    EXPECT_EQ(s.misses(), 1u);
+    EXPECT_DOUBLE_EQ(s.missRate(), 0.5);
+    EXPECT_DOUBLE_EQ(s.missesPerMillion(), 500000.0);
 }
 
 /** Property: a fully-associative cache with LRU over a working set no

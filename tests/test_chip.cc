@@ -31,18 +31,14 @@ namespace pfits
 namespace
 {
 
+/** Every CacheStats row (its field list), way-memo hits included. */
 void
 expectSameCache(const char *what, const CacheStats &a,
                 const CacheStats &b)
 {
-    EXPECT_EQ(a.reads, b.reads) << what;
-    EXPECT_EQ(a.writes, b.writes) << what;
-    EXPECT_EQ(a.readMisses, b.readMisses) << what;
-    EXPECT_EQ(a.writeMisses, b.writeMisses) << what;
-    EXPECT_EQ(a.writebacks, b.writebacks) << what;
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected) << what;
-    EXPECT_EQ(a.parityDetections, b.parityDetections) << what;
-    EXPECT_EQ(a.corruptDeliveries, b.corruptDeliveries) << what;
+    std::vector<std::string> diffs;
+    diffFields(what, a, b, diffs);
+    EXPECT_TRUE(diffs.empty()) << diffs.front();
 }
 
 /** Architectural equality: what contention may never change. */
@@ -335,24 +331,27 @@ TEST(SimCacheChip, MultiTileRequestNeverHitsSingleCoreEntry)
     ArmFrontEnd arm(prog);
     CoreConfig core;
     SimCache &cache = SimCache::instance();
+    SimRequest req;
+    req.fe = &arm;
+    req.core = &core;
 
     const uint64_t misses0 = cache.misses();
-    SimResult solo = cache.simulate(arm, core);
+    SimResult solo = cache.simulate(req);
     EXPECT_EQ(cache.misses(), misses0 + 1);
     EXPECT_FALSE(solo.chip.ranAsChip());
 
     // Same key again: a hit.
     const uint64_t hits0 = cache.hits();
-    (void)cache.simulate(arm, core);
+    (void)cache.simulate(req);
     EXPECT_EQ(cache.hits(), hits0 + 1);
     EXPECT_EQ(cache.misses(), misses0 + 1);
 
     // The multi-tile request must be a fresh computation, not an
     // answer from the cached single-core entry.
-    ChipConfig chip;
-    chip.tiles = 2;
-    chip.sharedL2 = true;
-    SimResult cres = cache.simulate(arm, core, {}, 0, {}, chip);
+    SimRequest chip_req = req;
+    chip_req.chip.tiles = 2;
+    chip_req.chip.sharedL2 = true;
+    SimResult cres = cache.simulate(chip_req);
     EXPECT_EQ(cache.misses(), misses0 + 2);
     ASSERT_TRUE(cres.chip.ranAsChip());
     EXPECT_EQ(cres.chip.tileCycles.size(), 2u);
@@ -365,7 +364,7 @@ TEST(SimCacheChip, MultiTileRequestNeverHitsSingleCoreEntry)
 
     // And the chip entry itself memoizes.
     const uint64_t hits1 = cache.hits();
-    (void)cache.simulate(arm, core, {}, 0, {}, chip);
+    (void)cache.simulate(chip_req);
     EXPECT_EQ(cache.hits(), hits1 + 1);
     EXPECT_EQ(cache.misses(), misses0 + 2);
 }

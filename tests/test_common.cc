@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 
 namespace pfits
@@ -110,75 +109,6 @@ TEST(Rng, UniformInUnitInterval)
         sum += v;
     }
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
-}
-
-TEST(Stats, CounterIncrements)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, DistributionBuckets)
-{
-    Distribution dist(0, 9, 2); // buckets [0,1],[2,3],...,[8,9]
-    dist.sample(0);
-    dist.sample(1);
-    dist.sample(9);
-    dist.sample(-5);
-    dist.sample(100, 3);
-    EXPECT_EQ(dist.samples(), 7u);
-    EXPECT_EQ(dist.buckets()[0], 2u);
-    EXPECT_EQ(dist.buckets()[4], 1u);
-    EXPECT_EQ(dist.underflow(), 1u);
-    EXPECT_EQ(dist.overflow(), 3u);
-    EXPECT_EQ(dist.minSample(), -5);
-    EXPECT_EQ(dist.maxSample(), 100);
-}
-
-TEST(Stats, DistributionMean)
-{
-    Distribution dist(0, 100, 10);
-    dist.sample(10);
-    dist.sample(30);
-    EXPECT_DOUBLE_EQ(dist.mean(), 20.0);
-}
-
-TEST(Stats, DistributionRejectsBadConfig)
-{
-    EXPECT_THROW(Distribution(0, 10, 0), FatalError);
-    EXPECT_THROW(Distribution(10, 0, 1), FatalError);
-}
-
-TEST(Stats, GroupLookupAndDump)
-{
-    Counter hits;
-    hits += 10;
-    StatGroup group("icache");
-    group.addCounter("hits", &hits, "cache hits");
-    group.addFormula("double_hits",
-                     [&]() { return 2.0 * hits.value(); });
-    EXPECT_DOUBLE_EQ(group.lookup("hits"), 10.0);
-    EXPECT_DOUBLE_EQ(group.lookup("double_hits"), 20.0);
-    EXPECT_TRUE(group.has("hits"));
-    EXPECT_FALSE(group.has("misses"));
-    EXPECT_THROW(group.lookup("nope"), PanicError);
-
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("icache.hits 10"), std::string::npos);
-}
-
-TEST(Stats, GroupRejectsDuplicates)
-{
-    Counter c;
-    StatGroup group("g");
-    group.addCounter("x", &c);
-    EXPECT_THROW(group.addCounter("x", &c), PanicError);
 }
 
 TEST(Table, PrintAlignsAndCsvEscapes)

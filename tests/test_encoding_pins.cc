@@ -124,10 +124,11 @@ currentPins()
 
     // One real run, instrumented so the interval series is pinned too.
     ArmFrontEnd fe(mibench::findBench("crc32").build().program);
-    SimCache::instance().clear();
-    const SimResult result =
-        SimCache::instance().simulate(fe, arm16, {}, 0, interval);
-    SimCache::instance().clear();
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &arm16;
+    req.spec = interval;
+    const SimResult result = runSimulation(req);
     pins.push_back(
         {"store_entry crc32 ARM16 interval=50000",
          encodeResultEntry({hashFrontEnd(fe),

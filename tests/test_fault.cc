@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/fault.hh"
-#include "common/stats.hh"
 #include "exp/experiment.hh"
 #include "mibench/mibench.hh"
 #include "sim/frontend.hh"
@@ -115,12 +114,10 @@ TEST(FaultPlan, StatsRegistration)
     plan.recordInjected(FaultTarget::ICACHE);
     plan.recordDetected(FaultTarget::ICACHE);
     plan.recordEscaped(FaultTarget::MEMORY);
-    StatGroup group("run");
-    plan.addStats(group);
-    EXPECT_DOUBLE_EQ(group.lookup("faults.icache.injected"), 2.0);
-    EXPECT_DOUBLE_EQ(group.lookup("faults.icache.detected"), 1.0);
-    EXPECT_DOUBLE_EQ(group.lookup("faults.memory.escaped"), 1.0);
-    EXPECT_DOUBLE_EQ(group.lookup("faults.config.injected"), 0.0);
+    EXPECT_EQ(plan.injected(FaultTarget::ICACHE), 2u);
+    EXPECT_EQ(plan.detected(FaultTarget::ICACHE), 1u);
+    EXPECT_EQ(plan.escaped(FaultTarget::MEMORY), 1u);
+    EXPECT_EQ(plan.injected(FaultTarget::CONFIG), 0u);
     EXPECT_EQ(plan.totalInjected(), 2u);
     EXPECT_STREQ(faultTargetName(FaultTarget::CONFIG), "config");
 }

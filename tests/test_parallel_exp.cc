@@ -110,27 +110,18 @@ TEST(ThreadPool, ReusableAcrossBatches)
 
 TEST(ThreadPool, ParseJobsFlagForms)
 {
-    const char *a1[] = {"prog", "--jobs", "6"};
-    EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a1)), 6u);
-    const char *a2[] = {"prog", "--jobs=12"};
-    EXPECT_EQ(parseJobsFlag(2, const_cast<char **>(a2)), 12u);
-    const char *a3[] = {"prog", "-j3"};
-    EXPECT_EQ(parseJobsFlag(2, const_cast<char **>(a3)), 3u);
-    const char *a4[] = {"prog", "--csv"};
-    EXPECT_EQ(parseJobsFlag(2, const_cast<char **>(a4)), 0u);
-    const char *a5[] = {"prog", "--jobs", "0"};
-    EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a5)), 1u);
-    const char *a6[] = {"prog", "--jobs", "256"};
-    EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a6)), 256u);
-    // Not a job count: a value that would wrap an unsigned, a sign, a
-    // count above kMaxJobs, an empty value. Each reads as absent.
-    for (const char *bad : {"4294967297", "-1", "+4", "257", ""}) {
-        const char *a[] = {"prog", "--jobs", bad};
-        EXPECT_EQ(parseJobsFlag(3, const_cast<char **>(a)), 0u) << bad;
-        EXPECT_FALSE(parseJobCount(bad).has_value()) << bad;
-    }
+    // The value parser behind every --jobs / -jN flag and PFITS_JOBS
+    // (pfits_run, pfits_verify and pfitsd each reject what it refuses;
+    // tests/CMakeLists.txt runs pfits_verify on a bad value).
+    EXPECT_EQ(parseJobCount("6"), 6u);
+    EXPECT_EQ(parseJobCount("12"), 12u);
+    EXPECT_EQ(parseJobCount("256"), 256u);
     EXPECT_EQ(parseJobCount("0"), 0u);
     EXPECT_EQ(parseJobCount("0256"), 256u);
+    // Not a job count: a value that would wrap an unsigned, a sign, a
+    // count above kMaxJobs, a non-number, an empty value.
+    for (const char *bad : {"4294967297", "-1", "+4", "257", "abc", ""})
+        EXPECT_FALSE(parseJobCount(bad).has_value()) << bad;
     EXPECT_GE(defaultJobs(), 1u);
 }
 
@@ -144,13 +135,16 @@ TEST(SimCache, KeyCoversProgramConfigAndFaultSeed)
     mibench::Workload wl = mibench::buildCrc32();
     ArmFrontEnd fe(std::move(wl.program));
     CoreConfig core;
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &core;
 
-    SimResult first = cache.simulate(fe, core);
+    SimResult first = cache.simulate(req);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 0u);
 
     // Identical request: a hit, and the identical result.
-    SimResult again = cache.simulate(fe, core);
+    SimResult again = cache.simulate(req);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(again.run.cycles, first.run.cycles);
@@ -159,61 +153,28 @@ TEST(SimCache, KeyCoversProgramConfigAndFaultSeed)
     // A timing-relevant config change is a different key.
     CoreConfig small = core;
     small.icache.sizeBytes = 8 * 1024;
-    cache.simulate(fe, small);
+    SimRequest small_req = req;
+    small_req.core = &small;
+    cache.simulate(small_req);
     EXPECT_EQ(cache.misses(), 2u);
 
     // Arming a fault plan (seed is part of the key) is a fresh key.
-    FaultParams faults;
-    faults.icacheMeanInterval = 50'000;
-    cache.simulate(fe, core, faults, 3);
+    SimRequest faulty = req;
+    faulty.faults.icacheMeanInterval = 50'000;
+    faulty.maxRetries = 3;
+    cache.simulate(faulty);
     EXPECT_EQ(cache.misses(), 3u);
-    cache.simulate(fe, core, faults, 3);
+    cache.simulate(faulty);
     EXPECT_EQ(cache.misses(), 3u); // same seed: memoized
 
-    faults.seed ^= 0xdecafull;
-    cache.simulate(fe, core, faults, 3);
+    faulty.faults.seed ^= 0xdecafull;
+    cache.simulate(faulty);
     EXPECT_EQ(cache.misses(), 4u);
 
     EXPECT_EQ(cache.entries(), 4u);
     cache.clear();
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
-}
-
-TEST(SimCache, LruBoundEvictsColdEntriesAndCountsThem)
-{
-    SimCache &cache = SimCache::instance();
-    cache.clear();
-    cache.setMaxEntries(2);
-
-    mibench::Workload wl = mibench::buildCrc32();
-    ArmFrontEnd fe(std::move(wl.program));
-
-    CoreConfig a, b, c;
-    a.icache.sizeBytes = 16 * 1024;
-    b.icache.sizeBytes = 8 * 1024;
-    c.icache.sizeBytes = 4 * 1024;
-
-    cache.simulate(fe, a);
-    cache.simulate(fe, b);
-    EXPECT_EQ(cache.entries(), 2u);
-    EXPECT_EQ(cache.evictions(), 0u);
-
-    // Touch A so B is the LRU victim when C overflows the budget.
-    cache.simulate(fe, a);
-    cache.simulate(fe, c);
-    EXPECT_EQ(cache.entries(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-
-    // A stayed resident (hit); B was evicted (fresh miss re-simulates).
-    uint64_t misses = cache.misses();
-    cache.simulate(fe, a);
-    EXPECT_EQ(cache.misses(), misses);
-    cache.simulate(fe, b);
-    EXPECT_EQ(cache.misses(), misses + 1);
-
-    cache.setMaxEntries(0); // unbounded again for the other tests
-    cache.clear();
 }
 
 TEST(SimCache, TryGetAndSeedRoundTrip)
@@ -224,14 +185,16 @@ TEST(SimCache, TryGetAndSeedRoundTrip)
     mibench::Workload wl = mibench::buildCrc32();
     ArmFrontEnd fe(std::move(wl.program));
     CoreConfig core;
-    SimKey key{hashFrontEnd(fe), hashCoreConfig(core),
-               hashFaultParams({}, 0), hashObserverSpec({})};
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &core;
+    const SimKey key = req.key();
 
     // Absent: tryGet must not compute, count, or block.
     EXPECT_FALSE(cache.tryGet(key).has_value());
     EXPECT_EQ(cache.misses(), 0u);
 
-    SimResult real = cache.simulate(fe, core);
+    SimResult real = cache.simulate(req);
     auto probed = cache.tryGet(key);
     ASSERT_TRUE(probed.has_value());
     EXPECT_EQ(probed->run.cycles, real.run.cycles);
@@ -248,7 +211,7 @@ TEST(SimCache, TryGetAndSeedRoundTrip)
     EXPECT_TRUE(cache.seed(key, real));
     EXPECT_EQ(cache.entries(), 1u);
     uint64_t misses = cache.misses();
-    SimResult served = cache.simulate(fe, core);
+    SimResult served = cache.simulate(req);
     EXPECT_EQ(cache.misses(), misses) << "seeded key must hit";
     EXPECT_EQ(served.run.cycles, real.run.cycles);
     cache.clear();

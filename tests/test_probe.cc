@@ -206,8 +206,9 @@ TEST(Probe, IntervalSumsMatchRunTotals)
     uint64_t toggles = 0, bits = 0;
     for (size_t i = 0; i < samples.size(); ++i) {
         const IntervalSample &s = samples[i];
-        if (i + 1 < samples.size())
+        if (i + 1 < samples.size()) {
             EXPECT_EQ(s.instructions, 10'000u) << "interval " << i;
+        }
         EXPECT_EQ(s.firstInstruction, instrs) << "interval " << i;
         instrs += s.instructions;
         cycles += s.cycles;
@@ -386,20 +387,22 @@ TEST(Probe, ObserverSpecJoinsSimCacheKey)
 
     SimCache &cache = SimCache::instance();
     size_t before = cache.entries();
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &core;
 
-    SimResult plain = cache.simulate(fe, core);
+    SimResult plain = cache.simulate(req);
     ASSERT_EQ(cache.entries(), before + 1);
     EXPECT_TRUE(plain.intervals.empty());
 
-    ObserverSpec spec;
-    spec.intervalInstructions = 50;
-    SimResult instrumented = cache.simulate(fe, core, {}, 0, spec);
+    req.spec.intervalInstructions = 50;
+    SimResult instrumented = cache.simulate(req);
     EXPECT_EQ(cache.entries(), before + 2);
     EXPECT_FALSE(instrumented.intervals.empty());
 
     // Same spec again: a hit, same products.
     uint64_t hits = cache.hits();
-    SimResult again = cache.simulate(fe, core, {}, 0, spec);
+    SimResult again = cache.simulate(req);
     EXPECT_EQ(cache.hits(), hits + 1);
     EXPECT_EQ(again.intervals.size(), instrumented.intervals.size());
     expectSameResult(plain.run, instrumented.run, "plain vs observed");
@@ -430,13 +433,15 @@ TEST(Probe, TraceOnTrapWritesBoundedFileThroughSimCache)
     CoreConfig core;
     core.icache.parity = true;
 
-    ObserverSpec spec;
-    spec.traceOnTrap = true;
-    spec.traceDepth = 16;
-    spec.traceDir = testing::TempDir();
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &core;
+    req.faults = aggressiveFaults();
+    req.spec.traceOnTrap = true;
+    req.spec.traceDepth = 16;
+    req.spec.traceDir = testing::TempDir();
 
-    SimResult sim = SimCache::instance().simulate(
-        fe, core, aggressiveFaults(), 0, spec);
+    SimResult sim = SimCache::instance().simulate(req);
     ASSERT_EQ(sim.run.outcome, RunOutcome::FaultDetected);
     ASSERT_FALSE(sim.tracePath.empty());
 
@@ -449,7 +454,7 @@ TEST(Probe, TraceOnTrapWritesBoundedFileThroughSimCache)
         EXPECT_EQ(line.front(), '{');
     }
     EXPECT_GE(n, 2u);
-    EXPECT_LE(n, spec.traceDepth + 1);
+    EXPECT_LE(n, req.spec.traceDepth + 1);
     std::remove(sim.tracePath.c_str());
 }
 

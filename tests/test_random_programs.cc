@@ -2,15 +2,13 @@
  *  through the complete pipeline. Each generated program runs on the
  *  fixed ARM decoder and, after profile/synthesize/translate, on the
  *  programmable FITS decoder; every architectural register and all
- *  emitted output must match. Also covers the RunResult stats surface. */
+ *  emitted output must match. Also checks the RunResult derived
+ *  metrics (ipc, seconds). */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "assembler/builder.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
 #include "fits/synth.hh"
@@ -159,21 +157,14 @@ TEST(RunStats, SurfaceExposesRunMetrics)
     ArmFrontEnd arm(prog);
     RunResult rr = Machine(arm, CoreConfig{}).run();
 
-    StatGroup group("run");
-    rr.addStats(group);
-    EXPECT_DOUBLE_EQ(group.lookup("instructions"),
-                     static_cast<double>(rr.instructions));
-    EXPECT_DOUBLE_EQ(group.lookup("cycles"),
-                     static_cast<double>(rr.cycles));
-    EXPECT_NEAR(group.lookup("ipc"), rr.ipc(), 1e-12);
-    EXPECT_DOUBLE_EQ(group.lookup("icache.accesses"),
-                     static_cast<double>(rr.icache.accesses()));
-    EXPECT_GT(group.lookup("seconds"), 0.0);
-
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("run.icache.mpmi"), std::string::npos);
-    EXPECT_NE(os.str().find("run.dcache.accesses"), std::string::npos);
+    ASSERT_EQ(rr.outcome, RunOutcome::Completed);
+    EXPECT_GT(rr.instructions, 0u);
+    EXPECT_GT(rr.cycles, 0u);
+    EXPECT_NEAR(rr.ipc(),
+                static_cast<double>(rr.instructions) / rr.cycles, 1e-12);
+    EXPECT_GE(rr.icache.accesses(), rr.icache.misses());
+    EXPECT_GT(rr.icache.accesses(), 0u);
+    EXPECT_GT(rr.seconds(), 0.0);
 }
 
 } // namespace

@@ -127,10 +127,12 @@ TEST(Trace, RecorderEmitsValidBalancedJsonAcrossThreads)
         EXPECT_GE(e.get("ts").asNumber(), last_ts)
             << "flush must be time-sorted";
         last_ts = e.get("ts").asNumber();
-        if (ph == "i")
+        if (ph == "i") {
             EXPECT_EQ(e.get("s").asString(), "t");
-        if (ph == "B" || ph == "i")
+        }
+        if (ph == "B" || ph == "i") {
             EXPECT_TRUE(e.get("name").isString());
+        }
     }
     EXPECT_EQ(track_names,
               (std::set<std::string>{"main", "helper", "synthetic"}));
