@@ -64,9 +64,6 @@ const Experiment kExperiments[] = {
      .run = figure<fig10PeakSaving>},
     {.name = "fig11_total_cache_power",
      .paper = "FITS8 47% > ARM8 27% > FITS16 18%",
-     .run = figure<fig11TotalCacheSaving>},
-    {.name = "fig11_total_cache_power+dvs",
-     .paper = "FITS8 47% > ARM8 27% > FITS16 18%",
      .run = fig11WithDvs},
     {.name = "fig12_chip_power",
      .paper = "FITS8 15%; ARM8 8%; FITS16 7%",

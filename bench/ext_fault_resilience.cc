@@ -22,20 +22,19 @@
  * run: each parity machine-check appends its last 64 events as JSONL
  * to <kernel>_<ARM16|FITS8>.trace.jsonl in the --trace-dir directory
  * (the report itself is unchanged — observers never alter results).
+ * The parity-off coverage rows repeat the sweep's runs, so they are
+ * memo hits and append no second dump.
  */
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "exp/simservice.hh"
 #include "experiments.hh"
 #include "fits/serialize.hh"
 #include "mibench/mibench.hh"
-#include "sim/frontend.hh"
-#include "sim/machine.hh"
-#include "sim/probe.hh"
 
 namespace pfits
 {
@@ -53,18 +52,17 @@ struct FaultyRunStats
     RunOutcome outcome = RunOutcome::Trapped;
     uint32_t cacheBytes = 0; //!< I-cache size of the run's core
     uint64_t cycles = 0;
-    uint64_t injected = 0;
-    uint64_t detected = 0;
-    uint64_t escaped = 0;
+    FaultCounts icache; //!< summed over every attempt
     bool goldenOk = false;
     bool sdc = false; //!< completed with the wrong answer
     unsigned retries = 0;
 };
 
 /**
- * Run one (kernel, ISA) pair under a fault plan, with the experiment
- * harness's retry-with-reload policy on parity machine-checks. At
- * constant flux the injection interval scales with cache size.
+ * Run one (kernel, ISA) pair under a fault schedule through the
+ * simulation service, which reloads and retries after a parity
+ * machine-check (runSimulation). At constant flux the injection
+ * interval scales with cache size.
  */
 FaultyRunStats
 faultyRun(const ObserverSpec &observe, const PreparedBench &setup,
@@ -72,9 +70,6 @@ faultyRun(const ObserverSpec &observe, const PreparedBench &setup,
           uint64_t seed)
 {
     const std::string &name = setup.result->name;
-    const FrontEnd &fe =
-        is_fits ? static_cast<const FrontEnd &>(*setup.fitsFe)
-                : static_cast<const FrontEnd &>(*setup.armFe);
     CoreConfig core =
         paperCoreConfig(is_fits ? ConfigId::FITS8 : ConfigId::ARM16);
     core.icache.parity = parity;
@@ -88,40 +83,23 @@ faultyRun(const ObserverSpec &observe, const PreparedBench &setup,
             base_interval *
             paperCoreConfig(ConfigId::ARM16).icache.sizeBytes /
             core.icache.sizeBytes;
-    std::unique_ptr<FaultPlan> plan;
-    if (fp.enabled())
-        plan = std::make_unique<FaultPlan>(fp);
-
-    // The flight recorder persists across the retry loop: every parity
-    // machine-check appends one bounded dump, so a multi-retry run
-    // leaves one trace per attempt that died.
-    std::unique_ptr<TraceObserver> tracer;
-    ObserverList observers;
-    if (observe.traceArmed()) {
-        tracer = std::make_unique<TraceObserver>(observe.traceDepth);
-        tracer->setPath(observe.traceDir + "/" + name + "_" +
-                        (is_fits ? "FITS8" : "ARM16") +
-                        ".trace.jsonl");
-        observers.add(tracer.get());
-    }
-    ObserverList *obs = tracer ? &observers : nullptr;
+    const SimResult sim = currentSimService()->simulate(
+        {.fe = is_fits ? static_cast<const FrontEnd *>(setup.fitsFe.get())
+                       : setup.armFe.get(),
+         .core = &core,
+         .faults = fp,
+         .maxRetries = kMaxRetries,
+         .spec = observe,
+         .bench = name,
+         .isFits = is_fits});
+    const RunResult &rr = sim.run;
 
     FaultyRunStats out;
     out.cacheBytes = core.icache.sizeBytes;
-    RunResult rr = Machine(fe, core).run(plan.get(), obs);
-    while (rr.outcome == RunOutcome::FaultDetected &&
-           out.retries < kMaxRetries) {
-        ++out.retries;
-        rr = Machine(fe, core).run(plan.get(), obs);
-    }
-
     out.outcome = rr.outcome;
     out.cycles = rr.cycles;
-    if (plan) {
-        out.injected = plan->injected(FaultTarget::ICACHE);
-        out.detected = plan->detected(FaultTarget::ICACHE);
-        out.escaped = plan->escaped(FaultTarget::ICACHE);
-    }
+    out.icache = sim.faultTally[static_cast<size_t>(FaultTarget::ICACHE)];
+    out.retries = sim.faultRetries;
     out.goldenOk = rr.outcome == RunOutcome::Completed &&
                    !rr.io.emitted.empty() &&
                    rr.io.emitted[0] == setup.expected;
@@ -136,7 +114,8 @@ upsetsPerGibCycle(const FaultyRunStats &s)
     double exposure = static_cast<double>(s.cacheBytes) *
                       static_cast<double>(s.cycles);
     return exposure > 0
-               ? static_cast<double>(s.injected) / exposure * (1 << 30)
+               ? static_cast<double>(s.icache.injected) / exposure *
+                     (1 << 30)
                : 0.0;
 }
 
@@ -178,14 +157,15 @@ extFaultResilience(const ExperimentParams &params)
         FaultyRunStats fits =
             faultyRun(observe, s, true, false, kBaseInterval, 0xe6);
         double ratio =
-            arm.injected
-                ? static_cast<double>(fits.injected) / arm.injected
+            arm.icache.injected
+                ? static_cast<double>(fits.icache.injected) /
+                      arm.icache.injected
                 : 0.0;
         ratio_sum += ratio;
         sdc_total += (arm.sdc ? 1 : 0) + (fits.sdc ? 1 : 0);
         sweep.addRow(s.result->name,
-                     {static_cast<double>(arm.injected),
-                      static_cast<double>(fits.injected), ratio,
+                     {static_cast<double>(arm.icache.injected),
+                      static_cast<double>(fits.icache.injected), ratio,
                       upsetsPerGibCycle(arm), upsetsPerGibCycle(fits),
                       static_cast<double>((arm.sdc ? 1 : 0) +
                                           (fits.sdc ? 1 : 0))},
@@ -204,18 +184,19 @@ extFaultResilience(const ExperimentParams &params)
             for (bool parity : {false, true}) {
                 FaultyRunStats r = faultyRun(observe, s, is_fits,
                                              parity, kBaseInterval, 0xe6);
-                uint64_t consumed = r.detected + r.escaped;
+                const FaultCounts &ic = r.icache;
+                uint64_t consumed = ic.detected + ic.escaped;
                 double cover =
-                    consumed ? 100.0 * static_cast<double>(r.detected) /
+                    consumed ? 100.0 * static_cast<double>(ic.detected) /
                                    static_cast<double>(consumed)
                              : 100.0;
                 std::string cfg =
                     std::string(is_fits ? "FITS8" : "ARM16") +
                     (parity ? "+par" : "");
                 coverage.addRow({s.result->name, cfg,
-                                 std::to_string(r.injected),
-                                 std::to_string(r.detected),
-                                 std::to_string(r.escaped),
+                                 std::to_string(ic.injected),
+                                 std::to_string(ic.detected),
+                                 std::to_string(ic.escaped),
                                  formatDouble(cover, 1),
                                  std::to_string(r.retries),
                                  runOutcomeName(r.outcome)});

@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "exp/simservice.hh"
 #include "experiments.hh"
 #include "power/cache_power.hh"
 #include "power/tech.hh"
 #include "sim/frontend.hh"
-#include "sim/machine.hh"
 #include "sim/probe.hh"
 
 namespace pfits
@@ -46,25 +46,24 @@ struct PhaseSeries
 };
 
 /**
- * Two-pass measurement: a plain run sizes the interval so the series
- * has kPhases equal-instruction samples (the last absorbs the partial
- * tail and the pipeline drain), then an instrumented run records them.
+ * Two-pass measurement through the simulation service: a plain run
+ * sizes the interval so the series has kPhases equal-instruction
+ * samples (the last absorbs the partial tail and the pipeline drain),
+ * then an instrumented run records them.
  */
 PhaseSeries
-measure(const FrontEnd &fe)
+measure(const FrontEnd &fe, const std::string &bench, bool is_fits)
 {
     PhaseSeries out;
     // Both sides of the comparison run the paper's large 16 KiB
     // I-cache: the phase curves isolate the ISA, not the cache size.
-    RunResult plain = Machine(fe, out.core).run();
-    uint64_t every =
-        (plain.instructions + kPhases - 1) / kPhases;
-
-    IntervalStatsObserver intervals(every);
-    ObserverList list;
-    list.add(&intervals);
-    Machine(fe, out.core).run(nullptr, &list);
-    out.samples = intervals.take();
+    SimRequest req{
+        .fe = &fe, .core = &out.core, .bench = bench, .isFits = is_fits};
+    const uint64_t instructions =
+        currentSimService()->simulate(req).run.instructions;
+    req.spec.intervalInstructions =
+        (instructions + kPhases - 1) / kPhases;
+    out.samples = currentSimService()->simulate(req).intervals;
     return out;
 }
 
@@ -76,8 +75,8 @@ extPhaseBehavior(const ExperimentParams &params)
     ExperimentOutput out;
     for (const char *name : kKernels) {
         const PreparedBench prep = prepareBenchmark(name, params);
-        PhaseSeries arm = measure(*prep.armFe);
-        PhaseSeries fits = measure(*prep.fitsFe);
+        PhaseSeries arm = measure(*prep.armFe, name, false);
+        PhaseSeries fits = measure(*prep.fitsFe, name, true);
 
         TechParams tech;
         tech.clockHz = arm.core.clockHz;

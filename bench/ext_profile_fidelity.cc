@@ -8,6 +8,7 @@
  * mapping rate and the FITS8 total I-cache saving.
  */
 
+#include "exp/simservice.hh"
 #include "experiments.hh"
 #include "fits/fits_frontend.hh"
 #include "fits/profile.hh"
@@ -15,7 +16,6 @@
 #include "fits/translate.hh"
 #include "mibench/mibench.hh"
 #include "power/cache_power.hh"
-#include "sim/machine.hh"
 
 namespace pfits
 {
@@ -29,24 +29,34 @@ struct Outcome
     double saving;
 };
 
+/**
+ * Synthesize from @p synth_profile, but always *score* against the
+ * true execution profile @p exec_profile.
+ */
 Outcome
-evaluate(const mibench::Workload &w, const char *name, bool dynamic)
+evaluate(const mibench::Workload &w, const char *name,
+         const ProfileInfo &synth_profile,
+         const ProfileInfo &exec_profile)
 {
-    // Synthesize from the chosen profile fidelity...
-    ProfileInfo synth_profile = profileProgram(w.program, dynamic);
     FitsIsa isa = synthesize(synth_profile, SynthParams{}, name);
-    // ...but always *score* against the true execution profile.
-    ProfileInfo true_profile = profileProgram(w.program, true);
-    FitsProgram fits = translateProgram(w.program, isa, true_profile);
+    FitsProgram fits = translateProgram(w.program, isa, exec_profile);
     Outcome out;
     out.dynMap = fits.mapping.dynRate();
 
+    // The ARM16 run is the same for both fidelities: the second
+    // request is a memo hit.
     const CoreConfig arm16 = paperCoreConfig(ConfigId::ARM16);
     const CoreConfig fits8 = paperCoreConfig(ConfigId::FITS8);
     ArmFrontEnd arm(w.program);
     FitsFrontEnd fe(std::move(fits));
-    RunResult ra = Machine(arm, arm16).run();
-    RunResult rf = Machine(fe, fits8).run();
+    SimService &sims = *currentSimService();
+    RunResult ra =
+        sims.simulate({.fe = &arm, .core = &arm16, .bench = name}).run;
+    RunResult rf = sims.simulate({.fe = &fe,
+                                  .core = &fits8,
+                                  .bench = name,
+                                  .isFits = true})
+                       .run;
     CachePowerModel arm_model(arm16.icache, TechParams{});
     CachePowerModel fits_model(fits8.icache, TechParams{});
     out.saving = 1.0 - fits_model.evaluate(rf).totalJ() /
@@ -67,8 +77,13 @@ extProfileFidelity(const ExperimentParams &)
     size_t n = 0;
     for (const auto &info : mibench::suite()) {
         mibench::Workload w = info.build();
-        Outcome stat = evaluate(w, info.name, false);
-        Outcome dyn = evaluate(w, info.name, true);
+        // One execution profile per kernel: the dynamic synthesis
+        // input and the scoring profile of both fidelities.
+        const ProfileInfo exec_profile = profileProgram(w.program);
+        Outcome stat = evaluate(w, info.name,
+                                profileProgram(w.program, false),
+                                exec_profile);
+        Outcome dyn = evaluate(w, info.name, exec_profile, exec_profile);
         table.addRow(info.name,
                      {100 * stat.dynMap, 100 * dyn.dynMap,
                       100 * stat.saving, 100 * dyn.saving},

@@ -16,8 +16,8 @@ fi
 build="$1"
 
 # Every experiment whose tables carry power-model outputs, including
-# the skip-heavy geometry ablation (degenerate points) and the fig11
-# DVS ladder variant.
+# the skip-heavy geometry ablation (degenerate points) and fig11's
+# DVS ladder table.
 experiments=(
     fig06_power_breakdown
     fig07_switching_power
@@ -25,7 +25,6 @@ experiments=(
     fig09_leakage_power
     fig10_peak_power
     fig11_total_cache_power
-    fig11_total_cache_power+dvs
     fig12_chip_power
     abl_cache_geometry
     ext_chip_power

@@ -7,7 +7,8 @@
 #     svc.requests, simcache.misses == 0 in the manifest),
 #  3. with the daemon stopped, --daemon runs still exit 0 and count
 #     their degradation (svc.fallbacks > 0).
-# Registered in tests/CMakeLists.txt as "svc_warm_check".
+# Registered in tests/CMakeLists.txt as "svc_warm_check" (fig13_miss_rate)
+# and "svc_warm_check_phase" (ext_phase_behavior).
 #
 # Usage: svc_warm_check.sh <pfitsd> <pfits_run> <experiment> <pfits_report>
 set -euo pipefail

@@ -58,48 +58,12 @@ FaultPlan::due(FaultTarget target, uint64_t instr)
     return true;
 }
 
-void
-FaultPlan::recordInjected(FaultTarget target)
-{
-    ++injected_[static_cast<size_t>(target)];
-}
-
-void
-FaultPlan::recordDetected(FaultTarget target)
-{
-    ++detected_[static_cast<size_t>(target)];
-}
-
-void
-FaultPlan::recordEscaped(FaultTarget target)
-{
-    ++escaped_[static_cast<size_t>(target)];
-}
-
-uint64_t
-FaultPlan::injected(FaultTarget target) const
-{
-    return injected_[static_cast<size_t>(target)];
-}
-
-uint64_t
-FaultPlan::detected(FaultTarget target) const
-{
-    return detected_[static_cast<size_t>(target)];
-}
-
-uint64_t
-FaultPlan::escaped(FaultTarget target) const
-{
-    return escaped_[static_cast<size_t>(target)];
-}
-
 uint64_t
 FaultPlan::totalInjected() const
 {
     uint64_t sum = 0;
-    for (uint64_t n : injected_)
-        sum += n;
+    for (const FaultCounts &counts : tally_)
+        sum += counts.injected;
     return sum;
 }
 

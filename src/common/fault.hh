@@ -23,6 +23,7 @@
 #ifndef POWERFITS_COMMON_FAULT_HH
 #define POWERFITS_COMMON_FAULT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -43,6 +44,18 @@ enum class FaultTarget : uint8_t
 
 /** @return "icache"/"memory"/"config". */
 const char *faultTargetName(FaultTarget target);
+
+/** One target's bookkeeping: upsets struck, caught by parity, missed. */
+struct FaultCounts
+{
+    uint64_t injected = 0;
+    uint64_t detected = 0;
+    uint64_t escaped = 0;
+};
+
+/** FaultCounts per target, indexed by FaultTarget. */
+using FaultTally =
+    std::array<FaultCounts, static_cast<size_t>(FaultTarget::NUM)>;
 
 /** Injection schedule parameters; an interval of 0 disables a target. */
 struct FaultParams
@@ -101,16 +114,19 @@ class FaultPlan
     Rng &rng() { return rng_; }
 
     // --- bookkeeping ----------------------------------------------------
-    void recordInjected(FaultTarget target);
-    void recordDetected(FaultTarget target);
-    void recordEscaped(FaultTarget target);
+    void recordInjected(FaultTarget target) { ++counts(target).injected; }
+    void recordDetected(FaultTarget target) { ++counts(target).detected; }
+    void recordEscaped(FaultTarget target) { ++counts(target).escaped; }
 
-    uint64_t injected(FaultTarget target) const;
-    uint64_t detected(FaultTarget target) const;
-    uint64_t escaped(FaultTarget target) const;
+    uint64_t injected(FaultTarget t) const { return counts(t).injected; }
+    uint64_t detected(FaultTarget t) const { return counts(t).detected; }
+    uint64_t escaped(FaultTarget t) const { return counts(t).escaped; }
 
     /** Sum of injected() over all targets. */
     uint64_t totalInjected() const;
+
+    /** Every target's counters, as accumulated so far. */
+    const FaultTally &tally() const { return tally_; }
 
     /**
      * Flip one uniformly chosen bit of @p text in place (the CONFIG
@@ -124,12 +140,22 @@ class FaultPlan
   private:
     uint64_t nextGap(uint64_t mean);
 
+    FaultCounts &
+    counts(FaultTarget target)
+    {
+        return tally_[static_cast<size_t>(target)];
+    }
+
+    const FaultCounts &
+    counts(FaultTarget target) const
+    {
+        return tally_[static_cast<size_t>(target)];
+    }
+
     FaultParams params_;
     Rng rng_;
     uint64_t nextAt_[static_cast<size_t>(FaultTarget::NUM)];
-    uint64_t injected_[static_cast<size_t>(FaultTarget::NUM)] = {};
-    uint64_t detected_[static_cast<size_t>(FaultTarget::NUM)] = {};
-    uint64_t escaped_[static_cast<size_t>(FaultTarget::NUM)] = {};
+    FaultTally tally_{};
 };
 
 } // namespace pfits

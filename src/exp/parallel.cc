@@ -1,6 +1,7 @@
 #include "exp/parallel.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -56,6 +57,20 @@ parseJobCount(std::string_view text)
             return std::nullopt;
     }
     return v;
+}
+
+bool
+parseU64(const char *text, uint64_t *out, uint64_t max)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        return false;
+    *out = v;
+    return true;
 }
 
 /**

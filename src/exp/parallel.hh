@@ -19,6 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,6 +48,14 @@ constexpr unsigned kMaxJobs = 256;
  * @return the count, or nullopt when @p text is anything else.
  */
 std::optional<unsigned> parseJobCount(std::string_view text);
+
+/**
+ * Parse a numeric flag value: decimal digits only (strtoull alone
+ * would take a sign or leading space, and wrap "-1" to 2^64 - 1),
+ * value at most @p max. @return false, @p out untouched, otherwise.
+ */
+bool parseU64(const char *text, uint64_t *out,
+              uint64_t max = UINT64_MAX);
 
 /**
  * One job that threw, reported to the submitter: the job's index plus

@@ -346,6 +346,8 @@ runSimulation(const SimRequest &request)
     }
     if (tracer)
         out.tracePath = tracer->path();
+    if (plan)
+        out.faultTally = plan->tally();
     if (metrics) {
         // Per-fresh-sim wall time, retries included — the cost a memo
         // hit saves.

@@ -15,7 +15,7 @@
  *
  * Fault-injected runs are memoized as the outcome of the whole
  * reload-and-retry loop (a FaultPlan is deterministic from its seed,
- * so the retry sequence is too).
+ * so the retry sequence is too), counters summed over every attempt.
  */
 
 #ifndef POWERFITS_EXP_SIMCACHE_HH
@@ -104,9 +104,14 @@ struct SimResult
     //! Chip-run extras; run is tile 0's result in that case.
     ChipRunStats chip;
 
+    //! The fault plan's counters, summed over every attempt (all zero
+    //! unless faults are armed).
+    FaultTally faultTally{};
+
     /**
      * The field list (common/fields.hh): the store entry's "result".
-     * chip has no row, because pfitsd serves single-core runs only.
+     * chip and faultTally have no row, because pfitsd serves
+     * single-core, fault-free runs only.
      */
     template <class V>
     static void
@@ -129,7 +134,7 @@ struct SimRequest
 {
     const FrontEnd *fe = nullptr;
     const CoreConfig *core = nullptr;
-    FaultParams faults;       //!< final derived schedule (post seed mix)
+    FaultParams faults = {};  //!< final derived schedule (post seed mix)
     unsigned maxRetries = 0;  //!< reload-and-retry bound under faults
 
     /**
@@ -137,7 +142,7 @@ struct SimRequest
      * the key, since their products only exist for runs that executed
      * with them attached.
      */
-    ObserverSpec spec;
+    ObserverSpec spec = {};
 
     /**
      * Chip-level shape of the run. Default = one tile, no shared L2 —
@@ -147,13 +152,13 @@ struct SimRequest
      * key via hashConfigKey, so a cached single-core result never
      * answers a multi-tile request.
      */
-    ChipConfig chip;
+    ChipConfig chip = {};
 
     /**
      * MiBench suite benchmark this program was built from, "" when the
      * request is not suite-addressable (hand-built programs in tests).
      */
-    std::string bench;
+    std::string bench = {};
     bool isFits = false; //!< bench's FITS translation vs its ARM form
 
     /**
@@ -178,6 +183,8 @@ struct SimRequest
  * over the shared L2 — and reports tile 0's RunResult plus the
  * chip-level extras in SimResult::chip. Fault injection is single-core
  * only: armed faults with a non-default chip are a fatal usage error.
+ * A trap-armed run appends one bounded dump per qualifying attempt to
+ * <traceDir>/<fe name>_<core name>.trace.jsonl.
  *
  * Each call is one "sim" trace span and one simcache.sim_ms sample.
  * SimCache memoizes it per process; pfitsd calls it directly, since

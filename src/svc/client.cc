@@ -306,12 +306,12 @@ SvcClient::simulate(const SimRequest &request)
 {
     // Trace-armed runs write JSONL files as a side effect; those are
     // local products a remote daemon cannot produce on this
-    // filesystem, so they bypass the daemon entirely. Chip runs bypass
-    // it too: the wire protocol (ops and result entries alike) is
-    // single-core and would silently drop the ChipRunStats half of the
-    // result, so multi-tile requests always simulate locally.
+    // filesystem, so they bypass the daemon entirely. Chip and
+    // fault-armed runs bypass it too: a store entry carries neither
+    // the ChipRunStats nor the fault tally of a result, so those
+    // requests always simulate locally.
     if (!config_.enabled() || request.spec.traceArmed() ||
-        !request.chip.isDefault())
+        !request.chip.isDefault() || request.faults.enabled())
         return localSimService().simulate(request);
 
     SimKey key = request.key();
@@ -348,10 +348,6 @@ SvcClient::simulate(const SimRequest &request)
         w.field("isa", request.isFits ? "fits" : "arm");
         w.key("core");
         writeCoreConfigJson(w, *request.core);
-        w.key("faults");
-        writeFaultParamsJson(w, request.faults);
-        w.field("max_retries",
-                static_cast<uint64_t>(request.maxRetries));
         w.key("observers");
         w.beginObject();
         w.field("interval_instructions",

@@ -4,6 +4,10 @@
  * result store before simulating, and *never* makes a run fail that
  * would have succeeded without a daemon.
  *
+ * Trace-armed, chip and fault-armed requests never reach the daemon:
+ * their products (trace files, chip stats, fault tallies) are not
+ * part of a store entry, so they resolve in-process.
+ *
  * Degradation ladder for one request:
  *  1. local SimCache probe (free; no socket round trip on a warm key),
  *  2. daemon round trip — "sim" for suite benchmarks the daemon can

@@ -9,7 +9,6 @@
  */
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -64,21 +63,7 @@ usage(const char *argv0)
         argv0);
 }
 
-/** Decimal digits only (strtoull alone would take a sign or leading
- * space, and wrap "-1" to 2^64 - 1), value at most @p max. */
-bool
-parseU64(const char *s, uint64_t *out, uint64_t max = UINT64_MAX)
-{
-    if (*s < '0' || *s > '9')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v > max)
-        return false;
-    *out = v;
-    return true;
-}
+using pfits::parseU64;
 
 constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
 

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/fault.hh"
 #include "common/frame.hh"
 #include "exp/simcache.hh"
 #include "obs/json_fields.hh"
@@ -43,7 +42,7 @@ inline constexpr const char *kStoreSchema = "pfits-store-v1";
 
 // --- keys, configs and results ------------------------------------------
 //
-// Keys, core configs, fault plans and results travel as their field
+// Keys, core configs and results travel as their field
 // lists (obs/json_fields.hh): writeJsonFields/readJsonFields.
 
 /** The store-relative filename an entry for @p key lives under. */
@@ -54,13 +53,6 @@ inline void
 writeCoreConfigJson(JsonWriter &w, const CoreConfig &core)
 {
     writeJsonFields(w, core);
-}
-
-/** A "sim" request's "faults" part. */
-inline void
-writeFaultParamsJson(JsonWriter &w, const FaultParams &faults)
-{
-    writeJsonFields(w, faults);
 }
 
 // --- store entries -------------------------------------------------------

@@ -502,13 +502,6 @@ SvcServer::handleSim(const JsonValue &req)
     CoreConfig core;
     if (!readJsonFields(req.get("core"), core))
         return errorResponse("sim: bad core config");
-    FaultParams faults;
-    if (req.has("faults") && !readJsonFields(req.get("faults"), faults))
-        return errorResponse("sim: bad fault params");
-    unsigned max_retries = 0;
-    if (req.has("max_retries") &&
-        !getUnsigned(req.get("max_retries"), &max_retries))
-        return errorResponse("sim: bad max_retries");
     ObserverSpec spec;
     if (req.has("observers")) {
         const JsonValue &ov = req.get("observers");
@@ -556,11 +549,10 @@ SvcServer::handleSim(const JsonValue &req)
         if (claimed) {
             {
                 std::lock_guard<std::mutex> lock(workMu_);
-                workQueue_.push_back([this, key, bench, is_fits, core,
-                                      faults, max_retries, spec] {
-                    computeJob(key, bench, is_fits, core, faults,
-                               max_retries, spec);
-                });
+                workQueue_.push_back(
+                    [this, key, bench, is_fits, core, spec] {
+                        computeJob(key, bench, is_fits, core, spec);
+                    });
             }
             workCv_.notify_one();
         }
@@ -633,7 +625,6 @@ SvcServer::preparedFor(const std::string &bench)
 void
 SvcServer::computeJob(const SimKey &key, const std::string &bench,
                       bool is_fits, const CoreConfig &core,
-                      const FaultParams &faults, unsigned max_retries,
                       const ObserverSpec &spec)
 {
     // One span per server-side computation, on the worker's lane.
@@ -669,19 +660,15 @@ SvcServer::computeJob(const SimKey &key, const std::string &bench,
                     : static_cast<const FrontEnd &>(*prep->armFe);
 
         // The content hashes are the contract: if the daemon's
-        // rebuild of the named benchmark (or the requested core,
-        // faults or observers) doesn't hash to the requested key, the
-        // client is asking for a program this daemon cannot produce —
-        // different synthesis parameters, a different suite revision.
+        // rebuild of the named benchmark (or the requested core or
+        // observers) doesn't hash to the requested key, the client is
+        // asking for a run this daemon cannot produce — different
+        // synthesis parameters, a different suite revision, armed
+        // faults (never served: a store entry has no fault tally).
         // Refusing (rather than serving a near-miss) keeps the store
         // content-addressed and the client falls back to local
         // simulation.
-        SimRequest request;
-        request.fe = &fe;
-        request.core = &core;
-        request.faults = faults;
-        request.maxRetries = max_retries;
-        request.spec = spec;
+        const SimRequest request{.fe = &fe, .core = &core, .spec = spec};
         if (request.key() != key) {
             resolveInflight(key, Inflight::State::Unsupported,
                             "content hash mismatch rebuilding '" +

@@ -142,7 +142,6 @@ class SvcServer
     /** Run one simulation request end to end (worker thread). */
     void computeJob(const SimKey &key, const std::string &bench,
                     bool is_fits, const CoreConfig &core,
-                    const FaultParams &faults, unsigned max_retries,
                     const ObserverSpec &spec);
 
     /** Build (or fetch) the prepared front-ends for @p bench. */

@@ -41,14 +41,18 @@
 namespace
 {
 
+/** Programs per sweep at most: each one is a slot in a result vector. */
+constexpr uint64_t kMaxPrograms = 100'000;
+
+/** A numeric flag or PFITS_VERIFY_SEED: 0..@p max, else exit 2. */
 uint64_t
-parseU64(const char *text, const char *flag)
+parseNumber(const char *text, const char *flag,
+            uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!end || *end != '\0') {
+    uint64_t v = 0;
+    if (!pfits::parseU64(text, &v, max)) {
         std::cerr << "pfits_verify: bad value for " << flag << ": '"
-                  << text << "'\n";
+                  << text << "' (want 0.." << max << ")\n";
         std::exit(2);
     }
     return v;
@@ -81,7 +85,7 @@ main(int argc, char **argv)
     bool run_timing = true;
 
     if (const char *env = std::getenv("PFITS_VERIFY_SEED"))
-        opts.seed = parseU64(env, "PFITS_VERIFY_SEED");
+        opts.seed = parseNumber(env, "PFITS_VERIFY_SEED");
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -94,10 +98,10 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (!std::strcmp(arg, "--seed")) {
-            opts.seed = parseU64(value(), "--seed");
+            opts.seed = parseNumber(value(), "--seed");
         } else if (!std::strcmp(arg, "--count")) {
-            opts.count =
-                static_cast<unsigned>(parseU64(value(), "--count"));
+            opts.count = static_cast<unsigned>(
+                parseNumber(value(), "--count", kMaxPrograms));
         } else if (!std::strcmp(arg, "--jobs")) {
             opts.jobs = parseJobs(value());
         } else if (!std::strncmp(arg, "--jobs=", 7)) {
@@ -106,11 +110,11 @@ main(int argc, char **argv)
             opts.jobs = parseJobs(arg + 2);
         } else if (!std::strcmp(arg, "--chip-count")) {
             chip_count = static_cast<unsigned>(
-                parseU64(value(), "--chip-count"));
+                parseNumber(value(), "--chip-count", kMaxPrograms));
         } else if (!std::strcmp(arg, "--chip-tiles")) {
             chip_tiles = static_cast<unsigned>(
-                parseU64(value(), "--chip-tiles"));
-            if (chip_tiles < 2 || chip_tiles > 64) {
+                parseNumber(value(), "--chip-tiles", 64));
+            if (chip_tiles < 2) {
                 std::cerr << "pfits_verify: --chip-tiles wants "
                              "2..64\n";
                 return 2;

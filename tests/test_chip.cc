@@ -92,8 +92,14 @@ expectSameSamples(const std::vector<IntervalSample> &a,
 
 TEST(Chip, OneTileDefaultChipIsAMachine)
 {
-    for (uint64_t seed : {3ull, 17ull}) {
-        Program prog = randomVerifyProgram(seed);
+    // Two short random programs and crc32 (~313k instructions), which
+    // crosses the default 10 000-instruction quantum dozens of times:
+    // state the engine tile forgets at a quantum boundary shows up in
+    // its RunResult (way-memo hits included).
+    const std::vector<Program> progs = {
+        randomVerifyProgram(3), randomVerifyProgram(17),
+        mibench::findBench("crc32").build().program};
+    for (const Program &prog : progs) {
         ArmFrontEnd arm(prog);
         CoreConfig core;
 

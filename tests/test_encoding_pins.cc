@@ -49,7 +49,7 @@ faultsJson(const FaultParams &faults)
 {
     std::ostringstream os;
     JsonWriter w(os, 0);
-    writeFaultParamsJson(w, faults);
+    writeJsonFields(w, faults);
     return os.str();
 }
 

@@ -192,8 +192,9 @@ TEST(FieldLists, EveryMemberHasExactlyOneRow)
     expectOneRowPerMember<SimKey>("SimKey");
     // The brace probe counts each of the NUM_REGS register slots.
     expectOneRowPerMember<CpuState>("CpuState", 0, NUM_REGS - 1);
-    // SimResult::chip has no row: pfitsd serves single-core runs only.
-    expectOneRowPerMember<SimResult>("SimResult", 1);
+    // SimResult::chip and ::faultTally have no row: pfitsd serves
+    // single-core, fault-free runs only.
+    expectOneRowPerMember<SimResult>("SimResult", 2);
 }
 
 // --- the memo key ----------------------------------------------------------

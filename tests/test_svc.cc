@@ -197,7 +197,7 @@ TEST(SvcProto, FaultParamsJsonRoundTripPreservesHash)
 
     std::ostringstream os;
     JsonWriter w(os, 0);
-    writeFaultParamsJson(w, fp);
+    writeJsonFields(w, fp);
     FaultParams back;
     ASSERT_TRUE(
         readJsonFields(JsonValue::parse(os.str()), back));
@@ -656,9 +656,6 @@ TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
         w.field("isa", "arm");
         w.key("core");
         writeCoreConfigJson(w, sr.core);
-        w.key("faults");
-        writeFaultParamsJson(w, FaultParams{});
-        w.field("max_retries", static_cast<uint64_t>(0));
         w.key("observers");
         w.beginObject();
         w.field("interval_instructions", static_cast<uint64_t>(0));
@@ -878,6 +875,57 @@ TEST(SvcService, AbsentDaemonFallsBackCleanly)
     SimCache::instance().clear();
 }
 
+TEST(SvcService, FaultArmedRequestStaysInProcessAndTalliesEveryAttempt)
+{
+    // A store entry has no row for the fault tally, so a fault-armed
+    // request must never reach the daemon, live or not.
+    TestServer ts;
+    SuiteRequest sr("crc32");
+    sr.core.icache.parity = true;
+    sr.req.faults.seed = 0x5eed;
+    sr.req.faults.icacheMeanInterval = 1'000;
+    sr.req.maxRetries = 3;
+
+    MetricRegistry reg;
+    MetricRegistry *prev = MetricRegistry::install(&reg);
+    SvcClient client(clientConfigFor(ts));
+    ASSERT_TRUE(client.ping());
+    SimCache::instance().clear();
+    const SimResult sim = client.simulate(sr.req);
+    EXPECT_EQ(reg.counter("svc.requests").value(), 0u);
+    EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
+    EXPECT_EQ(SimCache::instance().misses(), 1u);
+    const StoreStats store = ts.server->store().stats();
+    EXPECT_EQ(store.hits + store.misses + store.entries, 0u);
+
+    // The tally is the plan's counters summed over every attempt:
+    // replay the reload-and-retry loop by hand on one plan.
+    FaultPlan plan(sr.req.faults);
+    RunResult rr = Machine(*sr.req.fe, sr.core).run(&plan);
+    const uint64_t first_attempt = plan.injected(FaultTarget::ICACHE);
+    unsigned retries = 0;
+    while (rr.outcome == RunOutcome::FaultDetected &&
+           retries < sr.req.maxRetries) {
+        ++retries;
+        rr = Machine(*sr.req.fe, sr.core).run(&plan);
+    }
+    ASSERT_GE(retries, 1u);
+    EXPECT_EQ(sim.faultRetries, retries);
+    EXPECT_EQ(sim.run.outcome, rr.outcome);
+    for (size_t t = 0; t < sim.faultTally.size(); ++t) {
+        const auto target = static_cast<FaultTarget>(t);
+        EXPECT_EQ(sim.faultTally[t].injected, plan.injected(target));
+        EXPECT_EQ(sim.faultTally[t].detected, plan.detected(target));
+        EXPECT_EQ(sim.faultTally[t].escaped, plan.escaped(target));
+    }
+    EXPECT_GT(sim.faultTally[static_cast<size_t>(FaultTarget::ICACHE)]
+                  .injected,
+              first_attempt);
+
+    MetricRegistry::install(prev);
+    SimCache::instance().clear();
+}
+
 TEST(SvcService, GetPutLeaseProtocolForNonSuitePrograms)
 {
     TestServer ts;
@@ -999,7 +1047,6 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
     for (const std::string number : {"-1", "0.5", "1e300"}) {
         requests.push_back(get + ",\"deadline_ms\":" + number + "}");
         requests.push_back(sim + ",\"deadline_ms\":" + number + "}");
-        requests.push_back(sim + ",\"max_retries\":" + number + "}");
         requests.push_back(sim + ",\"observers\":{"
                                  "\"interval_instructions\":" +
                            number + "}}");
