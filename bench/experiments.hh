@@ -4,7 +4,7 @@
  * the paper's Figures 3-14 (Section 6), the ablations of DESIGN.md §6
  * and the extensions. A row's name is the experiment's tool identity:
  * its golden snapshot is tests/golden/<name>.txt and its manifest's
- * "tool" is <name> (plus "+tilesN" for non-default runs).
+ * "tool" is <name>.
  */
 
 #ifndef POWERFITS_BENCH_EXPERIMENTS_HH
@@ -40,7 +40,7 @@ struct Experiment
     const char *paper = nullptr;
     const char *note = nullptr;
     //!< The experiment's tables from @p params, which already carry
-    //!< the driver's shared flags (--jobs, --tiles, ...).
+    //!< the driver's shared flags (--jobs, --trace-on-trap, ...).
     ExperimentOutput (*run)(const ExperimentParams &params);
 };
 

@@ -22,11 +22,6 @@
  *   --jobs N          engine worker count, 0..256 (also --jobs=N,
  *                     -jN, PFITS_JOBS); output is byte-identical at
  *                     any N
- *   --tiles N         run every simulation as an N-tile chip (round-
- *                     robin over a shared coherent L2, sim/chip.hh);
- *                     1..64, also --tiles=N and PFITS_TILES. The
- *                     default 1 is the plain single-core Machine and
- *                     reproduces every pre-chip table byte-identically
  *   --trace-on-trap   arm the bounded flight recorder on every run
  *   --trace-dir DIR   directory trace JSONL files are written to
  *                     (default "."); give concurrent runs distinct
@@ -36,9 +31,7 @@
  *                     params, simulated content hashes, result tables,
  *                     engine self-metrics, wall/CPU time
  *                     (docs/OBSERVABILITY.md). <tool> is the
- *                     experiment name plus "+tilesN" for a non-default
- *                     chip shape, so those runs are a separate tracked
- *                     series
+ *                     experiment name
  *   --trace-out FILE  write a Chrome trace-event JSON timeline of the
  *                     whole invocation (runner phases, per-worker job
  *                     lanes, SimCache hits/misses, per-tile chip
@@ -95,10 +88,6 @@ struct Options
     bool csv = false;
     unsigned jobs = 0; //!< 0 = process default pool
 
-    //!< Chip tile count; >1 simulates homogeneous N-tile chips with a
-    //!< shared coherent L2 (ExperimentParams::chipSim).
-    unsigned tiles = 1;
-
     bool traceOnTrap = false;
     std::string traceDir = ".";
     std::string jsonDir; //!< empty = no manifests
@@ -121,10 +110,6 @@ printUsage(std::ostream &os)
           "  --csv            print tables as CSV\n"
           "  --jobs N         engine worker count, 0..256 (PFITS_JOBS "
           "also works)\n"
-          "  --tiles N        simulate N-tile chips over a shared "
-          "coherent L2\n"
-          "                   (1..64; PFITS_TILES also works; default "
-          "1 = single-core)\n"
           "  --trace-on-trap  dump a bounded event trace on "
           "trap/machine-check\n"
           "  --trace-dir DIR  directory for trace JSONL files "
@@ -165,24 +150,6 @@ parseArgs(int argc, char **argv)
         if (i + 1 >= argc)
             reject(std::string(flag) + " wants an argument");
         return argv[++i];
-    };
-    // Strict on purpose: a tile count is a simulation parameter, and
-    // "--tiles 0"/"--tiles 4x" silently meaning something else would
-    // poison a sweep. Digits only, 1..64 (the sharer-vector width).
-    auto parseTiles = [&](std::string_view text) -> unsigned {
-        if (text.empty())
-            reject("--tiles wants a number");
-        unsigned v = 0;
-        for (char c : text) {
-            if (c < '0' || c > '9' || v > 64)
-                reject("malformed tile count '" + std::string(text) +
-                       "' (want 1..64)");
-            v = v * 10 + static_cast<unsigned>(c - '0');
-        }
-        if (v < 1 || v > 64)
-            reject("tile count " + std::string(text) +
-                   " outside 1..64");
-        return v;
     };
 
     Options opts;
@@ -226,10 +193,6 @@ parseArgs(int argc, char **argv)
             opts.jobs = parseCount(arg.substr(7));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             opts.jobs = parseCount(arg.substr(2));
-        } else if (arg == "--tiles") {
-            opts.tiles = parseTiles(wantValue(i, arg));
-        } else if (arg.rfind("--tiles=", 0) == 0) {
-            opts.tiles = parseTiles(arg.substr(8));
         } else if (arg == "--help" || arg == "-h") {
             printUsage(std::cout);
             std::exit(0);
@@ -238,7 +201,7 @@ parseArgs(int argc, char **argv)
             // block follows, but the one-line message is what scripts
             // capture and what a user pasting an error sees first.
             reject("unknown flag '" + std::string(arg) +
-                   "' (accepted: --all --list --csv --jobs --tiles "
+                   "' (accepted: --all --list --csv --jobs "
                    "--trace-on-trap --trace-dir --json --trace-out "
                    "--daemon --help)");
         } else if (const Experiment *e = findExperiment(std::string(arg))) {
@@ -264,13 +227,6 @@ parseArgs(int argc, char **argv)
         if (env && *env)
             opts.daemonSocket = env;
     }
-    if (opts.tiles == 1) {
-        // Same idea as PFITS_JOBS: the environment can re-shape a
-        // whole sweep without editing command lines. The flag wins.
-        const char *env = std::getenv("PFITS_TILES");
-        if (env && *env)
-            opts.tiles = parseTiles(env);
-    }
     return opts;
 }
 
@@ -280,13 +236,6 @@ sharedParams(const Options &opts)
 {
     ExperimentParams params;
     params.jobs = opts.jobs;
-    if (opts.tiles != 1) {
-        // Multi-tile means the full chip story: N tiles behind a
-        // shared, MSI-coherent L2 (with one tile the chip config stays
-        // default and the run is the plain Machine).
-        params.chipSim.tiles = opts.tiles;
-        params.chipSim.sharedL2 = true;
-    }
     if (opts.traceOnTrap) {
         params.observers.traceOnTrap = true;
         params.observers.traceDepth = 64;
@@ -301,7 +250,6 @@ manifestParams(const ExperimentParams &params)
     ManifestParams m;
     m.recorded = true;
     m.jobs = params.jobs;
-    m.tiles = params.chipSim.tiles;
     m.faultSeed = params.faults.enabled() ? params.faults.seed : 0;
     m.faultRetries = params.faultRetries;
     m.intervalInstructions = params.observers.intervalInstructions;
@@ -309,21 +257,6 @@ manifestParams(const ExperimentParams &params)
     m.traceOnTrap = params.observers.traceOnTrap;
     m.traceDir = params.observers.traceDir;
     return m;
-}
-
-/**
- * The manifest identity: the experiment name, plus "+tilesN" when the
- * chip shape differs from the default. Aggregation and the regression
- * gate key runs by this name, so a 4-tile and a single-core run are
- * separate tracked series.
- */
-std::string
-toolName(const Experiment &e, const Options &opts)
-{
-    std::string tool = e.name;
-    if (opts.tiles != 1)
-        tool += "+tiles" + std::to_string(opts.tiles);
-    return tool;
 }
 
 void
@@ -448,7 +381,7 @@ runExperiment(const Experiment &e, const Options &opts)
         printOutput(e, out, opts.csv);
         if (!opts.jsonDir.empty()) {
             RunManifest manifest;
-            manifest.tool = toolName(e, opts);
+            manifest.tool = e.name;
             manifest.note = e.paper ? e.paper : "";
             manifest.params = manifestParams(params);
             for (const Table &t : out.tables)

@@ -2,9 +2,9 @@
 # ctest gate for the experiment registry (bench/experiments.cc):
 #  1. `pfits_run --list` names exactly the snapshots in tests/golden/,
 #  2. no experiment name is registered twice,
-#  3. an unknown experiment name, the removed --dvs flag and a job
-#     count outside 0..256 are usage errors: exit 2 with the usage
-#     text on stderr (--list builds no pool, so none is started).
+#  3. an unknown experiment name, the removed --dvs and --tiles flags
+#     and a job count outside 0..256 are usage errors: exit 2 with the
+#     usage text on stderr (--list builds no pool, so none is started).
 # Registered in tests/CMakeLists.txt as "registry_check".
 #
 # Usage: registry_check.sh <pfits_run-binary> <golden-dir>
@@ -34,6 +34,7 @@ if ! diff -u <(sort <<< "$stems") <(sort -u <<< "$names") >&2; then
 fi
 
 for args in "no_such_experiment" "fig11_total_cache_power --dvs" \
+            "fig03_static_mapping --tiles 2" \
             "--jobs 4294967297 --list" "--jobs 100000 --list"; do
     rc=0
     # shellcheck disable=SC2086 — $args deliberately splits.

@@ -4,7 +4,8 @@
 #     a daemon-less run (pfits_report diff --ignore-time),
 #  2. a second identical sweep performs ZERO fresh simulations — every
 #     request is answered from the daemon's store (svc.store.hits ==
-#     svc.requests, simcache.misses == 0 in the manifest),
+#     svc.requests, simcache.misses == 0 in the manifest) — over reused
+#     connections (1 <= svc.connects <= --jobs, svc.retries == 0),
 #  3. with the daemon stopped, --daemon runs still exit 0 and count
 #     their degradation (svc.fallbacks > 0).
 # Registered in tests/CMakeLists.txt as "svc_warm_check" (fig13_miss_rate)
@@ -61,21 +62,30 @@ echo "warm: first sweep (populates the store)"
 "$run" "$experiment" --daemon="$sock" --json "$workdir/first" > /dev/null
 
 echo "warm: second sweep (must be served entirely from the store)"
-"$run" "$experiment" --daemon="$sock" --json "$workdir/second" > /dev/null
+jobs=4
+"$run" "$experiment" --daemon="$sock" --jobs "$jobs" \
+    --json "$workdir/second" > /dev/null
 
-python3 - "$workdir/second/$experiment.json" <<'EOF'
+python3 - "$workdir/second/$experiment.json" "$jobs" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
+jobs = int(sys.argv[2])
 requests = m.get("svc.requests", 0)
 hits = m.get("svc.store.hits", 0)
 misses = m.get("simcache.misses", 0)
 fallbacks = m.get("svc.fallbacks", 0)
+connects = m.get("svc.connects", 0)
+retries = m.get("svc.retries", 0)
 print(f"warm: second sweep: requests={requests} store.hits={hits} "
-      f"simcache.misses={misses} fallbacks={fallbacks}")
+      f"simcache.misses={misses} fallbacks={fallbacks} "
+      f"connects={connects} retries={retries}")
 assert requests > 0, "second sweep made no daemon requests"
 assert hits == requests, "a warm store must answer every request"
 assert misses == 0, "a warm store must avoid local simulation"
 assert fallbacks == 0, "no degradation expected with a live daemon"
+assert 1 <= connects <= jobs, \
+    f"connections must be reused: {connects} opened with --jobs {jobs}"
+assert retries == 0, "no transport retry expected with a live daemon"
 EOF
 
 echo "warm: daemon results must equal daemon-less results"

@@ -72,7 +72,10 @@ pumpBytes(int fd, char *buf, size_t len, bool writing,
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK)
                 continue;
-            if (err)
+            if (err && (errno == EPIPE || errno == ECONNRESET))
+                *err = std::string("peer closed (") +
+                       std::strerror(errno) + ")";
+            else if (err)
                 *err = std::string(writing ? "send: " : "recv: ") +
                        std::strerror(errno);
             return false;
@@ -134,6 +137,12 @@ recvFrame(int fd, std::string *payload, int deadline_ms,
     if (len == 0)
         return true;
     return pumpBytes(fd, payload->data(), len, false, deadline_at, err);
+}
+
+bool
+peerClosed(const std::string &err)
+{
+    return err == "eof" || err.rfind("peer closed", 0) == 0;
 }
 
 } // namespace pfits

@@ -38,6 +38,13 @@ bool sendFrame(int fd, const std::string &payload, int deadline_ms,
 bool recvFrame(int fd, std::string *payload, int deadline_ms,
                std::string *err);
 
+/**
+ * Whether @p err, as a failed sendFrame/recvFrame set it, says the
+ * peer closed or reset the connection (EOF, EPIPE, ECONNRESET), as
+ * opposed to a timeout or a malformed frame.
+ */
+bool peerClosed(const std::string &err);
+
 } // namespace pfits
 
 #endif // POWERFITS_COMMON_FRAME_HH

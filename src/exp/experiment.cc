@@ -181,7 +181,12 @@ prepareBenchmark(const std::string &bench_name,
 Runner::Prepared
 Runner::prepare(const std::string &bench_name) const
 {
-    return prepareBenchmark(bench_name, params_);
+    Prepared prep = prepareBenchmark(bench_name, params_);
+    // Hash both programs in the prepare phase, so the simulate phase
+    // and every SimCache hit look their memo key up.
+    hashFrontEnd(*prep.armFe);
+    hashFrontEnd(*prep.fitsFe);
+    return prep;
 }
 
 ConfigResult

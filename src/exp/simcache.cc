@@ -146,10 +146,8 @@ hashUop(Hasher &h, const MicroOp &uop)
         static_cast<uint32_t>(uop.branchOffset)));
 }
 
-} // namespace
-
 uint64_t
-hashFrontEnd(const FrontEnd &fe)
+walkFrontEnd(const FrontEnd &fe)
 {
     Hasher h;
     h.str(fe.name());
@@ -174,6 +172,16 @@ hashFrontEnd(const FrontEnd &fe)
         h.bytes(seg.bytes.data(), seg.bytes.size());
     }
     return h.h;
+}
+
+} // namespace
+
+uint64_t
+hashFrontEnd(const FrontEnd &fe)
+{
+    // The walk is byte-serial over every uop and data byte (~0.1 ms
+    // for a suite program), and every request key needs it.
+    return fe.memoHash(walkFrontEnd);
 }
 
 uint64_t

@@ -40,7 +40,10 @@
 namespace pfits
 {
 
-/** Content hash of @p fe: name, stream, encodings, data image. */
+/**
+ * Content hash of @p fe: name, stream, encodings, data image. Walked
+ * once per FrontEnd and memoized on it (FrontEnd::memoHash).
+ */
 uint64_t hashFrontEnd(const FrontEnd &fe);
 
 /**

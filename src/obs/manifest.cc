@@ -128,8 +128,6 @@ RunManifest::write(std::ostream &os) const
     w.beginObject();
     w.field("recorded", params.recorded);
     w.field("jobs", params.jobs);
-    if (params.tiles != 1)
-        w.field("tiles", params.tiles);
     w.key("fault_seed");
     w.hexValue(params.faultSeed);
     w.field("fault_retries", params.faultRetries);

@@ -97,13 +97,6 @@ struct ManifestParams
     uint64_t traceDepth = 0;
     bool traceOnTrap = false;
     std::string traceDir;
-
-    /**
-     * Chip tile count; 1 (the default) means plain single-core runs.
-     * It is serialized only when non-default so every pre-chip
-     * manifest keeps its exact bytes.
-     */
-    unsigned tiles = 1;
 };
 
 /** Everything one manifest serializes; fill and call write(). */

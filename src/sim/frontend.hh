@@ -12,6 +12,8 @@
 #ifndef POWERFITS_SIM_FRONTEND_HH
 #define POWERFITS_SIM_FRONTEND_HH
 
+#include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,24 @@ class FrontEnd
     virtual uint32_t stackTop() const = 0;
     /** Static code footprint in bytes. */
     virtual uint32_t codeBytes() const = 0;
+
+    /**
+     * The memo behind hashFrontEnd (exp/simcache.hh): @p compute runs
+     * at most once per FrontEnd, even under concurrent callers, and
+     * every call returns its value. Sound because a FrontEnd never
+     * changes after construction.
+     */
+    template <class Compute>
+    uint64_t
+    memoHash(Compute &&compute) const
+    {
+        std::call_once(hashOnce_, [&] { hash_ = compute(*this); });
+        return hash_;
+    }
+
+  private:
+    mutable std::once_flag hashOnce_;
+    mutable uint64_t hash_ = 0;
 };
 
 /** The conventional fixed-ISA front-end over a uARM Program. */

@@ -1,5 +1,6 @@
 #include "svc/client.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -7,11 +8,11 @@
 #include <sstream>
 #include <thread>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/frame.hh"
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
@@ -38,9 +39,9 @@ setGauge(const char *name, int64_t v)
         reg->gauge(name).set(v);
 }
 
-/** Connect to @p path with a poll()-bounded timeout. @return fd or -1. */
+/** Connect to @p path. @return fd or -1. */
 int
-connectUnix(const std::string &path, int timeout_ms, std::string *err)
+connectUnix(const std::string &path, std::string *err)
 {
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
@@ -61,10 +62,9 @@ connectUnix(const std::string &path, int timeout_ms, std::string *err)
     std::strncpy(addr.sun_path, path.c_str(),
                  sizeof(addr.sun_path) - 1);
 
-    // AF_UNIX connect() either succeeds immediately or fails with the
-    // listener's backlog full; a short poll retry loop covers the
-    // latter without a hand-rolled non-blocking connect dance.
-    (void)timeout_ms;
+    // An AF_UNIX connect() is answered at once (ENOENT, ECONNREFUSED)
+    // unless the listener's backlog is full; pfitsd accepts on a
+    // dedicated thread with a backlog of 64, so it takes no deadline.
     if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         if (err)
@@ -77,11 +77,11 @@ connectUnix(const std::string &path, int timeout_ms, std::string *err)
 }
 
 /**
- * Owns a connection fd and closes it on every exit path — including
- * the exceptions recvFrame can raise while growing the payload buffer
- * (a bare ::close after the send/recv pair leaks the descriptor the
- * moment either leg throws, and the Runner fans thousands of requests
- * over one process).
+ * Owns a connection fd and closes it on every exit path it is not
+ * handed back on — including the exceptions recvFrame can raise while
+ * growing the payload buffer (a bare ::close after the send/recv pair
+ * leaks the descriptor the moment either leg throws, and the Runner
+ * fans thousands of requests over one process).
  */
 struct ScopedFd
 {
@@ -130,6 +130,12 @@ SvcClient::SvcClient(SvcClientConfig config)
 {
 }
 
+SvcClient::~SvcClient()
+{
+    for (int fd : idle_)
+        ::close(fd);
+}
+
 int
 SvcClient::backoffDelayMs(unsigned attempt)
 {
@@ -151,20 +157,12 @@ SvcClient::attempt(const std::string &request, std::string *response,
                    int budget_ms, std::string *err)
 {
     const auto start = std::chrono::steady_clock::now();
-    ScopedFd fd(connectUnix(config_.socketPath,
-                            std::min(config_.connectTimeoutMs,
-                                     budget_ms),
-                            err));
-    if (fd.fd < 0)
-        return false;
-    // Connect time comes out of this attempt's budget; an armed
-    // attempt always keeps at least a one-millisecond slice so a
-    // response already sitting in the socket buffer is still read.
-    int left = budget_ms - static_cast<int>(elapsedMs(start));
-    if (left < 1)
-        left = 1;
-    if (!sendFrame(fd.fd, request, left, err))
-        return false;
+    // Each leg runs against what is left of the budget, and always
+    // keeps at least a one-millisecond slice so a response already
+    // sitting in the socket buffer is still read.
+    auto left = [&] {
+        return std::max(1, budget_ms - static_cast<int>(elapsedMs(start)));
+    };
     // The receive leg outlives the budget by a grace period: the
     // server enforces deadlines in coarse wait slices, so its
     // structured "timeout" (watchdog-expired) response lands shortly
@@ -172,10 +170,40 @@ SvcClient::attempt(const std::string &request, std::string *response,
     // always hang up first and misread an orderly server-side expiry
     // as a dead transport.
     constexpr int kDeadlineGraceMs = 500;
-    left = budget_ms - static_cast<int>(elapsedMs(start));
-    if (left < 1)
-        left = 1;
-    return recvFrame(fd.fd, response, left + kDeadlineGraceMs, err);
+    auto exchange = [&](int fd) {
+        ScopedFd conn(fd);
+        if (!sendFrame(conn.fd, request, left(), err) ||
+            !recvFrame(conn.fd, response, left() + kDeadlineGraceMs,
+                       err))
+            return false;
+        std::lock_guard<std::mutex> lock(idleMu_);
+        idle_.push_back(conn.fd);
+        conn.fd = -1;
+        return true;
+    };
+
+    int fd = -1;
+    {
+        std::lock_guard<std::mutex> lock(idleMu_);
+        if (!idle_.empty()) {
+            fd = idle_.back();
+            idle_.pop_back();
+        }
+    }
+    if (fd >= 0) {
+        if (exchange(fd))
+            return true;
+        // The daemon closed this connection since its last round trip
+        // (it restarted, say): not a transport failure, so no retry
+        // is counted and no backoff is slept before a fresh one.
+        if (!peerClosed(*err))
+            return false;
+    }
+    fd = connectUnix(config_.socketPath, err);
+    if (fd < 0)
+        return false;
+    bumpCounter("svc.connects");
+    return exchange(fd);
 }
 
 bool

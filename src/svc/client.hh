@@ -17,8 +17,17 @@
  *     checksum mismatch, or request deadline expiry ("timeout"
  *     responses carry outcome "watchdog-expired").
  *
- * Every hop is observable: svc.requests, svc.retries, svc.timeouts,
- * svc.fallbacks, svc.store.{hits,misses} count this client's view;
+ * Connections are reused: a round trip takes an idle connection, or
+ * opens one (svc.connects), and hands it back after a complete
+ * response; any failure closes it. A reused connection the daemon has
+ * since closed (a restart, say) fails with EOF, EPIPE or ECONNRESET;
+ * that request is retried once, at once, on a fresh connection, and
+ * counts as no retry. Idle connections are at most the number of
+ * concurrent requests, so at most the Runner's --jobs.
+ *
+ * Every hop is observable: svc.requests, svc.connects, svc.retries,
+ * svc.timeouts, svc.fallbacks, svc.store.{hits,misses} count this
+ * client's view;
  * recordServerStats() snapshots the daemon's
  * svc.store.{evictions,quarantined} gauges into the manifest. Results
  * fetched from the store are checksum-verified and then seeded into
@@ -32,6 +41,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "exp/simservice.hh"
@@ -43,7 +53,6 @@ namespace pfits
 struct SvcClientConfig
 {
     std::string socketPath;     //!< empty = daemon disabled
-    int connectTimeoutMs = 2'000;
     /**
      * Total transport budget for one request — retries and backoff
      * sleeps included — and the deadline_ms the server is told.
@@ -65,13 +74,15 @@ struct SvcClientConfig
 };
 
 /**
- * The daemon-backed SimService. Thread-safe: each request opens its
- * own connection (the Runner fans requests out over worker threads).
+ * The daemon-backed SimService. Thread-safe: concurrent requests (the
+ * Runner fans them out over worker threads) each hold their own
+ * connection for the length of one round trip.
  */
 class SvcClient final : public SimService
 {
   public:
     explicit SvcClient(SvcClientConfig config);
+    ~SvcClient() override;
 
     /** SimService: resolve via daemon, falling back to local. */
     SimResult simulate(const SimRequest &request) override;
@@ -99,9 +110,10 @@ class SvcClient final : public SimService
     bool roundTrip(const std::string &request, std::string *response);
 
     /**
-     * Single connect/send/recv attempt bounded by @p budget_ms (the
-     * receive leg adds a fixed grace so an orderly server-side
-     * deadline expiry is still read as a structured response).
+     * One send/recv exchange bounded by @p budget_ms, on an idle
+     * connection or a new one (the receive leg adds a fixed grace so
+     * an orderly server-side deadline expiry is still read as a
+     * structured response).
      */
     bool attempt(const std::string &request, std::string *response,
                  int budget_ms, std::string *err);
@@ -115,6 +127,9 @@ class SvcClient final : public SimService
     int backoffDelayMs(unsigned attempt);
 
     SvcClientConfig config_;
+
+    std::mutex idleMu_;
+    std::vector<int> idle_; //!< connected fds between round trips
 
     std::mutex rngMu_;
     Rng rng_; //!< backoff jitter; deterministic per config seed

@@ -10,6 +10,8 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "exp/experiment.hh"
 #include "exp/figures.hh"
@@ -175,6 +177,56 @@ TEST(SimCache, KeyCoversProgramConfigAndFaultSeed)
     cache.clear();
     EXPECT_EQ(cache.entries(), 0u);
     EXPECT_EQ(cache.misses(), 0u);
+}
+
+TEST(SimCache, ProgramHashIsComputedOnceUnderConcurrentKeys)
+{
+    const ArmFrontEnd fe(mibench::buildCrc32().program);
+    CoreConfig core;
+    SimRequest req;
+    req.fe = &fe;
+    req.core = &core;
+
+    // Eight threads race to the FrontEnd's first key(): every one must
+    // read the one memoized hash, the same a fresh equal program
+    // walks to.
+    std::atomic<bool> go{false};
+    std::vector<SimKey> keys(8);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < keys.size(); ++i)
+        threads.emplace_back([&, i] {
+            while (!go.load())
+                std::this_thread::yield();
+            keys[i] = req.key();
+        });
+    go = true;
+    for (std::thread &t : threads)
+        t.join();
+    const ArmFrontEnd fresh(mibench::buildCrc32().program);
+    for (const SimKey &key : keys) {
+        EXPECT_EQ(key, keys[0]);
+        EXPECT_EQ(key.program, hashFrontEnd(fresh));
+    }
+
+    // The memo runs its computation once, however many ask at once.
+    const ArmFrontEnd other(mibench::buildCrc32().program);
+    std::atomic<int> walks{0};
+    threads.clear();
+    go = false;
+    for (int i = 0; i < 8; ++i)
+        threads.emplace_back([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            EXPECT_EQ(other.memoHash([&](const FrontEnd &) {
+                ++walks;
+                return uint64_t{42};
+            }),
+                      42u);
+        });
+    go = true;
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(walks.load(), 1);
 }
 
 TEST(SimCache, TryGetAndSeedRoundTrip)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -637,6 +638,80 @@ TEST(SvcService, WarmStoreSurvivesDaemonRestart)
     SimCache::instance().clear();
 }
 
+TEST(SvcService, OneClientSurvivesDaemonRestart)
+{
+    // The daemon restarts under a live client: the client's idle
+    // connection now leads nowhere, and the next request must notice
+    // the closed peer and reconnect, without a retry or a fallback.
+    std::string dir = freshDir("live_restart");
+    SvcServerConfig cfg;
+    cfg.socketPath = dir + "/d.sock";
+    cfg.storeDir = dir + "/store";
+    SuiteRequest sr("crc32");
+
+    MetricRegistry reg;
+    // Uninstalled before reg dies, on the ASSERT exits too.
+    struct Restore
+    {
+        MetricRegistry *prev;
+        ~Restore() { MetricRegistry::install(prev); }
+    } restore{MetricRegistry::install(&reg)};
+    SvcClientConfig ccfg;
+    ccfg.socketPath = cfg.socketPath;
+    SvcClient client(ccfg);
+    std::string err;
+    {
+        SvcServer first(cfg);
+        ASSERT_TRUE(first.start(&err)) << err;
+        SimCache::instance().clear();
+        client.simulate(sr.req); // populates the store
+        first.stop();
+    }
+    SvcServer second(cfg);
+    ASSERT_TRUE(second.start(&err)) << err;
+
+    SimCache::instance().clear();
+    SimResult served = client.simulate(sr.req);
+    EXPECT_EQ(served.run.outcome, RunOutcome::Completed);
+    EXPECT_EQ(second.store().stats().hits, 1u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(reg.counter("svc.store.hits").value(), 2u);
+    EXPECT_EQ(reg.counter("svc.retries").value(), 0u);
+    EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
+    EXPECT_EQ(reg.counter("svc.connects").value(), 2u);
+
+    second.stop();
+    SimCache::instance().clear();
+}
+
+TEST(SvcService, ConcurrentRequestsShareBoundedConnections)
+{
+    // Connections outlive requests: four threads making fifty round
+    // trips each need no more connections than they have requests in
+    // flight at once.
+    TestServer ts;
+    MetricRegistry reg;
+    MetricRegistry *prev = MetricRegistry::install(&reg);
+    SvcClient client(clientConfigFor(ts));
+    constexpr int kThreads = 4, kRequests = 50;
+    std::atomic<int> answered{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            for (int i = 0; i < kRequests; ++i)
+                answered += client.ping();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(answered.load(), kThreads * kRequests);
+    EXPECT_GE(reg.counter("svc.connects").value(), 1u);
+    EXPECT_LE(reg.counter("svc.connects").value(),
+              static_cast<uint64_t>(kThreads));
+    EXPECT_LE(ts.server->connectionThreads(),
+              static_cast<size_t>(kThreads));
+    MetricRegistry::install(prev);
+}
+
 TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
 {
     SvcServerConfig cfg;
@@ -787,7 +862,7 @@ TEST(SvcService, BackoffSleepsAreClampedToTheRemainingBudget)
 
 TEST(SvcService, FailedAttemptsDoNotLeakDescriptors)
 {
-    // Every attempt opens its own connection; repeated failures must
+    // A failed attempt keeps no connection; repeated failures must
     // return each fd on every exit path.
     SvcClientConfig ccfg;
     ccfg.socketPath = freshDir("fds") + "/never-created.sock";
@@ -814,9 +889,10 @@ TEST(SvcService, FailedAttemptsDoNotLeakDescriptors)
 
 TEST(SvcService, SequentialRequestsDoNotAccumulateConnectionThreads)
 {
-    // SvcClient opens one connection per request, so every request
-    // spawns a server-side connection thread; finished ones must be
-    // joined as the server goes, not only at stop().
+    // One raw connection per request, so every request spawns a
+    // server-side connection thread; finished ones must be joined as
+    // the server goes, not only at stop(). (SvcClient reuses its
+    // connections, so it would not exercise the reaping.)
     const auto countThreads = [] {
         size_t n = 0;
         DIR *d = ::opendir("/proc/self/task");
@@ -830,7 +906,9 @@ TEST(SvcService, SequentialRequestsDoNotAccumulateConnectionThreads)
     };
     const size_t baseline = countThreads();
     TestServer ts;
-    SvcClient client(clientConfigFor(ts));
+    const std::string hello =
+        std::string("{\"schema\":\"") + kSvcSchema +
+        "\",\"op\":\"hello\"}";
     // Workers + the accept thread + a few connection threads that have
     // answered but not yet been joined (they are reaped on the next
     // accept, so only scheduling lag keeps more than one around).
@@ -841,7 +919,11 @@ TEST(SvcService, SequentialRequestsDoNotAccumulateConnectionThreads)
     // threads is what catches a missing join.
     size_t peak_tasks = 0, peak_unjoined = 0;
     for (int i = 0; i < 500; ++i) {
-        ASSERT_TRUE(client.ping()) << i;
+        ASSERT_TRUE(JsonValue::parse(
+                        rawRequest(ts.config.socketPath, hello))
+                        .get("ok")
+                        .asBool())
+            << i;
         peak_tasks = std::max(peak_tasks, countThreads());
         peak_unjoined =
             std::max(peak_unjoined, ts.server->connectionThreads());
