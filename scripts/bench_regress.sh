@@ -67,14 +67,16 @@ fi
 # superblock batches and ops that took the per-op entry
 # (sim/fastsim.cc), the profiler's dynamic profiles, instructions and
 # superblock entries (fits/profile.cc), and the fresh simulations the
-# SimCache ran (exp/simcache.cc). They are host-independent, so they
-# gate exactly: a change that quietly stops batching, profiles more
-# often or simulates a key twice fails here even when every table
+# SimCache ran and the requests it answered with another request's run
+# (exp/simcache.cc). They are host-independent, so they gate exactly:
+# a change that quietly stops batching, profiles more often, simulates
+# a run twice or stops sharing one fails here even when every table
 # still matches.
 counters="$build/work_counters.txt"
 for name in $names; do
     for key in engine.ops_batched engine.ops_per_op fits.profiles \
-               fits.profile_instrs fits.profile_runs simcache.misses; do
+               fits.profile_instrs fits.profile_runs simcache.misses \
+               simcache.shared; do
         value="$(sed -n "s/^ *\"$key\": \([0-9]*\),\{0,1\}\$/\1/p" \
                      "$workdir/$name.json")"
         echo "$name $key ${value:-0}"

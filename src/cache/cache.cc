@@ -70,7 +70,8 @@ Cache::Cache(const CacheConfig &config)
     lines_.assign(static_cast<size_t>(config_.numSets()) * config_.assoc,
                   Line{});
     nextWay_.assign(config_.numSets(), 0);
-    // validate() guarantees lineBytes and numSets are powers of two.
+    // validate() guarantees lineBytes and numSets are powers of two, so
+    // every address split below is a shift and a mask.
     lineShift_ = static_cast<unsigned>(std::countr_zero(config_.lineBytes));
     setShift_ = static_cast<unsigned>(std::countr_zero(config_.numSets()));
     setMask_ = config_.numSets() - 1;
@@ -81,13 +82,13 @@ Cache::Cache(const CacheConfig &config)
 uint32_t
 Cache::setIndex(uint32_t addr) const
 {
-    return (addr / config_.lineBytes) & (config_.numSets() - 1);
+    return (addr >> lineShift_) & setMask_;
 }
 
 uint32_t
 Cache::tagOf(uint32_t addr) const
 {
-    return addr / config_.lineBytes / config_.numSets();
+    return addr >> lineShift_ >> setShift_;
 }
 
 uint32_t
@@ -177,9 +178,9 @@ Cache::access(uint32_t addr, bool write)
                 // Write-through caches propagate immediately; the power
                 // model charges the bus write from the access counters.
             }
-            if (lastLineAddr_ == addr / config_.lineBytes)
+            if (lastLineAddr_ == (addr >> lineShift_))
                 ++stats_.wayMemoHits;
-            lastLineAddr_ = addr / config_.lineBytes;
+            lastLineAddr_ = addr >> lineShift_;
             lastHitIdx_ = base + way;
             return res;
         }
@@ -211,8 +212,8 @@ Cache::handleMiss(uint32_t addr, bool write)
     Line &line = lines_[base + way];
     if (line.valid) {
         result.evicted = true;
-        result.evictedAddr =
-            (line.tag * config_.numSets() + set) * config_.lineBytes;
+        result.evictedAddr = ((line.tag << setShift_) | set)
+                             << lineShift_;
         if (line.dirty) {
             result.writeback = true;
             result.victimAddr = result.evictedAddr;
@@ -226,7 +227,7 @@ Cache::handleMiss(uint32_t addr, bool write)
     line.stamp = tick_;
     // The refilled line is resident and clean: repeat accesses may take
     // the applyRepeatsAt() fast path until something disturbs the array.
-    lastLineAddr_ = addr / config_.lineBytes;
+    lastLineAddr_ = addr >> lineShift_;
     lastHitIdx_ = base + way;
     return result;
 }
@@ -276,7 +277,7 @@ Cache::invalidateLine(uint32_t addr)
             line = Line{};
             // The repeat hint must not outlive the line it vouches
             // for: a batched repeat after this would dirty a dead slot.
-            if (lastLineAddr_ == addr / config_.lineBytes)
+            if (lastLineAddr_ == (addr >> lineShift_))
                 lastLineAddr_ = kNoLine;
             return probe;
         }
@@ -323,13 +324,12 @@ void
 Cache::forEachValidLine(
     const std::function<void(uint32_t, bool)> &fn) const
 {
-    const uint32_t sets = config_.numSets();
-    for (uint32_t set = 0; set < sets; ++set) {
+    for (uint32_t set = 0; set <= setMask_; ++set) {
         const uint32_t base = set * config_.assoc;
         for (uint32_t way = 0; way < config_.assoc; ++way) {
             const Line &line = lines_[base + way];
             if (line.valid)
-                fn((line.tag * sets + set) * config_.lineBytes,
+                fn(((line.tag << setShift_) | set) << lineShift_,
                    line.dirty);
         }
     }

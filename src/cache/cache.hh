@@ -66,6 +66,20 @@ struct CacheConfig
     uint32_t numSets() const { return numLines() / assoc; }
 
     /**
+     * Whether the contiguous byte range [@p first, @p last] fits this
+     * (valid) geometry: its L lines fill the sets round-robin, so no
+     * set receives more than ceil(L / numSets) of them, and the range
+     * fits when that is at most assoc. Filling a range that fits never
+     * evicts one of its own lines.
+     */
+    bool
+    holdsRange(uint32_t first, uint32_t last) const
+    {
+        const uint32_t lines = last / lineBytes - first / lineBytes + 1;
+        return (lines + numSets() - 1) / numSets() <= assoc;
+    }
+
+    /**
      * @return a descriptive error when the geometry is inconsistent
      * (non-power-of-two sizes, line below 4 bytes, fewer bytes than
      * one set of ways), or "" when it is valid. Sweeps use this to
@@ -416,7 +430,7 @@ class Cache
      */
     static constexpr uint32_t kHintWays = 16;
     std::vector<uint64_t> hintSlots_;
-    unsigned lineShift_ = 0; //!< log2(lineBytes), for accessFast()
+    unsigned lineShift_ = 0; //!< log2(lineBytes)
     unsigned setShift_ = 0;  //!< log2(numSets)
     uint32_t setMask_ = 0;   //!< numSets - 1
 };

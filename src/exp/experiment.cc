@@ -108,18 +108,24 @@ Runner::all()
                 [&](size_t i) { return prepare(missing[i]); });
         }
 
-        // Phase 2: one job per (benchmark × config) simulation.
-        // Results land in slot [bench * 4 + config] — index-addressed,
-        // so the assembled tables are byte-identical at any job count.
-        std::vector<ConfigResult> cfgs;
+        // Phase 2: one job per (benchmark × config) simulation,
+        // dispatched config-major (job j is bench j % n, config j / n)
+        // so a bench's 8 KB request starts about n jobs after its
+        // 16 KB one and finds the run they share finished instead of
+        // waiting on it (SimCache). Results land in slot
+        // [bench * 4 + config] — index-addressed, so the assembled
+        // tables are byte-identical at any job count.
+        const size_t n = missing.size();
+        std::vector<ConfigResult> cfgs(n * 4);
         {
             TraceSpan phase("phase.simulate", "runner",
-                            TraceArgs().add("sims", missing.size() * 4));
-            cfgs = parallelMap<ConfigResult>(
-                tp, missing.size() * 4, [&](size_t j) {
-                    return simulateConfig(preps[j / 4],
-                                          static_cast<ConfigId>(j % 4));
-                });
+                            TraceArgs().add("sims", n * 4));
+            tp.run(n * 4, [&](size_t j) {
+                const size_t bench = j % n;
+                const size_t config = j / n;
+                cfgs[bench * 4 + config] = simulateConfig(
+                    preps[bench], static_cast<ConfigId>(config));
+            });
         }
 
         std::lock_guard<std::mutex> lock(mu_);

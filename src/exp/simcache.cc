@@ -174,6 +174,37 @@ walkFrontEnd(const FrontEnd &fe)
     return h.h;
 }
 
+/**
+ * The run @p request stands for: its @p key with the config component
+ * re-hashed from a copy of the core whose name is blank and, when the
+ * program's code fits the I-cache, whose I-cache capacity is the
+ * sentinel size 0 (no valid config has it). An I-cache only ever holds
+ * lines of the code range; while no set can receive more of them than
+ * it has ways, no fetch evicts, so every such geometry with the same
+ * line size yields the same run. Fault-armed requests (lines struck by
+ * geometry) and trace-armed ones (dumps named after the core) are
+ * their own identity.
+ */
+SimKey
+runIdentity(const SimRequest &request, const SimKey &key)
+{
+    if (request.faults.enabled() || request.spec.traceArmed())
+        return key;
+    const FrontEnd &fe = *request.fe;
+    CoreConfig core = *request.core;
+    core.name.clear();
+    const uint32_t first = fe.codec().base;
+    if (fe.codeBytes() != 0 &&
+        core.icache.holdsRange(first, first + fe.codeBytes() - 1)) {
+        core.icache.sizeBytes = 0;
+        core.icache.assoc = 0;
+        core.icache.policy = ReplPolicy::LRU;
+    }
+    SimKey identity = key;
+    identity.config = hashConfigKey(core, request.chip);
+    return identity;
+}
+
 } // namespace
 
 uint64_t
@@ -398,15 +429,17 @@ SimCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
+    runs_.clear();
     hits_.store(0);
     misses_.store(0);
+    shared_.store(0);
 }
 
 std::shared_ptr<SimCache::Slot>
-SimCache::acquireSlot(const SimKey &key)
+SimCache::acquireSlot(SlotMap &map, const SimKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Slot> &slot = map_[key];
+    std::shared_ptr<Slot> &slot = map[key];
     if (!slot)
         slot = std::make_shared<Slot>();
     return slot;
@@ -425,7 +458,7 @@ SimCache::tryGet(const SimKey &key)
 bool
 SimCache::seed(const SimKey &key, SimResult result)
 {
-    std::shared_ptr<Slot> slot = acquireSlot(key);
+    std::shared_ptr<Slot> slot = acquireSlot(map_, key);
     bool inserted = false;
     std::call_once(slot->once, [&] {
         slot->value = std::move(result);
@@ -444,25 +477,56 @@ SimCache::seed(const SimKey &key, SimResult result)
 }
 
 SimResult
+SimCache::run(const SimRequest &request, const SimKey &key)
+{
+    std::shared_ptr<Slot> slot =
+        acquireSlot(runs_, runIdentity(request, key));
+    bool fresh = false;
+    std::call_once(slot->once, [&] {
+        fresh = true;
+        slot->value = runSimulation(request);
+        slot->done.store(true);
+    });
+    MetricRegistry *metrics = MetricRegistry::current();
+    // Trap and watchdog messages name the core that ran, so only a
+    // completed run answers another request.
+    if (fresh || slot->value.run.outcome != RunOutcome::Completed) {
+        misses_.fetch_add(1);
+        if (metrics)
+            metrics->counter("simcache.misses").add();
+        return fresh ? slot->value : runSimulation(request);
+    }
+    shared_.fetch_add(1);
+    if (metrics)
+        metrics->counter("simcache.shared").add();
+    if (TraceRecorder *trace = TraceRecorder::current())
+        trace->instant("simcache.shared", "simcache",
+                       TraceArgs()
+                           .addHex("program", key.program)
+                           .add("config", request.core->name));
+    SimResult out = slot->value;
+    out.run.config = request.core->name;
+    return out;
+}
+
+SimResult
 SimCache::simulate(const SimRequest &request)
 {
     // Compute outside the map lock so unrelated keys never serialize;
-    // call_once makes concurrent requests for *this* key simulate once
-    // and share the result, and makes the miss/hit split deterministic
-    // at any job count, which is what lets tests pin the span
-    // structure.
-    std::shared_ptr<Slot> slot = acquireSlot(request.key());
+    // call_once makes concurrent requests for *this* key (and run()
+    // for this run identity) compute once and share the result, and
+    // makes the hit/miss/shared split deterministic at any job count,
+    // which is what lets tests pin the span structure.
+    const SimKey key = request.key();
+    std::shared_ptr<Slot> slot = acquireSlot(map_, key);
     bool computed = false;
     std::call_once(slot->once, [&] {
         computed = true;
-        misses_.fetch_add(1);
-        slot->value = runSimulation(request);
+        slot->value = run(request, key);
         slot->done.store(true);
-        if (MetricRegistry *metrics = MetricRegistry::current()) {
-            metrics->counter("simcache.misses").add();
+        if (MetricRegistry *metrics = MetricRegistry::current())
             metrics->gauge("simcache.entries")
                 .set(static_cast<int64_t>(entries()));
-        }
     });
     if (!computed) {
         hits_.fetch_add(1);

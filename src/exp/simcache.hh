@@ -198,7 +198,11 @@ SimResult runSimulation(const SimRequest &request);
 /**
  * Process-wide memo over runSimulation: one unbounded map from
  * SimRequest::key() to result, so keys() is every simulation this
- * process asked for — the manifest's "sims" provenance.
+ * process asked for — the manifest's "sims" provenance. Beneath it a
+ * second map computes each distinct *run* once: requests that differ
+ * only in the core's name, or in the capacity of an I-cache that holds
+ * the whole program, share one runSimulation (simcache.cc,
+ * runIdentity).
  */
 class SimCache
 {
@@ -209,6 +213,8 @@ class SimCache
     /**
      * runSimulation(@p request), memoized under request.key().
      * Thread-safe; two threads asking for the same key simulate once.
+     * A request whose run another request already made (or is making)
+     * gets a copy of it with run.config set to its own core's name.
      */
     SimResult simulate(const SimRequest &request);
 
@@ -229,8 +235,12 @@ class SimCache
      */
     bool seed(const SimKey &key, SimResult result);
 
+    /** Requests answered by their own key's entry. */
     uint64_t hits() const { return hits_.load(); }
+    /** Fresh runSimulation calls. */
     uint64_t misses() const { return misses_.load(); }
+    /** Requests answered by another request's run. */
+    uint64_t shared() const { return shared_.load(); }
     size_t entries() const;
 
     /**
@@ -240,7 +250,7 @@ class SimCache
      */
     std::vector<SimKey> keys() const;
 
-    /** Drop all entries and zero the hit/miss counters. */
+    /** Drop all entries and zero the hit/miss/shared counters. */
     void clear();
 
   private:
@@ -255,15 +265,24 @@ class SimCache
         std::atomic<bool> done{false}; //!< value is valid
     };
 
+    using SlotMap =
+        std::unordered_map<SimKey, std::shared_ptr<Slot>, SimKeyHash>;
+
     SimCache() = default;
 
-    /** Find-or-create the slot for @p key. */
-    std::shared_ptr<Slot> acquireSlot(const SimKey &key);
+    /** Find-or-create the slot for @p key in @p map. */
+    std::shared_ptr<Slot> acquireSlot(SlotMap &map, const SimKey &key);
+
+    /** The result for @p request (key @p key) through its run
+     * identity's slot: a fresh run, or a share of a completed one. */
+    SimResult run(const SimRequest &request, const SimKey &key);
 
     mutable std::mutex mu_;
-    std::unordered_map<SimKey, std::shared_ptr<Slot>, SimKeyHash> map_;
+    SlotMap map_;  //!< by request key
+    SlotMap runs_; //!< by run identity
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
+    std::atomic<uint64_t> shared_{0};
 };
 
 } // namespace pfits

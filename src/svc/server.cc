@@ -610,16 +610,25 @@ SvcServer::handleStats()
 std::shared_ptr<PreparedBench>
 SvcServer::preparedFor(const std::string &bench)
 {
-    // Serialized on one mutex: front-end work is seconds at worst and
-    // happens once per benchmark per daemon lifetime.
-    std::lock_guard<std::mutex> lock(benchMu_);
-    auto it = benchCache_.find(bench);
-    if (it != benchCache_.end())
-        return it->second;
-    auto prep = std::make_shared<PreparedBench>(
-        prepareBenchmark(bench, ExperimentParams{}));
-    benchCache_[bench] = prep;
-    return prep;
+    // One single flight per bench: benchMu_ only finds or creates the
+    // slot, and the slot's own mutex serializes its build, so
+    // different benches prepare in parallel and each prepares once. A
+    // throwing prepare leaves the slot empty for the next request to
+    // retry (a per-slot mutex rather than std::call_once, which hangs
+    // on a throwing callable under some libstdc++ targets).
+    std::shared_ptr<BenchSlot> slot;
+    {
+        std::lock_guard<std::mutex> lock(benchMu_);
+        std::shared_ptr<BenchSlot> &entry = benchCache_[bench];
+        if (!entry)
+            entry = std::make_shared<BenchSlot>();
+        slot = entry;
+    }
+    std::lock_guard<std::mutex> lock(slot->mu);
+    if (!slot->prep)
+        slot->prep = std::make_shared<PreparedBench>(
+            prepareBenchmark(bench, ExperimentParams{}));
+    return slot->prep;
 }
 
 void

@@ -180,8 +180,15 @@ class SvcServer
     std::mutex inflightMu_; //!< guards inflight_ and every Inflight
     std::map<SimKey, std::shared_ptr<Inflight>> inflight_;
 
-    std::mutex benchMu_; //!< guards benchCache_
-    std::map<std::string, std::shared_ptr<PreparedBench>> benchCache_;
+    /** One bench's prepared front-ends, built at most once. */
+    struct BenchSlot
+    {
+        std::mutex mu; //!< held while building prep
+        std::shared_ptr<PreparedBench> prep; //!< null until built
+    };
+
+    std::mutex benchMu_; //!< guards benchCache_ (not the slots)
+    std::map<std::string, std::shared_ptr<BenchSlot>> benchCache_;
 };
 
 } // namespace pfits

@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "assembler/builder.hh"
 #include "exp/experiment.hh"
 #include "exp/figures.hh"
 #include "exp/parallel.hh"
 #include "exp/simcache.hh"
 #include "mibench/mibench.hh"
+#include "verify/differential.hh"
 
 namespace pfits
 {
@@ -152,12 +154,14 @@ TEST(SimCache, KeyCoversProgramConfigAndFaultSeed)
     EXPECT_EQ(again.run.cycles, first.run.cycles);
     EXPECT_EQ(again.run.instructions, first.run.instructions);
 
-    // A timing-relevant config change is a different key.
-    CoreConfig small = core;
-    small.icache.sizeBytes = 8 * 1024;
-    SimRequest small_req = req;
-    small_req.core = &small;
-    cache.simulate(small_req);
+    // A timing-relevant config change is a different key and a
+    // different run. (Not the I-cache size: crc32's 252-byte code fits
+    // every size, so those keys share one run.)
+    CoreConfig slow = core;
+    slow.icacheMissPenalty = 40;
+    SimRequest slow_req = req;
+    slow_req.core = &slow;
+    cache.simulate(slow_req);
     EXPECT_EQ(cache.misses(), 2u);
 
     // Arming a fault plan (seed is part of the key) is a fresh key.
@@ -269,6 +273,184 @@ TEST(SimCache, TryGetAndSeedRoundTrip)
     cache.clear();
 }
 
+/** Every RunResult and ChipRunStats row where @p a and @p b differ. */
+std::vector<std::string>
+diffResults(const SimResult &a, const SimResult &b)
+{
+    std::vector<std::string> out;
+    diffFields("run", a.run, b.run, out);
+    diffFields("chip", a.chip.chipCycles, b.chip.chipCycles, out,
+               "chip_cycles");
+    diffFields("chip", a.chip.tileCycles, b.chip.tileCycles, out,
+               "tile_cycles");
+    diffFields("chip", a.chip.tileInstructions, b.chip.tileInstructions,
+               out, "tile_instructions");
+    diffFields("chip", a.chip.l2, b.chip.l2, out, "l2");
+    diffFields("chip", a.chip.coherence, b.chip.coherence, out,
+               "coherence");
+    return out;
+}
+
+/** A 32-byte-line I-cache of @p kb KB and @p ways ways, named for it. */
+CoreConfig
+icacheCore(uint32_t kb, uint32_t ways)
+{
+    CoreConfig core;
+    core.name = std::to_string(kb) + "k" + std::to_string(ways) + "w";
+    core.icache.sizeBytes = kb * 1024;
+    core.icache.assoc = ways;
+    return core;
+}
+
+TEST(SimCache, SharesOneRunAcrossICachesThatHoldTheCode)
+{
+    SimCache &cache = SimCache::instance();
+    cache.clear();
+
+    const ArmFrontEnd crc(mibench::buildCrc32().program);
+    const PreparedBench jpeg =
+        prepareBenchmark("jpeg.encode", ExperimentParams{});
+    // The hand count below rests on these footprints (code at a
+    // line-aligned base, 32-byte lines).
+    ASSERT_EQ(crc.codeBytes(), 252u);
+    ASSERT_GT(jpeg.fitsFe->codeBytes(), 4u * 1024);
+    ASSERT_LE(jpeg.fitsFe->codeBytes(), 8u * 1024);
+    ASSERT_GT(jpeg.armFe->codeBytes(), 8u * 1024);
+    ASSERT_LE(jpeg.armFe->codeBytes(), 16u * 1024);
+
+    std::vector<CoreConfig> cores;
+    for (uint32_t kb : {4u, 8u, 16u, 32u})
+        for (uint32_t ways : {4u, 32u})
+            cores.push_back(icacheCore(kb, ways));
+    std::vector<SimRequest> reqs;
+    for (const FrontEnd *fe :
+         {static_cast<const FrontEnd *>(&crc),
+          static_cast<const FrontEnd *>(jpeg.fitsFe.get()),
+          static_cast<const FrontEnd *>(jpeg.armFe.get())})
+        for (const CoreConfig &core : cores)
+            reqs.push_back(SimRequest{.fe = fe, .core = &core});
+    // A 2-tile shared-L2 chip running FITS jpeg.encode, which fits
+    // 8 KB and 16 KB alike.
+    const CoreConfig chip8 = icacheCore(8, 4);
+    const CoreConfig chip16 = icacheCore(16, 4);
+    for (const CoreConfig *core : {&chip8, &chip16}) {
+        SimRequest req{.fe = jpeg.fitsFe.get(), .core = core};
+        req.chip.tiles = 2;
+        req.chip.sharedL2 = true;
+        reqs.push_back(req);
+    }
+
+    for (const SimRequest &req : reqs) {
+        const SimResult got = cache.simulate(req);
+        const SimResult fresh = runSimulation(req);
+        EXPECT_EQ(got.run.config, req.core->name);
+        EXPECT_EQ(got.chip.ranAsChip(), !req.chip.isDefault());
+        for (const std::string &diff : diffResults(got, fresh))
+            ADD_FAILURE() << req.fe->name() << "/" << req.core->name
+                          << ": " << diff;
+    }
+
+    // Run identities: crc32 fits all 8 geometries (1); FITS
+    // jpeg.encode fits all but the two 4 KB ones (1 + 2); ARM
+    // jpeg.encode fits only the four 16 and 32 KB ones (1 + 4); the
+    // chip pair fits both sizes (1).
+    EXPECT_EQ(cache.misses(), 1u + 3u + 5u + 1u);
+    EXPECT_EQ(cache.shared(), reqs.size() - cache.misses());
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.entries(), reqs.size());
+
+    // ARM jpeg.encode overflows the paper's 8 KB I-cache: its ARM8
+    // run must be its own, not the 16 KB run.
+    const CoreConfig arm16 = icacheCore(16, 32);
+    const CoreConfig arm8 = icacheCore(8, 32);
+    const SimRequest arm16_req{.fe = jpeg.armFe.get(), .core = &arm16};
+    const SimRequest arm8_req{.fe = jpeg.armFe.get(), .core = &arm8};
+    EXPECT_EQ(cache.simulate(arm16_req).run.icache.misses(), 416u);
+    EXPECT_EQ(cache.simulate(arm8_req).run.icache.misses(), 59'618u);
+    cache.clear();
+}
+
+TEST(SimCache, NeverSharesTrappedFaultedOrTracedRuns)
+{
+    SimCache &cache = SimCache::instance();
+    cache.clear();
+
+    // A program that traps: its reason names the core that ran, so
+    // each size must run and report its own.
+    ProgramBuilder b("noexit");
+    b.nop();
+    const ArmFrontEnd trapper(b.finish());
+    const CoreConfig big = icacheCore(16, 32);
+    const CoreConfig small = icacheCore(8, 32);
+    for (const CoreConfig *core : {&big, &small}) {
+        const SimResult r =
+            cache.simulate(SimRequest{.fe = &trapper, .core = core});
+        EXPECT_EQ(r.run.outcome, RunOutcome::Trapped);
+        EXPECT_NE(r.run.trapReason.find("/" + core->name + ":"),
+                  std::string::npos)
+            << r.run.trapReason;
+    }
+    EXPECT_EQ(cache.misses(), 2u);
+
+    // Fault-armed and trace-armed requests for crc32, whose code fits
+    // both sizes: each one runs.
+    const ArmFrontEnd crc(mibench::buildCrc32().program);
+    for (const CoreConfig *core : {&big, &small}) {
+        SimRequest faulty{.fe = &crc, .core = core};
+        faulty.faults.seed = 0x5eed;
+        faulty.faults.icacheMeanInterval = 50'000;
+        faulty.maxRetries = 3;
+        cache.simulate(faulty);
+
+        SimRequest traced{.fe = &crc, .core = core};
+        traced.spec.traceOnTrap = true;
+        traced.spec.traceDepth = 16;
+        traced.spec.traceDir = testing::TempDir();
+        const SimResult r = cache.simulate(traced);
+        EXPECT_NE(r.tracePath.find("_" + core->name + ".trace.jsonl"),
+                  std::string::npos)
+            << r.tracePath;
+    }
+    EXPECT_EQ(cache.misses(), 6u);
+    EXPECT_EQ(cache.shared(), 0u);
+    cache.clear();
+}
+
+TEST(SimCache, ConcurrentSizeVariantsSimulateOnce)
+{
+    SimCache &cache = SimCache::instance();
+    cache.clear();
+
+    const ArmFrontEnd crc(mibench::buildCrc32().program);
+    const CoreConfig big = icacheCore(16, 32);
+    const CoreConfig small = icacheCore(8, 32);
+    std::atomic<bool> go{false};
+    std::vector<SimResult> results(8);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < results.size(); ++i)
+        threads.emplace_back([&, i] {
+            const SimRequest req{.fe = &crc,
+                                 .core = i % 2 ? &small : &big};
+            while (!go.load())
+                std::this_thread::yield();
+            results[i] = cache.simulate(req);
+        });
+    go = true;
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.shared(), 1u);
+    EXPECT_EQ(cache.hits(), 6u);
+    for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].run.config, i % 2 ? "8k32w" : "16k32w");
+        SimResult same = results[i];
+        same.run.config = results[0].run.config;
+        EXPECT_TRUE(diffResults(same, results[0]).empty());
+    }
+    cache.clear();
+}
+
 // --- the engine end to end -------------------------------------------------
 
 /** One sweep's CSV fingerprint: two figure tables over the suite. */
@@ -310,8 +492,12 @@ TEST(ParallelExp, SecondSweepPerformsZeroFreshSimulations)
     Runner first(params);
     first.all();
     const uint64_t misses_after_first = cache.misses();
-    // 21 benchmarks × 4 configurations, every one a fresh simulation.
-    EXPECT_EQ(misses_after_first, 21u * 4u);
+    // 21 benchmarks × 4 configurations, every one fresh except the 38
+    // 8 KB requests whose program fits 8 KB (all but ARM jpeg.encode,
+    // jpeg.decode, rijndael.decode and sha): those share their 16 KB
+    // run.
+    EXPECT_EQ(misses_after_first, 21u * 4u - 38u);
+    EXPECT_EQ(cache.shared(), 38u);
 
     Runner second(params);
     second.all();

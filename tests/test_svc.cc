@@ -957,6 +957,76 @@ TEST(SvcService, AbsentDaemonFallsBackCleanly)
     SimCache::instance().clear();
 }
 
+TEST(SvcService, EachBenchPreparesOnceAndAFailedPrepareIsRetried)
+{
+    TestServer ts;
+    SuiteRequest crc("crc32");
+    SuiteRequest sha("sha");
+
+    // A bench the daemon cannot build answers "unsupported", and so
+    // does the next request for it: the failed prepare left nothing
+    // behind to wait on or to refuse from.
+    for (int i = 0; i < 2; ++i) {
+        std::ostringstream os;
+        JsonWriter w(os, 0);
+        w.beginObject();
+        w.field("schema", kSvcSchema);
+        w.field("op", "sim");
+        w.field("bench", "no.such.bench");
+        w.field("isa", "arm");
+        w.key("core");
+        writeCoreConfigJson(w, crc.core);
+        w.key("key");
+        writeJsonFields(w, crc.req.key());
+        w.endObject();
+        JsonValue resp =
+            JsonValue::parse(rawRequest(ts.config.socketPath, os.str()));
+        ASSERT_TRUE(resp.get("ok").asBool()) << i;
+        EXPECT_EQ(resp.get("status").asString(), "unsupported") << i;
+        EXPECT_NE(resp.get("reason").asString().find(
+                      "cannot prepare 'no.such.bench'"),
+                  std::string::npos)
+            << i;
+    }
+
+    // Concurrent first requests for two benches, each ISA of each:
+    // every bench is prepared exactly once (each prepareBenchmark
+    // call samples runner.prepare_ms), and every answer is the local
+    // run.
+    std::vector<SimRequest> reqs;
+    for (SuiteRequest *sr : {&crc, &sha}) {
+        reqs.push_back(sr->req);
+        SimRequest fits = sr->req;
+        fits.fe = sr->prep.fitsFe.get();
+        fits.isFits = true;
+        reqs.push_back(fits);
+    }
+    SimCache::instance().clear();
+    std::vector<SimResult> local;
+    for (const SimRequest &req : reqs)
+        local.push_back(runSimulation(req));
+
+    MetricRegistry reg;
+    MetricRegistry *prev = MetricRegistry::install(&reg);
+    SvcClient client(clientConfigFor(ts));
+    std::vector<SimResult> remote(reqs.size());
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < reqs.size(); ++i)
+        threads.emplace_back(
+            [&, i] { remote[i] = client.simulate(reqs[i]); });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(reg.histogram("runner.prepare_ms", 0.0, 500.0, 16).count(),
+              2u);
+    EXPECT_EQ(reg.counter("svc.requests").value(), reqs.size());
+    EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
+    for (size_t i = 0; i < reqs.size(); ++i)
+        expectSameResult(local[i], remote[i]);
+
+    MetricRegistry::install(prev);
+    SimCache::instance().clear();
+}
+
 TEST(SvcService, FaultArmedRequestStaysInProcessAndTalliesEveryAttempt)
 {
     // A store entry has no row for the fault tally, so a fault-armed
