@@ -2,11 +2,16 @@
 # ctest gate for the pfitsd warm-store contract (docs/SERVICE.md):
 #  1. an experiment's sweep through a fresh daemon produces the same tables as
 #     a daemon-less run (pfits_report diff --ignore-time),
-#  2. a second identical sweep performs ZERO fresh simulations — every
+#  2. that cold sweep simulates each run once in the daemon: its fresh
+#     simulations (simcache.sim_ms count in `pfits_report stats`) equal the
+#     daemon-less run's simcache.misses, its shared answers (svc.shared) the
+#     daemon-less simcache.shared, it stores one entry per key requested, and
+#     it serves nothing from the store (store.hits == 0),
+#  3. a second identical sweep performs ZERO fresh simulations — every
 #     request is answered from the daemon's store (svc.store.hits ==
 #     svc.requests, simcache.misses == 0 in the manifest) — over reused
 #     connections (1 <= svc.connects <= --jobs, svc.retries == 0),
-#  3. with the daemon stopped, --daemon runs still exit 0 and count
+#  4. with the daemon stopped, --daemon runs still exit 0 and count
 #     their degradation (svc.fallbacks > 0).
 # Registered in tests/CMakeLists.txt as "svc_warm_check" (fig13_miss_rate)
 # and "svc_warm_check_phase" (ext_phase_behavior).
@@ -60,6 +65,32 @@ ready || { echo "warm: FAILED — pfitsd never came up" >&2; exit 1; }
 
 echo "warm: first sweep (populates the store)"
 "$run" "$experiment" --daemon="$sock" --json "$workdir/first" > /dev/null
+
+echo "warm: cold sweep must simulate each run once in the daemon"
+"$report" stats --daemon="$sock" > "$workdir/cold-stats.json"
+python3 - "$workdir/cold-stats.json" "$workdir/local/$experiment.json" \
+    "$workdir/first/$experiment.json" <<'EOF'
+import json, sys
+stats = json.load(open(sys.argv[1]))
+local = json.load(open(sys.argv[2]))["metrics"]
+first = json.load(open(sys.argv[3]))["metrics"]
+daemon = stats.get("metrics", {})
+store = stats["store"]
+sims = daemon.get("simcache.sim_ms", {}).get("count", 0)
+shared = daemon.get("svc.shared", 0)
+want_sims = local.get("simcache.misses", 0)
+want_shared = local.get("simcache.shared", 0)
+requests = first.get("svc.requests", 0)
+print(f"warm: cold sweep: daemon sims={sims} (daemon-less {want_sims}) "
+      f"shared={shared} (daemon-less {want_shared}) "
+      f"store entries={store['entries']} requests={requests} "
+      f"store.hits={store['hits']}")
+assert requests > 0, "cold sweep made no daemon requests"
+assert sims == want_sims, "the daemon must simulate each distinct run once"
+assert shared == want_shared, "the daemon must share what SimCache shares"
+assert store["entries"] == requests, "one store entry per key requested"
+assert store["hits"] == 0, "a cold sweep serves nothing from the store"
+EOF
 
 echo "warm: second sweep (must be served entirely from the store)"
 jobs=4

@@ -174,37 +174,6 @@ walkFrontEnd(const FrontEnd &fe)
     return h.h;
 }
 
-/**
- * The run @p request stands for: its @p key with the config component
- * re-hashed from a copy of the core whose name is blank and, when the
- * program's code fits the I-cache, whose I-cache capacity is the
- * sentinel size 0 (no valid config has it). An I-cache only ever holds
- * lines of the code range; while no set can receive more of them than
- * it has ways, no fetch evicts, so every such geometry with the same
- * line size yields the same run. Fault-armed requests (lines struck by
- * geometry) and trace-armed ones (dumps named after the core) are
- * their own identity.
- */
-SimKey
-runIdentity(const SimRequest &request, const SimKey &key)
-{
-    if (request.faults.enabled() || request.spec.traceArmed())
-        return key;
-    const FrontEnd &fe = *request.fe;
-    CoreConfig core = *request.core;
-    core.name.clear();
-    const uint32_t first = fe.codec().base;
-    if (fe.codeBytes() != 0 &&
-        core.icache.holdsRange(first, first + fe.codeBytes() - 1)) {
-        core.icache.sizeBytes = 0;
-        core.icache.assoc = 0;
-        core.icache.policy = ReplPolicy::LRU;
-    }
-    SimKey identity = key;
-    identity.config = hashConfigKey(core, request.chip);
-    return identity;
-}
-
 } // namespace
 
 uint64_t
@@ -267,6 +236,25 @@ hashObserverSpec(const ObserverSpec &spec)
     if (spec.traceArmed())
         h.str(spec.traceDir);
     return h.h;
+}
+
+SimKey
+SimRequest::runIdentity(const SimKey &key) const
+{
+    if (faults.enabled() || spec.traceArmed())
+        return key;
+    CoreConfig blank = *core;
+    blank.name.clear();
+    const uint32_t first = fe->codec().base;
+    if (fe->codeBytes() != 0 &&
+        blank.icache.holdsRange(first, first + fe->codeBytes() - 1)) {
+        blank.icache.sizeBytes = 0;
+        blank.icache.assoc = 0;
+        blank.icache.policy = ReplPolicy::LRU;
+    }
+    SimKey identity = key;
+    identity.config = hashConfigKey(blank, chip);
+    return identity;
 }
 
 SimResult
@@ -480,7 +468,7 @@ SimResult
 SimCache::run(const SimRequest &request, const SimKey &key)
 {
     std::shared_ptr<Slot> slot =
-        acquireSlot(runs_, runIdentity(request, key));
+        acquireSlot(runs_, request.runIdentity(key));
     bool fresh = false;
     std::call_once(slot->once, [&] {
         fresh = true;

@@ -175,6 +175,20 @@ struct SimRequest
                 hashFaultParams(faults, maxRetries),
                 hashObserverSpec(spec)};
     }
+
+    /**
+     * The run this request stands for, given its @p key: the key with
+     * the config component re-hashed from a copy of the core whose name
+     * is blank and, when the program's code fits the I-cache, whose
+     * I-cache capacity is the sentinel size 0 (no valid config has it).
+     * An I-cache only ever holds lines of the code range; while no set
+     * can receive more of them than it has ways, no fetch evicts, so
+     * every such geometry with the same line size yields the same run.
+     * Fault-armed requests (lines struck by geometry) and trace-armed
+     * ones (dumps named after the core) are their own identity. The one
+     * sharing rule, for SimCache and pfitsd alike.
+     */
+    SimKey runIdentity(const SimKey &key) const;
 };
 
 /**
@@ -190,8 +204,8 @@ struct SimRequest
  * <traceDir>/<fe name>_<core name>.trace.jsonl.
  *
  * Each call is one "sim" trace span and one simcache.sim_ms sample.
- * SimCache memoizes it per process; pfitsd calls it directly, since
- * its store and single-flight map already are its memo.
+ * SimCache memoizes it per process; pfitsd calls it once per run
+ * identity, with its store as its memo.
  */
 SimResult runSimulation(const SimRequest &request);
 
@@ -201,8 +215,8 @@ SimResult runSimulation(const SimRequest &request);
  * process asked for — the manifest's "sims" provenance. Beneath it a
  * second map computes each distinct *run* once: requests that differ
  * only in the core's name, or in the capacity of an I-cache that holds
- * the whole program, share one runSimulation (simcache.cc,
- * runIdentity).
+ * the whole program, share one runSimulation
+ * (SimRequest::runIdentity).
  */
 class SimCache
 {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -201,6 +202,7 @@ SvcServer::stop()
     workers_.clear();
 
     inflight_.clear();
+    runs_.clear();
     running_ = false;
 }
 
@@ -387,14 +389,14 @@ SvcServer::waitInflight(std::shared_ptr<Inflight> infl,
 void
 SvcServer::resolveInflight(const SimKey &key,
                            Inflight::State state,
-                           const std::string &error)
+                           const std::string &text)
 {
     std::lock_guard<std::mutex> lock(inflightMu_);
     auto it = inflight_.find(key);
     if (it == inflight_.end())
         return;
     it->second->state = state;
-    it->second->error = error;
+    it->second->text = text;
     it->second->cv.notify_all();
     // Waiters hold the shared_ptr; dropping the map entry makes the
     // key claimable again immediately (the store answers repeats).
@@ -414,57 +416,57 @@ SvcServer::handleGet(const JsonValue &req)
         return errorResponse("get: bad deadline_ms");
     int64_t deadline_at = nowMs() + deadline_ms;
 
-    for (;;) {
-        std::string entry;
-        if (store_->get(key, &entry))
-            return hitResponse(entry);
+    std::string entry;
+    if (store_->get(key, &entry))
+        return hitResponse(entry);
 
-        std::shared_ptr<Inflight> infl;
-        {
-            std::lock_guard<std::mutex> lock(inflightMu_);
-            auto it = inflight_.find(key);
-            if (it != inflight_.end()) {
-                // A leased slot whose holder went silent is reclaimed
-                // so one crashed client cannot wedge the key.
-                if (it->second->leased &&
-                    nowMs() >= it->second->leaseExpiryMs) {
-                    if (TraceRecorder *trace =
-                            TraceRecorder::current())
-                        trace->instant("lease.reclaim", "svc");
-                    it->second->cv.notify_all();
-                    inflight_.erase(it);
-                } else {
-                    infl = it->second;
-                }
-            }
-            if (!infl && lease) {
-                auto fresh = std::make_shared<Inflight>();
-                fresh->leased = true;
-                fresh->leaseExpiryMs = nowMs() + config_.leaseTtlMs;
-                inflight_[key] = fresh;
+    std::shared_ptr<Inflight> infl;
+    {
+        std::lock_guard<std::mutex> lock(inflightMu_);
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+            // A leased slot whose holder went silent is reclaimed so
+            // one crashed client cannot wedge the key.
+            if (it->second->leased &&
+                nowMs() >= it->second->leaseExpiryMs) {
                 if (TraceRecorder *trace = TraceRecorder::current())
-                    trace->instant("lease.grant", "svc");
-                std::ostringstream os;
-                JsonWriter w(os, 0);
-                w.beginObject();
-                w.field("ok", true);
-                w.field("status", "miss");
-                w.field("lease", true);
-                w.endObject();
-                return os.str();
+                    trace->instant("lease.reclaim", "svc");
+                it->second->cv.notify_all();
+                inflight_.erase(it);
+            } else {
+                infl = it->second;
             }
         }
-        if (!infl || !wait)
-            return statusResponse("miss");
+        if (!infl && lease) {
+            auto fresh = std::make_shared<Inflight>();
+            fresh->leased = true;
+            fresh->leaseExpiryMs = nowMs() + config_.leaseTtlMs;
+            inflight_[key] = fresh;
+            if (TraceRecorder *trace = TraceRecorder::current())
+                trace->instant("lease.grant", "svc");
+            std::ostringstream os;
+            JsonWriter w(os, 0);
+            w.beginObject();
+            w.field("ok", true);
+            w.field("status", "miss");
+            w.field("lease", true);
+            w.endObject();
+            return os.str();
+        }
+    }
+    if (!infl || !wait)
+        return statusResponse("miss");
 
-        Inflight::State st = waitInflight(infl, deadline_at);
-        if (st == Inflight::State::Pending)
-            return timeoutResponse();
-        // Resolved while we waited: loop to re-read the store (Done),
-        // or report the miss (Failed/Unsupported — the caller owns
-        // the local fallback).
-        if (st != Inflight::State::Done)
-            return statusResponse("miss");
+    // Resolved while we waited: answer with the landed entry (Done),
+    // or report the miss (Failed/Unsupported — the caller owns the
+    // local fallback).
+    switch (waitInflight(infl, deadline_at)) {
+      case Inflight::State::Pending:
+        return timeoutResponse();
+      case Inflight::State::Done:
+        return hitResponse(infl->text);
+      default:
+        return statusResponse("miss");
     }
 }
 
@@ -481,7 +483,7 @@ SvcServer::handlePut(const JsonValue &req)
         return errorResponse("put: " + err);
     if (!store_->put(key, entry, &err))
         return errorResponse("put: " + err);
-    resolveInflight(key, Inflight::State::Done);
+    resolveInflight(key, Inflight::State::Done, entry);
     return statusResponse("stored");
 }
 
@@ -514,61 +516,52 @@ SvcServer::handleSim(const JsonValue &req)
         return errorResponse("sim: bad deadline_ms");
     int64_t deadline_at = nowMs() + deadline_ms;
 
-    for (;;) {
-        std::string entry;
-        if (store_->get(key, &entry))
-            return hitResponse(entry);
+    std::string entry;
+    if (store_->get(key, &entry))
+        return hitResponse(entry);
 
-        std::shared_ptr<Inflight> infl;
-        bool claimed = false;
-        {
-            std::lock_guard<std::mutex> lock(inflightMu_);
-            auto it = inflight_.find(key);
-            if (it != inflight_.end()) {
-                if (it->second->leased &&
-                    nowMs() >= it->second->leaseExpiryMs) {
-                    if (TraceRecorder *trace =
-                            TraceRecorder::current())
-                        trace->instant("lease.reclaim", "svc");
-                    it->second->cv.notify_all();
-                    inflight_.erase(it);
-                } else {
-                    infl = it->second;
-                }
-            }
-            if (!infl) {
-                infl = std::make_shared<Inflight>();
-                inflight_[key] = infl;
-                claimed = true;
+    std::shared_ptr<Inflight> infl;
+    bool claimed = false;
+    {
+        std::lock_guard<std::mutex> lock(inflightMu_);
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+            if (it->second->leased &&
+                nowMs() >= it->second->leaseExpiryMs) {
+                if (TraceRecorder *trace = TraceRecorder::current())
+                    trace->instant("lease.reclaim", "svc");
+                it->second->cv.notify_all();
+                inflight_.erase(it);
+            } else {
+                infl = it->second;
             }
         }
-        if (claimed)
-            if (TraceRecorder *trace = TraceRecorder::current())
-                trace->instant("singleflight.claim", "svc",
-                               TraceArgs().add("bench", bench));
-        if (claimed) {
-            {
-                std::lock_guard<std::mutex> lock(workMu_);
-                workQueue_.push_back(
-                    [this, key, bench, is_fits, core, spec] {
-                        computeJob(key, bench, is_fits, core, spec);
-                    });
-            }
-            workCv_.notify_one();
-        }
-
-        Inflight::State st = waitInflight(infl, deadline_at);
-        switch (st) {
-          case Inflight::State::Pending:
-            return timeoutResponse();
-          case Inflight::State::Done:
-            continue; // re-read the store
-          case Inflight::State::Unsupported:
-            return unsupportedResponse(infl->error);
-          case Inflight::State::Failed:
-            return errorResponse("sim failed: " + infl->error);
+        if (!infl) {
+            infl = std::make_shared<Inflight>();
+            inflight_[key] = infl;
+            claimed = true;
         }
     }
+    if (claimed) {
+        if (TraceRecorder *trace = TraceRecorder::current())
+            trace->instant("singleflight.claim", "svc",
+                           TraceArgs().add("bench", bench));
+        enqueue({key, bench, is_fits, core, spec});
+    }
+
+    // The computing job hands its entry over in the slot, so a
+    // computed key costs no store read.
+    switch (waitInflight(infl, deadline_at)) {
+      case Inflight::State::Pending:
+        return timeoutResponse();
+      case Inflight::State::Done:
+        return hitResponse(infl->text);
+      case Inflight::State::Unsupported:
+        return unsupportedResponse(infl->text);
+      case Inflight::State::Failed:
+        break;
+    }
+    return errorResponse("sim failed: " + infl->text);
 }
 
 std::string
@@ -632,41 +625,67 @@ SvcServer::preparedFor(const std::string &bench)
 }
 
 void
-SvcServer::computeJob(const SimKey &key, const std::string &bench,
-                      bool is_fits, const CoreConfig &core,
-                      const ObserverSpec &spec)
+SvcServer::enqueue(SimJob job)
 {
+    {
+        std::lock_guard<std::mutex> lock(workMu_);
+        if (stop_)
+            return; // its waiters time out on the stop
+        workQueue_.push_back(
+            [this, job = std::move(job)] { computeJob(job); });
+    }
+    workCv_.notify_one();
+}
+
+void
+SvcServer::endRun(const SimKey &identity, const SimKey *stored)
+{
+    std::vector<SimJob> parked;
+    {
+        std::lock_guard<std::mutex> lock(runsMu_);
+        auto it = runs_.find(identity);
+        if (it == runs_.end())
+            return;
+        parked = std::move(it->second.parked);
+        if (stored) {
+            it->second.computing = false;
+            it->second.stored = *stored;
+        } else {
+            runs_.erase(it);
+        }
+    }
+    // Each parked job runs again: it shares the stored run, or finds
+    // the identity unclaimed and simulates its own request.
+    for (SimJob &job : parked)
+        enqueue(std::move(job));
+}
+
+void
+SvcServer::computeJob(const SimJob &job)
+{
+    const SimKey &key = job.key;
     // One span per server-side computation, on the worker's lane.
     TraceSpan span("compute", "svc",
                    TraceArgs()
-                       .add("bench", bench)
-                       .add("isa", is_fits ? "fits" : "arm")
+                       .add("bench", job.bench)
+                       .add("isa", job.isFits ? "fits" : "arm")
                        .addHex("program", key.program));
+    SimKey identity;
+    bool owns_run = false; // this job claimed identity's simulation
     try {
-        for (int waited = 0; waited < config_.testComputeDelayMs;
-             waited += 50) {
-            if (stop_) {
-                resolveInflight(key, Inflight::State::Failed,
-                                "shutting down");
-                return;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-        }
-
         std::shared_ptr<PreparedBench> prep;
         try {
-            prep = preparedFor(bench);
+            prep = preparedFor(job.bench);
         } catch (const std::exception &e) {
             resolveInflight(key, Inflight::State::Unsupported,
-                            std::string("cannot prepare '") + bench +
+                            std::string("cannot prepare '") + job.bench +
                                 "': " + e.what());
             return;
         }
 
         const FrontEnd &fe =
-            is_fits ? static_cast<const FrontEnd &>(*prep->fitsFe)
-                    : static_cast<const FrontEnd &>(*prep->armFe);
+            job.isFits ? static_cast<const FrontEnd &>(*prep->fitsFe)
+                       : static_cast<const FrontEnd &>(*prep->armFe);
 
         // The content hashes are the contract: if the daemon's
         // rebuild of the named benchmark (or the requested core or
@@ -677,28 +696,93 @@ SvcServer::computeJob(const SimKey &key, const std::string &bench,
         // Refusing (rather than serving a near-miss) keeps the store
         // content-addressed and the client falls back to local
         // simulation.
-        const SimRequest request{.fe = &fe, .core = &core, .spec = spec};
+        const SimRequest request{
+            .fe = &fe, .core = &job.core, .spec = job.spec};
         if (request.key() != key) {
             resolveInflight(key, Inflight::State::Unsupported,
                             "content hash mismatch rebuilding '" +
-                                bench + "'");
+                                job.bench + "'");
             return;
         }
 
-        // No in-memory memo here: the store and the single-flight map
-        // already answer every repeat of this key.
-        SimResult result = runSimulation(request);
+        // One simulation per run identity. A stored completed run
+        // answers this key; a run being simulated parks this job; an
+        // unknown identity (or one whose entry was evicted or
+        // quarantined since) is this job's to simulate.
+        identity = request.runIdentity(key);
+        SimResult result;
+        for (;;) {
+            SimKey stored;
+            {
+                std::lock_guard<std::mutex> lock(runsMu_);
+                auto [it, fresh] = runs_.try_emplace(identity);
+                if (fresh) {
+                    owns_run = true;
+                    break;
+                }
+                if (it->second.computing) {
+                    it->second.parked.push_back(job);
+                    return; // the worker goes back to the pool
+                }
+                stored = it->second.stored;
+            }
+            std::string text;
+            SimKey stored_key;
+            if (store_->peek(stored, &text) &&
+                decodeResultEntry(text, &stored_key, &result, nullptr))
+                break;
+            std::lock_guard<std::mutex> lock(runsMu_);
+            auto it = runs_.find(identity);
+            if (it != runs_.end() && !it->second.computing &&
+                it->second.stored == stored)
+                runs_.erase(it);
+        }
 
+        if (owns_run) {
+            for (int waited = 0; waited < config_.testComputeDelayMs;
+                 waited += 50) {
+                if (stop_)
+                    throw std::runtime_error("shutting down");
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+            }
+            result = runSimulation(request);
+        } else {
+            // As SimCache::run answers a shared request.
+            result.run.config = job.core.name;
+            if (MetricRegistry *metrics = MetricRegistry::current())
+                metrics->counter("svc.shared").add();
+            if (TraceRecorder *trace = TraceRecorder::current())
+                trace->instant("svc.shared", "svc",
+                               TraceArgs()
+                                   .addHex("program", key.program)
+                                   .add("config", job.core.name));
+        }
+
+        const std::string entry = encodeResultEntry(key, result);
         std::string err;
-        if (!store_->put(key, encodeResultEntry(key, result), &err)) {
+        const bool put = store_->put(key, entry, &err);
+        if (owns_run) {
+            // Trap and watchdog messages name the core that ran, so
+            // only a completed run answers another key.
+            const bool shareable =
+                put && result.run.outcome == RunOutcome::Completed;
+            endRun(identity, shareable ? &key : nullptr);
+            owns_run = false;
+        }
+        if (!put) {
             resolveInflight(key, Inflight::State::Failed,
                             "store put: " + err);
             return;
         }
-        resolveInflight(key, Inflight::State::Done);
+        resolveInflight(key, Inflight::State::Done, entry);
     } catch (const std::exception &e) {
+        if (owns_run)
+            endRun(identity, nullptr);
         resolveInflight(key, Inflight::State::Failed, e.what());
     } catch (...) {
+        if (owns_run)
+            endRun(identity, nullptr);
         resolveInflight(key, Inflight::State::Failed,
                         "unknown exception");
     }

@@ -13,6 +13,11 @@
  * Request-level guarantees:
  *  - single-flight: concurrent requests for one key simulate once;
  *    later arrivals wait on the first computation's completion,
+ *  - one simulation per run identity (SimRequest::runIdentity, the
+ *    rule SimCache shares by): a key whose run is already stored under
+ *    another key is answered from that entry, renamed to its own core;
+ *    a compute job whose run is still being simulated parks until it
+ *    lands instead of holding a worker,
  *  - deadlines: every waiting path is bounded by the request's
  *    deadline_ms (or the server default); an expired deadline gets a
  *    "timeout" response carrying outcome "watchdog-expired" — the
@@ -59,9 +64,10 @@ struct SvcServerConfig
     int defaultDeadlineMs = 60'000; //!< used when a request sends none
 
     /**
-     * Test hook: stall every compute job this long before simulating,
-     * so the deadline tests can force a request timeout with a real
-     * (eventually completing) computation behind it.
+     * Test hook: stall every simulation this long before it starts, so
+     * the deadline tests can force a request timeout with a real
+     * (eventually completing) computation behind it, and the sharing
+     * tests can hold a run open while its size variants ask for it.
      */
     int testComputeDelayMs = 0;
 };
@@ -111,8 +117,33 @@ class SvcServer
         State state = State::Pending;
         bool leased = false;     //!< held by an external client
         int64_t leaseExpiryMs = 0;
-        std::string error;
+        //! The stored entry when Done (waiters answer with it, not with
+        //! a store read); the reason when Failed or Unsupported.
+        std::string text;
         std::condition_variable cv;
+    };
+
+    /** One "sim" request's compute job, as queued for a worker. */
+    struct SimJob
+    {
+        SimKey key;
+        std::string bench;
+        bool isFits = false;
+        CoreConfig core;
+        ObserverSpec spec;
+    };
+
+    /**
+     * One run identity the daemon has simulated or is simulating: the
+     * key whose stored entry holds its completed run, or the jobs
+     * parked until the simulation ends. No results live here; the
+     * store stays the only memo.
+     */
+    struct RunSlot
+    {
+        bool computing = true;
+        SimKey stored; //!< valid once !computing
+        std::vector<SimJob> parked;
     };
 
     void acceptLoop();
@@ -135,14 +166,26 @@ class SvcServer
     Inflight::State waitInflight(std::shared_ptr<Inflight> infl,
                                  int64_t deadline_at);
 
-    /** Resolve the slot for @p key to @p state and wake waiters. */
+    /**
+     * Resolve the slot for @p key to @p state and wake waiters;
+     * @p text becomes Inflight::text.
+     */
     void resolveInflight(const SimKey &key, Inflight::State state,
-                         const std::string &error = "");
+                         const std::string &text = "");
 
-    /** Run one simulation request end to end (worker thread). */
-    void computeJob(const SimKey &key, const std::string &bench,
-                    bool is_fits, const CoreConfig &core,
-                    const ObserverSpec &spec);
+    /** Hand @p job to the worker pool (dropped once stopping). */
+    void enqueue(SimJob job);
+
+    /** Answer one simulation request end to end (worker thread). */
+    void computeJob(const SimJob &job);
+
+    /**
+     * End the simulation of run @p identity: record @p stored as the
+     * key holding its completed run, or forget the identity when null
+     * (the run did not complete or was not stored), and re-queue the
+     * parked jobs.
+     */
+    void endRun(const SimKey &identity, const SimKey *stored);
 
     /** Build (or fetch) the prepared front-ends for @p bench. */
     std::shared_ptr<PreparedBench> preparedFor(const std::string &bench);
@@ -189,6 +232,9 @@ class SvcServer
 
     std::mutex benchMu_; //!< guards benchCache_ (not the slots)
     std::map<std::string, std::shared_ptr<BenchSlot>> benchCache_;
+
+    std::mutex runsMu_; //!< guards runs_
+    std::map<SimKey, RunSlot> runs_; //!< by SimRequest::runIdentity
 };
 
 } // namespace pfits

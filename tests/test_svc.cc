@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <dirent.h>
 #include <fstream>
 #include <sstream>
@@ -521,6 +522,15 @@ struct TestServer
         EXPECT_TRUE(server->start(&err)) << err;
     }
 
+    /** Stop the daemon and start a new one over the same store. */
+    void
+    restart()
+    {
+        server = std::make_unique<SvcServer>(config);
+        std::string err;
+        EXPECT_TRUE(server->start(&err)) << err;
+    }
+
     SvcServerConfig config;
     std::unique_ptr<SvcServer> server;
 };
@@ -1025,6 +1035,258 @@ TEST(SvcService, EachBenchPreparesOnceAndAFailedPrepareIsRetried)
 
     MetricRegistry::install(prev);
     SimCache::instance().clear();
+}
+
+// --- one simulation per run identity ------------------------------------
+
+/** A core named @p name with a @p kb KB I-cache, other rows default. */
+CoreConfig
+icacheCore(const std::string &name, uint32_t kb)
+{
+    CoreConfig core;
+    core.name = name;
+    core.icache.sizeBytes = kb * 1024;
+    return core;
+}
+
+/**
+ * Suite requests on cores the set owns, each with its references: a
+ * fresh runSimulation and the store entry that run encodes. Built
+ * before a test installs its registry, so the references' own
+ * simulations are not counted as the daemon's.
+ */
+struct RunSet
+{
+    std::deque<CoreConfig> cores; //!< stable addresses for reqs
+    std::vector<SimRequest> reqs;
+    std::vector<SimResult> fresh;
+    std::vector<std::string> entries;
+
+    /** @return the index of @p bench's @p fits program on @p core. */
+    size_t
+    add(const std::string &bench, const PreparedBench &prep, bool fits,
+        CoreConfig core)
+    {
+        cores.push_back(std::move(core));
+        SimRequest req;
+        req.fe = fits ? static_cast<const FrontEnd *>(prep.fitsFe.get())
+                      : static_cast<const FrontEnd *>(prep.armFe.get());
+        req.core = &cores.back();
+        req.bench = bench;
+        req.isFits = fits;
+        reqs.push_back(req);
+        fresh.push_back(runSimulation(req));
+        entries.push_back(encodeResultEntry(req.key(), fresh.back()));
+        return reqs.size() - 1;
+    }
+};
+
+/**
+ * A registry installed for one scope. Declared before the TestServer,
+ * so it outlives the daemon's workers.
+ */
+struct ScopedRegistry
+{
+    MetricRegistry reg;
+    MetricRegistry *prev = MetricRegistry::install(&reg);
+    ~ScopedRegistry() { MetricRegistry::install(prev); }
+
+    /** Fresh simulations so far (runSimulation's samples). */
+    uint64_t
+    sims()
+    {
+        return reg.histogram("simcache.sim_ms", 0.0, 1000.0, 16)
+            .count();
+    }
+
+    /** Requests the daemon answered with another key's run. */
+    uint64_t shared() { return reg.counter("svc.shared").value(); }
+};
+
+/**
+ * Ask @p ts for the requests @p idx of @p set, all at once when
+ * @p concurrent, and check every answer against its fresh run and
+ * every stored entry against the entry that run encodes, byte for
+ * byte.
+ */
+void
+expectServedFresh(const TestServer &ts, const RunSet &set,
+                  const std::vector<size_t> &idx, bool concurrent)
+{
+    SimCache::instance().clear();
+    SvcClient client(clientConfigFor(ts));
+    std::vector<SimResult> got(idx.size());
+    if (concurrent) {
+        std::vector<std::thread> threads;
+        for (size_t i = 0; i < idx.size(); ++i)
+            threads.emplace_back(
+                [&, i] { got[i] = client.simulate(set.reqs[idx[i]]); });
+        for (std::thread &t : threads)
+            t.join();
+    } else {
+        for (size_t i = 0; i < idx.size(); ++i)
+            got[i] = client.simulate(set.reqs[idx[i]]);
+    }
+    for (size_t i = 0; i < idx.size(); ++i) {
+        const SimRequest &req = set.reqs[idx[i]];
+        SCOPED_TRACE(req.fe->name() + "/" + req.core->name);
+        expectSameResult(set.fresh[idx[i]], got[i]);
+        std::string stored;
+        EXPECT_TRUE(readFileToString(
+            ts.config.storeDir + "/" + keyFileName(req.key()), &stored));
+        EXPECT_EQ(stored, set.entries[idx[i]]);
+    }
+    SimCache::instance().clear();
+}
+
+TEST(SvcService, DaemonSimulatesEachRunIdentityOnce)
+{
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    const PreparedBench jpeg =
+        prepareBenchmark("jpeg.encode", ExperimentParams{});
+    // The hand count below rests on these footprints.
+    ASSERT_LE(crc.armFe->codeBytes(), 8u * 1024);
+    ASSERT_GT(jpeg.armFe->codeBytes(), 8u * 1024);
+    ASSERT_LE(jpeg.armFe->codeBytes(), 16u * 1024);
+
+    RunSet set;
+    for (uint32_t kb : {16u, 8u}) {
+        const std::string size = std::to_string(kb);
+        set.add("crc32", crc, false, icacheCore("ARM" + size, kb));
+        set.add("crc32", crc, true, icacheCore("FITS" + size, kb));
+        set.add("jpeg.encode", jpeg, false, icacheCore("ARM" + size, kb));
+    }
+    std::vector<size_t> all(set.reqs.size());
+    for (size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+
+    // Run identities: crc32 fits 8 KB and 16 KB in either ISA (1 + 1);
+    // ARM jpeg.encode overflows 8 KB (2).
+    constexpr uint64_t kRuns = 4;
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
+        // A worker per request, and in the concurrent pass a stall,
+        // keep each size pair's first simulation running while the
+        // other size asks for its run.
+        SvcServerConfig cfg;
+        cfg.computeThreads = static_cast<unsigned>(set.reqs.size());
+        cfg.testComputeDelayMs = concurrent ? 300 : 0;
+        ScopedRegistry sr;
+        TestServer ts(cfg);
+        expectServedFresh(ts, set, all, concurrent);
+        EXPECT_EQ(sr.sims(), kRuns);
+        EXPECT_EQ(sr.shared(), set.reqs.size() - kRuns);
+        EXPECT_EQ(sr.reg.counter("svc.fallbacks").value(), 0u);
+        const StoreStats store = ts.server->store().stats();
+        EXPECT_EQ(store.entries, set.reqs.size());
+        EXPECT_EQ(store.misses, set.reqs.size());
+        EXPECT_EQ(store.hits, 0u) << "no request was served from the store";
+    }
+}
+
+TEST(SvcService, DaemonNeverSharesUnfinishedEvictedOrQuarantinedRuns)
+{
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+
+    // A run the runaway guard stops: its trap reason names the core
+    // that ran, so each size runs and reports its own, also when the
+    // second asks while the first is still running.
+    RunSet capped;
+    for (uint32_t kb : {16u, 8u}) {
+        CoreConfig core = icacheCore("ARM" + std::to_string(kb), kb);
+        core.maxInstructions = 1'000;
+        capped.add("crc32", crc, false, core);
+    }
+    for (const SimResult &r : capped.fresh)
+        ASSERT_EQ(r.run.outcome, RunOutcome::WatchdogExpired);
+    for (bool concurrent : {false, true}) {
+        SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
+        SvcServerConfig cfg;
+        cfg.testComputeDelayMs = concurrent ? 300 : 0;
+        ScopedRegistry sr;
+        TestServer ts(cfg);
+        expectServedFresh(ts, capped, {0, 1}, concurrent);
+        EXPECT_EQ(sr.sims(), 2u);
+        EXPECT_EQ(sr.shared(), 0u);
+    }
+    EXPECT_NE(capped.fresh[0].run.trapReason.find("/ARM16:"),
+              std::string::npos);
+    EXPECT_NE(capped.fresh[1].run.trapReason.find("/ARM8:"),
+              std::string::npos);
+
+    // crc32 fits every size here, so all three ARM cores are one run.
+    RunSet set;
+    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
+    const size_t fits16 =
+        set.add("crc32", crc, true, icacheCore("FITS16", 16));
+    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
+    const size_t arm32 = set.add("crc32", crc, false, icacheCore("ARM32", 32));
+
+    // A store that holds one entry: FITS16 evicts ARM16, so ARM8
+    // simulates its own run, and ARM32 shares ARM8's.
+    {
+        SvcServerConfig cfg;
+        for (const std::string &entry : set.entries)
+            cfg.storeMaxBytes = std::max<uint64_t>(cfg.storeMaxBytes,
+                                                   entry.size());
+        ScopedRegistry sr;
+        TestServer ts(cfg);
+        for (size_t i : {arm16, fits16, arm8})
+            expectServedFresh(ts, set, {i}, false);
+        EXPECT_EQ(sr.sims(), 3u);
+        EXPECT_EQ(sr.shared(), 0u);
+        expectServedFresh(ts, set, {arm32}, false);
+        EXPECT_EQ(sr.sims(), 3u);
+        EXPECT_EQ(sr.shared(), 1u);
+        EXPECT_EQ(ts.server->store().stats().evictions, 3u);
+    }
+
+    // A corrupted entry is quarantined when the daemon reads it to
+    // share: ARM8 simulates, and then answers ARM16 itself.
+    {
+        ScopedRegistry sr;
+        TestServer ts;
+        expectServedFresh(ts, set, {arm16}, false);
+        const std::string path = ts.config.storeDir + "/" +
+                                 keyFileName(set.reqs[arm16].key());
+        std::string text, err;
+        ASSERT_TRUE(readFileToString(path, &text));
+        text[text.size() / 3] ^= 1;
+        ASSERT_TRUE(writeFileAtomic(path, text, &err)) << err;
+        expectServedFresh(ts, set, {arm8}, false);
+        EXPECT_EQ(sr.sims(), 2u);
+        EXPECT_EQ(sr.shared(), 0u);
+        EXPECT_EQ(ts.server->store().stats().quarantined, 1u);
+        expectServedFresh(ts, set, {arm16}, false);
+        EXPECT_EQ(sr.sims(), 2u);
+        EXPECT_EQ(sr.shared(), 1u);
+    }
+}
+
+TEST(SvcService, RestartedDaemonSimulatesBeforeItShares)
+{
+    // The run index lives in memory only: over a warm store, a new
+    // daemon serves stored keys, simulates a new size once and shares
+    // that run with the next size.
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    RunSet set;
+    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
+    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
+    const size_t arm32 = set.add("crc32", crc, false, icacheCore("ARM32", 32));
+
+    ScopedRegistry sr;
+    TestServer ts;
+    expectServedFresh(ts, set, {arm16}, false);
+    EXPECT_EQ(sr.sims(), 1u);
+
+    ts.restart();
+    expectServedFresh(ts, set, {arm8}, false);
+    EXPECT_EQ(sr.sims(), 2u);
+    EXPECT_EQ(sr.shared(), 0u);
+    expectServedFresh(ts, set, {arm32, arm16}, false);
+    EXPECT_EQ(sr.sims(), 2u);
+    EXPECT_EQ(sr.shared(), 1u);
+    EXPECT_EQ(ts.server->store().stats().hits, 1u); // ARM16
 }
 
 TEST(SvcService, FaultArmedRequestStaysInProcessAndTalliesEveryAttempt)
