@@ -3,7 +3,8 @@
 # plain, AddressSanitizer + UBSan, and UBSan alone (non-recovering) —
 # with engine-vs-oracle differential shards (single-core and chip)
 # under every build flavour, then diff every experiment against its
-# committed golden snapshot. The ctest suites include the trace_smoke
+# committed golden snapshot, and run the concurrent tests under
+# ThreadSanitizer. The ctest suites include the trace_smoke
 # gate (scripts/trace_smoke.sh): --trace-out timelines from pfits_run
 # and from pfitsd must validate via `pfits_report validate-trace`, so
 # the tracing layer gets a sanitized pass too.
@@ -102,4 +103,16 @@ PFITS_JOBS=4 "$repo/scripts/svc_crash_fuzz.sh" "$repo/build-asan"
 PFITS_JOBS=4 run_suite "$repo/build-ubsan" -DUBSAN=ON
 sanitized_shards "$repo/build-ubsan" UBSan
 
-echo "=== all checks passed (plain + sanitized + golden) ==="
+# ThreadSanitizer over the compute-once memo and everything built on
+# it or racing beside it: SimCache, the Runner, the daemon, its client
+# and store.
+# Any report fails the step (halt_on_error exits non-zero at once).
+echo "=== configure $repo/build-tsan (-DTSAN=ON) ==="
+cmake -B "$repo/build-tsan" -S "$repo" -DTSAN=ON
+cmake --build "$repo/build-tsan" -j "$jobs" --target pfits_tests
+echo "=== ThreadSanitizer: memo, SimCache and pfitsd tests ==="
+TSAN_OPTIONS="halt_on_error=1" PFITS_JOBS=4 \
+    "$repo/build-tsan/tests/pfits_tests" \
+    --gtest_filter='Memo.*:SimCache.*:ParallelExp.*:SvcService.*:SvcStore.*'
+
+echo "=== all checks passed (plain + sanitized + golden + TSan) ==="

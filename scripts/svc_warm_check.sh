@@ -2,15 +2,19 @@
 # ctest gate for the pfitsd warm-store contract (docs/SERVICE.md):
 #  1. an experiment's sweep through a fresh daemon produces the same tables as
 #     a daemon-less run (pfits_report diff --ignore-time),
-#  2. that cold sweep simulates each run once in the daemon: its fresh
-#     simulations (simcache.sim_ms count in `pfits_report stats`) equal the
-#     daemon-less run's simcache.misses, its shared answers (svc.shared) the
-#     daemon-less simcache.shared, it stores one entry per key requested, and
-#     it serves nothing from the store (store.hits == 0),
-#  3. a second identical sweep performs ZERO fresh simulations — every
-#     request is answered from the daemon's store (svc.store.hits ==
-#     svc.requests, simcache.misses == 0 in the manifest) — over reused
-#     connections (1 <= svc.connects <= --jobs, svc.retries == 0),
+#  2. that cold sweep simulates each run once: the client shares size
+#     variants in-process (its simcache.shared equals the daemon-less
+#     run's), so the daemon is asked once per distinct run, shares nothing
+#     itself (svc.shared == 0), simulates what it is asked (simcache.sim_ms
+#     count in `pfits_report stats` == the daemon-less simcache.misses),
+#     stores one entry per request, and serves nothing from the store
+#     (store.hits == 0),
+#  3. a second identical sweep performs ZERO fresh simulations — one
+#     request per distinct run (svc.requests == the daemon-less
+#     simcache.misses), each answered from the daemon's store
+#     (svc.store.hits == svc.requests, simcache.misses == 0 in the
+#     manifest) — over reused connections (1 <= svc.connects <= --jobs,
+#     svc.retries == 0),
 #  4. with the daemon stopped, --daemon runs still exit 0 and count
 #     their degradation (svc.fallbacks > 0).
 # Registered in tests/CMakeLists.txt as "svc_warm_check" (fig13_miss_rate)
@@ -77,18 +81,21 @@ first = json.load(open(sys.argv[3]))["metrics"]
 daemon = stats.get("metrics", {})
 store = stats["store"]
 sims = daemon.get("simcache.sim_ms", {}).get("count", 0)
-shared = daemon.get("svc.shared", 0)
+daemon_shared = daemon.get("svc.shared", 0)
+shared = first.get("simcache.shared", 0)
 want_sims = local.get("simcache.misses", 0)
 want_shared = local.get("simcache.shared", 0)
 requests = first.get("svc.requests", 0)
 print(f"warm: cold sweep: daemon sims={sims} (daemon-less {want_sims}) "
-      f"shared={shared} (daemon-less {want_shared}) "
+      f"client shared={shared} (daemon-less {want_shared}) "
+      f"daemon shared={daemon_shared} "
       f"store entries={store['entries']} requests={requests} "
       f"store.hits={store['hits']}")
 assert requests > 0, "cold sweep made no daemon requests"
 assert sims == want_sims, "the daemon must simulate each distinct run once"
-assert shared == want_shared, "the daemon must share what SimCache shares"
-assert store["entries"] == requests, "one store entry per key requested"
+assert shared == want_shared, "the client must share what SimCache shares"
+assert daemon_shared == 0, "the client asks once per distinct run"
+assert store["entries"] == requests, "one store entry per request"
 assert store["hits"] == 0, "a cold sweep serves nothing from the store"
 EOF
 
@@ -97,20 +104,24 @@ jobs=4
 "$run" "$experiment" --daemon="$sock" --jobs "$jobs" \
     --json "$workdir/second" > /dev/null
 
-python3 - "$workdir/second/$experiment.json" "$jobs" <<'EOF'
+python3 - "$workdir/second/$experiment.json" "$jobs" \
+    "$workdir/local/$experiment.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 jobs = int(sys.argv[2])
+runs = json.load(open(sys.argv[3]))["metrics"].get("simcache.misses", 0)
 requests = m.get("svc.requests", 0)
 hits = m.get("svc.store.hits", 0)
 misses = m.get("simcache.misses", 0)
 fallbacks = m.get("svc.fallbacks", 0)
 connects = m.get("svc.connects", 0)
 retries = m.get("svc.retries", 0)
-print(f"warm: second sweep: requests={requests} store.hits={hits} "
+print(f"warm: second sweep: requests={requests} (distinct runs {runs}) "
+      f"store.hits={hits} "
       f"simcache.misses={misses} fallbacks={fallbacks} "
       f"connects={connects} retries={retries}")
 assert requests > 0, "second sweep made no daemon requests"
+assert requests == runs, "one request per distinct run"
 assert hits == requests, "a warm store must answer every request"
 assert misses == 0, "a warm store must avoid local simulation"
 assert fallbacks == 0, "no degradation expected with a live daemon"

@@ -57,29 +57,18 @@ Runner::coreConfig(ConfigId id) const
 const BenchResult &
 Runner::get(const std::string &bench_name)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(bench_name);
-        if (it != cache_.end())
-            return *it->second;
-    }
-
-    // Compute outside the lock: the front-end work runs inline, the
-    // four configuration simulations go through the engine (every one
-    // memoized process-wide in SimCache).
-    Prepared prep = prepare(bench_name);
-    auto cfgs = parallelMap<ConfigResult>(pool(), 4, [&](size_t i) {
-        return simulateConfig(prep, static_cast<ConfigId>(i));
+    // The front-end work runs inline, the four configuration
+    // simulations go through the engine (every one memoized
+    // process-wide in SimCache).
+    return *cache_.get(bench_name, [&] {
+        Prepared prep = prepare(bench_name);
+        auto cfgs = parallelMap<ConfigResult>(pool(), 4, [&](size_t i) {
+            return simulateConfig(prep, static_cast<ConfigId>(i));
+        });
+        for (size_t i = 0; i < 4; ++i)
+            prep.result->configs[i] = std::move(cfgs[i]);
+        return std::shared_ptr<const BenchResult>(std::move(prep.result));
     });
-    for (size_t i = 0; i < 4; ++i)
-        prep.result->configs[i] = std::move(cfgs[i]);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(bench_name);
-    if (it == cache_.end()) {
-        it = cache_.emplace(bench_name, std::move(prep.result)).first;
-    }
-    return *it->second;
 }
 
 std::vector<const BenchResult *>
@@ -88,12 +77,9 @@ Runner::all()
     const auto &suite = mibench::suite();
 
     std::vector<std::string> missing;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &info : suite)
-            if (!cache_.count(info.name))
-                missing.emplace_back(info.name);
-    }
+    for (const auto &info : suite)
+        if (!cache_.peek(info.name))
+            missing.emplace_back(info.name);
 
     if (!missing.empty()) {
         ThreadPool &tp = pool();
@@ -128,22 +114,22 @@ Runner::all()
             });
         }
 
-        std::lock_guard<std::mutex> lock(mu_);
-        for (size_t i = 0; i < missing.size(); ++i) {
-            if (cache_.count(missing[i]))
-                continue; // a concurrent get() beat us to it
-            for (size_t c = 0; c < 4; ++c)
-                preps[i].result->configs[c] =
-                    std::move(cfgs[i * 4 + c]);
-            cache_.emplace(missing[i], std::move(preps[i].result));
-        }
+        // A concurrent get() may have beaten us to a bench; its result
+        // stands.
+        for (size_t i = 0; i < n; ++i)
+            cache_.get(missing[i], [&] {
+                for (size_t c = 0; c < 4; ++c)
+                    preps[i].result->configs[c] =
+                        std::move(cfgs[i * 4 + c]);
+                return std::shared_ptr<const BenchResult>(
+                    std::move(preps[i].result));
+            });
     }
 
     std::vector<const BenchResult *> out;
     out.reserve(suite.size());
-    std::lock_guard<std::mutex> lock(mu_);
     for (const auto &info : suite)
-        out.push_back(cache_.at(info.name).get());
+        out.push_back(cache_.peek(info.name)->get());
     return out;
 }
 

@@ -13,13 +13,12 @@
 #ifndef POWERFITS_EXP_EXPERIMENT_HH
 #define POWERFITS_EXP_EXPERIMENT_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/fault.hh"
+#include "common/memo.hh"
 #include "exp/parallel.hh"
 #include "exp/simcache.hh"
 #include "fits/fits_frontend.hh"
@@ -225,8 +224,7 @@ class Runner
     ExperimentParams params_;
     std::unique_ptr<ThreadPool> ownPool_; //!< when params_.jobs != 0
 
-    mutable std::mutex mu_; //!< guards cache_
-    std::map<std::string, std::unique_ptr<BenchResult>> cache_;
+    Memo<std::string, std::shared_ptr<const BenchResult>> cache_;
 };
 
 } // namespace pfits

@@ -1,6 +1,7 @@
 #include "exp/simcache.hh"
 
 #include <algorithm>
+#include <memory>
 #include <type_traits>
 
 #include "common/logging.hh"
@@ -391,23 +392,10 @@ SimCache::instance()
     return cache;
 }
 
-size_t
-SimCache::entries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
 std::vector<SimKey>
 SimCache::keys() const
 {
-    std::vector<SimKey> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        out.reserve(map_.size());
-        for (const auto &[key, slot] : map_)
-            out.push_back(key);
-    }
+    std::vector<SimKey> out = map_.keys();
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -415,7 +403,6 @@ SimCache::keys() const
 void
 SimCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
     runs_.clear();
     hits_.store(0);
@@ -423,110 +410,68 @@ SimCache::clear()
     shared_.store(0);
 }
 
-std::shared_ptr<SimCache::Slot>
-SimCache::acquireSlot(SlotMap &map, const SimKey &key)
+SimResult
+SimCache::runLocal(const SimRequest &request)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Slot> &slot = map[key];
-    if (!slot)
-        slot = std::make_shared<Slot>();
-    return slot;
-}
-
-std::optional<SimResult>
-SimCache::tryGet(const SimKey &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end() || !it->second->done.load())
-        return std::nullopt;
-    return it->second->value;
-}
-
-bool
-SimCache::seed(const SimKey &key, SimResult result)
-{
-    std::shared_ptr<Slot> slot = acquireSlot(map_, key);
-    bool inserted = false;
-    std::call_once(slot->once, [&] {
-        slot->value = std::move(result);
-        slot->done.store(true);
-        inserted = true;
-        if (MetricRegistry *metrics = MetricRegistry::current())
-            metrics->gauge("simcache.entries")
-                .set(static_cast<int64_t>(entries()));
-        if (TraceRecorder *trace = TraceRecorder::current())
-            trace->instant("simcache.seed", "simcache",
-                           TraceArgs()
-                               .addHex("program", key.program)
-                               .addHex("config", key.config));
-    });
-    return inserted;
+    instance().misses_.fetch_add(1);
+    if (MetricRegistry *metrics = MetricRegistry::current())
+        metrics->counter("simcache.misses").add();
+    return runSimulation(request);
 }
 
 SimResult
-SimCache::run(const SimRequest &request, const SimKey &key)
+SimCache::run(const SimRequest &request, const SimKey &key,
+              const SimCompute &compute)
 {
-    std::shared_ptr<Slot> slot =
-        acquireSlot(runs_, request.runIdentity(key));
     bool fresh = false;
-    std::call_once(slot->once, [&] {
-        fresh = true;
-        slot->value = runSimulation(request);
-        slot->done.store(true);
-    });
-    MetricRegistry *metrics = MetricRegistry::current();
+    SimResult out = runs_.get(
+        request.runIdentity(key), [&] { return compute(request); },
+        &fresh);
+    if (fresh)
+        return out;
     // Trap and watchdog messages name the core that ran, so only a
     // completed run answers another request.
-    if (fresh || slot->value.run.outcome != RunOutcome::Completed) {
-        misses_.fetch_add(1);
-        if (metrics)
-            metrics->counter("simcache.misses").add();
-        return fresh ? slot->value : runSimulation(request);
-    }
+    if (out.run.outcome != RunOutcome::Completed)
+        return compute(request);
     shared_.fetch_add(1);
-    if (metrics)
+    if (MetricRegistry *metrics = MetricRegistry::current())
         metrics->counter("simcache.shared").add();
     if (TraceRecorder *trace = TraceRecorder::current())
         trace->instant("simcache.shared", "simcache",
                        TraceArgs()
                            .addHex("program", key.program)
                            .add("config", request.core->name));
-    SimResult out = slot->value;
     out.run.config = request.core->name;
     return out;
 }
 
 SimResult
-SimCache::simulate(const SimRequest &request)
+SimCache::simulate(const SimRequest &request, const SimCompute &compute)
 {
-    // Compute outside the map lock so unrelated keys never serialize;
-    // call_once makes concurrent requests for *this* key (and run()
-    // for this run identity) compute once and share the result, and
-    // makes the hit/miss/shared split deterministic at any job count,
-    // which is what lets tests pin the span structure.
+    // The memo makes concurrent requests for *this* key (and run() for
+    // this run identity) compute once and share the result, and makes
+    // the hit/miss/shared split deterministic at any job count, which
+    // is what lets tests pin the span structure.
     const SimKey key = request.key();
-    std::shared_ptr<Slot> slot = acquireSlot(map_, key);
     bool computed = false;
-    std::call_once(slot->once, [&] {
-        computed = true;
-        slot->value = run(request, key);
-        slot->done.store(true);
-        if (MetricRegistry *metrics = MetricRegistry::current())
+    SimResult out = map_.get(
+        key, [&] { return run(request, key, compute); }, &computed);
+    MetricRegistry *metrics = MetricRegistry::current();
+    if (computed) {
+        if (metrics)
             metrics->gauge("simcache.entries")
                 .set(static_cast<int64_t>(entries()));
-    });
-    if (!computed) {
-        hits_.fetch_add(1);
-        if (MetricRegistry *metrics = MetricRegistry::current())
-            metrics->counter("simcache.hits").add();
-        if (TraceRecorder *trace = TraceRecorder::current())
-            trace->instant("simcache.hit", "simcache",
-                           TraceArgs()
-                               .add("fe", request.fe->name())
-                               .add("config", request.core->name));
+        return out;
     }
-    return slot->value;
+    hits_.fetch_add(1);
+    if (metrics)
+        metrics->counter("simcache.hits").add();
+    if (TraceRecorder *trace = TraceRecorder::current())
+        trace->instant("simcache.hit", "simcache",
+                       TraceArgs()
+                           .add("fe", request.fe->name())
+                           .add("config", request.core->name));
+    return out;
 }
 
 } // namespace pfits

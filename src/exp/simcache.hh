@@ -23,14 +23,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <optional>
+#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fault.hh"
+#include "common/memo.hh"
 #include "obs/manifest.hh"
 #include "sim/chip.hh"
 #include "sim/frontend.hh"
@@ -204,10 +202,17 @@ struct SimRequest
  * <traceDir>/<fe name>_<core name>.trace.jsonl.
  *
  * Each call is one "sim" trace span and one simcache.sim_ms sample.
- * SimCache memoizes it per process; pfitsd calls it once per run
- * identity, with its store as its memo.
+ * SimCache memoizes it per process (SimCache::runLocal); pfitsd calls
+ * it once per run identity, with its store as its memo.
  */
 SimResult runSimulation(const SimRequest &request);
+
+/**
+ * How SimCache::simulate produces a run it does not have: by default
+ * SimCache::runLocal; the daemon client passes its round trip, whose
+ * fallback is runLocal.
+ */
+using SimCompute = std::function<SimResult(const SimRequest &)>;
 
 /**
  * Process-wide memo over runSimulation: one unbounded map from
@@ -215,8 +220,7 @@ SimResult runSimulation(const SimRequest &request);
  * process asked for — the manifest's "sims" provenance. Beneath it a
  * second map computes each distinct *run* once: requests that differ
  * only in the core's name, or in the capacity of an I-cache that holds
- * the whole program, share one runSimulation
- * (SimRequest::runIdentity).
+ * the whole program, share one computation (SimRequest::runIdentity).
  */
 class SimCache
 {
@@ -225,37 +229,26 @@ class SimCache
     static SimCache &instance();
 
     /**
-     * runSimulation(@p request), memoized under request.key().
-     * Thread-safe; two threads asking for the same key simulate once.
-     * A request whose run another request already made (or is making)
-     * gets a copy of it with run.config set to its own core's name.
+     * @p compute(@p request), memoized under request.key(). Thread-safe;
+     * two threads asking for the same key compute once. A request whose
+     * run another request already made (or is making) gets a copy of it
+     * with run.config set to its own core's name. A computation that
+     * throws is not memoized: its waiters get the exception, and the
+     * next request computes again.
      */
-    SimResult simulate(const SimRequest &request);
+    SimResult simulate(const SimRequest &request,
+                       const SimCompute &compute = runLocal);
 
-    /**
-     * The completed entry under @p key, if one is resident. Never
-     * computes, never blocks on an in-flight computation, and does not
-     * count as a hit or a miss — this is the probe the daemon client
-     * uses to decide whether a socket round trip is needed at all.
-     */
-    std::optional<SimResult> tryGet(const SimKey &key);
-
-    /**
-     * Insert a result computed elsewhere (a pfitsd store hit) under
-     * @p key, so later simulate()/tryGet() calls — and the manifest's
-     * "sims" provenance section — see it exactly as if it had been
-     * simulated here. A no-op when the key is already resident or
-     * being computed. @return true when the entry was inserted.
-     */
-    bool seed(const SimKey &key, SimResult result);
+    /** runSimulation(@p request), counted as a miss. */
+    static SimResult runLocal(const SimRequest &request);
 
     /** Requests answered by their own key's entry. */
     uint64_t hits() const { return hits_.load(); }
-    /** Fresh runSimulation calls. */
+    /** Fresh local runSimulation calls (runLocal). */
     uint64_t misses() const { return misses_.load(); }
     /** Requests answered by another request's run. */
     uint64_t shared() const { return shared_.load(); }
-    size_t entries() const;
+    size_t entries() const { return map_.size(); }
 
     /**
      * Content hashes of every memoized simulation, sorted — the
@@ -268,32 +261,16 @@ class SimCache
     void clear();
 
   private:
-    /**
-     * Shared so clear() can drop an entry while a computation on it is
-     * still in flight.
-     */
-    struct Slot
-    {
-        std::once_flag once;
-        SimResult value;
-        std::atomic<bool> done{false}; //!< value is valid
-    };
-
-    using SlotMap =
-        std::unordered_map<SimKey, std::shared_ptr<Slot>, SimKeyHash>;
-
     SimCache() = default;
 
-    /** Find-or-create the slot for @p key in @p map. */
-    std::shared_ptr<Slot> acquireSlot(SlotMap &map, const SimKey &key);
-
     /** The result for @p request (key @p key) through its run
-     * identity's slot: a fresh run, or a share of a completed one. */
-    SimResult run(const SimRequest &request, const SimKey &key);
+     * identity's slot: a fresh computation, or a share of a completed
+     * one. */
+    SimResult run(const SimRequest &request, const SimKey &key,
+                  const SimCompute &compute);
 
-    mutable std::mutex mu_;
-    SlotMap map_;  //!< by request key
-    SlotMap runs_; //!< by run identity
+    Memo<SimKey, SimResult, SimKeyHash> map_;  //!< by request key
+    Memo<SimKey, SimResult, SimKeyHash> runs_; //!< by run identity
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> shared_{0};

@@ -1,6 +1,7 @@
 #include "sim/memory.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -32,8 +33,15 @@ Memory::pageSlow(uint32_t addr)
 void
 Memory::writeBytes(uint32_t addr, const std::vector<uint8_t> &bytes)
 {
-    for (size_t i = 0; i < bytes.size(); ++i)
-        write8(addr + static_cast<uint32_t>(i), bytes[i]);
+    // One page() and one memcpy per page the segment touches.
+    for (size_t done = 0; done < bytes.size();) {
+        const uint32_t at = addr + static_cast<uint32_t>(done);
+        const uint32_t off = at & (kPageSize - 1);
+        const size_t n =
+            std::min<size_t>(kPageSize - off, bytes.size() - done);
+        std::memcpy(page(at).data() + off, bytes.data() + done, n);
+        done += n;
+    }
 }
 
 std::optional<uint32_t>

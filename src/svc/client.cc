@@ -96,6 +96,19 @@ struct ScopedFd
     ScopedFd &operator=(const ScopedFd &) = delete;
 };
 
+/** A request frame that is only its @p op. */
+std::string
+opRequest(const char *op)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    w.field("op", op);
+    w.endObject();
+    return os.str();
+}
+
 int64_t
 elapsedMs(std::chrono::steady_clock::time_point since)
 {
@@ -251,15 +264,8 @@ SvcClient::roundTrip(const std::string &request, std::string *response)
 bool
 SvcClient::ping()
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "hello");
-    w.endObject();
-
     std::string response, err;
-    if (!attempt(os.str(), &response, config_.requestTimeoutMs,
+    if (!attempt(opRequest("hello"), &response, config_.requestTimeoutMs,
                  &err))
         return false;
     try {
@@ -276,15 +282,8 @@ SvcClient::ping()
 void
 SvcClient::recordServerStats()
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "stats");
-    w.endObject();
-
     std::string response, err;
-    if (!attempt(os.str(), &response, config_.requestTimeoutMs,
+    if (!attempt(opRequest("stats"), &response, config_.requestTimeoutMs,
                  &err))
         return;
     try {
@@ -323,7 +322,7 @@ SimResult
 SvcClient::fallback(const SimRequest &request, bool try_put)
 {
     bumpCounter("svc.fallbacks");
-    SimResult result = localSimService().simulate(request);
+    SimResult result = SimCache::runLocal(request);
     if (try_put)
         tryPut(request.key(), result);
     return result;
@@ -342,10 +341,17 @@ SvcClient::simulate(const SimRequest &request)
         !request.chip.isDefault() || request.faults.enabled())
         return localSimService().simulate(request);
 
-    SimKey key = request.key();
-    if (auto cached = SimCache::instance().tryGet(key))
-        return *cached;
+    // Through the process's SimCache: a key already answered is a hit,
+    // a size variant of an answered run shares it in-process, and
+    // concurrent requests for one key wait for one round trip.
+    return SimCache::instance().simulate(
+        request, [this](const SimRequest &req) { return fetch(req); });
+}
 
+SimResult
+SvcClient::fetch(const SimRequest &request)
+{
+    const SimKey key = request.key();
     bumpCounter("svc.requests");
 
     // A fresh trace id, generated only when a recorder is installed
@@ -409,18 +415,13 @@ SvcClient::simulate(const SimRequest &request)
     try {
         v = JsonValue::parse(response);
     } catch (const FatalError &) {
-        warn_once("pfitsd: unparseable response; running locally");
-        return fallback(request, /*try_put=*/true);
+        // Unparseable: v stays null, which is malformed below.
     }
-    if (!v.isObject() || !v.get("ok").isBool()) {
-        warn_once("pfitsd: malformed response; running locally");
-        return fallback(request, /*try_put=*/true);
-    }
-    if (!v.get("ok").asBool()) {
-        warn_once("pfitsd error: %s",
-                  v.get("error").isString()
+    if (!v.isObject() || !v.get("ok").isBool() || !v.get("ok").asBool()) {
+        warn_once("pfitsd: %s; running locally",
+                  v.isObject() && v.get("error").isString()
                       ? v.get("error").asString().c_str()
-                      : "unknown");
+                      : "malformed response");
         return fallback(request, /*try_put=*/true);
     }
 
@@ -442,7 +443,6 @@ SvcClient::simulate(const SimRequest &request)
             return fallback(request, /*try_put=*/true);
         }
         bumpCounter("svc.store.hits");
-        SimCache::instance().seed(key, result);
         return result;
     }
     if (status == "timeout") {

@@ -9,7 +9,9 @@
  * part of a store entry, so they resolve in-process.
  *
  * Degradation ladder for one request:
- *  1. local SimCache probe (free; no socket round trip on a warm key),
+ *  1. the process's SimCache (free: a key already answered is a hit,
+ *     a size variant of an answered run shares it, and concurrent
+ *     requests for one key wait for one round trip),
  *  2. daemon round trip — "sim" for suite benchmarks the daemon can
  *     rebuild by name, "get" for anything else — with bounded retries
  *     and jittered exponential backoff on transport failures,
@@ -30,9 +32,11 @@
  * client's view;
  * recordServerStats() snapshots the daemon's
  * svc.store.{evictions,quarantined} gauges into the manifest. Results
- * fetched from the store are checksum-verified and then seeded into
- * the local SimCache, so manifests keep their "sims" provenance and
- * repeated keys stay in-process.
+ * fetched from the store are checksum-verified and memoized by the
+ * SimCache they are fetched through, so manifests keep their "sims"
+ * provenance and repeated keys stay in-process. Shared answers are
+ * not put back, so a store one client populates holds one entry per
+ * distinct run.
  */
 
 #ifndef POWERFITS_SVC_CLIENT_HH
@@ -118,10 +122,17 @@ class SvcClient final : public SimService
     bool attempt(const std::string &request, std::string *response,
                  int budget_ms, std::string *err);
 
+    /**
+     * The daemon's answer for @p request, or its local fallback: the
+     * SimCompute simulate() passes to SimCache.
+     */
+    SimResult fetch(const SimRequest &request);
+
     /** Best-effort publish of a locally computed result. */
     void tryPut(const SimKey &key, const SimResult &result);
 
-    /** Compute locally, count a fallback, and best-effort put. */
+    /** Run locally (SimCache::runLocal), count a fallback, and
+     * best-effort put. */
     SimResult fallback(const SimRequest &request, bool try_put);
 
     int backoffDelayMs(unsigned attempt);

@@ -43,14 +43,21 @@ errorResponse(const std::string &message)
     return os.str();
 }
 
+/**
+ * {"ok":true,"status":@p status}, and the string field @p name set to
+ * @p value when a name is given.
+ */
 std::string
-statusResponse(const char *status)
+statusResponse(const char *status, const char *name = nullptr,
+               const std::string &value = "")
 {
     std::ostringstream os;
     JsonWriter w(os, 0);
     w.beginObject();
     w.field("ok", true);
     w.field("status", status);
+    if (name)
+        w.field(name, value);
     w.endObject();
     return os.str();
 }
@@ -58,40 +65,14 @@ statusResponse(const char *status)
 std::string
 hitResponse(const std::string &entry_text)
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("ok", true);
-    w.field("status", "hit");
-    w.field("entry", entry_text);
-    w.endObject();
-    return os.str();
+    return statusResponse("hit", "entry", entry_text);
 }
 
 std::string
 timeoutResponse()
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("ok", true);
-    w.field("status", "timeout");
-    w.field("outcome", runOutcomeName(RunOutcome::WatchdogExpired));
-    w.endObject();
-    return os.str();
-}
-
-std::string
-unsupportedResponse(const std::string &reason)
-{
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("ok", true);
-    w.field("status", "unsupported");
-    w.field("reason", reason);
-    w.endObject();
-    return os.str();
+    return statusResponse("timeout", "outcome",
+                          runOutcomeName(RunOutcome::WatchdogExpired));
 }
 
 } // namespace
@@ -361,12 +342,12 @@ SvcServer::handleRequest(const std::string &payload)
 }
 
 bool
-SvcServer::resolveDeadlineMs(const JsonValue &req, int *deadline_ms) const
+SvcServer::resolveDeadline(const JsonValue &req, int64_t *deadline_at) const
 {
     int d = 0;
     if (req.has("deadline_ms") && !getUnsigned(req.get("deadline_ms"), &d))
         return false;
-    *deadline_ms = d > 0 ? d : config_.defaultDeadlineMs;
+    *deadline_at = nowMs() + (d > 0 ? d : config_.defaultDeadlineMs);
     return true;
 }
 
@@ -403,6 +384,23 @@ SvcServer::resolveInflight(const SimKey &key,
     inflight_.erase(it);
 }
 
+std::shared_ptr<SvcServer::Inflight>
+SvcServer::findInflightLocked(const SimKey &key)
+{
+    auto it = inflight_.find(key);
+    if (it == inflight_.end())
+        return nullptr;
+    // A leased slot whose holder went silent is reclaimed so one
+    // crashed client cannot wedge the key.
+    if (!it->second->leased || nowMs() < it->second->leaseExpiryMs)
+        return it->second;
+    if (TraceRecorder *trace = TraceRecorder::current())
+        trace->instant("lease.reclaim", "svc");
+    it->second->cv.notify_all();
+    inflight_.erase(it);
+    return nullptr;
+}
+
 std::string
 SvcServer::handleGet(const JsonValue &req)
 {
@@ -411,10 +409,9 @@ SvcServer::handleGet(const JsonValue &req)
         return errorResponse("get: bad key");
     bool wait = req.get("wait").isBool() && req.get("wait").asBool();
     bool lease = req.get("lease").isBool() && req.get("lease").asBool();
-    int deadline_ms = 0;
-    if (!resolveDeadlineMs(req, &deadline_ms))
+    int64_t deadline_at = 0;
+    if (!resolveDeadline(req, &deadline_at))
         return errorResponse("get: bad deadline_ms");
-    int64_t deadline_at = nowMs() + deadline_ms;
 
     std::string entry;
     if (store_->get(key, &entry))
@@ -423,20 +420,7 @@ SvcServer::handleGet(const JsonValue &req)
     std::shared_ptr<Inflight> infl;
     {
         std::lock_guard<std::mutex> lock(inflightMu_);
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            // A leased slot whose holder went silent is reclaimed so
-            // one crashed client cannot wedge the key.
-            if (it->second->leased &&
-                nowMs() >= it->second->leaseExpiryMs) {
-                if (TraceRecorder *trace = TraceRecorder::current())
-                    trace->instant("lease.reclaim", "svc");
-                it->second->cv.notify_all();
-                inflight_.erase(it);
-            } else {
-                infl = it->second;
-            }
-        }
+        infl = findInflightLocked(key);
         if (!infl && lease) {
             auto fresh = std::make_shared<Inflight>();
             fresh->leased = true;
@@ -511,10 +495,9 @@ SvcServer::handleSim(const JsonValue &req)
                                            &spec.intervalInstructions))
             return errorResponse("sim: bad observers");
     }
-    int deadline_ms = 0;
-    if (!resolveDeadlineMs(req, &deadline_ms))
+    int64_t deadline_at = 0;
+    if (!resolveDeadline(req, &deadline_at))
         return errorResponse("sim: bad deadline_ms");
-    int64_t deadline_at = nowMs() + deadline_ms;
 
     std::string entry;
     if (store_->get(key, &entry))
@@ -524,18 +507,7 @@ SvcServer::handleSim(const JsonValue &req)
     bool claimed = false;
     {
         std::lock_guard<std::mutex> lock(inflightMu_);
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            if (it->second->leased &&
-                nowMs() >= it->second->leaseExpiryMs) {
-                if (TraceRecorder *trace = TraceRecorder::current())
-                    trace->instant("lease.reclaim", "svc");
-                it->second->cv.notify_all();
-                inflight_.erase(it);
-            } else {
-                infl = it->second;
-            }
-        }
+        infl = findInflightLocked(key);
         if (!infl) {
             infl = std::make_shared<Inflight>();
             inflight_[key] = infl;
@@ -557,7 +529,7 @@ SvcServer::handleSim(const JsonValue &req)
       case Inflight::State::Done:
         return hitResponse(infl->text);
       case Inflight::State::Unsupported:
-        return unsupportedResponse(infl->text);
+        return statusResponse("unsupported", "reason", infl->text);
       case Inflight::State::Failed:
         break;
     }
@@ -598,30 +570,6 @@ SvcServer::handleStats()
     }
     w.endObject();
     return os.str();
-}
-
-std::shared_ptr<PreparedBench>
-SvcServer::preparedFor(const std::string &bench)
-{
-    // One single flight per bench: benchMu_ only finds or creates the
-    // slot, and the slot's own mutex serializes its build, so
-    // different benches prepare in parallel and each prepares once. A
-    // throwing prepare leaves the slot empty for the next request to
-    // retry (a per-slot mutex rather than std::call_once, which hangs
-    // on a throwing callable under some libstdc++ targets).
-    std::shared_ptr<BenchSlot> slot;
-    {
-        std::lock_guard<std::mutex> lock(benchMu_);
-        std::shared_ptr<BenchSlot> &entry = benchCache_[bench];
-        if (!entry)
-            entry = std::make_shared<BenchSlot>();
-        slot = entry;
-    }
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (!slot->prep)
-        slot->prep = std::make_shared<PreparedBench>(
-            prepareBenchmark(bench, ExperimentParams{}));
-    return slot->prep;
 }
 
 void
@@ -675,7 +623,13 @@ SvcServer::computeJob(const SimJob &job)
     try {
         std::shared_ptr<PreparedBench> prep;
         try {
-            prep = preparedFor(job.bench);
+            // Different benches prepare in parallel and each prepares
+            // once; a throwing prepare leaves nothing behind, so the
+            // next request retries.
+            prep = benchCache_.get(job.bench, [&] {
+                return std::make_shared<PreparedBench>(
+                    prepareBenchmark(job.bench, ExperimentParams{}));
+            });
         } catch (const std::exception &e) {
             resolveInflight(key, Inflight::State::Unsupported,
                             std::string("cannot prepare '") + job.bench +

@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/memo.hh"
 #include "exp/experiment.hh"
 #include "svc/store.hh"
 
@@ -167,6 +168,12 @@ class SvcServer
                                  int64_t deadline_at);
 
     /**
+     * The slot for @p key, or null when there is none or its lease
+     * expired (the slot is then reclaimed). inflightMu_ held.
+     */
+    std::shared_ptr<Inflight> findInflightLocked(const SimKey &key);
+
+    /**
      * Resolve the slot for @p key to @p state and wake waiters;
      * @p text becomes Inflight::text.
      */
@@ -187,15 +194,13 @@ class SvcServer
      */
     void endRun(const SimKey &identity, const SimKey *stored);
 
-    /** Build (or fetch) the prepared front-ends for @p bench. */
-    std::shared_ptr<PreparedBench> preparedFor(const std::string &bench);
-
     /**
-     * The request's "deadline_ms" when positive, the server default
-     * when it is absent or 0. @return false when it is present but not
-     * an integer in [0, INT_MAX].
+     * When the request expires (ms, monotonic): now plus its
+     * "deadline_ms" when positive, plus the server default when it is
+     * absent or 0. @return false when it is present but not an integer
+     * in [0, INT_MAX].
      */
-    bool resolveDeadlineMs(const JsonValue &req, int *deadline_ms) const;
+    bool resolveDeadline(const JsonValue &req, int64_t *deadline_at) const;
 
     SvcServerConfig config_;
     std::unique_ptr<ResultStore> store_;
@@ -223,15 +228,8 @@ class SvcServer
     std::mutex inflightMu_; //!< guards inflight_ and every Inflight
     std::map<SimKey, std::shared_ptr<Inflight>> inflight_;
 
-    /** One bench's prepared front-ends, built at most once. */
-    struct BenchSlot
-    {
-        std::mutex mu; //!< held while building prep
-        std::shared_ptr<PreparedBench> prep; //!< null until built
-    };
-
-    std::mutex benchMu_; //!< guards benchCache_ (not the slots)
-    std::map<std::string, std::shared_ptr<BenchSlot>> benchCache_;
+    //! Each bench's prepared front-ends, built at most once.
+    Memo<std::string, std::shared_ptr<PreparedBench>> benchCache_;
 
     std::mutex runsMu_; //!< guards runs_
     std::map<SimKey, RunSlot> runs_; //!< by SimRequest::runIdentity

@@ -215,18 +215,10 @@ ResultStore::put(const SimKey &key, const std::string &entry_text,
     if (!writeFileAtomic(pathFor(key), entry_text, err))
         return false;
 
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        bytes_ -= it->second.bytes;
-        bytes_ += entry_text.size();
-        it->second.bytes = entry_text.size();
-        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
-        it->second.lruPos = lru_.begin();
-    } else {
-        lru_.push_front(key);
-        index_[key] = Entry{entry_text.size(), lru_.begin()};
-        bytes_ += entry_text.size();
-    }
+    dropIndexLocked(key); // a re-put replaces the entry
+    lru_.push_front(key);
+    index_[key] = Entry{entry_text.size(), lru_.begin()};
+    bytes_ += entry_text.size();
     enforceBudgetLocked();
     return true;
 }
@@ -260,15 +252,12 @@ ResultStore::quarantineLocked(const std::string &file_name)
                        TraceArgs().add("file", file_name));
     std::string src = dir_ + "/" + file_name;
     std::string dst = quarantineDir() + "/" + file_name;
-    if (::rename(src.c_str(), dst.c_str()) == 0) {
-        ++quarantined_;
-    } else {
-        // rename across the same directory tree should not fail; if
-        // it somehow does, removing the bad file is the safe fallback
-        // (it would otherwise be re-served or re-scanned forever).
+    // rename within one directory tree should not fail; if it somehow
+    // does, removing the bad file is the safe fallback (it would
+    // otherwise be re-served or re-scanned forever).
+    if (::rename(src.c_str(), dst.c_str()) != 0)
         ::unlink(src.c_str());
-        ++quarantined_;
-    }
+    ++quarantined_;
 }
 
 void

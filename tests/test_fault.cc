@@ -156,6 +156,31 @@ TEST(Memory, BitFlipIntoEmptyMemoryIsNull)
     EXPECT_FALSE(mem.injectBitFlip(rng).has_value());
 }
 
+TEST(Memory, SegmentAcrossPageBoundariesLoadsByteIdentically)
+{
+    // Starts 16 bytes below a 64 KiB boundary and runs past the next
+    // one, over a page that already holds data on both sides.
+    std::vector<uint8_t> seg(0x10000 + 0x40);
+    Rng rng(7);
+    for (uint8_t &b : seg)
+        b = static_cast<uint8_t>(rng.below(256));
+    const uint32_t base = 0x1fff0;
+    Memory bulk, bytewise;
+    for (Memory *m : {&bulk, &bytewise}) {
+        m->write32(base - 4, 0xdeadbeef);
+        m->write32(base + static_cast<uint32_t>(seg.size()), 0xfeedf00d);
+    }
+    bulk.writeBytes(base, seg);
+    for (size_t i = 0; i < seg.size(); ++i)
+        bytewise.write8(base + static_cast<uint32_t>(i), seg[i]);
+    EXPECT_FALSE(bulk.firstDifference(bytewise).has_value());
+    EXPECT_EQ(bulk.read8(0x1ffff), seg[0xf]);
+    EXPECT_EQ(bulk.read8(0x20000), seg[0x10]);
+    EXPECT_EQ(bulk.read32(base - 4), 0xdeadbeefu);
+    EXPECT_EQ(bulk.read32(base + static_cast<uint32_t>(seg.size())),
+              0xfeedf00du);
+}
+
 /** Run one MiBench kernel under injection with a chosen I-cache setup. */
 RunResult
 faultyRun(const char *bench, bool parity, FaultPlan &plan)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "assembler/builder.hh"
+#include "common/memo.hh"
 #include "exp/experiment.hh"
 #include "exp/figures.hh"
 #include "exp/parallel.hh"
@@ -129,6 +131,130 @@ TEST(ThreadPool, ParseJobsFlagForms)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
+// --- the compute-once memo ------------------------------------------------
+
+/** Spin until @p flag is set. */
+void
+awaitFlag(const std::atomic<bool> &flag)
+{
+    while (!flag.load())
+        std::this_thread::yield();
+}
+
+TEST(Memo, ComputesOnceUnderConcurrentCallers)
+{
+    Memo<int, int> memo;
+    EXPECT_FALSE(memo.peek(1).has_value());
+    std::atomic<bool> go{false};
+    std::atomic<int> calls{0}, computers{0};
+    std::vector<int> got(8);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&, i] {
+            awaitFlag(go);
+            bool computed = false;
+            got[i] = memo.get(
+                1,
+                [&] {
+                    ++calls;
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    return 42;
+                },
+                &computed);
+            computers += computed;
+        });
+    go = true;
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(computers.load(), 1);
+    for (int v : got)
+        EXPECT_EQ(v, 42);
+    EXPECT_EQ(memo.peek(1), 42);
+    EXPECT_FALSE(memo.peek(2).has_value());
+    EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(Memo, ThrowReachesCallerAndWaitersAndTheNextCallerRecomputes)
+{
+    Memo<int, int> memo;
+    std::atomic<bool> computing{false}, release{false};
+    std::atomic<int> calls{0};
+    auto boom = [&]() -> int {
+        ++calls;
+        computing = true;
+        awaitFlag(release);
+        throw std::runtime_error("boom");
+    };
+    std::atomic<int> caught{0}, waited{0};
+    auto ask = [&] {
+        bool computed = false;
+        try {
+            memo.get(7, boom, &computed);
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom");
+            ++caught;
+            waited += !computed;
+        }
+    };
+    std::vector<std::thread> threads;
+    threads.emplace_back(ask);
+    awaitFlag(computing);
+    for (int i = 0; i < 7; ++i)
+        threads.emplace_back(ask);
+    // Long enough for the seven to block on the slot; the probe never
+    // blocks on the computation.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_FALSE(memo.peek(7).has_value());
+    release = true;
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(caught.load(), 8);
+    EXPECT_EQ(waited.load(), 7);
+    EXPECT_EQ(calls.load(), 1);
+
+    // Nothing was memoized: the next caller computes.
+    EXPECT_EQ(memo.size(), 0u);
+    bool computed = false;
+    EXPECT_EQ(memo.get(7, [] { return 5; }, &computed), 5);
+    EXPECT_TRUE(computed);
+    EXPECT_EQ(memo.peek(7), 5);
+}
+
+TEST(Memo, ClearDuringAComputationIsSafe)
+{
+    Memo<int, std::string> memo;
+    std::atomic<bool> computing{false}, release{false};
+    std::string first, waiter;
+    std::thread owner([&] {
+        first = memo.get(3, [&] {
+            computing = true;
+            awaitFlag(release);
+            return std::string("old");
+        });
+    });
+    awaitFlag(computing);
+    std::thread waits([&] {
+        waiter = memo.get(3, [] { return std::string("unused"); });
+    });
+    // Long enough for the waiter to block on the slot.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    // The in-flight key is dropped; a new caller computes afresh while
+    // the old computation still runs.
+    memo.clear();
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_EQ(memo.get(3, [] { return std::string("new"); }), "new");
+    release = true;
+    owner.join();
+    waits.join();
+    EXPECT_EQ(first, "old");
+    EXPECT_EQ(waiter, "old");
+    EXPECT_EQ(memo.peek(3), "new");
+    EXPECT_EQ(memo.keys(), std::vector<int>{3});
+}
+
 // --- memoization cache -----------------------------------------------------
 
 TEST(SimCache, KeyCoversProgramConfigAndFaultSeed)
@@ -233,43 +359,45 @@ TEST(SimCache, ProgramHashIsComputedOnceUnderConcurrentKeys)
     EXPECT_EQ(walks.load(), 1);
 }
 
-TEST(SimCache, TryGetAndSeedRoundTrip)
+TEST(SimCache, ThrowingComputationIsRecomputedByTheNextCall)
 {
     SimCache &cache = SimCache::instance();
     cache.clear();
 
-    mibench::Workload wl = mibench::buildCrc32();
-    ArmFrontEnd fe(std::move(wl.program));
-    CoreConfig core;
-    SimRequest req;
-    req.fe = &fe;
-    req.core = &core;
-    const SimKey key = req.key();
+    // Fault injection is single-core only: a chip request with armed
+    // faults is a fatal usage error from runSimulation. Each call must
+    // see it, none may hang, and nothing is memoized.
+    const ArmFrontEnd crc(mibench::buildCrc32().program);
+    const CoreConfig core;
+    SimRequest bad{.fe = &crc, .core = &core};
+    bad.chip.tiles = 2;
+    bad.faults.icacheMeanInterval = 50'000;
+    bad.maxRetries = 1;
+    EXPECT_THROW(cache.simulate(bad), FatalError);
+    EXPECT_THROW(cache.simulate(bad), FatalError);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.entries(), 0u);
 
-    // Absent: tryGet must not compute, count, or block.
-    EXPECT_FALSE(cache.tryGet(key).has_value());
-    EXPECT_EQ(cache.misses(), 0u);
+    // Concurrent callers each get the error, as computer or as waiter.
+    std::atomic<int> threw{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i)
+        threads.emplace_back([&] {
+            try {
+                cache.simulate(bad);
+            } catch (const FatalError &) {
+                ++threw;
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(threw.load(), 4);
+    EXPECT_EQ(cache.entries(), 0u);
 
-    SimResult real = cache.simulate(req);
-    auto probed = cache.tryGet(key);
-    ASSERT_TRUE(probed.has_value());
-    EXPECT_EQ(probed->run.cycles, real.run.cycles);
-
-    // Seeding an occupied key is a no-op…
-    SimResult bogus;
-    bogus.run.cycles = 1;
-    EXPECT_FALSE(cache.seed(key, bogus));
-    EXPECT_EQ(cache.tryGet(key)->run.cycles, real.run.cycles);
-
-    // …and seeding a fresh key makes the result resident, exactly as
-    // if it had been simulated here (the pfitsd-hit path).
-    cache.clear();
-    EXPECT_TRUE(cache.seed(key, real));
+    // The cache still works.
+    const SimRequest good{.fe = &crc, .core = &core};
+    EXPECT_EQ(cache.simulate(good).run.outcome, RunOutcome::Completed);
     EXPECT_EQ(cache.entries(), 1u);
-    uint64_t misses = cache.misses();
-    SimResult served = cache.simulate(req);
-    EXPECT_EQ(cache.misses(), misses) << "seeded key must hit";
-    EXPECT_EQ(served.run.cycles, real.run.cycles);
     cache.clear();
 }
 

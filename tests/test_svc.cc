@@ -1103,40 +1103,69 @@ struct ScopedRegistry
     uint64_t shared() { return reg.counter("svc.shared").value(); }
 };
 
+/** @p req as a "sim" request frame, as SvcClient sends it. */
+std::string
+simFrame(const SimRequest &req)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    w.field("op", "sim");
+    w.field("bench", req.bench);
+    w.field("isa", req.isFits ? "fits" : "arm");
+    w.key("core");
+    writeCoreConfigJson(w, *req.core);
+    w.key("key");
+    writeJsonFields(w, req.key());
+    w.endObject();
+    return os.str();
+}
+
 /**
  * Ask @p ts for the requests @p idx of @p set, all at once when
- * @p concurrent, and check every answer against its fresh run and
- * every stored entry against the entry that run encodes, byte for
- * byte.
+ * @p concurrent, each on its own connection as separate processes
+ * would (a SvcClient would share size variants before the daemon sees
+ * them), and check every answer against its fresh run and every stored
+ * entry against the entry that run encodes, byte for byte.
  */
 void
 expectServedFresh(const TestServer &ts, const RunSet &set,
                   const std::vector<size_t> &idx, bool concurrent)
 {
-    SimCache::instance().clear();
-    SvcClient client(clientConfigFor(ts));
-    std::vector<SimResult> got(idx.size());
+    std::vector<std::string> got(idx.size());
+    auto ask = [&](size_t i) {
+        got[i] = rawRequest(ts.config.socketPath,
+                            simFrame(set.reqs[idx[i]]), 60'000);
+    };
     if (concurrent) {
         std::vector<std::thread> threads;
         for (size_t i = 0; i < idx.size(); ++i)
-            threads.emplace_back(
-                [&, i] { got[i] = client.simulate(set.reqs[idx[i]]); });
+            threads.emplace_back(ask, i);
         for (std::thread &t : threads)
             t.join();
     } else {
         for (size_t i = 0; i < idx.size(); ++i)
-            got[i] = client.simulate(set.reqs[idx[i]]);
+            ask(i);
     }
     for (size_t i = 0; i < idx.size(); ++i) {
         const SimRequest &req = set.reqs[idx[i]];
         SCOPED_TRACE(req.fe->name() + "/" + req.core->name);
-        expectSameResult(set.fresh[idx[i]], got[i]);
+        const JsonValue resp = JsonValue::parse(got[i]);
+        ASSERT_EQ(resp.get("status").asString(), "hit") << got[i];
+        SimKey key;
+        SimResult result;
+        std::string err;
+        ASSERT_TRUE(decodeResultEntry(resp.get("entry").asString(), &key,
+                                      &result, &err))
+            << err;
+        EXPECT_EQ(key, req.key());
+        expectSameResult(set.fresh[idx[i]], result);
         std::string stored;
         EXPECT_TRUE(readFileToString(
             ts.config.storeDir + "/" + keyFileName(req.key()), &stored));
         EXPECT_EQ(stored, set.entries[idx[i]]);
     }
-    SimCache::instance().clear();
 }
 
 TEST(SvcService, DaemonSimulatesEachRunIdentityOnce)
@@ -1176,7 +1205,6 @@ TEST(SvcService, DaemonSimulatesEachRunIdentityOnce)
         expectServedFresh(ts, set, all, concurrent);
         EXPECT_EQ(sr.sims(), kRuns);
         EXPECT_EQ(sr.shared(), set.reqs.size() - kRuns);
-        EXPECT_EQ(sr.reg.counter("svc.fallbacks").value(), 0u);
         const StoreStats store = ts.server->store().stats();
         EXPECT_EQ(store.entries, set.reqs.size());
         EXPECT_EQ(store.misses, set.reqs.size());
@@ -1287,6 +1315,64 @@ TEST(SvcService, RestartedDaemonSimulatesBeforeItShares)
     EXPECT_EQ(sr.sims(), 2u);
     EXPECT_EQ(sr.shared(), 1u);
     EXPECT_EQ(ts.server->store().stats().hits, 1u); // ARM16
+}
+
+TEST(SvcService, ConcurrentRequestsForOneKeyMakeOneRoundTrip)
+{
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    RunSet set;
+    set.add("crc32", crc, false, icacheCore("ARM16", 16));
+
+    // The stall holds the first round trip open while the other seven
+    // threads ask for the same key.
+    SvcServerConfig cfg;
+    cfg.testComputeDelayMs = 300;
+    ScopedRegistry sr;
+    TestServer ts(cfg);
+    SimCache::instance().clear();
+    SvcClient client(clientConfigFor(ts));
+    std::vector<SimResult> got(8);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back(
+            [&, i] { got[i] = client.simulate(set.reqs[0]); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const SimResult &r : got)
+        expectSameResult(set.fresh[0], r);
+    EXPECT_EQ(sr.reg.counter("svc.requests").value(), 1u);
+    EXPECT_EQ(sr.reg.counter("svc.store.hits").value(), 1u);
+    EXPECT_EQ(SimCache::instance().hits(), 7u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(sr.sims(), 1u);
+    SimCache::instance().clear();
+}
+
+TEST(SvcService, ClientSharesSizeVariantsInProcess)
+{
+    // crc32 fits 16 KB and 8 KB: the client asks the daemon for the
+    // first size only and answers the second from that run, renamed.
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    RunSet set;
+    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
+    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
+
+    ScopedRegistry sr;
+    TestServer ts;
+    SimCache::instance().clear();
+    SvcClient client(clientConfigFor(ts));
+    for (size_t i : {arm16, arm8})
+        expectSameResult(set.fresh[i], client.simulate(set.reqs[i]));
+    EXPECT_EQ(sr.reg.counter("svc.requests").value(), 1u);
+    EXPECT_EQ(sr.reg.counter("svc.fallbacks").value(), 0u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u)
+        << "a daemon answer is not a local simulation";
+    EXPECT_EQ(SimCache::instance().shared(), 1u);
+    EXPECT_EQ(sr.sims(), 1u);
+    EXPECT_EQ(sr.shared(), 0u);
+    // Shared answers are not put back: the store holds the run once.
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
+    SimCache::instance().clear();
 }
 
 TEST(SvcService, FaultArmedRequestStaysInProcessAndTalliesEveryAttempt)
