@@ -92,16 +92,19 @@ echo "fuzz: store holds $entries entries"
 
 echo "fuzz: SIGKILL the daemon mid-sweep"
 # Empty the store (keep the directory) so the next sweep re-simulates
-# and re-writes every entry — maximizing the chance the kill lands
-# mid-write. Stall each compute so the sweep is still in flight.
+# and re-writes every entry, and kill the daemon as soon as the first
+# entry lands: the sweep is then still putting the rest.
 stop_daemon
 rm -f "$store"/*.json
-start_daemon --test-compute-delay-ms 50
+start_daemon
 PFITS_DAEMON_TIMEOUT_MS=5000 PFITS_DAEMON_RETRIES=1 \
     "$run" "$experiment" --daemon="$sock" --json "$workdir/killed" \
     > /dev/null &
 sweep_pid=$!
-sleep 0.7
+while ! compgen -G "$store/*.json" > /dev/null &&
+    kill -0 "$sweep_pid" 2>/dev/null; do
+    sleep 0.005
+done
 kill -9 "$daemon_pid"
 daemon_pid=""
 if ! wait "$sweep_pid"; then

@@ -2,13 +2,13 @@
 # ctest gate for the pfitsd warm-store contract (docs/SERVICE.md):
 #  1. an experiment's sweep through a fresh daemon produces the same tables as
 #     a daemon-less run (pfits_report diff --ignore-time),
-#  2. that cold sweep simulates each run once: the client shares size
-#     variants in-process (its simcache.shared equals the daemon-less
-#     run's), so the daemon is asked once per distinct run, shares nothing
-#     itself (svc.shared == 0), simulates what it is asked (simcache.sim_ms
-#     count in `pfits_report stats` == the daemon-less simcache.misses),
-#     stores one entry per request, and serves nothing from the store
-#     (store.hits == 0),
+#  2. that cold sweep simulates each run once, in the client: the daemon
+#     simulates nothing (simcache.sim_ms count in `pfits_report stats`
+#     == 0), the client simulates and shares exactly what a daemon-less
+#     run does (simcache.misses and simcache.shared equal the daemon-less
+#     run's), degrades nowhere (svc.fallbacks == 0), puts one entry per
+#     key (its svc.requests plus the size variants it shared), and
+#     nothing is served from the store (store.hits == 0),
 #  3. a second identical sweep performs ZERO fresh simulations — one
 #     request per distinct run (svc.requests == the daemon-less
 #     simcache.misses), each answered from the daemon's store
@@ -70,7 +70,7 @@ ready || { echo "warm: FAILED — pfitsd never came up" >&2; exit 1; }
 echo "warm: first sweep (populates the store)"
 "$run" "$experiment" --daemon="$sock" --json "$workdir/first" > /dev/null
 
-echo "warm: cold sweep must simulate each run once in the daemon"
+echo "warm: cold sweep must simulate each run once, in the client"
 "$report" stats --daemon="$sock" > "$workdir/cold-stats.json"
 python3 - "$workdir/cold-stats.json" "$workdir/local/$experiment.json" \
     "$workdir/first/$experiment.json" <<'EOF'
@@ -80,22 +80,26 @@ local = json.load(open(sys.argv[2]))["metrics"]
 first = json.load(open(sys.argv[3]))["metrics"]
 daemon = stats.get("metrics", {})
 store = stats["store"]
-sims = daemon.get("simcache.sim_ms", {}).get("count", 0)
-daemon_shared = daemon.get("svc.shared", 0)
+daemon_sims = daemon.get("simcache.sim_ms", {}).get("count", 0)
+misses = first.get("simcache.misses", 0)
 shared = first.get("simcache.shared", 0)
-want_sims = local.get("simcache.misses", 0)
+fallbacks = first.get("svc.fallbacks", 0)
+want_misses = local.get("simcache.misses", 0)
 want_shared = local.get("simcache.shared", 0)
 requests = first.get("svc.requests", 0)
-print(f"warm: cold sweep: daemon sims={sims} (daemon-less {want_sims}) "
+print(f"warm: cold sweep: daemon sims={daemon_sims} "
+      f"client misses={misses} (daemon-less {want_misses}) "
       f"client shared={shared} (daemon-less {want_shared}) "
-      f"daemon shared={daemon_shared} "
+      f"fallbacks={fallbacks} "
       f"store entries={store['entries']} requests={requests} "
       f"store.hits={store['hits']}")
 assert requests > 0, "cold sweep made no daemon requests"
-assert sims == want_sims, "the daemon must simulate each distinct run once"
+assert daemon_sims == 0, "the daemon stores; it must never simulate"
+assert misses == want_misses, "the client must simulate each distinct run once"
 assert shared == want_shared, "the client must share what SimCache shares"
-assert daemon_shared == 0, "the client asks once per distinct run"
-assert store["entries"] == requests, "one store entry per request"
+assert fallbacks == 0, "a leased compute is not a fallback"
+assert store["entries"] == requests + shared, \
+    "one store entry per key: the leased runs and their size variants"
 assert store["hits"] == 0, "a cold sweep serves nothing from the store"
 EOF
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Memo: a thread-safe compute-once map, the one "compute once, let the
- * others wait" structure shared by SimCache and pfitsd.
+ * others wait" structure shared by SimCache and Runner.
  *
  * get() finds or creates the key's slot under one lock and computes
  * outside it, so unrelated keys never serialize. Callers arriving

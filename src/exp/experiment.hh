@@ -168,9 +168,7 @@ struct ExperimentParams
 /**
  * A suite benchmark after the CPU-bound front-end work (workload
  * build, profile, ISA synthesis, translation), ready to simulate.
- * Produced by prepareBenchmark(); the Runner consumes these per sweep,
- * and pfitsd rebuilds request programs through the same function so a
- * daemon-side simulation is content-identical to a client-side one.
+ * Produced by prepareBenchmark(); the Runner consumes these per sweep.
  */
 struct PreparedBench
 {

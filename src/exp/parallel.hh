@@ -103,7 +103,7 @@ class ThreadPool
      * reported as a structured JobFailure (sorted by index). The batch
      * always runs to completion; an empty vector means every job
      * succeeded. This is the submitter-facing failure surface for
-     * callers that must outlive bad jobs (pfitsd request handling).
+     * callers that must outlive bad jobs.
      */
     std::vector<JobFailure>
     runCollect(size_t n, const std::function<void(size_t)> &fn);

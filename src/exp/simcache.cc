@@ -419,20 +419,21 @@ SimCache::runLocal(const SimRequest &request)
     return runSimulation(request);
 }
 
-SimResult
+SimCache::Entry
 SimCache::run(const SimRequest &request, const SimKey &key,
               const SimCompute &compute)
 {
+    auto computeEntry = [&]() -> Entry {
+        return std::make_shared<const SimResult>(compute(request));
+    };
     bool fresh = false;
-    SimResult out = runs_.get(
-        request.runIdentity(key), [&] { return compute(request); },
-        &fresh);
+    Entry ran = runs_.get(request.runIdentity(key), computeEntry, &fresh);
     if (fresh)
-        return out;
+        return ran;
     // Trap and watchdog messages name the core that ran, so only a
     // completed run answers another request.
-    if (out.run.outcome != RunOutcome::Completed)
-        return compute(request);
+    if (ran->run.outcome != RunOutcome::Completed)
+        return computeEntry();
     shared_.fetch_add(1);
     if (MetricRegistry *metrics = MetricRegistry::current())
         metrics->counter("simcache.shared").add();
@@ -441,7 +442,8 @@ SimCache::run(const SimRequest &request, const SimKey &key,
                        TraceArgs()
                            .addHex("program", key.program)
                            .add("config", request.core->name));
-    out.run.config = request.core->name;
+    auto out = std::make_shared<SimResult>(*ran);
+    out->run.config = request.core->name;
     return out;
 }
 
@@ -454,14 +456,14 @@ SimCache::simulate(const SimRequest &request, const SimCompute &compute)
     // is what lets tests pin the span structure.
     const SimKey key = request.key();
     bool computed = false;
-    SimResult out = map_.get(
+    const Entry out = map_.get(
         key, [&] { return run(request, key, compute); }, &computed);
     MetricRegistry *metrics = MetricRegistry::current();
     if (computed) {
         if (metrics)
             metrics->gauge("simcache.entries")
                 .set(static_cast<int64_t>(entries()));
-        return out;
+        return *out;
     }
     hits_.fetch_add(1);
     if (metrics)
@@ -471,7 +473,7 @@ SimCache::simulate(const SimRequest &request, const SimCompute &compute)
                        TraceArgs()
                            .add("fe", request.fe->name())
                            .add("config", request.core->name));
-    return out;
+    return *out;
 }
 
 } // namespace pfits

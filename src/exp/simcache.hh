@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,8 +129,8 @@ struct SimResult
 /**
  * One simulation request as the Runner phrases it. The FrontEnd and
  * CoreConfig are authoritative (they define the content-addressed
- * key); bench/isFits name the same workload symbolically so a remote
- * service can rebuild it without shipping the instruction stream.
+ * key); bench/isFits name the same workload symbolically, for trace
+ * labels.
  */
 struct SimRequest
 {
@@ -164,7 +165,7 @@ struct SimRequest
 
     /**
      * The content-addressed identity of this request: the one place a
-     * memo key is built, for SimCache, the pfitsd client and pfitsd.
+     * memo key is built, for SimCache and the pfitsd store.
      */
     SimKey
     key() const
@@ -184,7 +185,7 @@ struct SimRequest
      * every such geometry with the same line size yields the same run.
      * Fault-armed requests (lines struck by geometry) and trace-armed
      * ones (dumps named after the core) are their own identity. The one
-     * sharing rule, for SimCache and pfitsd alike.
+     * sharing rule, applied by SimCache.
      */
     SimKey runIdentity(const SimKey &key) const;
 };
@@ -202,8 +203,8 @@ struct SimRequest
  * <traceDir>/<fe name>_<core name>.trace.jsonl.
  *
  * Each call is one "sim" trace span and one simcache.sim_ms sample.
- * SimCache memoizes it per process (SimCache::runLocal); pfitsd calls
- * it once per run identity, with its store as its memo.
+ * SimCache memoizes it per process (SimCache::runLocal), and pfitsd's
+ * store shares its results across processes.
  */
 SimResult runSimulation(const SimRequest &request);
 
@@ -263,14 +264,18 @@ class SimCache
   private:
     SimCache() = default;
 
+    using Entry = std::shared_ptr<const SimResult>;
+
     /** The result for @p request (key @p key) through its run
      * identity's slot: a fresh computation, or a share of a completed
      * one. */
-    SimResult run(const SimRequest &request, const SimKey &key,
-                  const SimCompute &compute);
+    Entry run(const SimRequest &request, const SimKey &key,
+              const SimCompute &compute);
 
-    Memo<SimKey, SimResult, SimKeyHash> map_;  //!< by request key
-    Memo<SimKey, SimResult, SimKeyHash> runs_; //!< by run identity
+    // A representative's two slots hold one object; a shared answer
+    // holds its own copy, renamed to its core.
+    Memo<SimKey, Entry, SimKeyHash> map_;  //!< by request key
+    Memo<SimKey, Entry, SimKeyHash> runs_; //!< by run identity
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> shared_{0};

@@ -109,6 +109,46 @@ opRequest(const char *op)
     return os.str();
 }
 
+/**
+ * The "put" frame publishing @p result under @p key, tagged with
+ * @p trace_id when it is not 0.
+ */
+std::string
+putRequest(const SimKey &key, const SimResult &result,
+           uint64_t trace_id = 0)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    if (trace_id)
+        w.field("trace", hexString(trace_id));
+    w.field("op", "put");
+    w.field("entry", encodeResultEntry(key, result));
+    w.endObject();
+    return os.str();
+}
+
+/** @p text parsed as JSON; null when it is not JSON. */
+JsonValue
+parseResponse(const std::string &text)
+{
+    try {
+        return JsonValue::parse(text);
+    } catch (const FatalError &) {
+        return {};
+    }
+}
+
+/** Response @p v's "error" text, or @p otherwise when it has none. */
+const char *
+errorText(const JsonValue &v, const char *otherwise)
+{
+    return v.isObject() && v.get("error").isString()
+               ? v.get("error").asString().c_str()
+               : otherwise;
+}
+
 int64_t
 elapsedMs(std::chrono::steady_clock::time_point since)
 {
@@ -300,22 +340,62 @@ SvcClient::recordServerStats()
     }
 }
 
+SimResult
+SvcClient::computeLeased(const SimRequest &request, uint64_t trace_id)
+{
+    SimResult result = SimCache::runLocal(request);
+    const SimKey key = request.key();
+    {
+        std::lock_guard<std::mutex> lock(putMu_);
+        leasedRuns_.insert(request.runIdentity(key));
+        putKeys_.insert(key);
+    }
+    // Other clients may be waiting on this lease, so the put gets a
+    // request's retries, not tryPut's single attempt.
+    std::string response;
+    bool round_trip_ok;
+    {
+        TraceSpan span("svc.request", "svc",
+                       TraceArgs()
+                           .add("op", "put")
+                           .add("bench", request.bench)
+                           .addHex("trace", trace_id));
+        round_trip_ok =
+            roundTrip(putRequest(key, result, trace_id), &response);
+    }
+    const JsonValue v = parseResponse(round_trip_ok ? response : "");
+    if (!v.isObject() || !v.get("status").isString() ||
+        v.get("status").asString() != "stored")
+        warn_once("pfitsd: a computed result was not stored (%s)",
+                  errorText(v, "no stored response"));
+    return result;
+}
+
 void
 SvcClient::tryPut(const SimKey &key, const SimResult &result)
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "put");
-    w.field("entry", encodeResultEntry(key, result));
-    w.endObject();
-
     std::string response, err;
     // One attempt, no retries: populating the shared store is a
     // favor to future runs, never worth stalling this one.
-    (void)attempt(os.str(), &response, config_.requestTimeoutMs,
-                  &err);
+    (void)attempt(putRequest(key, result), &response,
+                  config_.requestTimeoutMs, &err);
+}
+
+void
+SvcClient::putVariant(const SimRequest &request, const SimResult &result)
+{
+    SimKey key;
+    {
+        std::lock_guard<std::mutex> lock(putMu_);
+        if (leasedRuns_.empty())
+            return; // the common warm sweep: nothing computed here
+        key = request.key();
+        if (putKeys_.count(key) != 0 ||
+            leasedRuns_.count(request.runIdentity(key)) == 0)
+            return;
+        putKeys_.insert(key);
+    }
+    tryPut(key, result);
 }
 
 SimResult
@@ -344,8 +424,10 @@ SvcClient::simulate(const SimRequest &request)
     // Through the process's SimCache: a key already answered is a hit,
     // a size variant of an answered run shares it in-process, and
     // concurrent requests for one key wait for one round trip.
-    return SimCache::instance().simulate(
+    SimResult result = SimCache::instance().simulate(
         request, [this](const SimRequest &req) { return fetch(req); });
+    putVariant(request, result);
+    return result;
 }
 
 SimResult
@@ -362,34 +444,19 @@ SvcClient::fetch(const SimRequest &request)
     TraceRecorder *trace = TraceRecorder::current();
     const uint64_t trace_id = trace ? trace->newTraceId() : 0;
 
+    // The store's entry, or a lease to compute and put it; a key
+    // another client holds the lease on waits for that client's put.
     std::ostringstream os;
     JsonWriter w(os, 0);
     w.beginObject();
     w.field("schema", kSvcSchema);
     if (trace_id)
         w.field("trace", hexString(trace_id));
-    if (request.bench.empty()) {
-        // Not suite-addressable: the daemon can only answer from its
-        // store, so ask for the entry and a lease to fill it.
-        w.field("op", "get");
-        w.key("key");
-        writeJsonFields(w, key);
-        w.field("wait", true);
-        w.field("lease", true);
-    } else {
-        w.field("op", "sim");
-        w.field("bench", request.bench);
-        w.field("isa", request.isFits ? "fits" : "arm");
-        w.key("core");
-        writeCoreConfigJson(w, *request.core);
-        w.key("observers");
-        w.beginObject();
-        w.field("interval_instructions",
-                request.spec.intervalInstructions);
-        w.endObject();
-        w.key("key");
-        writeJsonFields(w, key);
-    }
+    w.field("op", "get");
+    w.key("key");
+    writeJsonFields(w, key);
+    w.field("wait", true);
+    w.field("lease", true);
     w.field("deadline_ms",
             static_cast<int64_t>(config_.requestTimeoutMs));
     w.endObject();
@@ -402,8 +469,7 @@ SvcClient::fetch(const SimRequest &request)
         // daemon-side "svc.request" span carrying the same id.
         TraceSpan span("svc.request", "svc",
                        TraceArgs()
-                           .add("op",
-                                request.bench.empty() ? "get" : "sim")
+                           .add("op", "get")
                            .add("bench", request.bench)
                            .addHex("trace", trace_id));
         round_trip_ok = roundTrip(os.str(), &response);
@@ -411,17 +477,10 @@ SvcClient::fetch(const SimRequest &request)
     if (!round_trip_ok)
         return fallback(request, /*try_put=*/false);
 
-    JsonValue v;
-    try {
-        v = JsonValue::parse(response);
-    } catch (const FatalError &) {
-        // Unparseable: v stays null, which is malformed below.
-    }
+    const JsonValue v = parseResponse(response);
     if (!v.isObject() || !v.get("ok").isBool() || !v.get("ok").asBool()) {
         warn_once("pfitsd: %s; running locally",
-                  v.isObject() && v.get("error").isString()
-                      ? v.get("error").asString().c_str()
-                      : "malformed response");
+                  errorText(v, "malformed response"));
         return fallback(request, /*try_put=*/true);
     }
 
@@ -445,17 +504,20 @@ SvcClient::fetch(const SimRequest &request)
         bumpCounter("svc.store.hits");
         return result;
     }
+    if (status == "miss") {
+        // Leased to this client: simulate here and publish the entry.
+        bumpCounter("svc.store.misses");
+        return computeLeased(request, trace_id);
+    }
     if (status == "timeout") {
         // The daemon answered "watchdog-expired": the deadline passed
-        // with the simulation still running. It will finish and land
-        // in the store; meanwhile this run computes locally.
+        // with another client's lease still open. That client will
+        // put the entry; meanwhile this run computes locally.
         bumpCounter("svc.timeouts");
         return fallback(request, /*try_put=*/false);
     }
-
-    // "miss" / "unsupported": the daemon has nothing for us and
-    // cannot compute it; simulate here and publish the result.
-    bumpCounter("svc.store.misses");
+    warn_once("pfitsd: unexpected status '%s'; running locally",
+              status.c_str());
     return fallback(request, /*try_put=*/true);
 }
 

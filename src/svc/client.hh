@@ -1,23 +1,28 @@
 /**
  * @file
- * The pfitsd client: a SimService that consults a daemon's shared
- * result store before simulating, and *never* makes a run fail that
- * would have succeeded without a daemon.
+ * The pfitsd client: a SimService that shares results through a
+ * daemon's store, computes what the store lacks on the caller's own
+ * threads, and *never* makes a run fail that would have succeeded
+ * without a daemon.
  *
  * Trace-armed, chip and fault-armed requests never reach the daemon:
  * their products (trace files, chip stats, fault tallies) are not
  * part of a store entry, so they resolve in-process.
  *
- * Degradation ladder for one request:
+ * Path of one request:
  *  1. the process's SimCache (free: a key already answered is a hit,
  *     a size variant of an answered run shares it, and concurrent
  *     requests for one key wait for one round trip),
- *  2. daemon round trip — "sim" for suite benchmarks the daemon can
- *     rebuild by name, "get" for anything else — with bounded retries
- *     and jittered exponential backoff on transport failures,
- *  3. local simulation, on daemon-unavailable, protocol error,
- *     checksum mismatch, or request deadline expiry ("timeout"
- *     responses carry outcome "watchdog-expired").
+ *  2. a "get" round trip asking for the entry or a lease, with bounded
+ *     retries and jittered exponential backoff on transport failures.
+ *     A hit is verified and decoded. A miss comes with a lease: this
+ *     client simulates (SimCache::runLocal) and puts the entry, with
+ *     the same retries, because other clients wait on the lease. A key
+ *     leased to another client is answered with that client's put,
+ *  3. local simulation, counted in svc.fallbacks, only on degradation:
+ *     daemon unavailable, protocol error, a bad entry, or request
+ *     deadline expiry ("timeout" responses carry outcome
+ *     "watchdog-expired").
  *
  * Connections are reused: a round trip takes an idle connection, or
  * opens one (svc.connects), and hands it back after a complete
@@ -34,9 +39,11 @@
  * svc.store.{evictions,quarantined} gauges into the manifest. Results
  * fetched from the store are checksum-verified and memoized by the
  * SimCache they are fetched through, so manifests keep their "sims"
- * provenance and repeated keys stay in-process. Shared answers are
- * not put back, so a store one client populates holds one entry per
- * distinct run.
+ * provenance and repeated keys stay in-process. A shared answer is put
+ * back when this client computed its run under a lease: which key of a
+ * run asks first is a race between the Runner's workers, so a later
+ * sweep's first asker must find its key stored, whichever it is. A
+ * sweep answered from the store puts nothing.
  */
 
 #ifndef POWERFITS_SVC_CLIENT_HH
@@ -45,6 +52,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -123,13 +131,28 @@ class SvcClient final : public SimService
                  int budget_ms, std::string *err);
 
     /**
-     * The daemon's answer for @p request, or its local fallback: the
-     * SimCompute simulate() passes to SimCache.
+     * The store's answer for @p request, its leased computation, or
+     * its local fallback: the SimCompute simulate() passes to
+     * SimCache.
      */
     SimResult fetch(const SimRequest &request);
 
+    /**
+     * Simulate a request leased to this client (SimCache::runLocal)
+     * and put its entry, with roundTrip's retries, under the request's
+     * @p trace_id.
+     */
+    SimResult computeLeased(const SimRequest &request, uint64_t trace_id);
+
     /** Best-effort publish of a locally computed result. */
     void tryPut(const SimKey &key, const SimResult &result);
+
+    /**
+     * Best-effort put of @p result, SimCache's answer to @p request,
+     * when this client computed its run under a lease and has not put
+     * its key yet (a size variant answered in-process).
+     */
+    void putVariant(const SimRequest &request, const SimResult &result);
 
     /** Run locally (SimCache::runLocal), count a fallback, and
      * best-effort put. */
@@ -144,6 +167,11 @@ class SvcClient final : public SimService
 
     std::mutex rngMu_;
     Rng rng_; //!< backoff jitter; deterministic per config seed
+
+    std::mutex putMu_;
+    //! Run identities this client computed under a lease.
+    std::unordered_set<SimKey, SimKeyHash> leasedRuns_;
+    std::unordered_set<SimKey, SimKeyHash> putKeys_; //!< keys it put
 };
 
 } // namespace pfits

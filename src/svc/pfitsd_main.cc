@@ -5,7 +5,9 @@
  * Serves content-addressed simulation results over a Unix-domain
  * socket, backed by a crash-safe on-disk store, so a fleet of bench
  * processes (or repeated sweeps) share one simulation of each
- * (program, config, faults, observers) point. See docs/SERVICE.md.
+ * (program, config, faults, observers) point. The daemon only stores:
+ * a client that misses simulates the point itself under a lease and
+ * puts it back. See docs/SERVICE.md.
  */
 
 #include <atomic>
@@ -49,16 +51,14 @@ usage(const char *argv0)
         "(default pfitsd-store)\n"
         "  --max-store-bytes N     LRU eviction budget "
         "(default 0 = unbounded)\n"
-        "  --jobs N                compute worker threads, 1..256 "
-        "(default 2)\n"
+        "  --jobs N                accepted (1..256) for older "
+        "scripts; no effect, clients compute\n"
         "  --lease-ttl-ms N        client compute-lease TTL "
         "(default 30000)\n"
         "  --default-deadline-ms N per-request deadline when the "
         "client sends none (default 60000)\n"
-        "  --test-compute-delay-ms N  stall every computation "
-        "(deadline tests only)\n"
         "  --trace-out FILE        write a Chrome trace-event JSON "
-        "timeline of the daemon's request/store/compute activity at "
+        "timeline of the daemon's request/lease/store activity at "
         "shutdown (Perfetto-loadable; docs/OBSERVABILITY.md)\n",
         argv0);
 }
@@ -96,13 +96,13 @@ main(int argc, char **argv)
             }
             cfg.storeMaxBytes = v;
         } else if (arg == "--jobs") {
+            // Validated, then ignored: the daemon runs no simulations.
             const std::optional<unsigned> jobs =
                 pfits::parseJobCount(next("--jobs"));
             if (!jobs || *jobs == 0) {
                 usage(argv[0]);
                 return 2;
             }
-            cfg.computeThreads = *jobs;
         } else if (arg == "--lease-ttl-ms") {
             if (!parseU64(next("--lease-ttl-ms"), &v, kIntMax) || v == 0) {
                 usage(argv[0]);
@@ -116,12 +116,6 @@ main(int argc, char **argv)
                 return 2;
             }
             cfg.defaultDeadlineMs = static_cast<int>(v);
-        } else if (arg == "--test-compute-delay-ms") {
-            if (!parseU64(next("--test-compute-delay-ms"), &v, kIntMax)) {
-                usage(argv[0]);
-                return 2;
-            }
-            cfg.testComputeDelayMs = static_cast<int>(v);
         } else if (arg == "--trace-out") {
             trace_out = next("--trace-out");
         } else if (arg.rfind("--trace-out=", 0) == 0) {

@@ -42,18 +42,11 @@ inline constexpr const char *kStoreSchema = "pfits-store-v1";
 
 // --- keys, configs and results ------------------------------------------
 //
-// Keys, core configs and results travel as their field
-// lists (obs/json_fields.hh): writeJsonFields/readJsonFields.
+// Keys and results travel as their field lists
+// (obs/json_fields.hh): writeJsonFields/readJsonFields.
 
 /** The store-relative filename an entry for @p key lives under. */
 std::string keyFileName(const SimKey &key);
-
-/** A "sim" request's "core" part. */
-inline void
-writeCoreConfigJson(JsonWriter &w, const CoreConfig &core)
-{
-    writeJsonFields(w, core);
-}
 
 // --- store entries -------------------------------------------------------
 

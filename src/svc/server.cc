@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
-#include <stdexcept>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -66,6 +65,20 @@ std::string
 hitResponse(const std::string &entry_text)
 {
     return statusResponse("hit", "entry", entry_text);
+}
+
+/** A miss that grants the requester the key's lease. */
+std::string
+leaseResponse()
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("ok", true);
+    w.field("status", "miss");
+    w.field("lease", true);
+    w.endObject();
+    return os.str();
 }
 
 std::string
@@ -131,10 +144,6 @@ SvcServer::start(std::string *err)
 
     stop_ = false;
     startMs_ = nowMs();
-    unsigned workers = config_.computeThreads ? config_.computeThreads
-                                              : 1;
-    for (unsigned i = 0; i < workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
     running_ = true;
     return true;
@@ -172,18 +181,7 @@ SvcServer::stop()
     connThreads_.clear();
     connDone_.clear();
 
-    {
-        std::lock_guard<std::mutex> lock(workMu_);
-        workQueue_.clear();
-    }
-    workCv_.notify_all();
-    for (std::thread &t : workers_)
-        if (t.joinable())
-            t.join();
-    workers_.clear();
-
     inflight_.clear();
-    runs_.clear();
     running_ = false;
 }
 
@@ -269,27 +267,6 @@ SvcServer::connectionLoop(int fd, uint64_t serial)
     ::close(fd);
 }
 
-void
-SvcServer::workerLoop()
-{
-    if (TraceRecorder *trace = TraceRecorder::current())
-        trace->nameThisThread("svc-worker");
-    while (true) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(workMu_);
-            workCv_.wait(lock, [this] {
-                return stop_ || !workQueue_.empty();
-            });
-            if (stop_ && workQueue_.empty())
-                return;
-            job = std::move(workQueue_.front());
-            workQueue_.pop_front();
-        }
-        job();
-    }
-}
-
 std::string
 SvcServer::handleRequest(const std::string &payload)
 {
@@ -334,8 +311,6 @@ SvcServer::handleRequest(const std::string &payload)
         return handleGet(req);
     if (op == "put")
         return handlePut(req);
-    if (op == "sim")
-        return handleSim(req);
     if (op == "stats")
         return handleStats();
     return errorResponse("unknown op: " + op);
@@ -351,37 +326,21 @@ SvcServer::resolveDeadline(const JsonValue &req, int64_t *deadline_at) const
     return true;
 }
 
-SvcServer::Inflight::State
-SvcServer::waitInflight(std::shared_ptr<Inflight> infl,
+bool
+SvcServer::waitInflight(const std::shared_ptr<Inflight> &infl,
                         int64_t deadline_at)
 {
     // The single-flight wait: how long this request parked behind a
-    // computation another request already owns.
+    // lease another client holds.
     TraceSpan span("inflight.wait", "svc");
     std::unique_lock<std::mutex> lock(inflightMu_);
-    while (infl->state == Inflight::State::Pending) {
-        if (stop_ || nowMs() >= deadline_at)
-            return Inflight::State::Pending;
+    while (!infl->done) {
+        const int64_t now = nowMs();
+        if (stop_ || now >= deadline_at || now >= infl->leaseExpiryMs)
+            return false;
         infl->cv.wait_for(lock, std::chrono::milliseconds(100));
     }
-    return infl->state;
-}
-
-void
-SvcServer::resolveInflight(const SimKey &key,
-                           Inflight::State state,
-                           const std::string &text)
-{
-    std::lock_guard<std::mutex> lock(inflightMu_);
-    auto it = inflight_.find(key);
-    if (it == inflight_.end())
-        return;
-    it->second->state = state;
-    it->second->text = text;
-    it->second->cv.notify_all();
-    // Waiters hold the shared_ptr; dropping the map entry makes the
-    // key claimable again immediately (the store answers repeats).
-    inflight_.erase(it);
+    return true;
 }
 
 std::shared_ptr<SvcServer::Inflight>
@@ -390,9 +349,9 @@ SvcServer::findInflightLocked(const SimKey &key)
     auto it = inflight_.find(key);
     if (it == inflight_.end())
         return nullptr;
-    // A leased slot whose holder went silent is reclaimed so one
-    // crashed client cannot wedge the key.
-    if (!it->second->leased || nowMs() < it->second->leaseExpiryMs)
+    // A lease whose holder went silent is reclaimed so one crashed
+    // client cannot wedge the key.
+    if (nowMs() < it->second->leaseExpiryMs)
         return it->second;
     if (TraceRecorder *trace = TraceRecorder::current())
         trace->instant("lease.reclaim", "svc");
@@ -413,44 +372,34 @@ SvcServer::handleGet(const JsonValue &req)
     if (!resolveDeadline(req, &deadline_at))
         return errorResponse("get: bad deadline_ms");
 
-    std::string entry;
-    if (store_->get(key, &entry))
-        return hitResponse(entry);
+    for (;;) {
+        std::string entry;
+        if (store_->get(key, &entry))
+            return hitResponse(entry);
 
-    std::shared_ptr<Inflight> infl;
-    {
-        std::lock_guard<std::mutex> lock(inflightMu_);
-        infl = findInflightLocked(key);
-        if (!infl && lease) {
-            auto fresh = std::make_shared<Inflight>();
-            fresh->leased = true;
-            fresh->leaseExpiryMs = nowMs() + config_.leaseTtlMs;
-            inflight_[key] = fresh;
-            if (TraceRecorder *trace = TraceRecorder::current())
-                trace->instant("lease.grant", "svc");
-            std::ostringstream os;
-            JsonWriter w(os, 0);
-            w.beginObject();
-            w.field("ok", true);
-            w.field("status", "miss");
-            w.field("lease", true);
-            w.endObject();
-            return os.str();
+        std::shared_ptr<Inflight> infl;
+        {
+            std::lock_guard<std::mutex> lock(inflightMu_);
+            infl = findInflightLocked(key);
+            if (!infl && lease) {
+                auto fresh = std::make_shared<Inflight>();
+                fresh->leaseExpiryMs = nowMs() + config_.leaseTtlMs;
+                inflight_[key] = fresh;
+                if (TraceRecorder *trace = TraceRecorder::current())
+                    trace->instant("lease.grant", "svc");
+                return leaseResponse();
+            }
         }
-    }
-    if (!infl || !wait)
-        return statusResponse("miss");
+        if (!infl || !wait)
+            return statusResponse("miss");
 
-    // Resolved while we waited: answer with the landed entry (Done),
-    // or report the miss (Failed/Unsupported — the caller owns the
-    // local fallback).
-    switch (waitInflight(infl, deadline_at)) {
-      case Inflight::State::Pending:
-        return timeoutResponse();
-      case Inflight::State::Done:
-        return hitResponse(infl->text);
-      default:
-        return statusResponse("miss");
+        // The holder's put hands its entry over in the slot, so a
+        // waiter costs no store read.
+        if (waitInflight(infl, deadline_at))
+            return hitResponse(infl->entry);
+        if (stop_ || nowMs() >= deadline_at)
+            return timeoutResponse();
+        // The holder's lease expired first: ask again, to take it over.
     }
 }
 
@@ -467,73 +416,18 @@ SvcServer::handlePut(const JsonValue &req)
         return errorResponse("put: " + err);
     if (!store_->put(key, entry, &err))
         return errorResponse("put: " + err);
-    resolveInflight(key, Inflight::State::Done, entry);
-    return statusResponse("stored");
-}
-
-std::string
-SvcServer::handleSim(const JsonValue &req)
-{
-    SimKey key;
-    if (!readJsonFields(req.get("key"), key))
-        return errorResponse("sim: bad key");
-    if (!req.get("bench").isString() || !req.get("isa").isString())
-        return errorResponse("sim: missing bench/isa");
-    const std::string &bench = req.get("bench").asString();
-    const std::string &isa = req.get("isa").asString();
-    if (isa != "arm" && isa != "fits")
-        return errorResponse("sim: bad isa: " + isa);
-    bool is_fits = isa == "fits";
-
-    CoreConfig core;
-    if (!readJsonFields(req.get("core"), core))
-        return errorResponse("sim: bad core config");
-    ObserverSpec spec;
-    if (req.has("observers")) {
-        const JsonValue &ov = req.get("observers");
-        if (!ov.isObject() || !getUnsigned(ov.get("interval_instructions"),
-                                           &spec.intervalInstructions))
-            return errorResponse("sim: bad observers");
-    }
-    int64_t deadline_at = 0;
-    if (!resolveDeadline(req, &deadline_at))
-        return errorResponse("sim: bad deadline_ms");
-
-    std::string entry;
-    if (store_->get(key, &entry))
-        return hitResponse(entry);
-
-    std::shared_ptr<Inflight> infl;
-    bool claimed = false;
     {
         std::lock_guard<std::mutex> lock(inflightMu_);
-        infl = findInflightLocked(key);
-        if (!infl) {
-            infl = std::make_shared<Inflight>();
-            inflight_[key] = infl;
-            claimed = true;
+        auto it = inflight_.find(key);
+        if (it != inflight_.end()) {
+            it->second->done = true;
+            it->second->entry = entry;
+            it->second->cv.notify_all();
+            // Waiters hold the shared_ptr; the store answers repeats.
+            inflight_.erase(it);
         }
     }
-    if (claimed) {
-        if (TraceRecorder *trace = TraceRecorder::current())
-            trace->instant("singleflight.claim", "svc",
-                           TraceArgs().add("bench", bench));
-        enqueue({key, bench, is_fits, core, spec});
-    }
-
-    // The computing job hands its entry over in the slot, so a
-    // computed key costs no store read.
-    switch (waitInflight(infl, deadline_at)) {
-      case Inflight::State::Pending:
-        return timeoutResponse();
-      case Inflight::State::Done:
-        return hitResponse(infl->text);
-      case Inflight::State::Unsupported:
-        return statusResponse("unsupported", "reason", infl->text);
-      case Inflight::State::Failed:
-        break;
-    }
-    return errorResponse("sim failed: " + infl->text);
+    return statusResponse("stored");
 }
 
 std::string
@@ -570,176 +464,6 @@ SvcServer::handleStats()
     }
     w.endObject();
     return os.str();
-}
-
-void
-SvcServer::enqueue(SimJob job)
-{
-    {
-        std::lock_guard<std::mutex> lock(workMu_);
-        if (stop_)
-            return; // its waiters time out on the stop
-        workQueue_.push_back(
-            [this, job = std::move(job)] { computeJob(job); });
-    }
-    workCv_.notify_one();
-}
-
-void
-SvcServer::endRun(const SimKey &identity, const SimKey *stored)
-{
-    std::vector<SimJob> parked;
-    {
-        std::lock_guard<std::mutex> lock(runsMu_);
-        auto it = runs_.find(identity);
-        if (it == runs_.end())
-            return;
-        parked = std::move(it->second.parked);
-        if (stored) {
-            it->second.computing = false;
-            it->second.stored = *stored;
-        } else {
-            runs_.erase(it);
-        }
-    }
-    // Each parked job runs again: it shares the stored run, or finds
-    // the identity unclaimed and simulates its own request.
-    for (SimJob &job : parked)
-        enqueue(std::move(job));
-}
-
-void
-SvcServer::computeJob(const SimJob &job)
-{
-    const SimKey &key = job.key;
-    // One span per server-side computation, on the worker's lane.
-    TraceSpan span("compute", "svc",
-                   TraceArgs()
-                       .add("bench", job.bench)
-                       .add("isa", job.isFits ? "fits" : "arm")
-                       .addHex("program", key.program));
-    SimKey identity;
-    bool owns_run = false; // this job claimed identity's simulation
-    try {
-        std::shared_ptr<PreparedBench> prep;
-        try {
-            // Different benches prepare in parallel and each prepares
-            // once; a throwing prepare leaves nothing behind, so the
-            // next request retries.
-            prep = benchCache_.get(job.bench, [&] {
-                return std::make_shared<PreparedBench>(
-                    prepareBenchmark(job.bench, ExperimentParams{}));
-            });
-        } catch (const std::exception &e) {
-            resolveInflight(key, Inflight::State::Unsupported,
-                            std::string("cannot prepare '") + job.bench +
-                                "': " + e.what());
-            return;
-        }
-
-        const FrontEnd &fe =
-            job.isFits ? static_cast<const FrontEnd &>(*prep->fitsFe)
-                       : static_cast<const FrontEnd &>(*prep->armFe);
-
-        // The content hashes are the contract: if the daemon's
-        // rebuild of the named benchmark (or the requested core or
-        // observers) doesn't hash to the requested key, the client is
-        // asking for a run this daemon cannot produce — different
-        // synthesis parameters, a different suite revision, armed
-        // faults (never served: a store entry has no fault tally).
-        // Refusing (rather than serving a near-miss) keeps the store
-        // content-addressed and the client falls back to local
-        // simulation.
-        const SimRequest request{
-            .fe = &fe, .core = &job.core, .spec = job.spec};
-        if (request.key() != key) {
-            resolveInflight(key, Inflight::State::Unsupported,
-                            "content hash mismatch rebuilding '" +
-                                job.bench + "'");
-            return;
-        }
-
-        // One simulation per run identity. A stored completed run
-        // answers this key; a run being simulated parks this job; an
-        // unknown identity (or one whose entry was evicted or
-        // quarantined since) is this job's to simulate.
-        identity = request.runIdentity(key);
-        SimResult result;
-        for (;;) {
-            SimKey stored;
-            {
-                std::lock_guard<std::mutex> lock(runsMu_);
-                auto [it, fresh] = runs_.try_emplace(identity);
-                if (fresh) {
-                    owns_run = true;
-                    break;
-                }
-                if (it->second.computing) {
-                    it->second.parked.push_back(job);
-                    return; // the worker goes back to the pool
-                }
-                stored = it->second.stored;
-            }
-            std::string text;
-            SimKey stored_key;
-            if (store_->peek(stored, &text) &&
-                decodeResultEntry(text, &stored_key, &result, nullptr))
-                break;
-            std::lock_guard<std::mutex> lock(runsMu_);
-            auto it = runs_.find(identity);
-            if (it != runs_.end() && !it->second.computing &&
-                it->second.stored == stored)
-                runs_.erase(it);
-        }
-
-        if (owns_run) {
-            for (int waited = 0; waited < config_.testComputeDelayMs;
-                 waited += 50) {
-                if (stop_)
-                    throw std::runtime_error("shutting down");
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
-            result = runSimulation(request);
-        } else {
-            // As SimCache::run answers a shared request.
-            result.run.config = job.core.name;
-            if (MetricRegistry *metrics = MetricRegistry::current())
-                metrics->counter("svc.shared").add();
-            if (TraceRecorder *trace = TraceRecorder::current())
-                trace->instant("svc.shared", "svc",
-                               TraceArgs()
-                                   .addHex("program", key.program)
-                                   .add("config", job.core.name));
-        }
-
-        const std::string entry = encodeResultEntry(key, result);
-        std::string err;
-        const bool put = store_->put(key, entry, &err);
-        if (owns_run) {
-            // Trap and watchdog messages name the core that ran, so
-            // only a completed run answers another key.
-            const bool shareable =
-                put && result.run.outcome == RunOutcome::Completed;
-            endRun(identity, shareable ? &key : nullptr);
-            owns_run = false;
-        }
-        if (!put) {
-            resolveInflight(key, Inflight::State::Failed,
-                            "store put: " + err);
-            return;
-        }
-        resolveInflight(key, Inflight::State::Done, entry);
-    } catch (const std::exception &e) {
-        if (owns_run)
-            endRun(identity, nullptr);
-        resolveInflight(key, Inflight::State::Failed, e.what());
-    } catch (...) {
-        if (owns_run)
-            endRun(identity, nullptr);
-        resolveInflight(key, Inflight::State::Failed,
-                        "unknown exception");
-    }
 }
 
 } // namespace pfits

@@ -151,26 +151,11 @@ ResultStore::get(const SimKey &key, std::string *entry_text)
     TraceSpan span("store.get", "store",
                    TraceArgs().addHex("program", key.program));
     std::lock_guard<std::mutex> lock(mu_);
-    const bool hit = readLocked(key, entry_text);
-    ++(hit ? hits_ : misses_);
-    return hit;
-}
-
-bool
-ResultStore::peek(const SimKey &key, std::string *entry_text)
-{
-    TraceSpan span("store.peek", "store",
-                   TraceArgs().addHex("program", key.program));
-    std::lock_guard<std::mutex> lock(mu_);
-    return readLocked(key, entry_text);
-}
-
-bool
-ResultStore::readLocked(const SimKey &key, std::string *entry_text)
-{
     auto it = index_.find(key);
-    if (it == index_.end())
+    if (it == index_.end()) {
+        ++misses_;
         return false;
+    }
 
     std::string text;
     SimKey embedded;
@@ -185,12 +170,14 @@ ResultStore::readLocked(const SimKey &key, std::string *entry_text)
              verr.empty() ? "missing or key mismatch" : verr.c_str());
         quarantineLocked(keyFileName(key));
         dropIndexLocked(key);
+        ++misses_;
         return false;
     }
 
     lru_.splice(lru_.begin(), lru_, it->second.lruPos);
     it->second.lruPos = lru_.begin();
     *entry_text = text;
+    ++hits_;
     return true;
 }
 

@@ -70,14 +70,6 @@ class ResultStore
     bool get(const SimKey &key, std::string *entry_text);
 
     /**
-     * get() counted as neither a hit nor a miss: the daemon reading a
-     * stored run to answer another key with is not a request served
-     * from the store. Verifies, quarantines and refreshes recency the
-     * same way.
-     */
-    bool peek(const SimKey &key, std::string *entry_text);
-
-    /**
      * Publish @p entry_text (a complete encoded entry) under @p key.
      * The entry is verified first — its checksum must hold and its
      * embedded key must equal @p key — then written atomically and
@@ -106,9 +98,6 @@ class ResultStore
     };
 
     std::string pathFor(const SimKey &key) const;
-
-    /** The verified read behind get() and peek(). Caller holds mu_. */
-    bool readLocked(const SimKey &key, std::string *entry_text);
 
     /** Move @p file_name aside into quarantine/. Caller holds mu_. */
     void quarantineLocked(const std::string &file_name);

@@ -40,7 +40,7 @@ coreJson(const CoreConfig &core)
 {
     std::ostringstream os;
     JsonWriter w(os, 0);
-    writeCoreConfigJson(w, core);
+    writeJsonFields(w, core);
     return os.str();
 }
 

@@ -1,10 +1,11 @@
 /** @file The pfitsd service stack: wire framing and entry integrity,
  *  the crash-safe result store (recovery, quarantine, eviction), the
- *  embedded server end to end, and the client's degradation ladder —
- *  deadline timeouts answering "watchdog-expired", retry-then-fallback
- *  against a hung daemon, and clean local fallback when no daemon
- *  exists. Results through the daemon must be identical to local ones;
- *  a broken daemon must never break a run. */
+ *  embedded server end to end — leases, the client computing what the
+ *  store lacks — and the client's degradation ladder: deadline
+ *  timeouts answering "watchdog-expired", retry-then-fallback against a
+ *  hung daemon, and clean local fallback when no daemon exists. Results
+ *  through the daemon must be identical to local ones; a broken daemon
+ *  must never break a run. */
 
 #include <gtest/gtest.h>
 
@@ -181,12 +182,12 @@ TEST(SvcProto, CoreConfigJsonRoundTripPreservesHash)
 
     std::ostringstream os;
     JsonWriter w(os, 0);
-    writeCoreConfigJson(w, core);
+    writeJsonFields(w, core);
     CoreConfig back;
     ASSERT_TRUE(readJsonFields(JsonValue::parse(os.str()), back));
     EXPECT_EQ(back.name, core.name);
     EXPECT_EQ(back.dcache.policy, ReplPolicy::ROUND_ROBIN);
-    // The content hash is the contract the daemon checks against.
+    // The content hash is the contract the store key rests on.
     EXPECT_EQ(hashCoreConfig(back), hashCoreConfig(core));
 }
 
@@ -480,7 +481,7 @@ TEST(SvcProto, DecodeRejectsNumbersOutsideTheFieldRange)
 {
     std::ostringstream core_os;
     JsonWriter core_w(core_os, 0);
-    writeCoreConfigJson(core_w, CoreConfig{});
+    writeJsonFields(core_w, CoreConfig{});
     const std::string core_text = core_os.str();
     CoreConfig core;
     ASSERT_TRUE(readJsonFields(JsonValue::parse(core_text), core));
@@ -547,6 +548,53 @@ clientConfigFor(const TestServer &ts)
     return cfg;
 }
 
+/** A raw "get" frame for @p key. */
+std::string
+getFrame(const SimKey &key, bool wait, bool lease,
+         int64_t deadline_ms = 2'000)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    w.field("op", "get");
+    w.key("key");
+    writeJsonFields(w, key);
+    w.field("wait", wait);
+    w.field("lease", lease);
+    w.field("deadline_ms", deadline_ms);
+    w.endObject();
+    return os.str();
+}
+
+/** A raw "put" frame publishing @p entry. */
+std::string
+putFrame(const std::string &entry)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.field("schema", kSvcSchema);
+    w.field("op", "put");
+    w.field("entry", entry);
+    w.endObject();
+    return os.str();
+}
+
+/** @p frame sent to @p ts on its own connection; the parsed response. */
+JsonValue
+ask(const TestServer &ts, const std::string &frame)
+{
+    return JsonValue::parse(rawRequest(ts.config.socketPath, frame));
+}
+
+/** Whether @p resp grants a lease. */
+bool
+leased(const JsonValue &resp)
+{
+    return resp.get("lease").isBool() && resp.get("lease").asBool();
+}
+
 /** Build the Runner-shaped request for a suite benchmark. */
 struct SuiteRequest
 {
@@ -564,7 +612,7 @@ struct SuiteRequest
     SimRequest req;
 };
 
-TEST(SvcService, DaemonComputesSuiteBenchmarkIdenticallyToLocal)
+TEST(SvcService, LeasedComputeAndStoreHitMatchLocal)
 {
     TestServer ts;
     SuiteRequest sr("crc32");
@@ -578,16 +626,18 @@ TEST(SvcService, DaemonComputesSuiteBenchmarkIdenticallyToLocal)
     SvcClient client(clientConfigFor(ts));
     EXPECT_TRUE(client.ping());
 
-    // Cold local cache: the client must take the socket path, have
-    // the daemon simulate, and return a byte-equal result.
+    // Cold store: the daemon leases the key to the client, which
+    // simulates it, puts the entry, and returns a byte-equal result.
     SimCache::instance().clear();
-    SimResult remote = client.simulate(sr.req);
-    expectSameResult(local, remote);
+    SimResult computed = client.simulate(sr.req);
+    expectSameResult(local, computed);
     EXPECT_EQ(reg.counter("svc.requests").value(), 1u);
-    EXPECT_EQ(reg.counter("svc.store.hits").value(), 1u);
+    EXPECT_EQ(reg.counter("svc.store.misses").value(), 1u);
     EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
+    EXPECT_EQ(SimCache::instance().misses(), 1u);
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
 
-    // The hit was seeded into the local SimCache: a repeat is free
+    // The result is memoized in the local SimCache: a repeat is free
     // (no new request), and the manifest provenance sees the key.
     SimResult repeat = client.simulate(sr.req);
     expectSameResult(local, repeat);
@@ -595,11 +645,11 @@ TEST(SvcService, DaemonComputesSuiteBenchmarkIdenticallyToLocal)
 
     // Warm store, cold caches: served from disk without simulating.
     SimCache::instance().clear();
-    uint64_t store_hits_before = ts.server->store().stats().hits;
     SimResult warmed = client.simulate(sr.req);
     expectSameResult(local, warmed);
-    EXPECT_GT(ts.server->store().stats().hits, store_hits_before);
-    EXPECT_EQ(reg.counter("svc.store.hits").value(), 2u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(ts.server->store().stats().hits, 1u);
+    EXPECT_EQ(reg.counter("svc.store.hits").value(), 1u);
 
     client.recordServerStats();
     EXPECT_EQ(reg.gauge("svc.store.quarantined").value(), 0);
@@ -685,7 +735,8 @@ TEST(SvcService, OneClientSurvivesDaemonRestart)
     EXPECT_EQ(served.run.outcome, RunOutcome::Completed);
     EXPECT_EQ(second.store().stats().hits, 1u);
     EXPECT_EQ(SimCache::instance().misses(), 0u);
-    EXPECT_EQ(reg.counter("svc.store.hits").value(), 2u);
+    EXPECT_EQ(reg.counter("svc.store.misses").value(), 1u);
+    EXPECT_EQ(reg.counter("svc.store.hits").value(), 1u);
     EXPECT_EQ(reg.counter("svc.retries").value(), 0u);
     EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
     EXPECT_EQ(reg.counter("svc.connects").value(), 2u);
@@ -724,34 +775,16 @@ TEST(SvcService, ConcurrentRequestsShareBoundedConnections)
 
 TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
 {
-    SvcServerConfig cfg;
-    cfg.testComputeDelayMs = 2'000; // every compute stalls 2 s
-    TestServer ts(cfg);
+    TestServer ts;
     SuiteRequest sr("crc32");
 
-    // Raw protocol check: a sim request with a short deadline gets a
+    // Another client holds the key's lease and never puts.
+    ASSERT_TRUE(leased(ask(ts, getFrame(sr.req.key(), false, true))));
+
+    // Raw protocol check: a waiting get with a short deadline gets a
     // structured timeout carrying the WatchdogExpired vocabulary.
     {
-        std::ostringstream os;
-        JsonWriter w(os, 0);
-        w.beginObject();
-        w.field("schema", kSvcSchema);
-        w.field("op", "sim");
-        w.field("bench", "crc32");
-        w.field("isa", "arm");
-        w.key("core");
-        writeCoreConfigJson(w, sr.core);
-        w.key("observers");
-        w.beginObject();
-        w.field("interval_instructions", static_cast<uint64_t>(0));
-        w.endObject();
-        w.key("key");
-        writeJsonFields(w, sr.req.key());
-        w.field("deadline_ms", static_cast<int64_t>(200));
-        w.endObject();
-
-        JsonValue resp =
-            JsonValue::parse(rawRequest(ts.config.socketPath, os.str()));
+        JsonValue resp = ask(ts, getFrame(sr.req.key(), true, true, 200));
         ASSERT_TRUE(resp.get("ok").asBool());
         EXPECT_EQ(resp.get("status").asString(), "timeout");
         EXPECT_EQ(resp.get("outcome").asString(),
@@ -772,6 +805,7 @@ TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
     EXPECT_EQ(result.run.outcome, RunOutcome::Completed);
     EXPECT_EQ(reg.counter("svc.timeouts").value(), 1u);
     EXPECT_EQ(reg.counter("svc.fallbacks").value(), 1u);
+    EXPECT_EQ(reg.counter("svc.store.misses").value(), 0u);
 
     MetricRegistry::install(prev);
     ts.server->stop();
@@ -919,11 +953,11 @@ TEST(SvcService, SequentialRequestsDoNotAccumulateConnectionThreads)
     const std::string hello =
         std::string("{\"schema\":\"") + kSvcSchema +
         "\",\"op\":\"hello\"}";
-    // Workers + the accept thread + a few connection threads that have
-    // answered but not yet been joined (they are reaped on the next
-    // accept, so only scheduling lag keeps more than one around).
+    // The accept thread + a few connection threads that have answered
+    // but not yet been joined (they are reaped on the next accept, so
+    // only scheduling lag keeps more than one around).
     const size_t kSlack = 8;
-    const size_t bound = baseline + ts.config.computeThreads + 1 + kSlack;
+    const size_t bound = baseline + 1 + kSlack;
     // An exited but unjoined thread drops out of /proc/self/task while
     // its stack stays mapped, so the server's own tally of unjoined
     // threads is what catches a missing join.
@@ -967,77 +1001,64 @@ TEST(SvcService, AbsentDaemonFallsBackCleanly)
     SimCache::instance().clear();
 }
 
-TEST(SvcService, EachBenchPreparesOnceAndAFailedPrepareIsRetried)
+// --- leases and one simulation per run identity -------------------------
+
+TEST(SvcService, RacingLeaseRequestsGrantOneLease)
 {
+    // Two clients miss one key at once: one is leased it, and the other
+    // waits for the holder's put and is answered with its entry.
     TestServer ts;
-    SuiteRequest crc("crc32");
-    SuiteRequest sha("sha");
-
-    // A bench the daemon cannot build answers "unsupported", and so
-    // does the next request for it: the failed prepare left nothing
-    // behind to wait on or to refuse from.
-    for (int i = 0; i < 2; ++i) {
-        std::ostringstream os;
-        JsonWriter w(os, 0);
-        w.beginObject();
-        w.field("schema", kSvcSchema);
-        w.field("op", "sim");
-        w.field("bench", "no.such.bench");
-        w.field("isa", "arm");
-        w.key("core");
-        writeCoreConfigJson(w, crc.core);
-        w.key("key");
-        writeJsonFields(w, crc.req.key());
-        w.endObject();
-        JsonValue resp =
-            JsonValue::parse(rawRequest(ts.config.socketPath, os.str()));
-        ASSERT_TRUE(resp.get("ok").asBool()) << i;
-        EXPECT_EQ(resp.get("status").asString(), "unsupported") << i;
-        EXPECT_NE(resp.get("reason").asString().find(
-                      "cannot prepare 'no.such.bench'"),
-                  std::string::npos)
-            << i;
-    }
-
-    // Concurrent first requests for two benches, each ISA of each:
-    // every bench is prepared exactly once (each prepareBenchmark
-    // call samples runner.prepare_ms), and every answer is the local
-    // run.
-    std::vector<SimRequest> reqs;
-    for (SuiteRequest *sr : {&crc, &sha}) {
-        reqs.push_back(sr->req);
-        SimRequest fits = sr->req;
-        fits.fe = sr->prep.fitsFe.get();
-        fits.isFits = true;
-        reqs.push_back(fits);
-    }
-    SimCache::instance().clear();
-    std::vector<SimResult> local;
-    for (const SimRequest &req : reqs)
-        local.push_back(runSimulation(req));
-
-    MetricRegistry reg;
-    MetricRegistry *prev = MetricRegistry::install(&reg);
-    SvcClient client(clientConfigFor(ts));
-    std::vector<SimResult> remote(reqs.size());
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < reqs.size(); ++i)
-        threads.emplace_back(
-            [&, i] { remote[i] = client.simulate(reqs[i]); });
-    for (std::thread &t : threads)
+    const SimKey key = sampleKey();
+    const std::string entry = encodeResultEntry(key, sampleResult());
+    std::vector<JsonValue> first(2);
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < first.size(); ++i)
+        clients.emplace_back([&, i] {
+            first[i] = ask(ts, getFrame(key, true, true));
+            if (!leased(first[i]))
+                return;
+            // Hold the lease a moment, so the other get waits on it.
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            EXPECT_EQ(ask(ts, putFrame(entry)).get("status").asString(),
+                      "stored");
+        });
+    for (std::thread &t : clients)
         t.join();
-    EXPECT_EQ(reg.histogram("runner.prepare_ms", 0.0, 500.0, 16).count(),
-              2u);
-    EXPECT_EQ(reg.counter("svc.requests").value(), reqs.size());
-    EXPECT_EQ(reg.counter("svc.fallbacks").value(), 0u);
-    for (size_t i = 0; i < reqs.size(); ++i)
-        expectSameResult(local[i], remote[i]);
-
-    MetricRegistry::install(prev);
-    SimCache::instance().clear();
+    const size_t holder = leased(first[0]) ? 0 : 1;
+    EXPECT_TRUE(leased(first[holder]));
+    EXPECT_EQ(first[holder].get("status").asString(), "miss");
+    const JsonValue &waiter = first[1 - holder];
+    EXPECT_FALSE(leased(waiter)) << "one lease per key";
+    EXPECT_EQ(waiter.get("status").asString(), "hit");
+    EXPECT_EQ(waiter.get("entry").asString(), entry);
 }
 
-// --- one simulation per run identity ------------------------------------
+TEST(SvcService, ExpiredLeaseIsGrantedAgain)
+{
+    SvcServerConfig cfg;
+    cfg.leaseTtlMs = 500;
+    TestServer ts(cfg);
+    const SimKey key = sampleKey();
+    ASSERT_TRUE(leased(ask(ts, getFrame(key, false, true))));
+
+    // Held: a second request for the lease is a plain miss.
+    const JsonValue held = ask(ts, getFrame(key, false, true));
+    EXPECT_EQ(held.get("status").asString(), "miss");
+    EXPECT_FALSE(leased(held));
+
+    // The holder went silent past the TTL: the key is leased again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    const JsonValue again = ask(ts, getFrame(key, false, true));
+    EXPECT_EQ(again.get("status").asString(), "miss");
+    EXPECT_TRUE(leased(again));
+
+    // A request waiting on a lease that expires takes it over at the
+    // TTL, not at its own deadline.
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(leased(ask(ts, getFrame(key, true, true, 5'000))));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(3));
+}
 
 /** A core named @p name with a @p kb KB I-cache, other rows default. */
 CoreConfig
@@ -1053,7 +1074,7 @@ icacheCore(const std::string &name, uint32_t kb)
  * Suite requests on cores the set owns, each with its references: a
  * fresh runSimulation and the store entry that run encodes. Built
  * before a test installs its registry, so the references' own
- * simulations are not counted as the daemon's.
+ * simulations are not counted as the client's.
  */
 struct RunSet
 {
@@ -1081,10 +1102,7 @@ struct RunSet
     }
 };
 
-/**
- * A registry installed for one scope. Declared before the TestServer,
- * so it outlives the daemon's workers.
- */
+/** A registry installed for one scope. */
 struct ScopedRegistry
 {
     MetricRegistry reg;
@@ -1099,76 +1117,54 @@ struct ScopedRegistry
             .count();
     }
 
-    /** Requests the daemon answered with another key's run. */
-    uint64_t shared() { return reg.counter("svc.shared").value(); }
+    uint64_t counter(const char *name) { return reg.counter(name).value(); }
 };
 
-/** @p req as a "sim" request frame, as SvcClient sends it. */
-std::string
-simFrame(const SimRequest &req)
+/** Ask @p client for every request of @p set, all at once when
+ * @p concurrent. @return the answers, in request order. */
+std::vector<SimResult>
+askAll(SvcClient &client, const RunSet &set, bool concurrent)
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "sim");
-    w.field("bench", req.bench);
-    w.field("isa", req.isFits ? "fits" : "arm");
-    w.key("core");
-    writeCoreConfigJson(w, *req.core);
-    w.key("key");
-    writeJsonFields(w, req.key());
-    w.endObject();
-    return os.str();
+    std::vector<SimResult> got(set.reqs.size());
+    auto one = [&](size_t i) { got[i] = client.simulate(set.reqs[i]); };
+    if (!concurrent) {
+        for (size_t i = 0; i < got.size(); ++i)
+            one(i);
+        return got;
+    }
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back(one, i);
+    for (std::thread &t : threads)
+        t.join();
+    return got;
 }
 
 /**
- * Ask @p ts for the requests @p idx of @p set, all at once when
- * @p concurrent, each on its own connection as separate processes
- * would (a SvcClient would share size variants before the daemon sees
- * them), and check every answer against its fresh run and every stored
- * entry against the entry that run encodes, byte for byte.
+ * Check every answer against its fresh run, and every entry in
+ * @p ts's store against the entry that run encodes, byte for byte.
+ * @return the number of @p set's keys the store holds.
  */
-void
-expectServedFresh(const TestServer &ts, const RunSet &set,
-                  const std::vector<size_t> &idx, bool concurrent)
+size_t
+expectStoredFresh(const TestServer &ts, const RunSet &set,
+                  const std::vector<SimResult> &got)
 {
-    std::vector<std::string> got(idx.size());
-    auto ask = [&](size_t i) {
-        got[i] = rawRequest(ts.config.socketPath,
-                            simFrame(set.reqs[idx[i]]), 60'000);
-    };
-    if (concurrent) {
-        std::vector<std::thread> threads;
-        for (size_t i = 0; i < idx.size(); ++i)
-            threads.emplace_back(ask, i);
-        for (std::thread &t : threads)
-            t.join();
-    } else {
-        for (size_t i = 0; i < idx.size(); ++i)
-            ask(i);
-    }
-    for (size_t i = 0; i < idx.size(); ++i) {
-        const SimRequest &req = set.reqs[idx[i]];
+    size_t stored = 0;
+    for (size_t i = 0; i < set.reqs.size(); ++i) {
+        const SimRequest &req = set.reqs[i];
         SCOPED_TRACE(req.fe->name() + "/" + req.core->name);
-        const JsonValue resp = JsonValue::parse(got[i]);
-        ASSERT_EQ(resp.get("status").asString(), "hit") << got[i];
-        SimKey key;
-        SimResult result;
-        std::string err;
-        ASSERT_TRUE(decodeResultEntry(resp.get("entry").asString(), &key,
-                                      &result, &err))
-            << err;
-        EXPECT_EQ(key, req.key());
-        expectSameResult(set.fresh[idx[i]], result);
-        std::string stored;
-        EXPECT_TRUE(readFileToString(
-            ts.config.storeDir + "/" + keyFileName(req.key()), &stored));
-        EXPECT_EQ(stored, set.entries[idx[i]]);
+        expectSameResult(set.fresh[i], got[i]);
+        std::string text;
+        if (!readFileToString(
+                ts.config.storeDir + "/" + keyFileName(req.key()), &text))
+            continue;
+        ++stored;
+        EXPECT_EQ(text, set.entries[i]);
     }
+    return stored;
 }
 
-TEST(SvcService, DaemonSimulatesEachRunIdentityOnce)
+TEST(SvcService, ColdPopulateLeasesEachRunIdentityOnce)
 {
     const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
     const PreparedBench jpeg =
@@ -1185,136 +1181,68 @@ TEST(SvcService, DaemonSimulatesEachRunIdentityOnce)
         set.add("crc32", crc, true, icacheCore("FITS" + size, kb));
         set.add("jpeg.encode", jpeg, false, icacheCore("ARM" + size, kb));
     }
-    std::vector<size_t> all(set.reqs.size());
-    for (size_t i = 0; i < all.size(); ++i)
-        all[i] = i;
 
     // Run identities: crc32 fits 8 KB and 16 KB in either ISA (1 + 1);
     // ARM jpeg.encode overflows 8 KB (2).
     constexpr uint64_t kRuns = 4;
     for (bool concurrent : {false, true}) {
         SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
-        // A worker per request, and in the concurrent pass a stall,
-        // keep each size pair's first simulation running while the
-        // other size asks for its run.
-        SvcServerConfig cfg;
-        cfg.computeThreads = static_cast<unsigned>(set.reqs.size());
-        cfg.testComputeDelayMs = concurrent ? 300 : 0;
-        ScopedRegistry sr;
-        TestServer ts(cfg);
-        expectServedFresh(ts, set, all, concurrent);
-        EXPECT_EQ(sr.sims(), kRuns);
-        EXPECT_EQ(sr.shared(), set.reqs.size() - kRuns);
-        const StoreStats store = ts.server->store().stats();
-        EXPECT_EQ(store.entries, set.reqs.size());
-        EXPECT_EQ(store.misses, set.reqs.size());
-        EXPECT_EQ(store.hits, 0u) << "no request was served from the store";
-    }
-}
-
-TEST(SvcService, DaemonNeverSharesUnfinishedEvictedOrQuarantinedRuns)
-{
-    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
-
-    // A run the runaway guard stops: its trap reason names the core
-    // that ran, so each size runs and reports its own, also when the
-    // second asks while the first is still running.
-    RunSet capped;
-    for (uint32_t kb : {16u, 8u}) {
-        CoreConfig core = icacheCore("ARM" + std::to_string(kb), kb);
-        core.maxInstructions = 1'000;
-        capped.add("crc32", crc, false, core);
-    }
-    for (const SimResult &r : capped.fresh)
-        ASSERT_EQ(r.run.outcome, RunOutcome::WatchdogExpired);
-    for (bool concurrent : {false, true}) {
-        SCOPED_TRACE(concurrent ? "concurrent" : "sequential");
-        SvcServerConfig cfg;
-        cfg.testComputeDelayMs = concurrent ? 300 : 0;
-        ScopedRegistry sr;
-        TestServer ts(cfg);
-        expectServedFresh(ts, capped, {0, 1}, concurrent);
-        EXPECT_EQ(sr.sims(), 2u);
-        EXPECT_EQ(sr.shared(), 0u);
-    }
-    EXPECT_NE(capped.fresh[0].run.trapReason.find("/ARM16:"),
-              std::string::npos);
-    EXPECT_NE(capped.fresh[1].run.trapReason.find("/ARM8:"),
-              std::string::npos);
-
-    // crc32 fits every size here, so all three ARM cores are one run.
-    RunSet set;
-    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
-    const size_t fits16 =
-        set.add("crc32", crc, true, icacheCore("FITS16", 16));
-    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
-    const size_t arm32 = set.add("crc32", crc, false, icacheCore("ARM32", 32));
-
-    // A store that holds one entry: FITS16 evicts ARM16, so ARM8
-    // simulates its own run, and ARM32 shares ARM8's.
-    {
-        SvcServerConfig cfg;
-        for (const std::string &entry : set.entries)
-            cfg.storeMaxBytes = std::max<uint64_t>(cfg.storeMaxBytes,
-                                                   entry.size());
-        ScopedRegistry sr;
-        TestServer ts(cfg);
-        for (size_t i : {arm16, fits16, arm8})
-            expectServedFresh(ts, set, {i}, false);
-        EXPECT_EQ(sr.sims(), 3u);
-        EXPECT_EQ(sr.shared(), 0u);
-        expectServedFresh(ts, set, {arm32}, false);
-        EXPECT_EQ(sr.sims(), 3u);
-        EXPECT_EQ(sr.shared(), 1u);
-        EXPECT_EQ(ts.server->store().stats().evictions, 3u);
-    }
-
-    // A corrupted entry is quarantined when the daemon reads it to
-    // share: ARM8 simulates, and then answers ARM16 itself.
-    {
         ScopedRegistry sr;
         TestServer ts;
-        expectServedFresh(ts, set, {arm16}, false);
-        const std::string path = ts.config.storeDir + "/" +
-                                 keyFileName(set.reqs[arm16].key());
-        std::string text, err;
-        ASSERT_TRUE(readFileToString(path, &text));
-        text[text.size() / 3] ^= 1;
-        ASSERT_TRUE(writeFileAtomic(path, text, &err)) << err;
-        expectServedFresh(ts, set, {arm8}, false);
-        EXPECT_EQ(sr.sims(), 2u);
-        EXPECT_EQ(sr.shared(), 0u);
-        EXPECT_EQ(ts.server->store().stats().quarantined, 1u);
-        expectServedFresh(ts, set, {arm16}, false);
-        EXPECT_EQ(sr.sims(), 2u);
-        EXPECT_EQ(sr.shared(), 1u);
+        SimCache::instance().clear();
+        SvcClient client(clientConfigFor(ts));
+        const std::vector<SimResult> got = askAll(client, set, concurrent);
+        // The leased runs and, put after them, their size variants.
+        EXPECT_EQ(expectStoredFresh(ts, set, got), set.reqs.size());
+        EXPECT_EQ(sr.counter("svc.requests"), kRuns);
+        EXPECT_EQ(sr.counter("svc.store.misses"), kRuns)
+            << "one lease per distinct run";
+        EXPECT_EQ(sr.counter("svc.fallbacks"), 0u);
+        EXPECT_EQ(sr.sims(), kRuns);
+        EXPECT_EQ(SimCache::instance().misses(), kRuns);
+        EXPECT_EQ(SimCache::instance().shared(), set.reqs.size() - kRuns);
+        const StoreStats store = ts.server->store().stats();
+        EXPECT_EQ(store.entries, set.reqs.size());
+        EXPECT_EQ(store.hits, 0u) << "no request was served from the store";
+        SimCache::instance().clear();
     }
 }
 
-TEST(SvcService, RestartedDaemonSimulatesBeforeItShares)
+TEST(SvcService, RestartedDaemonServesStoredEntriesAsHits)
 {
-    // The run index lives in memory only: over a warm store, a new
-    // daemon serves stored keys, simulates a new size once and shares
-    // that run with the next size.
     const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    const PreparedBench jpeg =
+        prepareBenchmark("jpeg.encode", ExperimentParams{});
     RunSet set;
-    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
-    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
-    const size_t arm32 = set.add("crc32", crc, false, icacheCore("ARM32", 32));
+    for (uint32_t kb : {16u, 8u}) {
+        const std::string name = "ARM" + std::to_string(kb);
+        set.add("crc32", crc, false, icacheCore(name, kb));
+        set.add("jpeg.encode", jpeg, false, icacheCore(name, kb));
+    }
 
     ScopedRegistry sr;
     TestServer ts;
-    expectServedFresh(ts, set, {arm16}, false);
-    EXPECT_EQ(sr.sims(), 1u);
+    SimCache::instance().clear();
+    {
+        SvcClient populate(clientConfigFor(ts));
+        askAll(populate, set, false);
+    }
+    const uint64_t entries = ts.server->store().stats().entries;
+    EXPECT_EQ(entries, set.reqs.size());
+    constexpr uint64_t runs = 3; // crc32 fits 8 KB; jpeg.encode does not
 
+    // A new daemon over the same store answers every run from it.
     ts.restart();
-    expectServedFresh(ts, set, {arm8}, false);
-    EXPECT_EQ(sr.sims(), 2u);
-    EXPECT_EQ(sr.shared(), 0u);
-    expectServedFresh(ts, set, {arm32, arm16}, false);
-    EXPECT_EQ(sr.sims(), 2u);
-    EXPECT_EQ(sr.shared(), 1u);
-    EXPECT_EQ(ts.server->store().stats().hits, 1u); // ARM16
+    EXPECT_EQ(ts.server->store().stats().entries, entries);
+    SimCache::instance().clear();
+    const uint64_t hits = sr.counter("svc.store.hits");
+    SvcClient client(clientConfigFor(ts));
+    EXPECT_EQ(expectStoredFresh(ts, set, askAll(client, set, false)),
+              entries);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(sr.counter("svc.store.hits") - hits, runs);
+    EXPECT_EQ(ts.server->store().stats().hits, runs);
+    SimCache::instance().clear();
 }
 
 TEST(SvcService, ConcurrentRequestsForOneKeyMakeOneRoundTrip)
@@ -1323,12 +1251,17 @@ TEST(SvcService, ConcurrentRequestsForOneKeyMakeOneRoundTrip)
     RunSet set;
     set.add("crc32", crc, false, icacheCore("ARM16", 16));
 
-    // The stall holds the first round trip open while the other seven
-    // threads ask for the same key.
-    SvcServerConfig cfg;
-    cfg.testComputeDelayMs = 300;
+    // A raw client holds the key's lease and puts after 300 ms, which
+    // holds the first round trip open while the other seven threads ask
+    // for the same key.
     ScopedRegistry sr;
-    TestServer ts(cfg);
+    TestServer ts;
+    ASSERT_TRUE(leased(ask(ts, getFrame(set.reqs[0].key(), false, true))));
+    std::thread holder([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        EXPECT_EQ(ask(ts, putFrame(set.entries[0])).get("status").asString(),
+                  "stored");
+    });
     SimCache::instance().clear();
     SvcClient client(clientConfigFor(ts));
     std::vector<SimResult> got(8);
@@ -1338,20 +1271,22 @@ TEST(SvcService, ConcurrentRequestsForOneKeyMakeOneRoundTrip)
             [&, i] { got[i] = client.simulate(set.reqs[0]); });
     for (std::thread &t : threads)
         t.join();
+    holder.join();
     for (const SimResult &r : got)
         expectSameResult(set.fresh[0], r);
-    EXPECT_EQ(sr.reg.counter("svc.requests").value(), 1u);
-    EXPECT_EQ(sr.reg.counter("svc.store.hits").value(), 1u);
+    EXPECT_EQ(sr.counter("svc.requests"), 1u);
+    EXPECT_EQ(sr.counter("svc.store.hits"), 1u);
     EXPECT_EQ(SimCache::instance().hits(), 7u);
     EXPECT_EQ(SimCache::instance().misses(), 0u);
-    EXPECT_EQ(sr.sims(), 1u);
+    EXPECT_EQ(sr.sims(), 0u);
     SimCache::instance().clear();
 }
 
 TEST(SvcService, ClientSharesSizeVariantsInProcess)
 {
     // crc32 fits 16 KB and 8 KB: the client asks the daemon for the
-    // first size only and answers the second from that run, renamed.
+    // first size only (a leased miss it simulates) and answers the
+    // second from that run, renamed.
     const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
     RunSet set;
     const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
@@ -1363,15 +1298,30 @@ TEST(SvcService, ClientSharesSizeVariantsInProcess)
     SvcClient client(clientConfigFor(ts));
     for (size_t i : {arm16, arm8})
         expectSameResult(set.fresh[i], client.simulate(set.reqs[i]));
-    EXPECT_EQ(sr.reg.counter("svc.requests").value(), 1u);
-    EXPECT_EQ(sr.reg.counter("svc.fallbacks").value(), 0u);
-    EXPECT_EQ(SimCache::instance().misses(), 0u)
-        << "a daemon answer is not a local simulation";
+    EXPECT_EQ(sr.counter("svc.requests"), 1u);
+    EXPECT_EQ(sr.counter("svc.fallbacks"), 0u);
+    EXPECT_EQ(SimCache::instance().misses(), 1u);
     EXPECT_EQ(SimCache::instance().shared(), 1u);
     EXPECT_EQ(sr.sims(), 1u);
-    EXPECT_EQ(sr.shared(), 0u);
-    // Shared answers are not put back: the store holds the run once.
-    EXPECT_EQ(ts.server->store().stats().entries, 1u);
+    // The client computed the run, so it puts the shared answer too.
+    EXPECT_EQ(ts.server->store().stats().entries, 2u);
+    std::string stored;
+    ASSERT_TRUE(readFileToString(
+        ts.config.storeDir + "/" + keyFileName(set.reqs[arm8].key()),
+        &stored));
+    EXPECT_EQ(stored, set.entries[arm8]);
+
+    // A later sweep whose first asker is the other size finds its key
+    // stored: one round trip, a store hit, and nothing simulated or put.
+    SimCache::instance().clear();
+    SvcClient later(clientConfigFor(ts));
+    for (size_t i : {arm8, arm16})
+        expectSameResult(set.fresh[i], later.simulate(set.reqs[i]));
+    EXPECT_EQ(sr.counter("svc.requests"), 2u);
+    EXPECT_EQ(sr.counter("svc.store.hits"), 1u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(SimCache::instance().shared(), 1u);
+    EXPECT_EQ(ts.server->store().stats().entries, 2u);
     SimCache::instance().clear();
 }
 
@@ -1432,44 +1382,19 @@ TEST(SvcService, GetPutLeaseProtocolForNonSuitePrograms)
     SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
 
-    auto getReq = [&](bool lease) {
-        std::ostringstream os;
-        JsonWriter w(os, 0);
-        w.beginObject();
-        w.field("schema", kSvcSchema);
-        w.field("op", "get");
-        w.key("key");
-        writeJsonFields(w, key);
-        w.field("wait", false);
-        w.field("lease", lease);
-        w.field("deadline_ms", static_cast<int64_t>(2'000));
-        w.endObject();
-        return os.str();
-    };
-
     // Miss, with a compute lease granted to us.
-    JsonValue r1 =
-        JsonValue::parse(rawRequest(ts.config.socketPath, getReq(true)));
+    JsonValue r1 = ask(ts, getFrame(key, false, true));
     ASSERT_TRUE(r1.get("ok").asBool());
     EXPECT_EQ(r1.get("status").asString(), "miss");
     EXPECT_TRUE(r1.get("lease").asBool());
 
     // We "computed"; publish the entry.
-    std::ostringstream put;
-    JsonWriter w(put, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "put");
-    w.field("entry", entry);
-    w.endObject();
-    JsonValue r2 =
-        JsonValue::parse(rawRequest(ts.config.socketPath, put.str()));
+    JsonValue r2 = ask(ts, putFrame(entry));
     ASSERT_TRUE(r2.get("ok").asBool());
     EXPECT_EQ(r2.get("status").asString(), "stored");
 
     // Everyone now hits, byte-for-byte.
-    JsonValue r3 = JsonValue::parse(
-        rawRequest(ts.config.socketPath, getReq(false)));
+    JsonValue r3 = ask(ts, getFrame(key, false, false));
     ASSERT_TRUE(r3.get("ok").asBool());
     EXPECT_EQ(r3.get("status").asString(), "hit");
     EXPECT_EQ(r3.get("entry").asString(), entry);
@@ -1485,17 +1410,7 @@ TEST(SvcService, StatsOpReturnsLiveStoreAndMetricSnapshot)
     // Seed one entry so the store section has something to count.
     SimKey key = sampleKey();
     std::string entry = encodeResultEntry(key, sampleResult());
-    std::ostringstream put;
-    JsonWriter w(put, 0);
-    w.beginObject();
-    w.field("schema", kSvcSchema);
-    w.field("op", "put");
-    w.field("entry", entry);
-    w.endObject();
-    ASSERT_TRUE(
-        JsonValue::parse(rawRequest(ts.config.socketPath, put.str()))
-            .get("ok")
-            .asBool());
+    ASSERT_TRUE(ask(ts, putFrame(entry)).get("ok").asBool());
 
     JsonValue resp = JsonValue::parse(rawRequest(
         ts.config.socketPath,
@@ -1532,32 +1447,13 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
         "{\"op\":\"sim\"}", "{\"op\":\"put\",\"entry\":\"garbage\"}",
         "{\"op\":\"get\",\"key\":{\"program\":17}}"};
 
-    // Well-formed get/sim requests except for one integer field that
-    // is negative, fractional or far out of range.
+    // Well-formed get requests except for one integer field that is
+    // negative, fractional or far out of range.
     const std::string key = "{\"program\":\"0x1\",\"config\":\"0x2\","
                             "\"faults\":\"0x0\",\"observers\":\"0x0\"}";
-    std::ostringstream core;
-    JsonWriter core_w(core, 0);
-    writeCoreConfigJson(core_w, CoreConfig{});
     const std::string get = "{\"op\":\"get\",\"key\":" + key;
-    const std::string sim_head = "{\"op\":\"sim\",\"bench\":\"crc32\","
-                                 "\"isa\":\"arm\",\"key\":" +
-                                 key + ",\"core\":";
-    const std::string sim = sim_head + core.str();
-    for (const std::string number : {"-1", "0.5", "1e300"}) {
+    for (const std::string number : {"-1", "0.5", "1e300"})
         requests.push_back(get + ",\"deadline_ms\":" + number + "}");
-        requests.push_back(sim + ",\"deadline_ms\":" + number + "}");
-        requests.push_back(sim + ",\"observers\":{"
-                                 "\"interval_instructions\":" +
-                           number + "}}");
-    }
-    // Clocks the memo-key hash cannot take in whole thousandths.
-    for (const std::string clock : {"-1", "1e300"})
-        requests.push_back(sim_head +
-                           replaceFirst(core.str(),
-                                        "\"clock_hz\":200000000",
-                                        "\"clock_hz\":" + clock) +
-                           "}");
     for (const std::string &bad : requests) {
         JsonValue resp =
             JsonValue::parse(rawRequest(ts.config.socketPath, bad));
@@ -1574,6 +1470,20 @@ TEST(SvcService, MalformedRequestsGetStructuredErrorsNotCrashes)
         EXPECT_TRUE(resp.get("ok").asBool()) << good;
         EXPECT_EQ(resp.get("status").asString(), "miss") << good;
     }
+
+    // An older client's complete "sim" frame: the op is gone, so that
+    // client degrades to a local run plus a put.
+    std::ostringstream core;
+    JsonWriter core_w(core, 0);
+    writeJsonFields(core_w, CoreConfig{});
+    const JsonValue sim = ask(
+        ts, std::string("{\"schema\":\"") + kSvcSchema +
+                "\",\"op\":\"sim\",\"bench\":\"crc32\",\"isa\":\"arm\","
+                "\"key\":" +
+                key + ",\"core\":" + core.str() + "}");
+    EXPECT_FALSE(sim.get("ok").asBool());
+    EXPECT_EQ(sim.get("error").asString(), "unknown op: sim");
+
     // The server is still healthy afterwards.
     SvcClientConfig ccfg;
     ccfg.socketPath = ts.config.socketPath;
