@@ -6,10 +6,9 @@
 # counters against tests/baseline/work_counters.txt.
 #
 # Numeric table drift beyond the tolerance fails the gate. Wall times
-# are machine-specific, so the diff against the checked-in baseline
-# runs with --ignore-time; the 15% wall-time policy is exercised by the
-# unit tests (Report.DiffFlagsWallTimeRegressionBeyondThreshold) and is
-# available for same-machine comparisons via pfits_report diff.
+# are machine-specific and pfits_report diff never compares them: the
+# slowdown gates are the exact work counters below (host-independent)
+# and perf/ab.sh for an A/B timing on one host.
 #
 # Usage: bench_regress.sh <build-dir> [--update]
 #   --update  regenerate tests/baseline/BENCH_baseline.json and
@@ -105,9 +104,7 @@ if [[ ! -f "$baseline" ]]; then
     exit 1
 fi
 
-# --ignore-time: the baseline's wall times were measured on whatever
-# machine last ran --update; only table values gate here.
-if "$report" diff "$baseline" "$suite" --ignore-time; then
+if "$report" diff "$baseline" "$suite"; then
     echo "bench_regress: ok (suite matches $baseline)"
 else
     echo "bench_regress: FAILED — table values drifted from the baseline" >&2

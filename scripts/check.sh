@@ -59,7 +59,7 @@ echo "=== golden snapshots ==="
 # Manifest-based regression tracking: every experiment re-runs with
 # --json, the manifests aggregate into BENCH_suite.json, and table values are
 # diffed against tests/baseline/BENCH_baseline.json (value drift gates;
-# wall times are machine-specific and ignored here — see
+# wall times are machine-specific and never compared — see
 # docs/OBSERVABILITY.md "Regression tracking"). Regenerate deliberately
 # with bench_regress.sh <build> --update.
 echo "=== bench regression (manifests) ==="

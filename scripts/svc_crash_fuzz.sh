@@ -8,7 +8,7 @@
 #    files, mis-named entries): a restarted daemon must quarantine
 #    every damaged entry, serve the rest, and never serve rot,
 #  - after every abuse, a sweep through the daemon must produce tables
-#    identical to a daemon-less run (pfits_report diff --ignore-time
+#    identical to a daemon-less run (pfits_report diff
 #    --ignore-metrics).
 #
 # Run standalone against any build dir, or via scripts/check.sh (which
@@ -73,7 +73,7 @@ check_tables() { # <run-dir>: daemon results must equal daemon-less ones
     # --ignore-metrics: the two runs legitimately touch different
     # instruments (simcache.* only locally, svc.* only through the
     # daemon); what must match is the result tables.
-    "$report" diff --ignore-time --ignore-metrics \
+    "$report" diff --ignore-metrics \
         "$workdir/local-suite.json" "$workdir/$1-suite.json"
 }
 

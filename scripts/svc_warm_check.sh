@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # ctest gate for the pfitsd warm-store contract (docs/SERVICE.md):
 #  1. an experiment's sweep through a fresh daemon produces the same tables as
-#     a daemon-less run (pfits_report diff --ignore-time),
+#     a daemon-less run (pfits_report diff),
 #  2. that cold sweep simulates each run once, in the client: the daemon
 #     simulates nothing (simcache.sim_ms count in `pfits_report stats`
 #     == 0), the client simulates and shares exactly what a daemon-less
 #     run does (simcache.misses and simcache.shared equal the daemon-less
 #     run's), degrades nowhere (svc.fallbacks == 0), puts one entry per
-#     key (its svc.requests plus the size variants it shared), and
-#     nothing is served from the store (store.hits == 0),
+#     run identity (store entries == its svc.requests), and nothing is
+#     served from the store (store.hits == 0),
 #  3. a second identical sweep performs ZERO fresh simulations — one
 #     request per distinct run (svc.requests == the daemon-less
 #     simcache.misses), each answered from the daemon's store
@@ -98,8 +98,7 @@ assert daemon_sims == 0, "the daemon stores; it must never simulate"
 assert misses == want_misses, "the client must simulate each distinct run once"
 assert shared == want_shared, "the client must share what SimCache shares"
 assert fallbacks == 0, "a leased compute is not a fallback"
-assert store["entries"] == requests + shared, \
-    "one store entry per key: the leased runs and their size variants"
+assert store["entries"] == requests, "one store entry per run identity"
 assert store["hits"] == 0, "a cold sweep serves nothing from the store"
 EOF
 
@@ -142,7 +141,7 @@ echo "warm: daemon results must equal daemon-less results"
 for d in local second; do
     "$report" aggregate "$workdir/$d" -o "$workdir/$d-suite.json"
 done
-"$report" diff --ignore-time --ignore-metrics \
+"$report" diff --ignore-metrics \
     "$workdir/local-suite.json" "$workdir/second-suite.json"
 
 echo "warm: stopping pfitsd; --daemon must degrade, not fail"
@@ -163,7 +162,7 @@ EOF
 
 echo "warm: dead-daemon results must also match"
 "$report" aggregate "$workdir/down" -o "$workdir/down-suite.json"
-"$report" diff --ignore-time --ignore-metrics \
+"$report" diff --ignore-metrics \
     "$workdir/local-suite.json" "$workdir/down-suite.json"
 
 echo "warm: ok"

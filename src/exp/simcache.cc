@@ -430,10 +430,6 @@ SimCache::run(const SimRequest &request, const SimKey &key,
     Entry ran = runs_.get(request.runIdentity(key), computeEntry, &fresh);
     if (fresh)
         return ran;
-    // Trap and watchdog messages name the core that ran, so only a
-    // completed run answers another request.
-    if (ran->run.outcome != RunOutcome::Completed)
-        return computeEntry();
     shared_.fetch_add(1);
     if (MetricRegistry *metrics = MetricRegistry::current())
         metrics->counter("simcache.shared").add();

@@ -185,7 +185,8 @@ struct SimRequest
      * every such geometry with the same line size yields the same run.
      * Fault-armed requests (lines struck by geometry) and trace-armed
      * ones (dumps named after the core) are their own identity. The one
-     * sharing rule, applied by SimCache.
+     * memo key for results: SimCache computes once per identity, and
+     * pfitsd's store holds one entry per identity.
      */
     SimKey runIdentity(const SimKey &key) const;
 };
@@ -267,8 +268,8 @@ class SimCache
     using Entry = std::shared_ptr<const SimResult>;
 
     /** The result for @p request (key @p key) through its run
-     * identity's slot: a fresh computation, or a share of a completed
-     * one. */
+     * identity's slot: a fresh computation, or a share of another
+     * request's. */
     Entry run(const SimRequest &request, const SimKey &key,
               const SimCompute &compute);
 

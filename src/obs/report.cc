@@ -295,7 +295,6 @@ diffFindingKindName(DiffFinding::Kind kind)
       case DiffFinding::Kind::ShapeChanged: return "shape-changed";
       case DiffFinding::Kind::BenchMissing: return "bench-missing";
       case DiffFinding::Kind::BenchAdded: return "bench-added";
-      case DiffFinding::Kind::TimeRegression: return "time-regression";
       case DiffFinding::Kind::MetricMissing: return "metric-missing";
       case DiffFinding::Kind::MetricAdded: return "metric-added";
       case DiffFinding::Kind::MetricKindChanged:
@@ -399,26 +398,6 @@ diffTable(const JsonValue &base, const JsonValue &fresh,
                                        "row added"});
     }
     ++result.tablesCompared;
-}
-
-void
-diffTime(double base_ms, double fresh_ms, const std::string &where,
-         const DiffOptions &options, DiffResult &result)
-{
-    if (options.ignoreTime)
-        return;
-    if (fresh_ms > base_ms * (1.0 + options.timeTol) &&
-        fresh_ms - base_ms > options.timeFloorMs) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "wall time %.1f ms -> %.1f ms (+%.1f%%, "
-                      "threshold %.0f%%)",
-                      base_ms, fresh_ms,
-                      100.0 * (fresh_ms / base_ms - 1.0),
-                      100.0 * options.timeTol);
-        result.findings.push_back(
-            {DiffFinding::Kind::TimeRegression, where, buf});
-    }
 }
 
 /** "counter"/"gauge"/"histogram" from a metric's serialized shape. */
@@ -555,10 +534,6 @@ diffSuites(const JsonValue &baseline, const JsonValue &fresh,
         if (!options.ignoreMetrics)
             diffMetrics(base_bench->get("metrics"),
                         fresh_bench.get("metrics"), tool, result);
-
-        diffTime(numberOr(base_bench->get("time").get("wall_ms"), 0),
-                 numberOr(fresh_bench.get("time").get("wall_ms"), 0),
-                 tool, options, result);
     }
     for (const auto &[tool, bench] : fresh_benches) {
         (void)bench;
@@ -567,10 +542,6 @@ diffSuites(const JsonValue &baseline, const JsonValue &fresh,
                                        tool,
                                        "bench present in new run only"});
     }
-
-    diffTime(numberOr(baseline.get("totals").get("wall_ms"), 0),
-             numberOr(fresh.get("totals").get("wall_ms"), 0),
-             "totals", options, result);
     return result;
 }
 
@@ -583,13 +554,7 @@ printDiffReport(std::ostream &os, const DiffResult &result,
            << ": " << f.detail << "\n";
     os << "compared " << result.benchesCompared << " benches, "
        << result.tablesCompared << " tables, " << result.cellsCompared
-       << " cells (value tol " << options.valueTol
-       << ", time threshold "
-       << (options.ignoreTime
-               ? std::string("ignored")
-               : std::to_string(
-                     static_cast<int>(100 * options.timeTol)) + "%")
-       << ")\n";
+       << " cells (value tol " << options.valueTol << ")\n";
     if (result.regression())
         os << "REGRESSION: " << result.findings.size()
            << " finding(s)\n";

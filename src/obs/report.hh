@@ -3,9 +3,11 @@
  * Regression tracking over run manifests: aggregate a directory of
  * per-bench manifests into one suite document, validate documents
  * against the schema, and diff two suite files — flagging numeric
- * drift in table values beyond a tolerance and wall-time regressions
- * beyond a threshold. `pfits_report` (report_main.cc) is the CLI;
- * scripts/bench_regress.sh wires it into the pre-merge gate.
+ * drift in table values beyond a tolerance, shape changes and metric
+ * key changes. Wall times are host-specific and never gate a diff; a
+ * slowdown is caught by the exact work counters (bench_regress.sh) and
+ * by perf/ab.sh on one host. `pfits_report` (report_main.cc) is the
+ * CLI; scripts/bench_regress.sh wires it into the pre-merge gate.
  */
 
 #ifndef POWERFITS_OBS_REPORT_HH
@@ -49,18 +51,6 @@ struct DiffOptions
     double valueTol = 1e-6;
 
     /**
-     * Wall-time regression threshold: a bench (or the suite total) is
-     * flagged when new > old * (1 + timeTol) and the absolute growth
-     * exceeds timeFloorMs (which keeps micro-benches from flagging on
-     * scheduler noise).
-     */
-    double timeTol = 0.15;
-    double timeFloorMs = 10.0;
-
-    /** Skip wall-time comparison entirely (cross-machine baselines). */
-    bool ignoreTime = false;
-
-    /**
      * Skip metric key-set comparison entirely. For diffs across
      * deployment modes (daemon-warm vs local sweeps), where the set of
      * touched instruments legitimately differs while the result
@@ -79,7 +69,6 @@ struct DiffFinding
         ShapeChanged,   //!< table/row/column added or removed
         BenchMissing,   //!< bench present in baseline only
         BenchAdded,     //!< bench present in the new run only
-        TimeRegression, //!< wall time grew beyond the threshold
         MetricMissing,    //!< metric key present in baseline only
         MetricAdded,      //!< metric key new in this run (informational)
         MetricKindChanged, //!< counter/gauge/histogram kind flipped

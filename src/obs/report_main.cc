@@ -44,12 +44,10 @@ usage(std::ostream &os)
           "      pfits-suite-v1 document (stdout unless -o is given)\n"
           "  validate <file.json>\n"
           "      schema-check a manifest or suite document\n"
-          "  diff <baseline.json> <new.json> [--tol X] [--time-tol X]\n"
-          "       [--time-floor-ms X] [--ignore-time]\n"
-          "       [--ignore-metrics]\n"
+          "  diff <baseline.json> <new.json> [--tol X] [--ignore-metrics]\n"
           "      compare two suite files; exit 1 on value drift,\n"
-          "      shape changes, metric-key changes, or wall-time\n"
-          "      regressions\n"
+          "      shape changes or metric-key changes (wall times\n"
+          "      never gate)\n"
           "  validate-trace <trace.json>\n"
           "      structural check of a --trace-out Chrome trace-event\n"
           "      file: well-formed events, balanced B/E per track\n"
@@ -175,18 +173,10 @@ cmdDiff(const std::vector<std::string> &args)
     std::vector<std::string> files;
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
-        if (a == "--tol" || a == "--time-tol" || a == "--time-floor-ms") {
+        if (a == "--tol") {
             if (++i >= args.size())
                 return usage(std::cerr);
-            double v = std::atof(args[i].c_str());
-            if (a == "--tol")
-                options.valueTol = v;
-            else if (a == "--time-tol")
-                options.timeTol = v;
-            else
-                options.timeFloorMs = v;
-        } else if (a == "--ignore-time") {
-            options.ignoreTime = true;
+            options.valueTol = std::atof(args[i].c_str());
         } else if (a == "--ignore-metrics") {
             options.ignoreMetrics = true;
         } else if (!a.empty() && a[0] == '-') {

@@ -1,13 +1,16 @@
 /**
  * @file
- * The micro-op execution engine — the shared "datapath".
+ * The micro-op datapath of the cycle-exact oracle (src/verify/oracle.cc),
+ * plus the architectural types every simulator shares (CpuState,
+ * AddrCodec, ExecInfo, IoSinks). The production engine is
+ * src/sim/fastsim.cc; execute() here is its straight-line reference.
  *
  * Both front-ends (the fixed ARM decoder and the programmable FITS
- * decoder) feed MicroOps into this engine, mirroring the paper's design
+ * decoder) feed MicroOps into this datapath, mirroring the paper's design
  * where instruction synthesis changes the decode, never the functional
  * units. Instruction addresses are abstracted behind instruction
  * *indices*; an AddrCodec translates between indices and byte addresses
- * so the same engine runs 4-byte ARM and 2-byte FITS streams.
+ * so the same datapath runs 4-byte ARM and 2-byte FITS streams.
  */
 
 #ifndef POWERFITS_SIM_EXECUTOR_HH

@@ -1705,10 +1705,8 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
     while (!ctx.state.halted && s.retired < stop) {
         if (s.index >= num_insns) {
             if (s.index == AddrCodec::kBadIndex)
-                trap("%s/%s: control transfer below the code base",
-                     result_.benchmark.c_str(), result_.config.c_str());
-            trap("%s/%s: fell off the end of the program at index %llu",
-                 result_.benchmark.c_str(), result_.config.c_str(),
+                trap("control transfer below the code base");
+            trap("fell off the end of the program at index %llu",
                  static_cast<unsigned long long>(s.index));
         }
         if (s.retired >= max_instructions) {
@@ -1716,8 +1714,7 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
             // instead of tearing the whole sweep down.
             result_.outcome = RunOutcome::WatchdogExpired;
             result_.trapReason = detail::format(
-                "%s/%s: exceeded the %llu-instruction cap",
-                result_.benchmark.c_str(), result_.config.c_str(),
+                "exceeded the %llu-instruction cap",
                 static_cast<unsigned long long>(max_instructions));
             done_ = true;
             break;
@@ -1797,9 +1794,8 @@ FastTile::stepImpl(uint64_t budget, [[maybe_unused]] FaultPlan *faults,
                                         s.retired, addr});
             s.prevWordAddr = kNoFetchWord;
             result_.outcome = RunOutcome::FaultDetected;
-            result_.trapReason = detail::format(
-                "%s/%s: I-cache parity error at 0x%08x",
-                result_.benchmark.c_str(), result_.config.c_str(), addr);
+            result_.trapReason =
+                detail::format("I-cache parity error at 0x%08x", addr);
             done_ = true;
             break;
         }

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 #include "sim/machine.hh"
 
 namespace pfits
@@ -52,25 +53,6 @@ IntervalStatsObserver::onRunEnd(RunResult &result)
         startCycle_ = result.cycles;
     }
 }
-
-namespace
-{
-
-/** Minimal JSON string escaping (quotes and backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 void
 TraceObserver::writeEntry(std::ostream &os, const Entry &e) const
@@ -132,10 +114,10 @@ TraceObserver::dump(std::ostream &os, const RunResult *result) const
 {
     if (result) {
         os << "{\"event\":\"run\",\"benchmark\":\""
-           << jsonEscape(result->benchmark) << "\",\"config\":\""
-           << jsonEscape(result->config) << "\",\"outcome\":\""
+           << jsonEscapeString(result->benchmark) << "\",\"config\":\""
+           << jsonEscapeString(result->config) << "\",\"outcome\":\""
            << runOutcomeName(result->outcome) << "\",\"reason\":\""
-           << jsonEscape(result->trapReason) << "\"}\n";
+           << jsonEscapeString(result->trapReason) << "\"}\n";
     }
     // Oldest first: once the ring wrapped, next_ points at the oldest.
     const size_t n = ring_.size();

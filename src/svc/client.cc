@@ -110,13 +110,14 @@ opRequest(const char *op)
 }
 
 /**
- * The "put" frame publishing @p result under @p key, tagged with
- * @p trace_id when it is not 0.
+ * The "put" frame publishing @p result under run identity @p id, tagged
+ * with @p trace_id when it is not 0. The entry's run.config is blank:
+ * it depends on its identity only, whichever core computed it.
  */
 std::string
-putRequest(const SimKey &key, const SimResult &result,
-           uint64_t trace_id = 0)
+putRequest(const SimKey &id, SimResult result, uint64_t trace_id = 0)
 {
+    result.run.config.clear();
     std::ostringstream os;
     JsonWriter w(os, 0);
     w.beginObject();
@@ -124,7 +125,7 @@ putRequest(const SimKey &key, const SimResult &result,
     if (trace_id)
         w.field("trace", hexString(trace_id));
     w.field("op", "put");
-    w.field("entry", encodeResultEntry(key, result));
+    w.field("entry", encodeResultEntry(id, result));
     w.endObject();
     return os.str();
 }
@@ -341,15 +342,10 @@ SvcClient::recordServerStats()
 }
 
 SimResult
-SvcClient::computeLeased(const SimRequest &request, uint64_t trace_id)
+SvcClient::computeLeased(const SimRequest &request, const SimKey &id,
+                         uint64_t trace_id)
 {
     SimResult result = SimCache::runLocal(request);
-    const SimKey key = request.key();
-    {
-        std::lock_guard<std::mutex> lock(putMu_);
-        leasedRuns_.insert(request.runIdentity(key));
-        putKeys_.insert(key);
-    }
     // Other clients may be waiting on this lease, so the put gets a
     // request's retries, not tryPut's single attempt.
     std::string response;
@@ -361,7 +357,7 @@ SvcClient::computeLeased(const SimRequest &request, uint64_t trace_id)
                            .add("bench", request.bench)
                            .addHex("trace", trace_id));
         round_trip_ok =
-            roundTrip(putRequest(key, result, trace_id), &response);
+            roundTrip(putRequest(id, result, trace_id), &response);
     }
     const JsonValue v = parseResponse(round_trip_ok ? response : "");
     if (!v.isObject() || !v.get("status").isString() ||
@@ -372,39 +368,23 @@ SvcClient::computeLeased(const SimRequest &request, uint64_t trace_id)
 }
 
 void
-SvcClient::tryPut(const SimKey &key, const SimResult &result)
+SvcClient::tryPut(const SimKey &id, const SimResult &result)
 {
     std::string response, err;
     // One attempt, no retries: populating the shared store is a
     // favor to future runs, never worth stalling this one.
-    (void)attempt(putRequest(key, result), &response,
+    (void)attempt(putRequest(id, result), &response,
                   config_.requestTimeoutMs, &err);
 }
 
-void
-SvcClient::putVariant(const SimRequest &request, const SimResult &result)
-{
-    SimKey key;
-    {
-        std::lock_guard<std::mutex> lock(putMu_);
-        if (leasedRuns_.empty())
-            return; // the common warm sweep: nothing computed here
-        key = request.key();
-        if (putKeys_.count(key) != 0 ||
-            leasedRuns_.count(request.runIdentity(key)) == 0)
-            return;
-        putKeys_.insert(key);
-    }
-    tryPut(key, result);
-}
-
 SimResult
-SvcClient::fallback(const SimRequest &request, bool try_put)
+SvcClient::fallback(const SimRequest &request, const SimKey &id,
+                    bool try_put)
 {
     bumpCounter("svc.fallbacks");
     SimResult result = SimCache::runLocal(request);
     if (try_put)
-        tryPut(request.key(), result);
+        tryPut(id, result);
     return result;
 }
 
@@ -423,17 +403,15 @@ SvcClient::simulate(const SimRequest &request)
 
     // Through the process's SimCache: a key already answered is a hit,
     // a size variant of an answered run shares it in-process, and
-    // concurrent requests for one key wait for one round trip.
-    SimResult result = SimCache::instance().simulate(
+    // concurrent requests for one run wait for one round trip.
+    return SimCache::instance().simulate(
         request, [this](const SimRequest &req) { return fetch(req); });
-    putVariant(request, result);
-    return result;
 }
 
 SimResult
 SvcClient::fetch(const SimRequest &request)
 {
-    const SimKey key = request.key();
+    const SimKey id = request.runIdentity(request.key());
     bumpCounter("svc.requests");
 
     // A fresh trace id, generated only when a recorder is installed
@@ -444,7 +422,7 @@ SvcClient::fetch(const SimRequest &request)
     TraceRecorder *trace = TraceRecorder::current();
     const uint64_t trace_id = trace ? trace->newTraceId() : 0;
 
-    // The store's entry, or a lease to compute and put it; a key
+    // The store's entry, or a lease to compute and put it; a run
     // another client holds the lease on waits for that client's put.
     std::ostringstream os;
     JsonWriter w(os, 0);
@@ -454,7 +432,7 @@ SvcClient::fetch(const SimRequest &request)
         w.field("trace", hexString(trace_id));
     w.field("op", "get");
     w.key("key");
-    writeJsonFields(w, key);
+    writeJsonFields(w, id);
     w.field("wait", true);
     w.field("lease", true);
     w.field("deadline_ms",
@@ -475,13 +453,13 @@ SvcClient::fetch(const SimRequest &request)
         round_trip_ok = roundTrip(os.str(), &response);
     }
     if (!round_trip_ok)
-        return fallback(request, /*try_put=*/false);
+        return fallback(request, id, /*try_put=*/false);
 
     const JsonValue v = parseResponse(response);
     if (!v.isObject() || !v.get("ok").isBool() || !v.get("ok").asBool()) {
         warn_once("pfitsd: %s; running locally",
                   errorText(v, "malformed response"));
-        return fallback(request, /*try_put=*/true);
+        return fallback(request, id, /*try_put=*/true);
     }
 
     const std::string status = v.get("status").isString()
@@ -493,32 +471,33 @@ SvcClient::fetch(const SimRequest &request)
         std::string err;
         if (!decodeResultEntry(v.get("entry").asString(), &got,
                                &result, &err) ||
-            got != key) {
+            got != id) {
             // A corrupt or mis-keyed entry survived the daemon's own
             // verification — treat the daemon as untrusted for this
             // request and recompute; local results are authoritative.
             warn_once("pfitsd: bad store entry (%s); running locally",
                       err.empty() ? "key mismatch" : err.c_str());
-            return fallback(request, /*try_put=*/true);
+            return fallback(request, id, /*try_put=*/true);
         }
         bumpCounter("svc.store.hits");
+        result.run.config = request.core->name;
         return result;
     }
     if (status == "miss") {
         // Leased to this client: simulate here and publish the entry.
         bumpCounter("svc.store.misses");
-        return computeLeased(request, trace_id);
+        return computeLeased(request, id, trace_id);
     }
     if (status == "timeout") {
         // The daemon answered "watchdog-expired": the deadline passed
         // with another client's lease still open. That client will
         // put the entry; meanwhile this run computes locally.
         bumpCounter("svc.timeouts");
-        return fallback(request, /*try_put=*/false);
+        return fallback(request, id, /*try_put=*/false);
     }
     warn_once("pfitsd: unexpected status '%s'; running locally",
               status.c_str());
-    return fallback(request, /*try_put=*/true);
+    return fallback(request, id, /*try_put=*/true);
 }
 
 } // namespace pfits

@@ -5,6 +5,12 @@
  * threads, and *never* makes a run fail that would have succeeded
  * without a daemon.
  *
+ * The store is keyed by run identity (SimRequest::runIdentity), the
+ * key SimCache computes under: a put carries its result with
+ * run.config blank, and a hit is renamed to the asking core, so every
+ * I-cache size that holds a program's code reads, leases and stores
+ * one entry, whichever size asks first and in whichever process.
+ *
  * Trace-armed, chip and fault-armed requests never reach the daemon:
  * their products (trace files, chip stats, fault tallies) are not
  * part of a store entry, so they resolve in-process.
@@ -13,12 +19,13 @@
  *  1. the process's SimCache (free: a key already answered is a hit,
  *     a size variant of an answered run shares it, and concurrent
  *     requests for one key wait for one round trip),
- *  2. a "get" round trip asking for the entry or a lease, with bounded
- *     retries and jittered exponential backoff on transport failures.
- *     A hit is verified and decoded. A miss comes with a lease: this
- *     client simulates (SimCache::runLocal) and puts the entry, with
- *     the same retries, because other clients wait on the lease. A key
- *     leased to another client is answered with that client's put,
+ *  2. a "get" round trip asking for the run identity's entry or a
+ *     lease, with bounded retries and jittered exponential backoff on
+ *     transport failures. A hit is verified and decoded. A miss comes
+ *     with a lease: this client simulates (SimCache::runLocal) and
+ *     puts the entry, with the same retries, because other clients
+ *     wait on the lease. An identity leased to another client is
+ *     answered with that client's put,
  *  3. local simulation, counted in svc.fallbacks, only on degradation:
  *     daemon unavailable, protocol error, a bad entry, or request
  *     deadline expiry ("timeout" responses carry outcome
@@ -39,11 +46,8 @@
  * svc.store.{evictions,quarantined} gauges into the manifest. Results
  * fetched from the store are checksum-verified and memoized by the
  * SimCache they are fetched through, so manifests keep their "sims"
- * provenance and repeated keys stay in-process. A shared answer is put
- * back when this client computed its run under a lease: which key of a
- * run asks first is a race between the Runner's workers, so a later
- * sweep's first asker must find its key stored, whichever it is. A
- * sweep answered from the store puts nothing.
+ * provenance and repeated keys stay in-process. A sweep answered from
+ * the store puts nothing.
  */
 
 #ifndef POWERFITS_SVC_CLIENT_HH
@@ -52,7 +56,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -139,24 +142,20 @@ class SvcClient final : public SimService
 
     /**
      * Simulate a request leased to this client (SimCache::runLocal)
-     * and put its entry, with roundTrip's retries, under the request's
-     * @p trace_id.
+     * and put its entry under its run identity @p id, with
+     * roundTrip's retries, under the request's @p trace_id.
      */
-    SimResult computeLeased(const SimRequest &request, uint64_t trace_id);
+    SimResult computeLeased(const SimRequest &request, const SimKey &id,
+                            uint64_t trace_id);
 
-    /** Best-effort publish of a locally computed result. */
-    void tryPut(const SimKey &key, const SimResult &result);
+    /** Best-effort publish of a locally computed result under its run
+     * identity @p id. */
+    void tryPut(const SimKey &id, const SimResult &result);
 
-    /**
-     * Best-effort put of @p result, SimCache's answer to @p request,
-     * when this client computed its run under a lease and has not put
-     * its key yet (a size variant answered in-process).
-     */
-    void putVariant(const SimRequest &request, const SimResult &result);
-
-    /** Run locally (SimCache::runLocal), count a fallback, and
-     * best-effort put. */
-    SimResult fallback(const SimRequest &request, bool try_put);
+    /** Run locally (SimCache::runLocal), count a fallback, and, when
+     * @p try_put, best-effort put under its run identity @p id. */
+    SimResult fallback(const SimRequest &request, const SimKey &id,
+                       bool try_put);
 
     int backoffDelayMs(unsigned attempt);
 
@@ -167,11 +166,6 @@ class SvcClient final : public SimService
 
     std::mutex rngMu_;
     Rng rng_; //!< backoff jitter; deterministic per config seed
-
-    std::mutex putMu_;
-    //! Run identities this client computed under a lease.
-    std::unordered_set<SimKey, SimKeyHash> leasedRuns_;
-    std::unordered_set<SimKey, SimKeyHash> putKeys_; //!< keys it put
 };
 
 } // namespace pfits

@@ -1,11 +1,13 @@
 /**
  * @file
  * The golden reference interpreter: a deliberately naive, single-file
- * uARM/MicroOp interpreter that shares *nothing* with the optimized
- * execution engine in src/sim/executor.cc.
+ * uARM/MicroOp interpreter that shares no execution code with the
+ * engine (src/sim/fastsim.cc) or with the cycle-exact oracle's
+ * datapath (src/sim/executor.cc, driven by src/verify/oracle.cc).
  *
- * The Machine's executor is written for speed (precomputed masks,
- * ExecInfo plumbing for the timing model); this interpreter is written
+ * The engine is written for speed (pre-decoded handlers, batched
+ * timing); the oracle's datapath carries ExecInfo plumbing for its
+ * timing model. This interpreter is written
  * for obviousness — one switch, straight-line semantics transcribed
  * from the ISA description in src/isa/isa.hh and the documented uARM
  * deviations (DESIGN.md §7: no shifter carry-out, shift amount 0 is

@@ -195,18 +195,15 @@ class OracleTile final : public Tile
 void
 OracleTile::retireOne(FaultPlan *faults, const ObserverList *extra)
 {
-    const char *bench = result_.benchmark.c_str();
-    const char *cfg = result_.config.c_str();
     if (index_ == AddrCodec::kBadIndex)
-        trap("%s/%s: control transfer below the code base", bench, cfg);
+        trap("control transfer below the code base");
     if (index_ >= readMasks_.size())
-        trap("%s/%s: fell off the end of the program at index %llu",
-             bench, cfg, static_cast<unsigned long long>(index_));
+        trap("fell off the end of the program at index %llu",
+             static_cast<unsigned long long>(index_));
     if (retired_ >= config_.maxInstructions) {
         // Runaway guard: partial statistics, not a torn-down sweep.
         end(RunOutcome::WatchdogExpired,
-            detail::format("%s/%s: exceeded the %llu-instruction cap",
-                           bench, cfg,
+            detail::format("exceeded the %llu-instruction cap",
                            static_cast<unsigned long long>(
                                config_.maxInstructions)));
         return;
@@ -254,8 +251,7 @@ OracleTile::retireOne(FaultPlan *faults, const ObserverList *extra)
                               FaultEvent::Kind::Detected, retired_, addr});
             prevWordAddr_ = kNoFetchWord;
             end(RunOutcome::FaultDetected,
-                detail::format("%s/%s: I-cache parity error at 0x%08x",
-                               bench, cfg, addr));
+                detail::format("I-cache parity error at 0x%08x", addr));
             return;
         }
         // No checker: the escape is counted, not acted out (the

@@ -476,52 +476,17 @@ TEST(Report, DiffFlagsNonNumericCellChange)
     EXPECT_TRUE(r.regression());
 }
 
-TEST(Report, DiffFlagsWallTimeRegressionBeyondThreshold)
-{
-    // +100% with a >10ms delta: flagged on the bench and the totals.
-    JsonValue base = makeSuite("1.5", 100.0);
-    JsonValue fresh = makeSuite("1.5", 200.0);
-    DiffResult r = diffSuites(base, fresh, {});
-    ASSERT_FALSE(r.findings.empty());
-    for (const DiffFinding &f : r.findings)
-        EXPECT_EQ(f.kind, DiffFinding::Kind::TimeRegression);
-    EXPECT_TRUE(r.regression());
-
-    // +12% is inside the 15% threshold.
-    JsonValue near = makeSuite("1.5", 112.0);
-    EXPECT_FALSE(diffSuites(base, near, {}).regression());
-
-    // +16% crosses it (and the 10ms floor).
-    JsonValue over = makeSuite("1.5", 116.0);
-    EXPECT_TRUE(diffSuites(base, over, {}).regression());
-
-    // A huge relative jump under the absolute floor stays quiet:
-    // micro-bench scheduler noise.
-    JsonValue tiny_base = makeSuite("1.5", 4.0);
-    JsonValue tiny_fresh = makeSuite("1.5", 8.0);
-    EXPECT_FALSE(diffSuites(tiny_base, tiny_fresh, {}).regression());
-
-    // --ignore-time: cross-machine baseline comparison.
-    DiffOptions no_time;
-    no_time.ignoreTime = true;
-    EXPECT_FALSE(diffSuites(base, fresh, no_time).regression());
-}
-
 TEST(Report, DiffBenchPresenceRules)
 {
     JsonValue base = makeSuite("1.5", 100.0, {"bench_a"});
     JsonValue fresh = makeSuite("1.5", 100.0, {"bench_a", "bench_b"});
-    // ignoreTime: a grown suite legitimately takes longer in total;
-    // presence rules are what this test pins down.
-    DiffOptions opts;
-    opts.ignoreTime = true;
-    DiffResult grown = diffSuites(base, fresh, opts);
+    DiffResult grown = diffSuites(base, fresh, {});
     ASSERT_EQ(grown.findings.size(), 1u);
     EXPECT_EQ(grown.findings[0].kind, DiffFinding::Kind::BenchAdded);
     // A new bench is informational, not a regression.
     EXPECT_FALSE(grown.regression());
 
-    DiffResult shrunk = diffSuites(fresh, base, opts);
+    DiffResult shrunk = diffSuites(fresh, base, {});
     ASSERT_EQ(shrunk.findings.size(), 1u);
     EXPECT_EQ(shrunk.findings[0].kind,
               DiffFinding::Kind::BenchMissing);

@@ -430,6 +430,34 @@ icacheCore(uint32_t kb, uint32_t ways)
     return core;
 }
 
+/**
+ * A loop over exactly @p code_bytes of ARM code whose every pass, 8 in
+ * all, fetches the whole code range: it starts at the first
+ * instruction and branches back from the last.
+ */
+Program
+loopOverCode(const std::string &name, uint32_t code_bytes)
+{
+    auto build = [&](uint32_t pad) {
+        ProgramBuilder b(name);
+        const Label loop = b.here();
+        const Label done = b.label();
+        const Label body = b.label();
+        b.addi(R0, R0, 1);
+        b.subi(R1, R0, 9, Cond::AL, true);
+        b.b(done, Cond::EQ);
+        b.b(body);
+        b.bind(done);
+        b.exit();
+        b.bind(body);
+        for (uint32_t i = 0; i < pad; ++i)
+            b.nop();
+        b.b(loop);
+        return b.finish();
+    };
+    return build((code_bytes - build(0).codeBytes()) / 4);
+}
+
 TEST(SimCache, SharesOneRunAcrossICachesThatHoldTheCode)
 {
     SimCache &cache = SimCache::instance();
@@ -495,30 +523,80 @@ TEST(SimCache, SharesOneRunAcrossICachesThatHoldTheCode)
     const SimRequest arm8_req{.fe = jpeg.armFe.get(), .core = &arm8};
     EXPECT_EQ(cache.simulate(arm16_req).run.icache.misses(), 416u);
     EXPECT_EQ(cache.simulate(arm8_req).run.icache.misses(), 59'618u);
+
+    // The fit test's boundary: a 1 KB 2-way I-cache has 16 sets of 2
+    // lines. Code of exactly 32 lines fills every set, so no fetch
+    // evicts and it shares the 16 KB run under every policy; one line
+    // more puts 3 lines in set 0, and each policy runs its own.
+    cache.clear();
+    const ArmFrontEnd exact(loopOverCode("exact", 1024));
+    const ArmFrontEnd longer(loopOverCode("longer", 1024 + 4));
+    ASSERT_EQ(exact.codec().base % 32, 0u);
+    ASSERT_EQ(exact.codeBytes(), 1024u);
+    ASSERT_EQ(longer.codeBytes(), 1024u + 4);
+    const CoreConfig big = icacheCore(16, 32);
+    std::vector<CoreConfig> small;
+    for (ReplPolicy policy : {ReplPolicy::LRU, ReplPolicy::FIFO,
+                              ReplPolicy::RANDOM, ReplPolicy::ROUND_ROBIN}) {
+        CoreConfig core = icacheCore(1, 2);
+        core.name += replPolicyName(policy);
+        core.icache.policy = policy;
+        small.push_back(core);
+    }
+    for (const ArmFrontEnd *fe : {&exact, &longer}) {
+        const SimResult whole =
+            cache.simulate(SimRequest{.fe = fe, .core = &big});
+        for (const CoreConfig &core : small) {
+            const SimRequest req{.fe = fe, .core = &core};
+            const SimResult got = cache.simulate(req);
+            for (const std::string &diff :
+                 diffResults(got, runSimulation(req)))
+                ADD_FAILURE() << fe->name() << "/" << core.name << ": "
+                              << diff;
+            const std::vector<std::string> vs_whole =
+                diffResults(got, whole);
+            if (fe == &exact)
+                EXPECT_EQ(vs_whole, std::vector<std::string>{
+                                        "run: config '" + core.name +
+                                        "' vs '16k32w'"});
+            else
+                EXPECT_GT(got.run.icache.misses(), whole.run.icache.misses())
+                    << core.name << ": one line more must evict";
+        }
+    }
+    // exact: one run for all five cores; longer: the 16 KB run and
+    // one per policy.
+    EXPECT_EQ(cache.misses(), 1u + 5u);
+    EXPECT_EQ(cache.shared(), 4u);
     cache.clear();
 }
 
-TEST(SimCache, NeverSharesTrappedFaultedOrTracedRuns)
+TEST(SimCache, SharesTrappedRunsButNeverFaultedOrTracedOnes)
 {
     SimCache &cache = SimCache::instance();
     cache.clear();
 
-    // A program that traps: its reason names the core that ran, so
-    // each size must run and report its own.
+    // A program that traps: its reason names no core, so both sizes
+    // share one run like any other.
     ProgramBuilder b("noexit");
     b.nop();
     const ArmFrontEnd trapper(b.finish());
     const CoreConfig big = icacheCore(16, 32);
     const CoreConfig small = icacheCore(8, 32);
     for (const CoreConfig *core : {&big, &small}) {
-        const SimResult r =
-            cache.simulate(SimRequest{.fe = &trapper, .core = core});
+        const SimRequest req{.fe = &trapper, .core = core};
+        const SimResult r = cache.simulate(req);
         EXPECT_EQ(r.run.outcome, RunOutcome::Trapped);
-        EXPECT_NE(r.run.trapReason.find("/" + core->name + ":"),
-                  std::string::npos)
-            << r.run.trapReason;
+        EXPECT_EQ(r.run.config, core->name);
+        for (const CoreConfig *named : {&big, &small})
+            EXPECT_EQ(r.run.trapReason.find(named->name),
+                      std::string::npos)
+                << r.run.trapReason;
+        for (const std::string &diff : diffResults(r, runSimulation(req)))
+            ADD_FAILURE() << core->name << ": " << diff;
     }
-    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.shared(), 1u);
 
     // Fault-armed and trace-armed requests for crc32, whose code fits
     // both sizes: each one runs.
@@ -539,8 +617,8 @@ TEST(SimCache, NeverSharesTrappedFaultedOrTracedRuns)
                   std::string::npos)
             << r.tracePath;
     }
-    EXPECT_EQ(cache.misses(), 6u);
-    EXPECT_EQ(cache.shared(), 0u);
+    EXPECT_EQ(cache.misses(), 5u);
+    EXPECT_EQ(cache.shared(), 1u);
     cache.clear();
 }
 

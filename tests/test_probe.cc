@@ -19,6 +19,7 @@
 #include "fits/synth.hh"
 #include "fits/translate.hh"
 #include "mibench/mibench.hh"
+#include "obs/json.hh"
 #include "sim/frontend.hh"
 #include "sim/machine.hh"
 #include "sim/probe.hh"
@@ -355,6 +356,37 @@ TEST(Probe, TraceRingIsBoundedAndDumpsOnFault)
     // The detection event is the last thing the run emits, so the
     // flight recorder must still hold it.
     EXPECT_TRUE(sawFault);
+}
+
+TEST(Probe, TraceDumpLinesAreJsonForAnyProgramName)
+{
+    // Control characters in a name must be escaped, or the run record
+    // splits across lines of the JSONL dump.
+    ProgramBuilder b("tab\there\nnewline \"quoted\" back\\slash");
+    b.nop();
+    ArmFrontEnd fe(b.finish());
+    TraceObserver trace(8);
+    std::ostringstream sink;
+    trace.setSink(&sink);
+    ObserverList list;
+    list.add(&trace);
+    RunResult rr = Machine(fe, CoreConfig{}).run(nullptr, &list);
+    ASSERT_EQ(rr.outcome, RunOutcome::Trapped);
+
+    std::istringstream lines(sink.str());
+    std::string line;
+    size_t n = 0;
+    while (std::getline(lines, line)) {
+        ++n;
+        JsonValue v;
+        ASSERT_NO_THROW(v = JsonValue::parse(line)) << line;
+        ASSERT_TRUE(v.isObject()) << line;
+        if (n == 1) {
+            EXPECT_EQ(v.get("event").asString(), "run");
+            EXPECT_EQ(v.get("benchmark").asString(), fe.name());
+        }
+    }
+    EXPECT_GE(n, 2u);
 }
 
 TEST(Probe, TraceNotDumpedOnCleanRun)

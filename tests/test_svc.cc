@@ -17,6 +17,7 @@
 #include <deque>
 #include <dirent.h>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -778,13 +779,15 @@ TEST(SvcService, DeadlineExpiryAnswersWatchdogExpiredAndClientFallsBack)
     TestServer ts;
     SuiteRequest sr("crc32");
 
-    // Another client holds the key's lease and never puts.
-    ASSERT_TRUE(leased(ask(ts, getFrame(sr.req.key(), false, true))));
+    // Another client holds the lease on the request's run identity
+    // (the key the client asks the store for) and never puts.
+    const SimKey id = sr.req.runIdentity(sr.req.key());
+    ASSERT_TRUE(leased(ask(ts, getFrame(id, false, true))));
 
     // Raw protocol check: a waiting get with a short deadline gets a
     // structured timeout carrying the WatchdogExpired vocabulary.
     {
-        JsonValue resp = ask(ts, getFrame(sr.req.key(), true, true, 200));
+        JsonValue resp = ask(ts, getFrame(id, true, true, 200));
         ASSERT_TRUE(resp.get("ok").asBool());
         EXPECT_EQ(resp.get("status").asString(), "timeout");
         EXPECT_EQ(resp.get("outcome").asString(),
@@ -1072,15 +1075,17 @@ icacheCore(const std::string &name, uint32_t kb)
 
 /**
  * Suite requests on cores the set owns, each with its references: a
- * fresh runSimulation and the store entry that run encodes. Built
- * before a test installs its registry, so the references' own
- * simulations are not counted as the client's.
+ * fresh runSimulation, its run identity, and the store entry that run
+ * encodes under the identity, with run.config blank. Built before a
+ * test installs its registry, so the references' own simulations are
+ * not counted as the client's.
  */
 struct RunSet
 {
     std::deque<CoreConfig> cores; //!< stable addresses for reqs
     std::vector<SimRequest> reqs;
     std::vector<SimResult> fresh;
+    std::vector<SimKey> ids;
     std::vector<std::string> entries;
 
     /** @return the index of @p bench's @p fits program on @p core. */
@@ -1097,7 +1102,10 @@ struct RunSet
         req.isFits = fits;
         reqs.push_back(req);
         fresh.push_back(runSimulation(req));
-        entries.push_back(encodeResultEntry(req.key(), fresh.back()));
+        ids.push_back(req.runIdentity(req.key()));
+        SimResult stored = fresh.back();
+        stored.run.config.clear();
+        entries.push_back(encodeResultEntry(ids.back(), stored));
         return reqs.size() - 1;
     }
 };
@@ -1143,25 +1151,25 @@ askAll(SvcClient &client, const RunSet &set, bool concurrent)
 /**
  * Check every answer against its fresh run, and every entry in
  * @p ts's store against the entry that run encodes, byte for byte.
- * @return the number of @p set's keys the store holds.
+ * @return the number of @p set's run identities the store holds.
  */
 size_t
 expectStoredFresh(const TestServer &ts, const RunSet &set,
                   const std::vector<SimResult> &got)
 {
-    size_t stored = 0;
+    std::set<SimKey> stored;
     for (size_t i = 0; i < set.reqs.size(); ++i) {
         const SimRequest &req = set.reqs[i];
         SCOPED_TRACE(req.fe->name() + "/" + req.core->name);
         expectSameResult(set.fresh[i], got[i]);
         std::string text;
         if (!readFileToString(
-                ts.config.storeDir + "/" + keyFileName(req.key()), &text))
+                ts.config.storeDir + "/" + keyFileName(set.ids[i]), &text))
             continue;
-        ++stored;
+        stored.insert(set.ids[i]);
         EXPECT_EQ(text, set.entries[i]);
     }
-    return stored;
+    return stored.size();
 }
 
 TEST(SvcService, ColdPopulateLeasesEachRunIdentityOnce)
@@ -1192,8 +1200,8 @@ TEST(SvcService, ColdPopulateLeasesEachRunIdentityOnce)
         SimCache::instance().clear();
         SvcClient client(clientConfigFor(ts));
         const std::vector<SimResult> got = askAll(client, set, concurrent);
-        // The leased runs and, put after them, their size variants.
-        EXPECT_EQ(expectStoredFresh(ts, set, got), set.reqs.size());
+        // One entry per leased run, whichever size computed it.
+        EXPECT_EQ(expectStoredFresh(ts, set, got), kRuns);
         EXPECT_EQ(sr.counter("svc.requests"), kRuns);
         EXPECT_EQ(sr.counter("svc.store.misses"), kRuns)
             << "one lease per distinct run";
@@ -1202,7 +1210,7 @@ TEST(SvcService, ColdPopulateLeasesEachRunIdentityOnce)
         EXPECT_EQ(SimCache::instance().misses(), kRuns);
         EXPECT_EQ(SimCache::instance().shared(), set.reqs.size() - kRuns);
         const StoreStats store = ts.server->store().stats();
-        EXPECT_EQ(store.entries, set.reqs.size());
+        EXPECT_EQ(store.entries, kRuns);
         EXPECT_EQ(store.hits, 0u) << "no request was served from the store";
         SimCache::instance().clear();
     }
@@ -1228,8 +1236,8 @@ TEST(SvcService, RestartedDaemonServesStoredEntriesAsHits)
         askAll(populate, set, false);
     }
     const uint64_t entries = ts.server->store().stats().entries;
-    EXPECT_EQ(entries, set.reqs.size());
     constexpr uint64_t runs = 3; // crc32 fits 8 KB; jpeg.encode does not
+    EXPECT_EQ(entries, runs);
 
     // A new daemon over the same store answers every run from it.
     ts.restart();
@@ -1251,12 +1259,12 @@ TEST(SvcService, ConcurrentRequestsForOneKeyMakeOneRoundTrip)
     RunSet set;
     set.add("crc32", crc, false, icacheCore("ARM16", 16));
 
-    // A raw client holds the key's lease and puts after 300 ms, which
+    // A raw client holds the run's lease and puts after 300 ms, which
     // holds the first round trip open while the other seven threads ask
     // for the same key.
     ScopedRegistry sr;
     TestServer ts;
-    ASSERT_TRUE(leased(ask(ts, getFrame(set.reqs[0].key(), false, true))));
+    ASSERT_TRUE(leased(ask(ts, getFrame(set.ids[0], false, true))));
     std::thread holder([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
         EXPECT_EQ(ask(ts, putFrame(set.entries[0])).get("status").asString(),
@@ -1303,15 +1311,16 @@ TEST(SvcService, ClientSharesSizeVariantsInProcess)
     EXPECT_EQ(SimCache::instance().misses(), 1u);
     EXPECT_EQ(SimCache::instance().shared(), 1u);
     EXPECT_EQ(sr.sims(), 1u);
-    // The client computed the run, so it puts the shared answer too.
-    EXPECT_EQ(ts.server->store().stats().entries, 2u);
+    // One entry for the run, which both sizes name.
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
+    EXPECT_EQ(set.ids[arm8], set.ids[arm16]);
+    EXPECT_EQ(set.entries[arm8], set.entries[arm16]);
     std::string stored;
     ASSERT_TRUE(readFileToString(
-        ts.config.storeDir + "/" + keyFileName(set.reqs[arm8].key()),
-        &stored));
+        ts.config.storeDir + "/" + keyFileName(set.ids[arm8]), &stored));
     EXPECT_EQ(stored, set.entries[arm8]);
 
-    // A later sweep whose first asker is the other size finds its key
+    // A later sweep whose first asker is the other size finds its run
     // stored: one round trip, a store hit, and nothing simulated or put.
     SimCache::instance().clear();
     SvcClient later(clientConfigFor(ts));
@@ -1321,7 +1330,75 @@ TEST(SvcService, ClientSharesSizeVariantsInProcess)
     EXPECT_EQ(sr.counter("svc.store.hits"), 1u);
     EXPECT_EQ(SimCache::instance().misses(), 0u);
     EXPECT_EQ(SimCache::instance().shared(), 1u);
-    EXPECT_EQ(ts.server->store().stats().entries, 2u);
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
+    SimCache::instance().clear();
+}
+
+TEST(SvcService, StoreAnswersEverySizeOfARunIdentity)
+{
+    // A store populated with crc32 at 16 KB only answers a fresh
+    // process asking for 8 KB: one hit, renamed to the asking core.
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    RunSet set;
+    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
+    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
+
+    TestServer ts;
+    SimCache::instance().clear();
+    {
+        SvcClient populate(clientConfigFor(ts));
+        expectSameResult(set.fresh[arm16],
+                         populate.simulate(set.reqs[arm16]));
+    }
+    ASSERT_EQ(ts.server->store().stats().entries, 1u);
+
+    ScopedRegistry sr;
+    SimCache::instance().clear();
+    SvcClient client(clientConfigFor(ts));
+    const SimResult got = client.simulate(set.reqs[arm8]);
+    expectSameResult(set.fresh[arm8], got);
+    EXPECT_EQ(got.run.config, "ARM8");
+    EXPECT_EQ(sr.counter("svc.requests"), 1u);
+    EXPECT_EQ(sr.counter("svc.store.hits"), 1u);
+    EXPECT_EQ(sr.counter("svc.store.misses"), 0u) << "no lease taken";
+    EXPECT_EQ(sr.counter("svc.fallbacks"), 0u);
+    EXPECT_EQ(sr.sims(), 0u);
+    EXPECT_EQ(SimCache::instance().misses(), 0u);
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
+    SimCache::instance().clear();
+}
+
+TEST(SvcService, SizeVariantWaitsOnAnotherClientsLease)
+{
+    // A raw client holds the lease on crc32's run identity, as a
+    // process computing it at 16 KB would, and puts after 300 ms. A
+    // client asking for 8 KB waits on that lease and is answered with
+    // the put, simulating nothing.
+    const PreparedBench crc = prepareBenchmark("crc32", ExperimentParams{});
+    RunSet set;
+    const size_t arm16 = set.add("crc32", crc, false, icacheCore("ARM16", 16));
+    const size_t arm8 = set.add("crc32", crc, false, icacheCore("ARM8", 8));
+
+    ScopedRegistry sr;
+    TestServer ts;
+    ASSERT_TRUE(leased(ask(ts, getFrame(set.ids[arm16], false, true))));
+    std::thread holder([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        EXPECT_EQ(
+            ask(ts, putFrame(set.entries[arm16])).get("status").asString(),
+            "stored");
+    });
+    SimCache::instance().clear();
+    SvcClient client(clientConfigFor(ts));
+    const SimResult got = client.simulate(set.reqs[arm8]);
+    holder.join();
+    expectSameResult(set.fresh[arm8], got);
+    EXPECT_EQ(sr.counter("svc.requests"), 1u);
+    EXPECT_EQ(sr.counter("svc.store.hits"), 1u);
+    EXPECT_EQ(sr.counter("svc.store.misses"), 0u);
+    EXPECT_EQ(sr.counter("svc.fallbacks"), 0u);
+    EXPECT_EQ(sr.sims(), 0u);
+    EXPECT_EQ(ts.server->store().stats().entries, 1u);
     SimCache::instance().clear();
 }
 
